@@ -15,6 +15,16 @@ first.
 The engine keeps every live alternative (it behaves like a chart
 recognizer): a fill never destroys the instance it extends, it derives a new
 one.  All scheduling is FIFO, so identical input yields an identical trace.
+
+Initial prediction depends only on the network and the direction, so it is
+compiled once per ordered language pair when the network is built
+(:func:`compile_plan`): the table of initially predicted source slots, the
+predicted lexical items, the target sequences that carry an initial GP, and
+the ``predict`` events all of that produces.  A session attaches the shared
+plan instead of recomputing it; its :class:`MarkerSet` answers for the
+plan's markers without copying them and records only the markers the
+session places itself, so a session's cost grows with its sentence, not
+with the network.
 """
 
 from __future__ import annotations
@@ -29,12 +39,8 @@ AA = "AA"  # analysis activation
 GP = "GP"  # generation prediction
 GA = "GA"  # generation activation
 
-# trace event kinds; `withdraw` records an omissible fixed element whose
-# prediction disappeared because a later element was activated first
-EVENTS = ("predict", "activate", "collide", "accept", "generate", "dead", "withdraw", "note")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     event: str
     marker: str | None
@@ -155,6 +161,142 @@ def satisfied(cs, fills) -> bool:
     return True
 
 
+def _label(location) -> str:
+    """Trace form of a marker location on the network itself."""
+    site = location[0]
+    if site in ("cse", "tcse"):
+        return f"cs:{location[1]}#{location[2]}"
+    if site in ("lex", "lit", "cn"):
+        return f"{site}:{location[1]}"
+    return str(location)
+
+
+@dataclass(frozen=True, slots=True)
+class DirectionPlan:
+    """Initial prediction of one direction, shared by all its sessions.
+
+    ``slots_by_literal`` and ``slots_by_filler`` map a literal or a filler
+    concept to the initially predicted ``(cs id, element index)`` slots that
+    a passive can start a new instance from, in declaration order.  The
+    initial markers are kept as sets of ids (AP on ``cse`` slots and on
+    lexical items, GP on element 0 of target sequences); ``prefix`` is the
+    trace their placement produces.
+    """
+
+    slots_by_literal: dict[str, tuple[tuple[str, int], ...]]
+    slots_by_filler: dict[str, tuple[tuple[str, int], ...]]
+    predicted_slots: frozenset[tuple[str, int]]
+    predicted_items: frozenset[str]
+    target_heads: frozenset[str]
+    prefix: tuple[TraceEvent, ...]
+
+
+def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
+    """AP on every initially predicted source element (and down the
+    hierarchy to lexical items), GP on the first element of every target
+    sequence, in network declaration order."""
+    by_literal: dict[str, list[tuple[str, int]]] = {}
+    by_filler: dict[str, list[tuple[str, int]]] = {}
+    items: set[str] = set()
+    heads: list[str] = []
+    prefix: list[TraceEvent] = []
+    for cs in net.sequences.values():
+        if cs.language == source:
+            for idx in initial_slots(cs):
+                slot = (cs.id, idx)
+                el = cs.elements[idx]
+                prefix.append(TraceEvent("predict", AP, _label(("cse",) + slot), None, -1))
+                if el.is_literal:
+                    by_literal.setdefault(el.literal, []).append(slot)
+                    continue
+                by_filler.setdefault(el.concept, []).append(slot)
+                for item_id in net.items_below(source, el.concept):
+                    if item_id not in items:
+                        items.add(item_id)
+                        prefix.append(TraceEvent("predict", AP, f"lex:{item_id}", None, -1))
+        elif cs.language == target:
+            heads.append(cs.id)
+            prefix.append(TraceEvent("predict", GP, _label(("tcse", cs.id, 0)), None, -1))
+    return DirectionPlan(
+        slots_by_literal={k: tuple(v) for k, v in by_literal.items()},
+        slots_by_filler={k: tuple(v) for k, v in by_filler.items()},
+        predicted_slots=frozenset(
+            slot for slots in (*by_literal.values(), *by_filler.values()) for slot in slots
+        ),
+        predicted_items=frozenset(items),
+        target_heads=frozenset(heads),
+        prefix=tuple(prefix),
+    )
+
+
+class MarkerSet:
+    """Marker keys ``(kind, location, binding)`` of one session.
+
+    The keys of an attached :class:`DirectionPlan` count as members without
+    being copied; :meth:`add` records the rest.  The two parts never
+    overlap, so the length is the sum of theirs.
+    """
+
+    __slots__ = ("_plan", "_own")
+
+    def __init__(self):
+        self._plan: DirectionPlan | None = None
+        self._own: set[tuple] = set()
+
+    def attach(self, plan: DirectionPlan):
+        self._plan = plan
+
+    def _in_plan(self, key) -> bool:
+        plan = self._plan
+        kind, location, binding = key
+        if plan is None or binding is not None:
+            return False
+        site = location[0]
+        if kind == AP and site == "lex":
+            return location[1] in plan.predicted_items
+        if kind == AP and site == "cse":
+            return location[1:] in plan.predicted_slots
+        if kind == GP and site == "tcse":
+            return location[2] == 0 and location[1] in plan.target_heads
+        return False
+
+    def add(self, key) -> bool:
+        """Set a marker bit; returns False if it was already present."""
+        if key in self._own or self._in_plan(key):
+            return False
+        self._own.add(key)
+        return True
+
+    def __contains__(self, key) -> bool:
+        return key in self._own or self._in_plan(key)
+
+    def __len__(self) -> int:
+        plan = self._plan
+        if plan is None:
+            return len(self._own)
+        return (
+            len(self._own)
+            + len(plan.predicted_slots)
+            + len(plan.predicted_items)
+            + len(plan.target_heads)
+        )
+
+    def __iter__(self):
+        plan = self._plan
+        if plan is not None:
+            for slot in plan.predicted_slots:
+                yield (AP, ("cse",) + slot, None)
+            for item_id in plan.predicted_items:
+                yield (AP, ("lex", item_id), None)
+            for cs_id in plan.target_heads:
+                yield (GP, ("tcse", cs_id, 0), None)
+        yield from self._own
+
+    def clear(self):
+        self._plan = None
+        self._own.clear()
+
+
 class MarkerState:
     """All live markers, instances and pending collisions of one session.
 
@@ -167,7 +309,8 @@ class MarkerState:
         self.net = net
         self.source = source
         self.target = target
-        self.markers: dict[tuple, Marker] = {}
+        self.plan = net.plans[(source, target)]
+        self.markers = MarkerSet()
         self.instances: list[CsInstance] = []
         self.agenda: deque = deque()
         self.trace: list[TraceEvent] = []
@@ -177,23 +320,8 @@ class MarkerState:
         self._passive_seen: set = set()
         self._fills_this_token = 0
         self._dead_reported = False
-        self._slot_table = self._build_slot_table()
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _build_slot_table(self):
-        by_literal: dict[str, list[tuple[str, int]]] = {}
-        by_filler: dict[str, list[tuple[str, int]]] = {}
-        for cs in self.net.sequences.values():
-            if cs.language != self.source:
-                continue
-            for idx in initial_slots(cs):
-                el = cs.elements[idx]
-                if el.is_literal:
-                    by_literal.setdefault(el.literal, []).append((cs.id, idx))
-                else:
-                    by_filler.setdefault(el.concept, []).append((cs.id, idx))
-        return by_literal, by_filler
 
     def emit(self, event, marker, location, binding=None):
         self.trace.append(
@@ -202,44 +330,22 @@ class MarkerState:
 
     def _place(self, kind, location, binding=None) -> bool:
         """Set a marker bit; returns False if it was already present."""
-        key = (kind, location, binding)
-        if key in self.markers:
-            return False
-        self.markers[key] = Marker(kind=kind, location=location, binding=binding)
-        return True
+        return self.markers.add((kind, location, binding))
 
     def _loc_str(self, location) -> str:
-        site = location[0]
-        if site == "lex":
-            return f"lex:{location[1]}"
-        if site == "lit":
-            return f"lit:{location[1]}"
-        if site == "cn":
-            return f"cn:{location[1]}"
-        if site in ("cse", "tcse"):
-            return f"cs:{location[1]}#{location[2]}"
-        if site == "icse":
+        if location[0] == "icse":
             inst = self.instances[location[1]]
             return f"inst:{location[1]}@{inst.cs}#{location[2]}"
-        return str(location)
+        return _label(location)
 
     # -- the three phases ----------------------------------------------------
 
     def initial_prediction(self):
-        """AP on every initially predicted source element (and down the
-        hierarchy to lexical items), GP on the first element of every target
-        sequence."""
-        for cs in self.net.sequences.values():
-            if cs.language == self.source:
-                for idx in initial_slots(cs):
-                    loc = ("cse", cs.id, idx)
-                    self._place(AP, loc)
-                    self.emit("predict", AP, self._loc_str(loc))
-                    self._predict_lexical(cs.elements[idx])
-            elif cs.language == self.target:
-                loc = ("tcse", cs.id, 0)
-                self._place(GP, loc)
-                self.emit("predict", GP, self._loc_str(loc))
+        """Attach the direction's compiled plan (see :func:`compile_plan`):
+        its markers join this session's and its ``predict`` events open the
+        trace."""
+        self.markers.attach(self.plan)
+        self.trace.extend(self.plan.prefix)
 
     def _predict_lexical(self, element):
         if element.is_literal:
@@ -248,7 +354,7 @@ class MarkerState:
             if self._place(AP, ("lex", item_id)):
                 self.emit("predict", AP, f"lex:{item_id}")
 
-    def activate(self, lexical_items, span: int, literal: str | None = None, surface: str | None = None):
+    def activate(self, lexical_items, span: int, literal: str | None = None):
         """AA markers onto one input token's readings; collisions are queued,
         not processed (see :meth:`step_collisions`)."""
         self.token_index = span
@@ -332,14 +438,13 @@ class MarkerState:
                 if self._slot_matches(cs.elements[idx], concept, literal):
                     self._fill(inst, cs, idx, fill, end)
         # start new instances from the standing initial predictions
-        by_literal, by_filler = self._slot_table
         if literal is not None:
-            slots = by_literal.get(literal, ())
+            slots = self.plan.slots_by_literal.get(literal, ())
         else:
             slots = [
                 slot
                 for anc in sorted(self.net.ancestors(concept))
-                for slot in by_filler.get(anc, ())
+                for slot in self.plan.slots_by_filler.get(anc, ())
             ]
             slots.sort(key=lambda s: (self.net.declaration_index(s[0]), s[1]))
         for cs_id, idx in slots:
@@ -471,7 +576,7 @@ class MarkerState:
 
     # -- results and teardown ---------------------------------------------------
 
-    def accepted_spanning(self, n_tokens: int) -> list[CsInstance]:
+    def accepted_spanning(self) -> list[CsInstance]:
         """Accepted instances anchored at the sentence start, best first:
         widest span, then network declaration order, then creation order."""
         candidates = [
@@ -481,13 +586,14 @@ class MarkerState:
         return candidates
 
     def best_result(self, n_tokens: int) -> CsInstance | None:
-        candidates = self.accepted_spanning(n_tokens)
+        candidates = self.accepted_spanning()
         if candidates and candidates[0].end == n_tokens:
             return candidates[0]
         return None  # best candidate (if any) does not cover the input
 
     def close(self):
-        """End the session: no markers, instances or pending work may leak."""
+        """End the session: no markers, instances or pending work may leak.
+        The shared plan is only detached, never modified."""
         self.markers.clear()
         self.instances.clear()
         self.agenda.clear()

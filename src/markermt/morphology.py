@@ -60,7 +60,7 @@ class MorphemeSequence:
 class Tokenized:
     """Whitespace tokens of a sentence, case-folded for lookup.
 
-    ``surfaces`` keeps the original spellings for the trace; ``terminal``
+    ``surfaces`` keeps the original spellings; ``terminal``
     holds the detached sentence-final punctuation mark, if any.
     """
 

@@ -160,16 +160,36 @@ class MemoryNetwork:
     )
 
     def __post_init__(self):
-        self._caches: dict = {}
+        self.build_indexes()
 
     # -- derived indexes -------------------------------------------------
 
     def build_indexes(self):
-        index: dict[tuple[str, tuple[str, ...]], set[str]] = {}
-        for item in self.lexicon.values():
-            index.setdefault((item.language, item.morphemes), set()).add(item.id)
-        self.morpheme_index = {k: frozenset(v) for k, v in index.items()}
-        self._caches = {}
+        """Derive every lookup table from the declarations, including the
+        compiled initial prediction of each direction.  Call it again after
+        changing a hand-built network."""
+        lexicon, sequences = self.lexicon.values(), self.sequences.values()
+        self.morpheme_index = _grouped(
+            (((it.language, it.morphemes), it.id) for it in lexicon), frozenset
+        )
+        self._items_of = _grouped(((it.language, it.concept), it.id) for it in lexicon)
+        self._seqs_of = _grouped(((cs.language, cs.owner), cs.id) for cs in sequences)
+        self._children = _grouped(
+            (p, node.id) for node in self.concepts.values() for p in node.parents
+        )
+        # declaration positions: lexical readings and tied parses are ordered by them
+        self.lexicon_order = {lid: i for i, lid in enumerate(self.lexicon)}
+        self.sequence_order = {cid: i for i, cid in enumerate(self.sequences)}
+        self._caches: dict = {}
+
+        from markermt.markers import compile_plan
+
+        self.plans = {
+            (src, tgt): compile_plan(self, src, tgt)
+            for src in LANGUAGES
+            for tgt in LANGUAGES
+            if src != tgt
+        }
 
     def ancestors(self, concept_id: str) -> frozenset[str]:
         """Reflexive-transitive IS-A closure upward."""
@@ -193,12 +213,7 @@ class MemoryNetwork:
         cache = self._caches.setdefault("desc", {})
         if concept_id in cache:
             return cache[concept_id]
-        children: dict[str, list[str]] = self._caches.get("children", {})
-        if not children:
-            for node in self.concepts.values():
-                for p in node.parents:
-                    children.setdefault(p, []).append(node.id)
-            self._caches["children"] = children
+        children = self._children
         seen: set[str] = set()
         stack = [concept_id]
         while stack:
@@ -213,50 +228,36 @@ class MemoryNetwork:
 
     def items_of_concept(self, language: str, concept_id: str) -> tuple[str, ...]:
         """Lexical items attached to exactly this concept, declaration order."""
-        cache = self._caches.setdefault("items_of", {})
-        key = (language, concept_id)
-        if key not in cache:
-            cache[key] = tuple(
-                it.id
-                for it in self.lexicon.values()
-                if it.language == language and it.concept == concept_id
-            )
-        return cache[key]
+        return self._items_of.get((language, concept_id), ())
 
     def items_below(self, language: str, concept_id: str) -> tuple[str, ...]:
         """Lexical items of this concept or any descendant, declaration order."""
         cache = self._caches.setdefault("items_below", {})
         key = (language, concept_id)
         if key not in cache:
-            down = self.descendants(concept_id)
-            cache[key] = tuple(
-                it.id
-                for it in self.lexicon.values()
-                if it.language == language and it.concept in down
-            )
+            found = [
+                item_id
+                for cid in self.descendants(concept_id)
+                for item_id in self._items_of.get((language, cid), ())
+            ]
+            cache[key] = tuple(sorted(found, key=self.lexicon_order.__getitem__))
         return cache[key]
 
     def sequences_of_owner(self, language: str, concept_id: str) -> tuple[str, ...]:
-        cache = self._caches.setdefault("seq_of", {})
-        key = (language, concept_id)
-        if key not in cache:
-            cache[key] = tuple(
-                cs.id
-                for cs in self.sequences.values()
-                if cs.language == language and cs.owner == concept_id
-            )
-        return cache[key]
+        """Sequences owned by exactly this concept, declaration order."""
+        return self._seqs_of.get((language, concept_id), ())
 
     def sequences_below(self, language: str, concept_id: str) -> tuple[str, ...]:
+        """Sequences owned by this concept or any descendant, declaration order."""
         cache = self._caches.setdefault("seq_below", {})
         key = (language, concept_id)
         if key not in cache:
-            down = self.descendants(concept_id)
-            cache[key] = tuple(
-                cs.id
-                for cs in self.sequences.values()
-                if cs.language == language and cs.owner in down
-            )
+            found = [
+                cs_id
+                for cid in self.descendants(concept_id)
+                for cs_id in self._seqs_of.get((language, cid), ())
+            ]
+            cache[key] = tuple(sorted(found, key=self.sequence_order.__getitem__))
         return cache[key]
 
     def literals(self, language: str) -> frozenset[str]:
@@ -273,11 +274,7 @@ class MemoryNetwork:
         return cache[language]
 
     def declaration_index(self, cs_id: str) -> int:
-        cache = self._caches.setdefault("declidx", {})
-        if not cache:
-            for i, cid in enumerate(self.sequences):
-                cache[cid] = i
-        return cache[cs_id]
+        return self.sequence_order[cs_id]
 
     @property
     def morphology(self):
@@ -286,6 +283,15 @@ class MemoryNetwork:
 
             self._caches["morphology"] = Morphology.from_network(self)
         return self._caches["morphology"]
+
+
+def _grouped(pairs, freeze=tuple) -> dict:
+    """``{key: freeze(values)}`` from ``(key, value)`` pairs, values in
+    input order."""
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: freeze(values) for key, values in groups.items()}
 
 
 # -- public operations ---------------------------------------------------

@@ -81,10 +81,11 @@ class GenerationGap(Exception):
 def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: bool = False) -> TranslationResult:
     """Translate one sentence; failures come back in ``status``, not raised.
 
-    Steps: initial prediction over every sequence of both languages, then
-    per token segmentation + lexical lookup + activation + collision
-    draining, then realization of the paired target sequence tree of the
-    widest accepted instance anchored at the sentence start.
+    Steps: attach the direction's initial prediction, compiled once when
+    the network was built, then per token segmentation + lexical lookup +
+    activation + collision draining, then realization of the paired target
+    sequence tree of the widest accepted instance anchored at the sentence
+    start.
     """
     src, tgt = parse_direction(direction)
     morph = net.morphology
@@ -104,7 +105,7 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
             item_ids: list[str] = []
             for seq in morph.segment(src, word):
                 for item_id in sorted(
-                    lookup_lexical(net, src, seq.forms), key=_lexicon_order(net)
+                    lookup_lexical(net, src, seq.forms), key=net.lexicon_order.__getitem__
                 ):
                     if item_id not in item_ids:
                         item_ids.append(item_id)
@@ -113,7 +114,7 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
                 result.status = UNKNOWN_WORD
                 result.error_position = i + 1
                 return result
-            state.activate(item_ids, i, literal=literal, surface=toks.surfaces[i])
+            state.activate(item_ids, i, literal=literal)
             state.step_collisions()
             assert not state.agenda, "agenda must be quiescent between tokens"
 
@@ -171,14 +172,6 @@ def _node_sig(node: TreeNode):
         elif f.kind == "sub":
             fills.append((f.filler, "sub", _node_sig(f.child)))
     return (node.concept, frozenset((node.source_cs, node.target_cs)), tuple(sorted(fills, key=repr)))
-
-
-def _lexicon_order(net):
-    cache = net._caches.setdefault("lexidx", {})
-    if not cache:
-        for i, lid in enumerate(net.lexicon):
-            cache[lid] = i
-    return cache.__getitem__
 
 
 def _realize(net, state: MarkerState, winner: CsInstance, target_lang: str):

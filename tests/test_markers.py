@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from markermt.markers import (
@@ -11,8 +13,19 @@ from markermt.markers import (
     initial_slots,
     satisfied,
 )
-from markermt.network import ElementType, load_network, lookup_lexical
+from markermt.network import (
+    ConceptNode,
+    ConceptSequence,
+    ElementType,
+    LexicalItem,
+    MemoryNetwork,
+    SequenceElement,
+    load_network,
+    lookup_lexical,
+)
+from markermt.translator import translate
 
+from conftest import TRAVEL_CORPUS
 from helpers import engine_accepts, mini_net, run_engine
 
 
@@ -217,3 +230,59 @@ def test_ambiguous_result_prefers_declaration_order():
     winner = state.best_result(2)
     assert winner is not None and winner.cs == "first"
     state.close()
+
+
+def test_shared_plan_does_not_leak_between_sessions(travel_text):
+    net = load_network(travel_text)
+    run_engine(net, ["ken-ney-ti", "kong-wen", "kanun", "kil-ul"]).close()
+    tokens = ["ce-eykey", "ken-ney-ti", "kong-wen", "eti", "issnunci", "allyecwu-si-keyssupnikka"]
+    reused = run_engine(net, tokens)
+    fresh = run_engine(load_network(travel_text), tokens)
+    assert set(reused.markers) == set(fresh.markers)
+    assert len(reused.markers) == len(fresh.markers)
+    assert [e.line() for e in reused.trace] == [e.line() for e in fresh.trace]
+    reused.close()
+    fresh.close()
+
+
+def test_plan_unchanged_by_translation(travel_text):
+    net = load_network(travel_text)
+    before = copy.deepcopy(net.plans)
+    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+    rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
+    assert len(rows) == 10
+    for direction, sentence, _ in rows:
+        assert translate(net, sentence, direction).ok
+    assert net.plans == before
+
+
+def test_plan_markers_count_and_iterate_as_placed(net):
+    state = MarkerState(net, "ko", "en")
+    assert len(state.markers) == 0
+    state.initial_prediction()
+    keys = list(state.markers)
+    assert len(keys) == len(set(keys)) == len(state.markers)
+    assert all(key in state.markers for key in keys)
+    assert sum(1 for kind, loc, _ in keys if kind == GP) == sum(
+        1 for cs in net.sequences.values() if cs.language == "en"
+    )
+    state.close()
+    assert len(state.markers) == 0 and list(state.markers) == []
+
+
+def test_handbuilt_network_translates():
+    net = MemoryNetwork()
+    for concept in ("a", "top"):
+        net.concepts[concept] = ConceptNode(id=concept, name=concept)
+    net.lexicon["k-a"] = LexicalItem(id="k-a", language="ko", morphemes=("wa",), concept="a")
+    net.lexicon["e-a"] = LexicalItem(id="e-a", language="en", morphemes=("va",), concept="a")
+    element = (SequenceElement(etype="CX", concept="a"),)
+    net.sequences["s1"] = ConceptSequence(
+        id="s1", language="ko", owner="top", elements=element, paired="s2"
+    )
+    net.sequences["s2"] = ConceptSequence(
+        id="s2", language="en", owner="top", elements=element, paired="s1"
+    )
+    net.build_indexes()
+    result = translate(net, "wa", "ko-en")
+    assert result.ok and result.target_sentence == "Va"

@@ -6,7 +6,8 @@ import pytest
 import markermt.markers
 import markermt.translator
 from markermt.morphology import tokenize
-from markermt.network import lookup_lexical
+from markermt.network import load_network, lookup_lexical, validate_network
+from markermt.oracle import recognize_oracle
 from markermt.translator import (
     parse_direction,
     reverse_direction,
@@ -164,3 +165,35 @@ def test_no_direction_conditionals_outside_profiles():
     for module in (markermt.translator, markermt.markers):
         source = Path(module.__file__).read_text(encoding="utf-8")
         assert not re.search(r'["\'](ko|en)["\']', source), module.__name__
+
+
+# Both omissible elements of the Korean sequence are omitted, so the one
+# cat3 fill must go to the required last English element, not to se#3, the
+# element that has a default (minimal form of a failing synth-8k sample).
+GAP_NETWORK = """
+concept cat1
+concept cat2
+concept cat3
+concept top sentence-type statement
+lex k1 ko ka-ka isa cat1
+lex e1 en vaa isa cat1
+lex k2 ko ko-ko isa cat2
+lex e2 en voo isa cat2
+lex k3 ko ki-ki isa cat3
+lex e3 en vii isa cat3
+cs sk ko of top pair se : "wx"(CX) cat1(CX) cat2(OF) cat3(OX) cat3(CX)
+cs se en of top pair sk : "vx"(CX) cat1(CX) cat2(CX)=e2 cat3(CX)=e3 cat3(CX)
+"""
+GAP_INPUT = "wx ka-ka ki-ki"
+
+
+def test_generation_gap_network_is_valid_and_accepts_the_input():
+    net = load_network(GAP_NETWORK)
+    assert validate_network(net) == []
+    assert recognize_oracle(net, net.sequences["sk"], GAP_INPUT.split())
+
+
+@pytest.mark.xfail(strict=True, reason="realization binds the cat3 fill to the defaulted element")
+def test_generation_gap_with_omitted_elements_translates():
+    result = translate(load_network(GAP_NETWORK), GAP_INPUT, "ko-en")
+    assert result.status == "success", [e.line() for e in result.trace if e.event == "note"]
