@@ -60,13 +60,11 @@ class MorphemeSequence:
 class Tokenized:
     """Whitespace tokens of a sentence, case-folded for lookup.
 
-    ``surfaces`` keeps the original spellings; ``terminal``
-    holds the detached sentence-final punctuation mark, if any.
+    ``terminal`` holds the detached sentence-final punctuation mark, if any.
     """
 
     language: str
     words: tuple[str, ...]
-    surfaces: tuple[str, ...]
     terminal: str | None
 
 
@@ -88,7 +86,6 @@ def tokenize(language: str, sentence: str) -> Tokenized:
     return Tokenized(
         language=language,
         words=tuple(w.casefold() for w in surfaces),
-        surfaces=tuple(surfaces),
         terminal=terminal,
     )
 
@@ -107,13 +104,17 @@ class Morphology:
             lang: max((len(c) for c, _ in table), default=0)
             for lang, table in rules.items()
         }
-        self._root_buckets: dict[str, dict[str, list[str]]] = {}
+        # {lang: {stable prefix: stored roots}}: a root keyed by the part no
+        # boundary rule can rewrite, cut as _compatible cuts it, can start a
+        # reading of a word only if its key is a prefix of the word.  Groups
+        # are nearly all one root, so they grow as tuples: a list per key
+        # would be garbage that outweighs the index.
+        self._roots_by_stable: dict[str, dict[str, tuple[str, ...]]] = {}
         for lang, table in roots.items():
-            buckets: dict[str, list[str]] = {}
+            index = self._roots_by_stable[lang] = {}
             for folded, stored in table.items():
-                key = folded[0] if len(folded) > self.max_class.get(lang, 0) else "*"
-                buckets.setdefault(key, []).append(stored)
-            self._root_buckets[lang] = buckets
+                key = folded[: max(0, len(stored) - self.max_class.get(lang, 0))]
+                index[key] = index.get(key, ()) + (stored,)
 
     @classmethod
     def from_network(cls, net: MemoryNetwork) -> "Morphology":
@@ -205,25 +206,28 @@ class Morphology:
         """All segmentations of a surface word, longest root first.
 
         Empty result signals an unknown word.  Matching is case-insensitive;
-        returned units carry the stored (lexicon) spellings.
+        returned units carry the stored (lexicon) spellings.  Candidate roots
+        cost ``len(word) + 1`` dict lookups, one per word prefix, so the cost
+        grows with the word and the roots sharing its prefixes (each searched
+        through the affix table), not with the size of the lexicon.
         """
         target = word.casefold()
         if not target:
             return ()
         results: list[MorphemeSequence] = []
         seen: set[tuple[str, ...]] = set()
-        buckets = self._root_buckets.get(language, {})
-        candidates = buckets.get(target[0], []) + buckets.get("*", [])
-        for root in candidates:
-            self._extend(
-                language,
-                target,
-                [MorphUnit(root, "root")],
-                root,
-                "root",
-                results,
-                seen,
-            )
+        by_stable = self._roots_by_stable.get(language, {})
+        for end in range(len(target) + 1):
+            for root in by_stable.get(target[:end], ()):
+                self._extend(
+                    language,
+                    target,
+                    [MorphUnit(root, "root")],
+                    root,
+                    "root",
+                    results,
+                    seen,
+                )
         results.sort(key=lambda s: (-len(s.units[0].form), s.forms))
         return tuple(results)
 

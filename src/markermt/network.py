@@ -48,7 +48,6 @@ class NetworkSyntaxError(NetworkError):
 @dataclass(frozen=True)
 class ConceptNode:
     id: str
-    name: str
     parents: tuple[str, ...] = ()
     sentence_type: str | None = None
 
@@ -392,7 +391,7 @@ def _parse_concept(net, tokens, lineno, pending):
             i += 2
         else:
             raise NetworkSyntaxError(f"unexpected token '{tokens[i]}'", lineno)
-    net.concepts[cid] = ConceptNode(id=cid, name=cid, parents=parents, sentence_type=sentence_type)
+    net.concepts[cid] = ConceptNode(id=cid, parents=parents, sentence_type=sentence_type)
     for p in parents:
         pending.append(("concept", p, lineno))
 
@@ -567,25 +566,45 @@ def validate_network(net: MemoryNetwork) -> list[Diagnostic]:
 
 
 def _check_isa_acyclic(net, diags):
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {cid: WHITE for cid in net.concepts}
-
-    def visit(cid, path):
-        color[cid] = GRAY
+    def known_parents(cid):
+        # dangling parents are reported as the walk meets them, so they
+        # interleave with the cycle reports in walk order
         for p in net.concepts[cid].parents:
-            if p not in net.concepts:
+            if p in net.concepts:
+                yield p
+            else:
                 diags.append(Diagnostic("dangling-parent", f"concept '{cid}' isa unknown '{p}'"))
-                continue
-            if color[p] == GRAY:
-                cyc = " -> ".join(path + [cid, p])
-                diags.append(Diagnostic("isa-cycle", f"IS-A cycle: {cyc}"))
-            elif color[p] == WHITE:
-                visit(p, path + [cid])
-        color[cid] = BLACK
 
-    for cid in net.concepts:
-        if color[cid] == WHITE:
-            visit(cid, [])
+    for cycle in _back_edges(net.concepts, known_parents):
+        diags.append(Diagnostic("isa-cycle", f"IS-A cycle: {' -> '.join(cycle)}"))
+
+
+def _back_edges(nodes, successors):
+    """Depth-first search from each unvisited node of ``nodes`` in order,
+    following ``successors(node)`` in the order it yields them.  Yields, for
+    each edge back onto the search path, that path plus the edge's target.
+    Iterative, so chains deeper than the interpreter's recursion limit are
+    walked like any other."""
+    done: set = set()
+    for root in nodes:
+        if root in done:
+            continue
+        path, on_path = [root], {root}
+        pending = [iter(successors(root))]
+        while pending:
+            for nxt in pending[-1]:
+                if nxt in on_path:
+                    yield path + [nxt]
+                elif nxt not in done:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    pending.append(iter(successors(nxt)))
+                    break
+            else:
+                pending.pop()
+                node = path.pop()
+                on_path.discard(node)
+                done.add(node)
 
 
 def _check_pairing(net, diags):
@@ -717,23 +736,10 @@ def _check_omissible_cycles(net, diags):
             for sub in net.sequences_below(cs.language, el.concept):
                 edges[cs.id].add(sub)
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {cid: WHITE for cid in edges}
-
-    def visit(cid):
-        color[cid] = GRAY
-        for nxt in sorted(edges[cid]):
-            if color[nxt] == GRAY:
-                diags.append(
-                    Diagnostic(
-                        "omissible-cycle",
-                        f"all-omissible sequence reference cycle through '{nxt}'",
-                    )
-                )
-            elif color[nxt] == WHITE:
-                visit(nxt)
-        color[cid] = BLACK
-
-    for cid in edges:
-        if color[cid] == WHITE:
-            visit(cid)
+    for cycle in _back_edges(edges, lambda cid: sorted(edges[cid])):
+        diags.append(
+            Diagnostic(
+                "omissible-cycle",
+                f"all-omissible sequence reference cycle through '{cycle[-1]}'",
+            )
+        )

@@ -273,7 +273,7 @@ def test_plan_markers_count_and_iterate_as_placed(net):
 def test_handbuilt_network_translates():
     net = MemoryNetwork()
     for concept in ("a", "top"):
-        net.concepts[concept] = ConceptNode(id=concept, name=concept)
+        net.concepts[concept] = ConceptNode(id=concept)
     net.lexicon["k-a"] = LexicalItem(id="k-a", language="ko", morphemes=("wa",), concept="a")
     net.lexicon["e-a"] = LexicalItem(id="e-a", language="en", morphemes=("va",), concept="a")
     element = (SequenceElement(etype="CX", concept="a"),)

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markermt.morphology import MorphemeSequence, MorphologyError, MorphUnit, tokenize
+from markermt.network import load_network
+from markermt.synth import parse_samples, synth_network
 
 
 def seqs(morph, language, word):
@@ -75,7 +79,6 @@ def test_case_insensitive_match_returns_stored_spelling(net):
 def test_tokenize_question(net):
     toks = tokenize("en", "Would you tell me the way to Kennedy Park?")
     assert toks.words == ("would", "you", "tell", "me", "the", "way", "to", "kennedy", "park")
-    assert toks.surfaces[0] == "Would"
     assert toks.terminal == "?"
 
 
@@ -147,3 +150,97 @@ def test_lexicon_item_round_trip(net):
         surface = m.word_for_morphemes(item.language, item.morphemes)
         analyses = {s.forms for s in m.segment(item.language, surface)}
         assert item.morphemes in analyses
+
+
+def segment_by_scan(m, language, word):
+    """Reference segmentation: the affix search started from every root."""
+    target = word.casefold()
+    if not target:
+        return ()
+    results, seen = [], set()
+    for root in m.roots[language].values():
+        m._extend(language, target, [MorphUnit(root, "root")], root, "root", results, seen)
+    results.sort(key=lambda s: (-len(s.units[0].form), s.forms))
+    return tuple(results)
+
+
+AFFIX_VARIANTS = ("s", "ed", "-ul", "-un", "ies")
+
+
+def near_surfaces(surfaces):
+    """The surfaces, every prefix of each, and each with an affix appended."""
+    words = set()
+    for surface in surfaces:
+        words.update(surface[:end] for end in range(len(surface) + 1))
+        words.update(surface + affix for affix in AFFIX_VARIANTS)
+    return sorted(words)
+
+
+def assert_segment_matches_scan(m, language, words):
+    for word in words:
+        assert m.segment(language, word) == segment_by_scan(m, language, word), word
+
+
+@pytest.mark.parametrize("language", ["ko", "en"])
+def test_segment_matches_root_scan_on_travel_surfaces(net, language):
+    m = net.morphology
+    surfaces = [
+        m.generate_word(language, MorphemeSequence(language, units))
+        for units in grammatical_chains(m, language)
+    ]
+    words = near_surfaces(surfaces + [w.upper() for w in surfaces[:20]])
+    assert len(words) > 500
+    assert_segment_matches_scan(m, language, words)
+
+
+def test_segment_matches_root_scan_on_synth_samples():
+    text = synth_network(300, 60, 5, samples=40)
+    m = load_network(text).morphology
+    for direction, sentence in parse_samples(text):
+        language = direction.split("-")[0]
+        assert_segment_matches_scan(m, language, near_surfaces(sentence.split()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_segment_matches_root_scan_on_random_words(net, data):
+    m = net.morphology
+    pieces = {"-"} | {ch for table in m.roots.values() for root in table for ch in root}
+    pieces |= {affix for table in m.affixes.values() for affix in table}
+    language = data.draw(st.sampled_from(["ko", "en"]))
+    word = data.draw(st.lists(st.sampled_from(sorted(pieces)), max_size=8).map("".join))
+    assert m.segment(language, word) == segment_by_scan(m, language, word)
+
+
+def _extend_calls(m, language, word):
+    calls = 0
+    extend = m._extend
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
+
+    m._extend = counting
+    try:
+        result = m.segment(language, word)
+    finally:
+        del m._extend
+    return calls, result
+
+
+@pytest.mark.parametrize("language", ["ko", "en"])
+def test_segment_cost_does_not_grow_with_the_lexicon(language):
+    small = synth_network(1000, 200, 3, samples=10)
+    # the first lexical word of a sample; every word of the small network's
+    # lexicon is also in the large one
+    word = next(
+        sentence.split()[1]
+        for direction, sentence in parse_samples(small)
+        if direction.startswith(language)
+    )
+    counts = [
+        _extend_calls(load_network(text).morphology, language, word)
+        for text in (small, synth_network(4000, 800, 3, samples=10))
+    ]
+    assert counts[0][1] and counts[0] == counts[1]

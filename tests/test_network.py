@@ -3,6 +3,7 @@ import pytest
 from markermt.network import (
     ConceptNode,
     ConceptSequence,
+    Diagnostic,
     MemoryNetwork,
     NetworkError,
     SequenceElement,
@@ -163,7 +164,7 @@ def test_unreachable_filler_diagnosed(travel_text):
 
 def test_all_omissible_diagnosed_on_handbuilt_network():
     net = MemoryNetwork()
-    net.concepts["a"] = ConceptNode(id="a", name="a")
+    net.concepts["a"] = ConceptNode(id="a")
     net.sequences["s1"] = ConceptSequence(
         id="s1", language="ko", owner="a",
         elements=(SequenceElement(etype="OF", concept="a"),), paired="s2",
@@ -201,3 +202,31 @@ def test_omissible_reference_cycle_diagnosed():
     )
     net = load_network(text)
     assert "omissible-cycle" in _codes(validate_network(net))
+
+
+DEEP = 3000
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_deep_isa_chain_validates(closed):
+    # declared child-first, so one walk from c0 descends the whole chain
+    lines = [f"concept c{i} isa c{i + 1}" for i in range(DEEP)]
+    lines.append(f"concept c{DEEP}" + (" isa c0" if closed else ""))
+    cycle = " -> ".join(f"c{i}" for i in [*range(DEEP + 1), 0])
+    expected = [Diagnostic("isa-cycle", f"IS-A cycle: {cycle}")] if closed else []
+    assert validate_network(load_network("\n".join(lines))) == expected
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_deep_omissible_reference_chain_validates(closed):
+    lines = ["concept a", "lex ka ko wa isa a", "lex ea en va isa a"]
+    for i in range(DEEP + 1):
+        nxt = f" n{i + 1}(OX)" if i < DEEP else (" n0(OX)" if closed else "")
+        lines += [
+            f"concept n{i}",
+            f"cs c{i} ko of n{i} pair m{i} : a(CX){nxt}",
+            f"cs m{i} en of n{i} pair c{i} : a(CX)",
+        ]
+    cycle = Diagnostic("omissible-cycle", "all-omissible sequence reference cycle through 'c0'")
+    expected = [cycle] if closed else []
+    assert validate_network(load_network("\n".join(lines))) == expected
