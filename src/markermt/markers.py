@@ -4,7 +4,11 @@ Analysis predicts with AP markers and activates with AA markers; AP-AA
 collisions consume input (the shift analogue) and sequence acceptance passes
 activation up the hierarchy (the reduce analogue).  Generation mirrors each
 analysis step on the paired target sequence with GP/GA markers, so the
-target sentence is assembled while the source sentence is parsed.
+target sentence is assembled while the source sentence is parsed.  Which
+source element supplies each target element is decided once, when the
+network is built (``MemoryNetwork.counterparts``); the mirror here and the
+realizer in :mod:`markermt.translator` both read that table, so the trace
+binds each target element to the fill the output uses.
 
 Element types extend plain left-to-right prediction: free-order elements
 (CF, OF) stay predicted from the start until filled, and a run of omissible
@@ -30,7 +34,7 @@ with the network.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from markermt.network import ElementType, MemoryNetwork
 
@@ -50,22 +54,6 @@ class TraceEvent:
 
     def line(self) -> str:
         return f"{self.event} {self.marker or '-'} {self.location} {self.binding or '-'} tok={self.token}"
-
-
-@dataclass(frozen=True)
-class Marker:
-    kind: str
-    location: tuple
-    binding: str | None = None
-
-    def __post_init__(self):
-        site = self.location[0]
-        if self.kind in (AP, AA):
-            legal = site in ("lex", "cse", "icse") or (self.kind == AA and site == "cn")
-        else:
-            legal = site in ("lex", "tcse") or (self.kind == GA and site == "cn")
-        if not legal:
-            raise ValueError(f"{self.kind} marker cannot sit on {site}")
 
 
 @dataclass(frozen=True)
@@ -94,15 +82,6 @@ OMITTED = Fill(kind="omitted")
 
 
 @dataclass(frozen=True)
-class TargetState:
-    """Paired target-side instance: GP cursor plus pending GA activations."""
-
-    cs: str
-    cursor: int = 0
-    pool: tuple[tuple[str, str, bool], ...] = ()  # (concept, binding, consumed)
-
-
-@dataclass(frozen=True)
 class CsInstance:
     id: int
     cs: str
@@ -113,7 +92,7 @@ class CsInstance:
     pending_free: tuple[int, ...]
     status: str  # active | accepted | dead
     parent: int | None
-    target: TargetState
+    target_cursor: int  # paired target element the generation mirror waits at
 
     def signature(self):
         parts = []
@@ -471,16 +450,15 @@ class MarkerState:
             pending = tuple(i for i, el in enumerate(cs.elements) if ElementType.free(el.etype))
             begin = start
             parent = None
-            target = TargetState(cs=cs.paired)
+            mirrored = 0
         else:
             fills = list(inst.fills)
             cursor = inst.cursor
             pending = inst.pending_free
             begin = inst.start
             parent = inst.id
-            target = inst.target
+            mirrored = inst.target_cursor
 
-        consumed = fill
         withdrawn = []
         element = cs.elements[idx]
         if ElementType.free(element.etype):
@@ -493,8 +471,13 @@ class MarkerState:
                 fills[k] = OMITTED
                 withdrawn.append(k)
             cursor = idx + 1
-        fills[idx] = consumed
+        fills[idx] = fill
 
+        accepted = satisfied(cs, fills)
+        if accepted:
+            assert not any(
+                not ElementType.omissible(cs.elements[i].etype) for i in pending
+            ), "accepted instance with a required free element pending"
         candidate = CsInstance(
             id=len(self.instances),
             cs=cs.id,
@@ -503,9 +486,9 @@ class MarkerState:
             fills=tuple(fills),
             cursor=cursor,
             pending_free=pending,
-            status="active",
+            status="accepted" if accepted else "active",
             parent=parent,
-            target=target,
+            target_cursor=self._mirror_reach(cs, fills, mirrored),
         )
         sig = candidate.signature()
         if sig in self._sigs:
@@ -517,8 +500,8 @@ class MarkerState:
 
         loc = ("icse", candidate.id, idx)
         self._place(AP, loc)
-        self._place(AA, loc, consumed.binding())
-        self.emit("collide", AA, self._loc_str(loc), consumed.binding())
+        self._place(AA, loc, fill.binding())
+        self.emit("collide", AA, self._loc_str(loc), fill.binding())
         for k in withdrawn:
             self.emit("withdraw", AP, self._loc_str(("icse", candidate.id, k)))
         predicted = list(fixed_frontier(cs.elements, cursor, fills))
@@ -530,49 +513,41 @@ class MarkerState:
                 self.emit("predict", AP, self._loc_str(nloc))
                 self._predict_lexical(cs.elements[nxt])
 
-        candidate = self._advance_target(candidate, consumed)
-        if satisfied(cs, candidate.fills):
-            assert not any(
-                not ElementType.omissible(cs.elements[i].etype) for i in candidate.pending_free
-            ), "accepted instance with a required free element pending"
-            candidate = replace(candidate, status="accepted")
-            self.instances[candidate.id] = candidate
+        self._mirror(cs, candidate.fills, mirrored, candidate.target_cursor)
+        if accepted:
             self.emit("accept", AA, f"cn:{cs.owner}", f"inst:{candidate.id}")
             self.agenda.append(("sub", candidate.id))
 
     # -- generation mirroring --------------------------------------------------
 
-    def _advance_target(self, inst, fill):
-        """GP cursor discipline on the paired sequence: literals pass under a
-        bare GP, conceptual elements wait for a matching GA from the pool."""
-        state = inst.target
-        pool = list(state.pool)
-        if fill.kind in ("lex", "sub") and fill.concept is not None:
-            pool.append((fill.concept, fill.binding(), False))
-        tcs = self.net.sequences[state.cs]
-        cursor = state.cursor
-        while cursor < len(tcs.elements):
-            el = tcs.elements[cursor]
-            loc = self._loc_str(("tcse", state.cs, cursor))
-            if el.is_literal:
-                self.emit("generate", GP, loc)
-                cursor += 1
-                continue
-            hit = None
-            for i, (concept, binding, used) in enumerate(pool):
-                if not used and el.concept in self.net.ancestors(concept):
-                    hit = i
+    def _mirror_reach(self, cs, fills, cursor) -> int:
+        """How far the GP cursor on the paired sequence of ``cs`` advances
+        from ``cursor``: literals pass under a bare GP, a conceptual element
+        waits until the source element that supplies it
+        (``net.counterparts``) is filled."""
+        elements = self.net.sequences[cs.paired].elements
+        supply = self.net.counterparts[cs.id]
+        while cursor < len(elements):
+            if not elements[cursor].is_literal:
+                j = supply[cursor]
+                if j is None or fills[j] is None or fills[j] is OMITTED:
                     break
-            if hit is None:
-                break
-            concept, binding, _ = pool[hit]
-            pool[hit] = (concept, binding, True)
-            self._place(GP, ("tcse", state.cs, cursor))
-            self.emit("generate", GA, loc, binding)
             cursor += 1
-        updated = replace(inst, target=TargetState(cs=state.cs, cursor=cursor, pool=tuple(pool)))
-        self.instances[updated.id] = updated
-        return updated
+        return cursor
+
+    def _mirror(self, cs, fills, begin, end):
+        """Generation events of the paired target elements ``begin`` to
+        ``end``: GP for literals, GA bound to the supplying fill otherwise."""
+        tcs_id = cs.paired
+        elements = self.net.sequences[tcs_id].elements
+        supply = self.net.counterparts[cs.id]
+        for k in range(begin, end):
+            loc = self._loc_str(("tcse", tcs_id, k))
+            if elements[k].is_literal:
+                self.emit("generate", GP, loc)
+                continue
+            self._place(GP, ("tcse", tcs_id, k))
+            self.emit("generate", GA, loc, fills[supply[k]].binding())
 
     # -- results and teardown ---------------------------------------------------
 

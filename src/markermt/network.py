@@ -180,6 +180,13 @@ class MemoryNetwork:
         self.lexicon_order = {lid: i for i, lid in enumerate(self.lexicon)}
         self.sequence_order = {cid: i for i, cid in enumerate(self.sequences)}
         self._caches: dict = {}
+        # counterparts[cs_id][k]: the cs_id element that supplies element k of
+        # the sequence paired with cs_id, or None (see _counterparts)
+        self.counterparts = {
+            cs.id: _counterparts(self, cs, self.sequences[cs.paired])
+            for cs in sequences
+            if cs.paired in self.sequences
+        }
 
         from markermt.markers import compile_plan
 
@@ -291,6 +298,33 @@ def _grouped(pairs, freeze=tuple) -> dict:
     for key, value in pairs:
         groups.setdefault(key, []).append(value)
     return {key: freeze(values) for key, values in groups.items()}
+
+
+def _counterparts(net, source, target) -> tuple[int | None, ...]:
+    """For each element of ``target``, the index of the conceptual ``source``
+    element whose fill supplies it, or None.  The k-th target element of a
+    concept pairs with the k-th source element of the same concept; each
+    target element left over then takes the first unpaired source element,
+    in source order, whose concept is at or below its own."""
+    same: dict[str, list[int]] = {}
+    for j, el in enumerate(source.elements):
+        if not el.is_literal:
+            same.setdefault(el.concept, []).append(j)
+    supply: list[int | None] = [None] * len(target.elements)
+    for k, el in enumerate(target.elements):
+        if not el.is_literal and same.get(el.concept):
+            supply[k] = same[el.concept].pop(0)
+    unpaired = sorted(j for left in same.values() for j in left)
+    for k, el in enumerate(target.elements):
+        if el.is_literal or supply[k] is not None:
+            continue
+        below = net.descendants(el.concept)
+        for j in unpaired:
+            if source.elements[j].concept in below:
+                supply[k] = j
+                unpaired.remove(j)
+                break
+    return tuple(supply)
 
 
 # -- public operations ---------------------------------------------------
@@ -698,30 +732,26 @@ def _is_filler_concept(net, concept_id) -> bool:
 
 def _check_generation_supply(net, diags):
     # every compulsory conceptual element of a target sequence needs either a
-    # potential source counterpart or a default item
+    # default item or a counterpart that every parse of the source fills
     for cs in net.sequences.values():
-        source = net.sequences.get(cs.paired)
-        if source is None:
+        target = net.sequences.get(cs.paired)
+        if target is None:
             continue
-        src_fillers = [el.concept for el in source.elements if el.concept]
-        for i, el in enumerate(cs.elements):
+        for k, (el, j) in enumerate(zip(target.elements, net.counterparts[cs.id])):
             if el.is_literal or ElementType.omissible(el.etype) or el.default_item:
                 continue
-            down = net.descendants(el.concept) if el.concept in net.concepts else set()
-            supplied = any(
-                el.concept in net.concepts
-                and f in net.concepts
-                and (net.descendants(f) & down)
-                for f in src_fillers
-            )
-            if not supplied:
-                diags.append(
-                    Diagnostic(
-                        "ungeneratable-element",
-                        f"'{cs.id}' element {i} ({el.concept}) has no source counterpart "
-                        f"in '{source.id}' and no default",
-                    )
+            if j is None:
+                why = f"has no source counterpart in '{cs.id}'"
+            elif ElementType.omissible(cs.elements[j].etype):
+                why = f"has only the omissible counterpart '{cs.id}' element {j}"
+            else:
+                continue
+            diags.append(
+                Diagnostic(
+                    "ungeneratable-element",
+                    f"'{target.id}' element {k} ({el.concept}) {why} and no default",
                 )
+            )
 
 
 def _check_omissible_cycles(net, diags):

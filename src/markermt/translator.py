@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from markermt.markers import GA, GP, CsInstance, MarkerState
+from markermt.markers import GA, GP, OMITTED, CsInstance, MarkerState
 from markermt.morphology import MorphologyError, tokenize
 from markermt.network import ElementType, LANGUAGES, MemoryNetwork, lookup_lexical
 
@@ -198,57 +198,31 @@ def _profile(language):
 
 def _walk(net, state, inst: CsInstance, target_lang, words) -> TreeNode:
     """Emit the paired target sequence of one accepted instance, in the
-    target's declared element order, consuming the source fills by concept."""
+    target's declared element order, each element from the source fill that
+    ``net.counterparts`` assigns it, else from its default."""
     morph = net.morphology
     source_cs = net.sequences[inst.cs]
     target_cs = net.sequences[source_cs.paired]
+    supply = net.counterparts[source_cs.id]
 
-    builders: list[dict] = []
-    supply: list[dict] = []  # conceptual source fills, in source element order
-    for idx, (el, fill) in enumerate(zip(source_cs.elements, inst.fills)):
-        entry = {
-            "filler": el.concept,
-            "literal": el.literal,
-            "etype": el.etype,
-            "kind": "omitted" if fill is None or fill.kind == "omitted" else fill.kind,
-            "item": None,
-            "item_concept": None,
-            "span": None,
-            "child": None,
-            "fill": fill,
-            "used": False,
-        }
-        if entry["kind"] in ("lex", "lit"):
-            entry["span"] = (fill.start, fill.end)
-            if fill.kind == "lex":
-                entry["item"] = fill.item
-                entry["item_concept"] = net.lexicon[fill.item].concept
-        builders.append(entry)
-        if entry["kind"] in ("lex", "sub"):
-            supply.append(entry)
-
+    children: dict[int, TreeNode] = {}  # source element -> realized sub-instance
     extras: list[TreeFill] = []
-    mirror_cursor = inst.target.cursor
     for k, el in enumerate(target_cs.elements):
         loc = f"cs:{target_cs.id}#{k}"
+        mirrored = k < inst.target_cursor  # its generate event is already traced
         if el.is_literal:
             words.append(el.literal)
-            if k >= mirror_cursor:
+            if not mirrored:
                 state.emit("generate", GP, loc)
             continue
-        entry = None
-        for cand in supply:
-            if not cand["used"] and el.concept in net.ancestors(cand["fill"].concept):
-                entry = cand
-                break
-        if entry is not None:
-            entry["used"] = True
-            fill = entry["fill"]
+        j = supply[k]
+        fill = None if j is None else inst.fills[j]
+        if fill is not None and fill is not OMITTED:
             if fill.kind == "sub":
-                entry["child"] = _walk(net, state, state.instances[fill.sub], target_lang, words)
+                children[j] = _walk(net, state, state.instances[fill.sub], target_lang, words)
             else:
                 words.append(_emit_item(net, morph, target_lang, fill.concept, el, target_cs))
-            if k >= mirror_cursor:
+            if not mirrored:
                 state.emit("generate", GA, loc, fill.binding())
         elif el.default_item is not None:
             item = net.lexicon[el.default_item]
@@ -271,24 +245,26 @@ def _walk(net, state, inst: CsInstance, target_lang, words) -> TreeNode:
                 f"required element {target_cs.id}#{k} ({el.concept}) has no source fill"
             )
 
-    fills = tuple(
-        TreeFill(
-            filler=b["filler"],
-            literal=b["literal"],
-            etype=b["etype"],
-            kind=b["kind"],
-            item=b["item"],
-            item_concept=b["item_concept"],
-            span=b["span"],
-            child=b["child"],
+    fills = []
+    for j, (el, fill) in enumerate(zip(source_cs.elements, inst.fills)):
+        fill = fill or OMITTED
+        fills.append(
+            TreeFill(
+                filler=el.concept,
+                literal=el.literal,
+                etype=el.etype,
+                kind=fill.kind,
+                item=fill.item,
+                item_concept=fill.concept if fill.kind == "lex" else None,
+                span=(fill.start, fill.end) if fill.kind in ("lex", "lit") else None,
+                child=children.get(j),
+            )
         )
-        for b in builders
-    ) + tuple(extras)
     return TreeNode(
         concept=source_cs.owner,
         source_cs=source_cs.id,
         target_cs=target_cs.id,
-        fills=fills,
+        fills=tuple(fills) + tuple(extras),
     )
 
 

@@ -1,13 +1,11 @@
 import copy
 
-import pytest
-
 from markermt.markers import (
     AA,
     AP,
+    GA,
     GP,
     Fill,
-    Marker,
     MarkerState,
     fixed_frontier,
     initial_slots,
@@ -23,7 +21,8 @@ from markermt.network import (
     load_network,
     lookup_lexical,
 )
-from markermt.translator import translate
+from markermt.morphology import tokenize
+from markermt.translator import reverse_direction, translate
 
 from conftest import TRAVEL_CORPUS
 from helpers import engine_accepts, mini_net, run_engine
@@ -172,14 +171,30 @@ def test_satisfied_requires_required_fills():
     assert satisfied(cs, (lex, lex, lex))
 
 
-def test_marker_location_legality():
-    with pytest.raises(ValueError):
-        Marker(kind=AP, location=("tcse", "x", 0))
-    with pytest.raises(ValueError):
-        Marker(kind=GP, location=("cse", "x", 0))
-    with pytest.raises(ValueError):
-        Marker(kind=AP, location=("cn", "x"))
-    Marker(kind=AA, location=("cn", "x"))  # activation may reach concept nodes
+def _legal_site(kind, site) -> bool:
+    """Analysis markers sit on lexical items and source sequence elements,
+    generation markers on lexical items and target sequence elements; only
+    activations (AA, GA) climb onto concept nodes."""
+    if kind in (AP, AA):
+        return site in ("lex", "cse", "icse") or (kind == AA and site == "cn")
+    return site in ("lex", "tcse") or (kind == GA and site == "cn")
+
+
+def test_markers_sit_on_legal_sites(net):
+    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+    rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
+    runs = [(direction, sentence) for direction, sentence, _ in rows]
+    runs += [(reverse_direction(d), out) for d, _, out in rows if out != "*"]
+    assert {d for d, _ in runs} == {"ko-en", "en-ko"}
+    for direction, sentence in runs:
+        source, target = direction.split("-")
+        words = tokenize(source, sentence).words
+        state = run_engine(net, words, source, target)
+        assert state.best_result(len(words)) is not None, sentence
+        illegal = [key for key in state.markers if not _legal_site(key[0], key[1][0])]
+        assert not illegal, (sentence, illegal[:3])
+        assert any(key[0] == GP and key[1][0] == "tcse" for key in state.markers)
+        state.close()
 
 
 def test_agenda_quiescent_between_tokens(net):

@@ -230,3 +230,27 @@ def test_deep_omissible_reference_chain_validates(closed):
     cycle = Diagnostic("omissible-cycle", "all-omissible sequence reference cycle through 'c0'")
     expected = [cycle] if closed else []
     assert validate_network(load_network("\n".join(lines))) == expected
+
+
+def _supply_net(source: str, target: str):
+    return load_network(
+        "concept a\nconcept top\n"
+        "lex ka ko wa isa a\nlex ea en va isa a\n"
+        f"cs s1 ko of top pair s2 : {source}\n"
+        f"cs s2 en of top pair s1 : {target}\n"
+    )
+
+
+def test_target_element_without_its_own_counterpart_diagnosed():
+    # one source a cannot supply two target a's, though both lie below it
+    diags = validate_network(_supply_net("a(CX)", "a(CX) a(CX)"))
+    assert [d.code for d in diags] == ["ungeneratable-element"]
+    assert "'s2' element 1 (a) has no source counterpart in 's1'" in diags[0].message
+
+
+def test_target_element_supplied_only_by_an_omissible_counterpart_diagnosed():
+    diags = validate_network(_supply_net('"x"(CX) a(OX)', '"y"(CX) a(CX)'))
+    assert [d.code for d in diags] == ["ungeneratable-element"]
+    assert "only the omissible counterpart 's1' element 1" in diags[0].message
+    # a default item closes the gap
+    assert validate_network(_supply_net('"x"(CX) a(OX)', '"y"(CX) a(CX)=ea')) == []

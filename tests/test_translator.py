@@ -8,6 +8,7 @@ import markermt.translator
 from markermt.morphology import tokenize
 from markermt.network import load_network, lookup_lexical, validate_network
 from markermt.oracle import recognize_oracle
+from markermt.synth import synth_network
 from markermt.translator import (
     parse_direction,
     reverse_direction,
@@ -15,6 +16,9 @@ from markermt.translator import (
     translate,
     trees_isomorphic,
 )
+
+from conftest import TRAVEL_CORPUS
+from helpers import run_engine
 
 ENGLISH = "Would you tell me the way to Kennedy Park?"
 KOREAN = "ce-eykey ken-ney-ti kong-wen kanun kil-ul allyecwu-si-keyssupnikka?"
@@ -193,7 +197,102 @@ def test_generation_gap_network_is_valid_and_accepts_the_input():
     assert recognize_oracle(net, net.sequences["sk"], GAP_INPUT.split())
 
 
-@pytest.mark.xfail(strict=True, reason="realization binds the cat3 fill to the defaulted element")
 def test_generation_gap_with_omitted_elements_translates():
     result = translate(load_network(GAP_NETWORK), GAP_INPUT, "ko-en")
     assert result.status == "success", [e.line() for e in result.trace if e.event == "note"]
+
+
+def test_synth_sample_with_both_omissible_elements_omitted_translates():
+    # sk78 is "w78x"(CX) cat139(CX) cat69(OF) cat213(OX) cat213(CX); the input
+    # omits both omissible elements, like GAP_INPUT above
+    net = load_network(synth_network(8000, 1600, 2003911559))
+    result = translate(net, "w78x ki-si-ko me-cu-ki", "ko-en")
+    assert result.ok, [e.line() for e in result.trace if e.event == "note"]
+
+
+# a and b are both under x, and ko fills them in either order
+PROBE_NETWORK = """
+concept x
+concept a isa x
+concept b isa x
+concept top sentence-type statement
+lex ka ko wa isa a
+lex ea en va isa a
+lex kb ko wb isa b
+lex eb en vb isa b
+cs s ko of top pair t : a(CF) b(CF)
+cs t en of top pair s : x(CX) x(CX)
+"""
+
+
+def _chain_generate_lines(state, winner):
+    """``generate`` lines of the winner and its ancestors: the mirror emits
+    them right after the ``collide`` that made the instance."""
+    chain = set()
+    inst = winner
+    while inst is not None:
+        chain.add(inst.id)
+        inst = state.instances[inst.parent] if inst.parent is not None else None
+    lines, owner = [], None
+    for event in state.trace:
+        if event.event == "collide" and event.location.startswith("inst:"):
+            owner = int(event.location[5:].split("@")[0])
+        elif event.event == "generate" and owner in chain:
+            lines.append(f"{event.event} {event.marker} {event.location} {event.binding}")
+    return lines
+
+
+def test_trace_binds_target_elements_as_the_output_does():
+    net = load_network(PROBE_NETWORK)
+    assert translate(net, "wb wa", "ko-en").target_sentence == "Va vb."
+    state = run_engine(net, ["wb", "wa"])
+    lines = _chain_generate_lines(state, state.best_result(2))
+    state.close()
+    assert lines == ["generate GA cs:t#0 item:ka@1", "generate GA cs:t#1 item:kb@0"]
+
+
+def test_free_order_target_element_takes_the_fill_of_its_own_concept():
+    # one free-order network of the benchmark: thing > m0 > m0a, m0b and
+    # thing > m2 > m2b; the en sequence lists the deepest fillers first
+    lines = [
+        "concept thing",
+        "concept s sentence-type statement",
+        "concept m0 isa thing",
+        "concept m2 isa thing",
+    ]
+    for leaf, parent, syllable in (("m0a", "m0", "ka"), ("m0b", "m0", "ki"), ("m2b", "m2", "na")):
+        lines += [
+            f"concept {leaf} isa {parent}",
+            f"lex k{leaf} ko {syllable}-{syllable} isa {leaf}",
+            f"lex e{leaf} en {syllable}{syllable}n isa {leaf}",
+        ]
+    lines += [
+        "lex km0a1 ko ke-ke isa m0a",
+        "cs ks ko of s pair es : thing(CF) m0(CF) m0a(CF) m2b(CF)",
+        "cs es en of s pair ks : m0a(CX) m2b(CX) m0(CX) thing(CX)",
+    ]
+    net = load_network("\n".join(lines))
+    result = translate(net, "ki-ki na-na ke-ke ka-ka", "ko-en")
+    assert result.ok
+    m0_fill = result.concept_tree.fills[1]
+    assert m0_fill.filler == "m0"
+    words = result.target_sentence.rstrip(".").lower().split()
+    assert words[2] == net.lexicon[net.items_of_concept("en", m0_fill.item_concept)[0]].morphemes[0]
+
+
+GOLDEN_TRACE = Path(__file__).parent / "data" / "travel.trace"
+
+
+def test_travel_traces_match_golden_file(net):
+    """Trace lines are a documented interface: the corpus's traces, one
+    ``TraceEvent.line()`` per line, must not drift."""
+    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+    got = []
+    for line in lines:
+        if line and not line.startswith("#"):
+            direction, sentence, _ = line.split("\t")
+            got.extend(e.line() for e in translate(net, sentence, direction).trace)
+    expected = GOLDEN_TRACE.read_text(encoding="utf-8").splitlines()
+    for i, (a, b) in enumerate(zip(got, expected), start=1):
+        assert a == b, f"line {i}"
+    assert len(got) == len(expected)
