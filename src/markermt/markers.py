@@ -14,7 +14,9 @@ Element types extend plain left-to-right prediction: free-order elements
 (CF, OF) stay predicted from the start until filled, and a run of omissible
 fixed elements (OX) is predicted together with the next required element so
 it can be skipped, its prediction withdrawn, when a later element is hit
-first.
+first.  Identical free elements (same type, same filler) fill in index
+order (``MemoryNetwork.twins``), so the chart holds one instance per way of
+filling them, not one per permutation.
 
 The engine keeps every live alternative (it behaves like a chart
 recognizer): a fill never destroys the instance it extends, it derives a new
@@ -90,7 +92,7 @@ class CsInstance:
     fills: tuple[Fill | None, ...]
     cursor: int  # element index where the fixed-order scan resumes
     pending_free: tuple[int, ...]
-    status: str  # active | accepted | dead
+    status: str  # active | accepted
     parent: int | None
     target_cursor: int  # paired target element the generation mirror waits at
 
@@ -156,16 +158,21 @@ class DirectionPlan:
 
     ``slots_by_literal`` and ``slots_by_filler`` map a literal or a filler
     concept to the initially predicted ``(cs id, element index)`` slots that
-    a passive can start a new instance from, in declaration order.  The
+    a passive can start a new instance from, in declaration order; a twin
+    slot (``MemoryNetwork.twins``) is predicted but starts none.  The
     initial markers are kept as sets of ids (AP on ``cse`` slots and on
     lexical items, GP on element 0 of target sequences); ``prefix`` is the
-    trace their placement produces.
+    trace their placement produces.  ``unpredicted_below`` maps the filler
+    concept of every source element to its ``items_below`` that the plan
+    does not already predict, in declaration order: all that predicting
+    the element later can still add.
     """
 
     slots_by_literal: dict[str, tuple[tuple[str, int], ...]]
     slots_by_filler: dict[str, tuple[tuple[str, int], ...]]
     predicted_slots: frozenset[tuple[str, int]]
     predicted_items: frozenset[str]
+    unpredicted_below: dict[str, tuple[str, ...]]
     target_heads: frozenset[str]
     prefix: tuple[TraceEvent, ...]
 
@@ -177,32 +184,48 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
     by_literal: dict[str, list[tuple[str, int]]] = {}
     by_filler: dict[str, list[tuple[str, int]]] = {}
     items: set[str] = set()
+    predicted: list[tuple[str, int]] = []
     heads: list[str] = []
     prefix: list[TraceEvent] = []
     for cs in net.sequences.values():
         if cs.language == source:
+            twins = net.twins[cs.id]
             for idx in initial_slots(cs):
                 slot = (cs.id, idx)
                 el = cs.elements[idx]
+                predicted.append(slot)
                 prefix.append(TraceEvent("predict", AP, _label(("cse",) + slot), None, -1))
                 if el.is_literal:
-                    by_literal.setdefault(el.literal, []).append(slot)
-                    continue
-                by_filler.setdefault(el.concept, []).append(slot)
-                for item_id in net.items_below(source, el.concept):
-                    if item_id not in items:
-                        items.add(item_id)
-                        prefix.append(TraceEvent("predict", AP, f"lex:{item_id}", None, -1))
+                    starts = by_literal.setdefault(el.literal, [])
+                else:
+                    starts = by_filler.setdefault(el.concept, [])
+                    for item_id in net.items_below(source, el.concept):
+                        if item_id not in items:
+                            items.add(item_id)
+                            prefix.append(TraceEvent("predict", AP, f"lex:{item_id}", None, -1))
+                if twins[idx] is None:
+                    starts.append(slot)
         elif cs.language == target:
             heads.append(cs.id)
             prefix.append(TraceEvent("predict", GP, _label(("tcse", cs.id, 0)), None, -1))
+    unpredicted: dict[str, tuple[str, ...]] = {}
+    for cs in net.sequences.values():
+        if cs.language != source:
+            continue
+        for el in cs.elements:
+            if el.is_literal or el.concept in unpredicted:
+                continue
+            if el.concept in by_filler:  # the plan predicts all its items
+                unpredicted[el.concept] = ()
+            else:
+                below = net.items_below(source, el.concept)
+                unpredicted[el.concept] = tuple(i for i in below if i not in items)
     return DirectionPlan(
         slots_by_literal={k: tuple(v) for k, v in by_literal.items()},
         slots_by_filler={k: tuple(v) for k, v in by_filler.items()},
-        predicted_slots=frozenset(
-            slot for slots in (*by_literal.values(), *by_filler.values()) for slot in slots
-        ),
+        predicted_slots=frozenset(predicted),
         predicted_items=frozenset(items),
+        unpredicted_below=unpredicted,
         target_heads=frozenset(heads),
         prefix=tuple(prefix),
     )
@@ -329,7 +352,7 @@ class MarkerState:
     def _predict_lexical(self, element):
         if element.is_literal:
             return
-        for item_id in self.net.items_below(self.source, element.concept):
+        for item_id in self.plan.unpredicted_below[element.concept]:
             if self._place(AP, ("lex", item_id)):
                 self.emit("predict", AP, f"lex:{item_id}")
 
@@ -392,9 +415,6 @@ class MarkerState:
 
     def _process_sub(self, inst_id):
         inst = self.instances[inst_id]
-        if inst.status == "dead":
-            self.emit("note", None, f"inst:{inst_id}", "dropped: dead instance")
-            return
         cs = self.net.sequences[inst.cs]
         key = (cs.owner, inst.start, inst.end, inst.cs)
         if key in self._passive_seen:
@@ -410,8 +430,6 @@ class MarkerState:
         # extend live instances whose span ends where this passive begins
         for inst_id in list(self._by_end.get(start, ())):
             inst = self.instances[inst_id]
-            if inst.status == "dead":
-                continue
             cs = self.net.sequences[inst.cs]
             for idx in self._eligible_slots(inst, cs):
                 if self._slot_matches(cs.elements[idx], concept, literal):
@@ -432,7 +450,10 @@ class MarkerState:
 
     def _eligible_slots(self, inst, cs):
         slots = fixed_frontier(cs.elements, inst.cursor, inst.fills)
-        slots.extend(inst.pending_free)
+        twins = self.net.twins[cs.id]
+        for i in inst.pending_free:  # a twin waits for the element before it
+            if twins[i] is None or inst.fills[twins[i]] is not None:
+                slots.append(i)
         return sorted(set(slots))
 
     def _slot_matches(self, element, concept, literal) -> bool:

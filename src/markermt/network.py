@@ -187,6 +187,14 @@ class MemoryNetwork:
             for cs in sequences
             if cs.paired in self.sequences
         }
+        # twins[cs_id][i]: the element of cs_id that element i fills after,
+        # or None (see _twins); most tables are all None, so equal ones
+        # share one tuple
+        shared: dict[tuple, tuple] = {}
+        self.twins = {}
+        for cs in sequences:
+            twins = _twins(cs)
+            self.twins[cs.id] = shared.setdefault(twins, twins)
 
         from markermt.markers import compile_plan
 
@@ -248,10 +256,6 @@ class MemoryNetwork:
             ]
             cache[key] = tuple(sorted(found, key=self.lexicon_order.__getitem__))
         return cache[key]
-
-    def sequences_of_owner(self, language: str, concept_id: str) -> tuple[str, ...]:
-        """Sequences owned by exactly this concept, declaration order."""
-        return self._seqs_of.get((language, concept_id), ())
 
     def sequences_below(self, language: str, concept_id: str) -> tuple[str, ...]:
         """Sequences owned by this concept or any descendant, declaration order."""
@@ -325,6 +329,24 @@ def _counterparts(net, source, target) -> tuple[int | None, ...]:
                 unpaired.remove(j)
                 break
     return tuple(supply)
+
+
+def _twins(cs) -> tuple[int | None, ...]:
+    """For each element of ``cs``, the index of the previous free element
+    with the same element type and the same filler (concept or literal), or
+    None.  Identical free elements fill in index order: any accepting fill
+    can be permuted among them into that order, so the engine need not
+    build the other permutations."""
+    last: dict[tuple, int] = {}
+    twins: list[int | None] = []
+    for i, el in enumerate(cs.elements):
+        if not ElementType.free(el.etype):
+            twins.append(None)
+            continue
+        key = (el.etype, el.concept, el.literal)
+        twins.append(last.get(key))
+        last[key] = i
+    return tuple(twins)
 
 
 # -- public operations ---------------------------------------------------
@@ -703,15 +725,15 @@ def _check_reachability(net, diags):
                         "lexical item or sequence and has no default",
                     )
                 )
-    # a concept analyzable in one language must be generatable in the other,
-    # otherwise analysis can succeed where generation cannot
+    # a lexical fill is realized by a target item of its own concept (a
+    # sequence of that concept does not supply one), otherwise analysis can
+    # succeed where generation cannot
+    fillers = {el.concept for cs in net.sequences.values() for el in cs.elements if el.concept}
     for item in net.lexicon.values():
         other = EN if item.language == KO else KO
         if net.items_of_concept(other, item.concept):
             continue
-        if net.sequences_of_owner(other, item.concept):
-            continue
-        if _is_filler_concept(net, item.concept):
+        if not fillers.isdisjoint(net.ancestors(item.concept)):
             diags.append(
                 Diagnostic(
                     "unpaired-concept",
@@ -719,15 +741,6 @@ def _check_reachability(net, diags):
                     f"but no {other} realization",
                 )
             )
-
-
-def _is_filler_concept(net, concept_id) -> bool:
-    up = net.ancestors(concept_id)
-    for cs in net.sequences.values():
-        for el in cs.elements:
-            if el.concept and el.concept in up:
-                return True
-    return False
 
 
 def _check_generation_supply(net, diags):

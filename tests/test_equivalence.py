@@ -7,6 +7,7 @@ fast seeded sample plus an exhaustive sweep over small tricky shapes.
 import itertools
 import random
 
+from markermt.network import ElementType
 from markermt.oracle import recognize_oracle
 
 from helpers import engine_accepts, mini_net, random_case, random_tokens
@@ -31,6 +32,11 @@ EXHAUSTIVE_SHAPES = [
     "a(OX) a(OX) b(CX)",  # omissible run sharing a filler
     "a(CF) b(OX) a(CX)",
     '"q0"(OX) a(CX) b(OF)',
+    # identical free elements (twins), which fill in index order only
+    "a(CF) a(CF) a(CF)",
+    "a(OF) a(OF) b(CX)",
+    "a(CF) a(OF) a(CF)",
+    '"q0"(CF) "q0"(CF) a(OX)',
 ]
 
 
@@ -44,3 +50,36 @@ def test_exhaustive_small_shapes():
                 want = recognize_oracle(net, cs, list(tokens))
                 got = engine_accepts(net, "test", list(tokens))
                 assert want == got, f"{shape} on {tokens}: oracle={want} engine={got}"
+
+
+def _twin_shape(rng: random.Random) -> str:
+    """A random 2-5 element shape in which one free element is repeated."""
+    fillers = ["a", "b", '"q0"']
+    elements = [
+        f"{rng.choice(fillers)}({rng.choice(ElementType.ALL)})" for _ in range(rng.randint(0, 3))
+    ]
+    twin = f"{rng.choice(fillers)}({rng.choice(('CF', 'OF'))})"
+    for _ in range(rng.choice((2, 2, 3))):
+        elements.insert(rng.randint(0, len(elements)), twin)
+    if all(ElementType.omissible(e[-3:-1]) for e in elements):
+        elements.insert(rng.randint(0, len(elements)), "b(CX)")
+    return " ".join(elements)
+
+
+def test_random_shapes_with_repeated_free_fillers_agree():
+    rng = random.Random(1970)
+    alphabet = ["wa", "wb", "q0"]
+    for _ in range(150):
+        shape = _twin_shape(rng)
+        net = mini_net(shape)
+        cs = net.sequences["test"]
+        words = [{"a": "wa", "b": "wb"}.get(e[0], "q0") for e in shape.split()]
+        inputs = [[rng.choice(alphabet) for _ in range(rng.randint(1, 5))] for _ in range(4)]
+        for _ in range(4):
+            kept = [w for w in words if rng.random() < 0.8] or words
+            rng.shuffle(kept)
+            inputs.append(kept)
+        for tokens in inputs:
+            want = recognize_oracle(net, cs, tokens)
+            got = engine_accepts(net, "test", tokens)
+            assert want == got, f"{shape} on {tokens}: oracle={want} engine={got}"

@@ -1,5 +1,7 @@
 import copy
 
+import pytest
+
 from markermt.markers import (
     AA,
     AP,
@@ -22,6 +24,7 @@ from markermt.network import (
     lookup_lexical,
 )
 from markermt.morphology import tokenize
+from markermt.synth import synth_network
 from markermt.translator import reverse_direction, translate
 
 from conftest import TRAVEL_CORPUS
@@ -301,3 +304,63 @@ def test_handbuilt_network_translates():
     net.build_indexes()
     result = translate(net, "wa", "ko-en")
     assert result.ok and result.target_sentence == "Va"
+
+
+def _identical_free_net(k: int):
+    return load_network(
+        "\n".join(
+            [
+                "concept a",
+                "concept top sentence-type statement",
+                "lex k-a ko wa isa a",
+                "lex e-a en va isa a",
+                "cs s ko of top pair t : " + " ".join(["a(CF)"] * k),
+                "cs t en of top pair s : " + " ".join(["a(CX)"] * k),
+            ]
+        )
+    )
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_identical_free_elements_fill_in_index_order(k):
+    # one instance per (start, number of elements filled), not one per
+    # permutation: k(k+1)/2 in all
+    result = translate(_identical_free_net(k), " ".join(["wa"] * k), "ko-en")
+    assert result.ok and result.target_sentence == "Va" + " va" * (k - 1) + "."
+    collides = [e for e in result.trace if e.event == "collide" and e.location.startswith("inst:")]
+    assert len(collides) == k * (k + 1) // 2
+
+
+def test_twin_slots_are_predicted_but_start_no_instance():
+    net = mini_net('a(CF) b(CX) a(CF) a(OF) "q0"(CF) "q0"(CF)')
+    assert net.twins["test"] == (None, None, 0, None, None, 4)
+    plan = net.plans[("ko", "en")]
+    assert {("test", i) for i in range(6) if i != 1} <= plan.predicted_slots
+    assert plan.slots_by_filler["a"] == (("test", 0), ("test", 3))
+    assert plan.slots_by_literal["q0"] == (("test", 4),)
+    state = run_engine(net, ["wa", "q0"])
+    filled = {
+        (inst.start, tuple(i for i, f in enumerate(inst.fills) if f is not None))
+        for inst in state.instances
+    }
+    assert filled == {(0, (0,)), (0, (3,)), (1, (4,)), (0, (0, 4)), (0, (3, 4))}
+    state.close()
+
+
+def test_lexical_prediction_table_is_items_below_minus_the_plan():
+    net = load_network(synth_network(1000, 200, 42))
+    for (source, _), plan in net.plans.items():
+        fillers = {
+            el.concept
+            for cs in net.sequences.values()
+            if cs.language == source
+            for el in cs.elements
+            if not el.is_literal
+        }
+        assert set(plan.unpredicted_below) == fillers
+        assert any(plan.unpredicted_below.values())
+        for concept in fillers:
+            below = net.items_below(source, concept)
+            assert plan.unpredicted_below[concept] == tuple(
+                item_id for item_id in below if item_id not in plan.predicted_items
+            )

@@ -254,3 +254,19 @@ def test_target_element_supplied_only_by_an_omissible_counterpart_diagnosed():
     assert "only the omissible counterpart 's1' element 1" in diags[0].message
     # a default item closes the gap
     assert validate_network(_supply_net('"x"(CX) a(OX)', '"y"(CX) a(CX)=ea')) == []
+
+
+def test_concept_with_only_a_target_sequence_is_unpaired():
+    # a lexical fill of a is realized by an en item of a; the en sequence a
+    # owns does not supply one, so translating "wa" could only end no-parse
+    net = load_network(
+        "concept a\nconcept top\n"
+        "lex wa ko wa isa a\n"
+        'cs pa ko of a pair qa : "x"(CX)\n'
+        'cs qa en of a pair pa : "y"(CX)\n'
+        "cs s ko of top pair t : a(CX)\n"
+        "cs t en of top pair s : a(CX)\n"
+    )
+    assert validate_network(net) == [
+        Diagnostic("unpaired-concept", "concept 'a' has ko item 'wa' but no en realization")
+    ]
