@@ -6,11 +6,13 @@ import argparse
 import sys
 from pathlib import Path
 
+from markermt.markers import MAX_INSTANCES
 from markermt.network import NetworkError, load_network, validate_network
 from markermt.synth import synth_network
 from markermt.translator import (
     NO_PARSE,
     SUCCESS,
+    TOO_AMBIGUOUS,
     UNKNOWN_WORD,
     reverse_direction,
     translate,
@@ -20,8 +22,14 @@ EXIT_OK = 0
 EXIT_NO_PARSE = 1
 EXIT_UNKNOWN_WORD = 2
 EXIT_NETWORK = 3
+EXIT_TOO_AMBIGUOUS = 4
 
-_STATUS_EXIT = {SUCCESS: EXIT_OK, NO_PARSE: EXIT_NO_PARSE, UNKNOWN_WORD: EXIT_UNKNOWN_WORD}
+_STATUS_EXIT = {
+    SUCCESS: EXIT_OK,
+    NO_PARSE: EXIT_NO_PARSE,
+    UNKNOWN_WORD: EXIT_UNKNOWN_WORD,
+    TOO_AMBIGUOUS: EXIT_TOO_AMBIGUOUS,
+}
 
 
 def _load(path: str, out=sys.stderr):
@@ -47,6 +55,8 @@ def cmd_translate(args) -> int:
         return EXIT_OK
     if result.status == UNKNOWN_WORD:
         print(f"unknown word at token {result.error_position}", file=sys.stderr)
+    elif result.status == TOO_AMBIGUOUS:
+        print(f"too ambiguous: more than {MAX_INSTANCES} chart instances", file=sys.stderr)
     else:
         print("no parse", file=sys.stderr)
     return _STATUS_EXIT[result.status]
@@ -185,7 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("translate", help="translate one sentence")
+    p = sub.add_parser(
+        "translate",
+        help="translate one sentence",
+        epilog="exit codes: 0 success, 1 no parse, 2 unknown word, 3 network error, "
+        f"4 too ambiguous (more than {MAX_INSTANCES} chart instances)",
+    )
     p.add_argument("network", help="network file path")
     p.add_argument("sentence", help="source sentence")
     p.add_argument("--dir", required=True, help="direction, ko-en or en-ko")

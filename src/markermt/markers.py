@@ -15,12 +15,21 @@ Element types extend plain left-to-right prediction: free-order elements
 fixed elements (OX) is predicted together with the next required element so
 it can be skipped, its prediction withdrawn, when a later element is hit
 first.  Identical free elements (same type, same filler) fill in index
-order (``MemoryNetwork.twins``), so the chart holds one instance per way of
-filling them, not one per permutation.
+order (``MemoryNetwork.twins``).
 
 The engine keeps every live alternative (it behaves like a chart
 recognizer): a fill never destroys the instance it extends, it derives a new
-one.  All scheduling is FIFO, so identical input yields an identical trace.
+one.  The chart is keyed by an instance's future state: its sequence, start,
+end, cursor and which elements are filled or omitted, not what filled them
+(an Earley item extended to unordered elements, as in Shieber's ID/LP
+parser, with Tomita's packing of equal states).  A derivation whose key is
+already in the chart is dropped before its instance is built, so k distinct
+free elements that one word can fill make one instance per set of filled
+elements, not one per filling order.  The first instance of each key is
+kept; it is the one :meth:`MarkerState.best_result` would pick among them.
+Even packed, such elements make O(2^k) states, so a sentence that needs more
+than ``MAX_INSTANCES`` instances stops with :class:`TooAmbiguous`.  All
+scheduling is FIFO, so identical input yields an identical trace.
 
 Initial prediction depends only on the network and the direction, so it is
 compiled once per ordered language pair when the network is built
@@ -44,6 +53,10 @@ AP = "AP"  # analysis prediction
 AA = "AA"  # analysis activation
 GP = "GP"  # generation prediction
 GA = "GA"  # generation activation
+
+# instances one sentence may make: the most any bench sentence needs is 182,
+# and k distinct free elements one word fills need 2^k and more (k = 10: 6,133)
+MAX_INSTANCES = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +96,10 @@ class Fill:
 OMITTED = Fill(kind="omitted")
 
 
+class TooAmbiguous(Exception):
+    """The sentence needs more than ``MAX_INSTANCES`` chart instances."""
+
+
 @dataclass(frozen=True)
 class CsInstance:
     id: int
@@ -91,23 +108,10 @@ class CsInstance:
     end: int
     fills: tuple[Fill | None, ...]
     cursor: int  # element index where the fixed-order scan resumes
-    pending_free: tuple[int, ...]
+    filled: int  # bit i set when element i has a fill (omitted is not one)
     status: str  # active | accepted
     parent: int | None
     target_cursor: int  # paired target element the generation mirror waits at
-
-    def signature(self):
-        parts = []
-        for f in self.fills:
-            if f is None:
-                parts.append(None)
-            elif f.kind == "omitted":
-                parts.append("om")
-            elif f.kind == "sub":
-                parts.append(("sub", f.sub))
-            else:
-                parts.append((f.kind, f.item, f.start))
-        return (self.cs, self.start, self.end, tuple(parts))
 
 
 def fixed_frontier(elements, cursor, fills) -> list[int]:
@@ -124,11 +128,9 @@ def fixed_frontier(elements, cursor, fills) -> list[int]:
     return out
 
 
-def initial_slots(cs) -> list[int]:
-    fills = [None] * len(cs.elements)
-    slots = fixed_frontier(cs.elements, 0, fills)
-    slots.extend(i for i, el in enumerate(cs.elements) if ElementType.free(el.etype))
-    return sorted(set(slots))
+def initial_slots(net, cs) -> list[int]:
+    slots = fixed_frontier(cs.elements, 0, [None] * len(cs.elements))
+    return sorted(set(slots).union(net.free_elements[cs.id]))
 
 
 def satisfied(cs, fills) -> bool:
@@ -190,7 +192,7 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
     for cs in net.sequences.values():
         if cs.language == source:
             twins = net.twins[cs.id]
-            for idx in initial_slots(cs):
+            for idx in initial_slots(net, cs):
                 slot = (cs.id, idx)
                 el = cs.elements[idx]
                 predicted.append(slot)
@@ -318,7 +320,7 @@ class MarkerState:
         self.trace: list[TraceEvent] = []
         self.token_index = -1
         self._by_end: dict[int, list[int]] = {}
-        self._sigs: set = set()
+        self._keys: set[tuple] = set()
         self._passive_seen: set = set()
         self._fills_this_token = 0
         self._dead_reported = False
@@ -443,7 +445,7 @@ class MarkerState:
                 for anc in sorted(self.net.ancestors(concept))
                 for slot in self.plan.slots_by_filler.get(anc, ())
             ]
-            slots.sort(key=lambda s: (self.net.declaration_index(s[0]), s[1]))
+            slots.sort(key=lambda s: (self.net.sequence_order[s[0]], s[1]))
         for cs_id, idx in slots:
             cs = self.net.sequences[cs_id]
             self._fill(None, cs, idx, fill, end, start=start)
@@ -451,8 +453,11 @@ class MarkerState:
     def _eligible_slots(self, inst, cs):
         slots = fixed_frontier(cs.elements, inst.cursor, inst.fills)
         twins = self.net.twins[cs.id]
-        for i in inst.pending_free:  # a twin waits for the element before it
-            if twins[i] is None or inst.fills[twins[i]] is not None:
+        filled = inst.filled
+        for i in self.net.free_elements[cs.id]:
+            if filled >> i & 1:
+                continue
+            if twins[i] is None or filled >> twins[i] & 1:  # a twin waits for the one before it
                 slots.append(i)
         return sorted(set(slots))
 
@@ -464,40 +469,48 @@ class MarkerState:
         return element.concept in self.net.ancestors(concept)
 
     def _fill(self, inst, cs, idx, fill, end, start=None):
-        """Derive the instance that results from filling element ``idx``."""
+        """Derive the instance that results from filling element ``idx``,
+        unless the chart already holds one with its future state.
+
+        The key ``(cs, start, end, cursor, filled)`` names that state: fixed
+        elements below the cursor that are not filled are omitted, all other
+        elements not filled are open."""
+        if inst is None:
+            begin, old_cursor, filled = start, 0, 0
+        else:
+            begin, old_cursor, filled = inst.start, inst.cursor, inst.filled
+        free = ElementType.free(cs.elements[idx].etype)
+        cursor = old_cursor if free else idx + 1
+        filled |= 1 << idx
+        key = (cs.id, begin, end, cursor, filled)
+        if key in self._keys:
+            return
+        if len(self.instances) >= MAX_INSTANCES:
+            raise TooAmbiguous(f"more than {MAX_INSTANCES} instances")
+        self._keys.add(key)
+
         if inst is None:
             fills = [None] * len(cs.elements)
-            cursor = 0
-            pending = tuple(i for i, el in enumerate(cs.elements) if ElementType.free(el.etype))
-            begin = start
             parent = None
             mirrored = 0
         else:
             fills = list(inst.fills)
-            cursor = inst.cursor
-            pending = inst.pending_free
-            begin = inst.start
             parent = inst.id
             mirrored = inst.target_cursor
-
         withdrawn = []
-        element = cs.elements[idx]
-        if ElementType.free(element.etype):
-            pending = tuple(i for i in pending if i != idx)
-        else:
-            for k in range(cursor, idx):
-                el = cs.elements[k]
-                if ElementType.free(el.etype) or fills[k] is not None:
+        if not free:
+            for k in range(old_cursor, idx):
+                if ElementType.free(cs.elements[k].etype) or fills[k] is not None:
                     continue
                 fills[k] = OMITTED
                 withdrawn.append(k)
-            cursor = idx + 1
         fills[idx] = fill
 
         accepted = satisfied(cs, fills)
         if accepted:
-            assert not any(
-                not ElementType.omissible(cs.elements[i].etype) for i in pending
+            assert all(
+                filled >> i & 1 or ElementType.omissible(cs.elements[i].etype)
+                for i in self.net.free_elements[cs.id]
             ), "accepted instance with a required free element pending"
         candidate = CsInstance(
             id=len(self.instances),
@@ -506,15 +519,11 @@ class MarkerState:
             end=end,
             fills=tuple(fills),
             cursor=cursor,
-            pending_free=pending,
+            filled=filled,
             status="accepted" if accepted else "active",
             parent=parent,
             target_cursor=self._mirror_reach(cs, fills, mirrored),
         )
-        sig = candidate.signature()
-        if sig in self._sigs:
-            return
-        self._sigs.add(sig)
         self.instances.append(candidate)
         self._by_end.setdefault(end, []).append(candidate.id)
         self._fills_this_token += 1
@@ -526,8 +535,8 @@ class MarkerState:
         for k in withdrawn:
             self.emit("withdraw", AP, self._loc_str(("icse", candidate.id, k)))
         predicted = list(fixed_frontier(cs.elements, cursor, fills))
-        if parent is None:
-            predicted.extend(pending)  # free elements stay predicted until filled
+        if parent is None:  # free elements stay predicted until filled
+            predicted.extend(i for i in self.net.free_elements[cs.id] if i != idx)
         for nxt in sorted(set(predicted)):
             nloc = ("icse", candidate.id, nxt)
             if self._place(AP, nloc):
@@ -572,20 +581,19 @@ class MarkerState:
 
     # -- results and teardown ---------------------------------------------------
 
-    def accepted_spanning(self) -> list[CsInstance]:
-        """Accepted instances anchored at the sentence start, best first:
-        widest span, then network declaration order, then creation order."""
-        candidates = [
-            inst for inst in self.instances if inst.status == "accepted" and inst.start == 0
-        ]
-        candidates.sort(key=lambda i: (-i.end, self.net.declaration_index(i.cs), i.id))
-        return candidates
-
     def best_result(self, n_tokens: int) -> CsInstance | None:
-        candidates = self.accepted_spanning()
-        if candidates and candidates[0].end == n_tokens:
-            return candidates[0]
-        return None  # best candidate (if any) does not cover the input
+        """The best accepted instance anchored at the sentence start, if it
+        covers the input: widest span, then network declaration order, then
+        creation order."""
+        order = self.net.sequence_order
+        best = min(
+            (inst for inst in self.instances if inst.status == "accepted" and inst.start == 0),
+            key=lambda i: (-i.end, order[i.cs], i.id),
+            default=None,
+        )
+        if best is not None and best.end == n_tokens:
+            return best
+        return None
 
     def close(self):
         """End the session: no markers, instances or pending work may leak.
@@ -594,7 +602,7 @@ class MarkerState:
         self.instances.clear()
         self.agenda.clear()
         self._by_end.clear()
-        self._sigs.clear()
+        self._keys.clear()
         self._passive_seen.clear()
 
     def is_empty(self) -> bool:

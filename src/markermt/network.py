@@ -187,13 +187,17 @@ class MemoryNetwork:
             for cs in sequences
             if cs.paired in self.sequences
         }
+        # free_elements[cs_id]: indices of the free-order elements of cs_id;
         # twins[cs_id][i]: the element of cs_id that element i fills after,
-        # or None (see _twins); most tables are all None, so equal ones
-        # share one tuple
+        # or None (see _twins).  Many sequences have equal tables, so equal
+        # ones share one tuple
         shared: dict[tuple, tuple] = {}
+        self.free_elements = {}
         self.twins = {}
         for cs in sequences:
+            free = tuple(i for i, el in enumerate(cs.elements) if ElementType.free(el.etype))
             twins = _twins(cs)
+            self.free_elements[cs.id] = shared.setdefault(free, free)
             self.twins[cs.id] = shared.setdefault(twins, twins)
 
         from markermt.markers import compile_plan
@@ -282,9 +286,6 @@ class MemoryNetwork:
                 if el.is_literal
             )
         return cache[language]
-
-    def declaration_index(self, cs_id: str) -> int:
-        return self.sequence_order[cs_id]
 
     @property
     def morphology(self):

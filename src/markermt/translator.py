@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from markermt.markers import GA, GP, OMITTED, CsInstance, MarkerState
+from markermt.markers import GA, GP, OMITTED, CsInstance, MarkerState, TooAmbiguous
 from markermt.morphology import MorphologyError, tokenize
 from markermt.network import ElementType, LANGUAGES, MemoryNetwork, lookup_lexical
 
 SUCCESS = "success"
 NO_PARSE = "no-parse"
 UNKNOWN_WORD = "unknown-word"
+TOO_AMBIGUOUS = "too-ambiguous"  # the chart outgrew markers.MAX_INSTANCES
 
 
 def parse_direction(direction: str) -> tuple[str, str]:
@@ -44,10 +45,6 @@ class TreeFill:
     item_concept: str | None = None
     span: tuple[int, int] | None = None
     child: "TreeNode | None" = None
-
-    @property
-    def required(self) -> bool:
-        return not ElementType.omissible(self.etype)
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,8 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
     the network was built, then per token segmentation + lexical lookup +
     activation + collision draining, then realization of the paired target
     sequence tree of the widest accepted instance anchored at the sentence
-    start.
+    start.  A sentence whose chart outgrows ``markers.MAX_INSTANCES`` stops
+    there and ends ``too-ambiguous``.
     """
     src, tgt = parse_direction(direction)
     morph = net.morphology
@@ -115,7 +113,11 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
                 result.error_position = i + 1
                 return result
             state.activate(item_ids, i, literal=literal)
-            state.step_collisions()
+            try:
+                state.step_collisions()
+            except TooAmbiguous:
+                result.status = TOO_AMBIGUOUS
+                return result
             assert not state.agenda, "agenda must be quiescent between tokens"
 
         winner = state.best_result(len(toks.words))

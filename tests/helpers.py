@@ -58,6 +58,23 @@ def mini_net(elements: str, extra: str = ""):
     return load_network("\n".join(lines))
 
 
+def multi_parent_probe(k: int) -> str:
+    """Network text whose ko sequence has k distinct free elements
+    ``m0(CF) .. m(k-1)(CF)`` that one word fills: ``wl`` reads as concept
+    ``l isa m0,..,m(k-1)``.  Input: k copies of ``wl``."""
+    parents = [f"m{i}" for i in range(k)]
+    lines = [f"concept {m}" for m in parents]
+    lines += [
+        "concept top sentence-type statement",
+        "concept l isa " + ",".join(parents),
+        "lex k-l ko wl isa l",
+        "lex e-l en vl isa l",
+        "cs s ko of top pair t : " + " ".join(f"{m}(CF)" for m in parents),
+        "cs t en of top pair s : " + " ".join(f"{m}(CX)" for m in parents),
+    ]
+    return "\n".join(lines)
+
+
 def random_case(rng: random.Random):
     """One random (network, test sequence, element specs, alphabet) tuple."""
     n_concepts = rng.randint(2, 4)

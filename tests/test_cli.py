@@ -7,6 +7,7 @@ from markermt.network import load_network, validate_network
 from markermt.synth import parse_samples
 
 from conftest import TRAVEL_CORPUS, TRAVEL_NET
+from helpers import multi_parent_probe
 
 ENGLISH = "Would you tell me the way to Kennedy Park?"
 KOREAN = "ce-eykey ken-ney-ti kong-wen kanun kil-ul allyecwu-si-keyssupnikka?"
@@ -55,6 +56,25 @@ def test_translate_unknown_word_exit_2(capsys):
 def test_translate_missing_network_exit_3(capsys):
     code = main(["translate", "/no/such/file.net", "hello", "--dir", "en-ko"])
     assert code == 3
+
+
+def test_translate_too_ambiguous_exit_4(tmp_path, capsys):
+    probe = tmp_path / "probe.net"
+    probe.write_text(multi_parent_probe(10))
+    code = main(["translate", str(probe), " ".join(["wl"] * 10), "--dir", "ko-en"])
+    assert code == 4
+    assert "too ambiguous" in capsys.readouterr().err
+
+
+def test_corpus_counts_too_ambiguous_as_failure(tmp_path, capsys):
+    probe = tmp_path / "probe.net"
+    probe.write_text(multi_parent_probe(10))
+    corpus = tmp_path / "probe.corpus"
+    corpus.write_text("ko-en\t" + " ".join(["wl"] * 10) + "\t*\n")
+    code = main(["corpus", str(probe), str(corpus)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "'too-ambiguous'" in out and "0 passed, 1 failed" in out
 
 
 def test_validate_clean(capsys):

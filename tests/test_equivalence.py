@@ -40,16 +40,53 @@ EXHAUSTIVE_SHAPES = [
 ]
 
 
-def test_exhaustive_small_shapes():
-    alphabet = ["wa", "wb", "q0"]
-    for shape in EXHAUSTIVE_SHAPES:
-        net = mini_net(shape)
+def _agree_on_every_input(shapes, alphabet, extra=""):
+    """Engine against oracle on every input of one to four words."""
+    for shape in shapes:
+        net = mini_net(shape, extra=extra)
         cs = net.sequences["test"]
         for n in range(1, 5):
             for tokens in itertools.product(alphabet, repeat=n):
                 want = recognize_oracle(net, cs, list(tokens))
                 got = engine_accepts(net, "test", list(tokens))
                 assert want == got, f"{shape} on {tokens}: oracle={want} engine={got}"
+
+
+def test_exhaustive_small_shapes():
+    _agree_on_every_input(EXHAUSTIVE_SHAPES, ["wa", "wb", "q0"])
+
+
+# word wf reads as f, which sits below both a and b, so it can fill
+# either of two distinct elements
+MULTI_PARENT = "concept f isa a,b\nlex k-f ko wf isa f\nlex e-f en vf isa f"
+MULTI_PARENT_SHAPES = [
+    "a(CF) b(CF)",
+    "a(OF) b(CF) a(CX)",
+    "a(CF) b(CF) a(OF)",
+    "a(OF) b(OF) b(CX)",
+    "a(CX) b(CF) a(CF)",
+    "a(CF) a(CF) b(CF)",
+    '"q0"(OX) a(CF) b(OF)',
+]
+
+
+def test_exhaustive_multi_parent_shapes():
+    _agree_on_every_input(MULTI_PARENT_SHAPES, ["wa", "wb", "wf", "q0"], MULTI_PARENT)
+
+
+# concept d also owns a sequence, so an element filled by d can span one
+# token (wd, or wa alone) or two (wa wb)
+NESTED = "cs sub ko of d pair subm : a(CX) b(OX)\ncs subm en of d pair sub : a(CX)"
+NESTED_SHAPES = [
+    "d(CX) c(CX)",
+    "d(CF) c(CF)",
+    "d(OX) b(CX)",
+    "c(CF) d(OF) b(CX)",
+]
+
+
+def test_exhaustive_nested_shapes():
+    _agree_on_every_input(NESTED_SHAPES, ["wa", "wb", "wc", "wd"], NESTED)
 
 
 def _twin_shape(rng: random.Random) -> str:

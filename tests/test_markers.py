@@ -7,6 +7,7 @@ from markermt.markers import (
     AP,
     GA,
     GP,
+    MAX_INSTANCES,
     Fill,
     MarkerState,
     fixed_frontier,
@@ -25,10 +26,10 @@ from markermt.network import (
 )
 from markermt.morphology import tokenize
 from markermt.synth import synth_network
-from markermt.translator import reverse_direction, translate
+from markermt.translator import TOO_AMBIGUOUS, reverse_direction, translate
 
 from conftest import TRAVEL_CORPUS
-from helpers import engine_accepts, mini_net, run_engine
+from helpers import engine_accepts, mini_net, multi_parent_probe, run_engine
 
 
 def predicted_elements(state, cs_id):
@@ -73,7 +74,7 @@ def test_initial_prediction_omissible_lookahead():
 
 def test_initial_slots_transitive_omissible_run():
     net = mini_net("b(OX) c(OX) a(CX) d(CX)")
-    assert initial_slots(net.sequences["test"]) == [0, 1, 2]
+    assert initial_slots(net, net.sequences["test"]) == [0, 1, 2]
 
 
 def test_fixed_frontier_stops_at_required():
@@ -364,3 +365,22 @@ def test_lexical_prediction_table_is_items_below_minus_the_plan():
             assert plan.unpredicted_below[concept] == tuple(
                 item_id for item_id in below if item_id not in plan.predicted_items
             )
+
+
+def _instance_collides(result):
+    return [e for e in result.trace if e.event == "collide" and e.location.startswith("inst:")]
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_distinct_free_elements_pack_by_filled_set(k):
+    # one instance per (start, end, set of filled elements), not one per
+    # order in which the word filled them: at most k * 2^k
+    result = translate(load_network(multi_parent_probe(k)), " ".join(["wl"] * k), "ko-en")
+    assert result.ok and result.target_sentence == "Vl" + " vl" * (k - 1) + "."
+    assert len(_instance_collides(result)) <= k * 2**k
+
+
+def test_instance_budget_ends_the_sentence_too_ambiguous():
+    result = translate(load_network(multi_parent_probe(10)), " ".join(["wl"] * 10), "ko-en")
+    assert result.status == TOO_AMBIGUOUS and result.target_sentence == ""
+    assert len(_instance_collides(result)) == MAX_INSTANCES
