@@ -158,20 +158,22 @@ def _label(location) -> str:
 class DirectionPlan:
     """Initial prediction of one direction, shared by all its sessions.
 
-    ``slots_by_literal`` and ``slots_by_filler`` map a literal or a filler
-    concept to the initially predicted ``(cs id, element index)`` slots that
-    a passive can start a new instance from, in declaration order; a twin
-    slot (``MemoryNetwork.twins``) is predicted but starts none.  The
-    initial markers are kept as sets of ids (AP on ``cse`` slots and on
-    lexical items, GP on element 0 of target sequences); ``prefix`` is the
-    trace their placement produces.  ``unpredicted_below`` maps the filler
+    ``slots_by_literal`` maps a literal, and ``starts_by_concept`` a source
+    item concept or sequence owner, to the initially predicted ``(cs id,
+    element index)`` slots that its passive can start an instance from, in
+    declaration order; a concept's slots are those of all its ancestors
+    (none: no entry), one tuple per set of fillers above.  A twin slot
+    (``MemoryNetwork.twins``) is predicted but starts none.  The initial
+    markers are kept as sets of ids (AP on ``cse`` slots and on lexical
+    items, GP on element 0 of target sequences); ``prefix`` is the trace
+    their placement produces.  ``unpredicted_below`` maps the filler
     concept of every source element to its ``items_below`` that the plan
     does not already predict, in declaration order: all that predicting
     the element later can still add.
     """
 
     slots_by_literal: dict[str, tuple[tuple[str, int], ...]]
-    slots_by_filler: dict[str, tuple[tuple[str, int], ...]]
+    starts_by_concept: dict[str, tuple[tuple[str, int], ...]]
     predicted_slots: frozenset[tuple[str, int]]
     predicted_items: frozenset[str]
     unpredicted_below: dict[str, tuple[str, ...]]
@@ -201,7 +203,7 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
                     starts = by_literal.setdefault(el.literal, [])
                 else:
                     starts = by_filler.setdefault(el.concept, [])
-                    for item_id in net.items_below(source, el.concept):
+                    for item_id in net.items_below[(source, el.concept)]:
                         if item_id not in items:
                             items.add(item_id)
                             prefix.append(TraceEvent("predict", AP, f"lex:{item_id}", None, -1))
@@ -220,11 +222,23 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
             if el.concept in by_filler:  # the plan predicts all its items
                 unpredicted[el.concept] = ()
             else:
-                below = net.items_below(source, el.concept)
+                below = net.items_below[(source, el.concept)]
                 unpredicted[el.concept] = tuple(i for i in below if i not in items)
+    order = net.sequence_order
+    merged: dict[frozenset[str], tuple[tuple[str, int], ...]] = {}
+    by_concept: dict[str, tuple[tuple[str, int], ...]] = {}
+    concepts = [it.concept for it in net.lexicon.values() if it.language == source]
+    concepts += [cs.owner for cs in net.sequences.values() if cs.language == source]
+    for concept in dict.fromkeys(concepts):
+        fillers = frozenset(by_filler.keys() & net.ancestors[concept])
+        if fillers not in merged:
+            slots = [slot for filler in fillers for slot in by_filler[filler]]
+            merged[fillers] = tuple(sorted(slots, key=lambda s: (order[s[0]], s[1])))
+        if merged[fillers]:
+            by_concept[concept] = merged[fillers]
     return DirectionPlan(
         slots_by_literal={k: tuple(v) for k, v in by_literal.items()},
-        slots_by_filler={k: tuple(v) for k, v in by_filler.items()},
+        starts_by_concept=by_concept,
         predicted_slots=frozenset(predicted),
         predicted_items=frozenset(items),
         unpredicted_below=unpredicted,
@@ -320,8 +334,9 @@ class MarkerState:
         self.trace: list[TraceEvent] = []
         self.token_index = -1
         self._by_end: dict[int, list[int]] = {}
+        # chart keys (see _fill), and (cs, start, end) of each passive a
+        # sequence acceptance fed upward
         self._keys: set[tuple] = set()
-        self._passive_seen: set = set()
         self._fills_this_token = 0
         self._dead_reported = False
 
@@ -418,12 +433,11 @@ class MarkerState:
     def _process_sub(self, inst_id):
         inst = self.instances[inst_id]
         cs = self.net.sequences[inst.cs]
-        key = (cs.owner, inst.start, inst.end, inst.cs)
-        if key in self._passive_seen:
+        key = (inst.cs, inst.start, inst.end)
+        if key in self._keys:
             return
-        self._passive_seen.add(key)
-        self._place(AA, ("cn", cs.owner), f"inst:{inst_id}")
-        for anc in sorted(self.net.ancestors(cs.owner)):
+        self._keys.add(key)
+        for anc in self.net.ancestors[cs.owner]:
             self._place(AA, ("cn", anc), f"inst:{inst_id}")
         fill = Fill(kind="sub", start=inst.start, end=inst.end, concept=cs.owner, sub=inst_id)
         self._match_passive(concept=cs.owner, literal=None, start=inst.start, end=inst.end, fill=fill)
@@ -440,12 +454,7 @@ class MarkerState:
         if literal is not None:
             slots = self.plan.slots_by_literal.get(literal, ())
         else:
-            slots = [
-                slot
-                for anc in sorted(self.net.ancestors(concept))
-                for slot in self.plan.slots_by_filler.get(anc, ())
-            ]
-            slots.sort(key=lambda s: (self.net.sequence_order[s[0]], s[1]))
+            slots = self.plan.starts_by_concept.get(concept, ())
         for cs_id, idx in slots:
             cs = self.net.sequences[cs_id]
             self._fill(None, cs, idx, fill, end, start=start)
@@ -466,7 +475,7 @@ class MarkerState:
             return literal is not None and element.literal == literal
         if concept is None:
             return False
-        return element.concept in self.net.ancestors(concept)
+        return element.concept in self.net.ancestors[concept]
 
     def _fill(self, inst, cs, idx, fill, end, start=None):
         """Derive the instance that results from filling element ``idx``,
@@ -539,9 +548,9 @@ class MarkerState:
             predicted.extend(i for i in self.net.free_elements[cs.id] if i != idx)
         for nxt in sorted(set(predicted)):
             nloc = ("icse", candidate.id, nxt)
-            if self._place(AP, nloc):
-                self.emit("predict", AP, self._loc_str(nloc))
-                self._predict_lexical(cs.elements[nxt])
+            self._place(AP, nloc)  # always new: the instance is new and nxt != idx
+            self.emit("predict", AP, self._loc_str(nloc))
+            self._predict_lexical(cs.elements[nxt])
 
         self._mirror(cs, candidate.fills, mirrored, candidate.target_cursor)
         if accepted:
@@ -603,7 +612,6 @@ class MarkerState:
         self.agenda.clear()
         self._by_end.clear()
         self._keys.clear()
-        self._passive_seen.clear()
 
     def is_empty(self) -> bool:
         return not self.markers and not self.instances and not self.agenda

@@ -143,7 +143,7 @@ class Morphology:
         # literal elements are standalone function words; register them as
         # roots so generated sentences re-segment cleanly
         for lang in PROFILES:
-            for lit in sorted(net.literals(lang)):
+            for lit in sorted(net.literals[lang]):
                 roots[lang].setdefault(lit.casefold(), lit)
 
         return cls(roots, affixes, adjacency, rules)

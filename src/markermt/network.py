@@ -6,15 +6,17 @@ morphologically segmented form; each concept that realizes a phrase or a
 sentence owns one concept sequence per language, and the two sequences of a
 pair may differ in length and in element order.
 
-Networks are described in a line-oriented text format (see ``load_network``)
-and are immutable once loaded, so any number of translation sessions may
-read one concurrently.
+Networks are described in a line-oriented text format (see ``load_network``).
+Loading builds every derived table once, read-only (see ``MemoryNetwork``),
+and nothing writes to them afterwards, so any number of translation sessions
+may read one network concurrently.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 KO = "ko"
 EN = "en"
@@ -147,16 +149,27 @@ class Diagnostic:
 
 @dataclass
 class MemoryNetwork:
-    """Fully indexed, immutable-by-convention bilingual network."""
+    """The declarations and the tables :meth:`build_indexes` derives from
+    them once.  The tables are read-only mappings of tuples and frozensets:
+
+    - ``morpheme_index[(language, morphemes)]``: items, declaration order;
+    - ``ancestors[concept]``: the reflexive IS-A closure upward, for item
+      concepts, sequence owners and element fillers only;
+    - ``items_below[(language, filler)]`` and ``sequences_below``: items and
+      sequences of that language at or below each element filler of one of
+      its sequences, declaration order;
+    - ``literals[language]``, ``sequence_order``, ``counterparts``,
+      ``free_elements`` and ``twins``.
+
+    ``morphology`` and the compiled ``plans`` are built with them; nothing
+    writes to either afterwards.
+    """
 
     concepts: dict[str, ConceptNode] = field(default_factory=dict)
     lexicon: dict[str, LexicalItem] = field(default_factory=dict)
     sequences: dict[str, ConceptSequence] = field(default_factory=dict)
     affixes: list[AffixDecl] = field(default_factory=list)
     morph_rules: list[MorphRuleDecl] = field(default_factory=list)
-    morpheme_index: dict[tuple[str, tuple[str, ...]], frozenset[str]] = field(
-        default_factory=dict
-    )
 
     def __post_init__(self):
         self.build_indexes()
@@ -166,42 +179,66 @@ class MemoryNetwork:
     def build_indexes(self):
         """Derive every lookup table from the declarations, including the
         compiled initial prediction of each direction.  Call it again after
-        changing a hand-built network."""
+        changing a hand-built network.  Raises ``MorphologyError`` when a
+        lexical item uses an undeclared affix."""
         lexicon, sequences = self.lexicon.values(), self.sequences.values()
-        self.morpheme_index = _grouped(
-            (((it.language, it.morphemes), it.id) for it in lexicon), frozenset
+        self.morpheme_index = MappingProxyType(
+            _grouped(((it.language, it.morphemes), it.id) for it in lexicon)
         )
-        self._items_of = _grouped(((it.language, it.concept), it.id) for it in lexicon)
-        self._seqs_of = _grouped(((cs.language, cs.owner), cs.id) for cs in sequences)
-        self._children = _grouped(
-            (p, node.id) for node in self.concepts.values() for p in node.parents
+        self._items_of = MappingProxyType(
+            _grouped(((it.language, it.concept), it.id) for it in lexicon)
         )
-        # declaration positions: lexical readings and tied parses are ordered by them
-        self.lexicon_order = {lid: i for i, lid in enumerate(self.lexicon)}
-        self.sequence_order = {cid: i for i, cid in enumerate(self.sequences)}
-        self._caches: dict = {}
+        fillers = {
+            (cs.language, el.concept): ()
+            for cs in sequences
+            for el in cs.elements
+            if not el.is_literal
+        }
+        # closures only for the concepts readers ask about: one for every
+        # concept would cost quadratic time on a deep IS-A chain
+        read = [it.concept for it in lexicon] + [cs.owner for cs in sequences]
+        read += [concept for _, concept in fillers]
+        self.ancestors = MappingProxyType(
+            {cid: _closure(self.concepts, cid) for cid in dict.fromkeys(read)}
+        )
+        self.items_below = _below(
+            self.ancestors, fillers, ((it.language, it.concept, it.id) for it in lexicon)
+        )
+        self.sequences_below = _below(
+            self.ancestors, fillers, ((cs.language, cs.owner, cs.id) for cs in sequences)
+        )
+        literals = {lang: set() for lang in LANGUAGES}
+        for cs in sequences:
+            literals[cs.language].update(el.literal for el in cs.elements if el.is_literal)
+        self.literals = MappingProxyType({k: frozenset(v) for k, v in literals.items()})
+        # declaration positions: tied parses are ordered by them
+        self.sequence_order = MappingProxyType({cid: i for i, cid in enumerate(self.sequences)})
         # counterparts[cs_id][k]: the cs_id element that supplies element k of
         # the sequence paired with cs_id, or None (see _counterparts)
-        self.counterparts = {
-            cs.id: _counterparts(self, cs, self.sequences[cs.paired])
-            for cs in sequences
-            if cs.paired in self.sequences
-        }
+        self.counterparts = MappingProxyType(
+            {
+                cs.id: _counterparts(self, cs, self.sequences[cs.paired])
+                for cs in sequences
+                if cs.paired in self.sequences
+            }
+        )
         # free_elements[cs_id]: indices of the free-order elements of cs_id;
         # twins[cs_id][i]: the element of cs_id that element i fills after,
         # or None (see _twins).  Many sequences have equal tables, so equal
         # ones share one tuple
         shared: dict[tuple, tuple] = {}
-        self.free_elements = {}
-        self.twins = {}
+        free_elements, twins = {}, {}
         for cs in sequences:
             free = tuple(i for i, el in enumerate(cs.elements) if ElementType.free(el.etype))
-            twins = _twins(cs)
-            self.free_elements[cs.id] = shared.setdefault(free, free)
-            self.twins[cs.id] = shared.setdefault(twins, twins)
+            twin = _twins(cs)
+            free_elements[cs.id] = shared.setdefault(free, free)
+            twins[cs.id] = shared.setdefault(twin, twin)
+        self.free_elements, self.twins = MappingProxyType(free_elements), MappingProxyType(twins)
 
         from markermt.markers import compile_plan
+        from markermt.morphology import Morphology
 
+        self.morphology = Morphology.from_network(self)
         self.plans = {
             (src, tgt): compile_plan(self, src, tgt)
             for src in LANGUAGES
@@ -209,100 +246,46 @@ class MemoryNetwork:
             if src != tgt
         }
 
-    def ancestors(self, concept_id: str) -> frozenset[str]:
-        """Reflexive-transitive IS-A closure upward."""
-        cache = self._caches.setdefault("anc", {})
-        if concept_id in cache:
-            return cache[concept_id]
-        seen: set[str] = set()
-        stack = [concept_id]
-        while stack:
-            cid = stack.pop()
-            if cid in seen or cid not in self.concepts:
-                continue
-            seen.add(cid)
-            stack.extend(self.concepts[cid].parents)
-        result = frozenset(seen)
-        cache[concept_id] = result
-        return result
-
-    def descendants(self, concept_id: str) -> frozenset[str]:
-        """Reflexive-transitive IS-A closure downward."""
-        cache = self._caches.setdefault("desc", {})
-        if concept_id in cache:
-            return cache[concept_id]
-        children = self._children
-        seen: set[str] = set()
-        stack = [concept_id]
-        while stack:
-            cid = stack.pop()
-            if cid in seen:
-                continue
-            seen.add(cid)
-            stack.extend(children.get(cid, ()))
-        result = frozenset(seen)
-        cache[concept_id] = result
-        return result
-
     def items_of_concept(self, language: str, concept_id: str) -> tuple[str, ...]:
         """Lexical items attached to exactly this concept, declaration order."""
         return self._items_of.get((language, concept_id), ())
 
-    def items_below(self, language: str, concept_id: str) -> tuple[str, ...]:
-        """Lexical items of this concept or any descendant, declaration order."""
-        cache = self._caches.setdefault("items_below", {})
-        key = (language, concept_id)
-        if key not in cache:
-            found = [
-                item_id
-                for cid in self.descendants(concept_id)
-                for item_id in self._items_of.get((language, cid), ())
-            ]
-            cache[key] = tuple(sorted(found, key=self.lexicon_order.__getitem__))
-        return cache[key]
 
-    def sequences_below(self, language: str, concept_id: str) -> tuple[str, ...]:
-        """Sequences owned by this concept or any descendant, declaration order."""
-        cache = self._caches.setdefault("seq_below", {})
-        key = (language, concept_id)
-        if key not in cache:
-            found = [
-                cs_id
-                for cid in self.descendants(concept_id)
-                for cs_id in self._seqs_of.get((language, cid), ())
-            ]
-            cache[key] = tuple(sorted(found, key=self.sequence_order.__getitem__))
-        return cache[key]
-
-    def literals(self, language: str) -> frozenset[str]:
-        """All literal element strings used by sequences of one language."""
-        cache = self._caches.setdefault("literals", {})
-        if language not in cache:
-            cache[language] = frozenset(
-                el.literal
-                for cs in self.sequences.values()
-                if cs.language == language
-                for el in cs.elements
-                if el.is_literal
-            )
-        return cache[language]
-
-    @property
-    def morphology(self):
-        if "morphology" not in self._caches:
-            from markermt.morphology import Morphology
-
-            self._caches["morphology"] = Morphology.from_network(self)
-        return self._caches["morphology"]
+def _closure(concepts, concept_id) -> frozenset[str]:
+    """Reflexive-transitive IS-A closure of a declared concept upward,
+    through declared parents only; empty for an undeclared one."""
+    seen: set[str] = set()
+    stack = [concept_id]
+    while stack:
+        cid = stack.pop()
+        if cid in seen or cid not in concepts:
+            continue
+        seen.add(cid)
+        stack.extend(concepts[cid].parents)
+    return frozenset(seen)
 
 
-def _grouped(pairs, freeze=tuple) -> dict:
-    """``{key: freeze(values)}`` from ``(key, value)`` pairs, values in
+def _below(ancestors, fillers, members) -> MappingProxyType:
+    """For each ``(language, filler)`` key of ``fillers``, the ids of the
+    ``(language, concept, id)`` members whose concept lies at or below the
+    filler, in member order: one pass files each member under every
+    ancestor of its concept that is a filler."""
+    below = _grouped(
+        ((language, anc), mid)
+        for language, concept, mid in members
+        for anc in ancestors[concept]
+        if (language, anc) in fillers
+    )
+    return MappingProxyType({**fillers, **below})
+
+
+def _grouped(pairs) -> dict:
+    """``{key: tuple(values)}`` from ``(key, value)`` pairs, values in
     input order."""
     groups: dict = {}
     for key, value in pairs:
         groups.setdefault(key, []).append(value)
-    return {key: freeze(values) for key, values in groups.items()}
+    return {key: tuple(values) for key, values in groups.items()}
 
 
 def _counterparts(net, source, target) -> tuple[int | None, ...]:
@@ -323,9 +306,8 @@ def _counterparts(net, source, target) -> tuple[int | None, ...]:
     for k, el in enumerate(target.elements):
         if el.is_literal or supply[k] is not None:
             continue
-        below = net.descendants(el.concept)
         for j in unpaired:
-            if source.elements[j].concept in below:
+            if el.concept in net.ancestors[source.elements[j].concept]:
                 supply[k] = j
                 unpaired.remove(j)
                 break
@@ -353,9 +335,10 @@ def _twins(cs) -> tuple[int | None, ...]:
 # -- public operations ---------------------------------------------------
 
 
-def lookup_lexical(net: MemoryNetwork, language: str, morphemes) -> frozenset[str]:
-    """Exact-match lexical lookup by segmented morpheme tuple."""
-    return net.morpheme_index.get((language, tuple(morphemes)), frozenset())
+def lookup_lexical(net: MemoryNetwork, language: str, morphemes) -> tuple[str, ...]:
+    """Exact-match lexical lookup by segmented morpheme tuple: the items,
+    in declaration order."""
+    return net.morpheme_index.get((language, tuple(morphemes)), ())
 
 
 _ID = r"[A-Za-z][A-Za-z0-9_.-]*"
@@ -416,13 +399,12 @@ def load_network(source: str) -> MemoryNetwork:
         raise NetworkError("no concepts declared")
 
     _resolve_references(net, pending_refs)
-    net.build_indexes()
     # building the morphology tables also validates that every non-initial
     # morpheme of a lexical item is a declared affix
     from markermt.morphology import MorphologyError
 
     try:
-        net.morphology
+        net.build_indexes()
     except MorphologyError as exc:
         raise NetworkError(str(exc)) from None
     return net
@@ -706,9 +688,8 @@ def _check_compulsory(net, diags):
 
 
 def _realizable(net, language, concept_id) -> bool:
-    return bool(net.items_below(language, concept_id)) or bool(
-        net.sequences_below(language, concept_id)
-    )
+    key = (language, concept_id)
+    return bool(net.items_below[key]) or bool(net.sequences_below[key])
 
 
 def _check_reachability(net, diags):
@@ -734,7 +715,7 @@ def _check_reachability(net, diags):
         other = EN if item.language == KO else KO
         if net.items_of_concept(other, item.concept):
             continue
-        if not fillers.isdisjoint(net.ancestors(item.concept)):
+        if not fillers.isdisjoint(net.ancestors[item.concept]):
             diags.append(
                 Diagnostic(
                     "unpaired-concept",
@@ -777,7 +758,7 @@ def _check_omissible_cycles(net, diags):
                 continue
             if el.concept not in net.concepts:
                 continue
-            for sub in net.sequences_below(cs.language, el.concept):
+            for sub in net.sequences_below[(cs.language, el.concept)]:
                 edges[cs.id].add(sub)
 
     for cycle in _back_edges(edges, lambda cid: sorted(edges[cid])):

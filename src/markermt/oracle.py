@@ -73,7 +73,7 @@ def _covers(net, language, elements, tokens, visiting) -> bool:
         return True
     for end in range(1, len(tokens) + 1):
         span = tokens[:end]
-        for sub_id in net.sequences_below(language, el.concept):
+        for sub_id in net.sequences_below[(language, el.concept)]:
             if _match_cs(net, net.sequences[sub_id], span, visiting) and _covers(
                 net, language, rest, tokens[end:], visiting
             ):
@@ -85,6 +85,6 @@ def _token_below(net, language, word, filler) -> bool:
     """Does one surface word read as a lexical item at or below the filler?"""
     for seq in net.morphology.segment(language, word):
         for item_id in lookup_lexical(net, language, seq.forms):
-            if filler in net.ancestors(net.lexicon[item_id].concept):
+            if filler in net.ancestors[net.lexicon[item_id].concept]:
                 return True
     return False

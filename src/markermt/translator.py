@@ -96,15 +96,13 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
 
     state = MarkerState(net, src, tgt)
     state.initial_prediction()
-    literals = net.literals(src)
+    literals = net.literals[src]
 
     try:
         for i, word in enumerate(toks.words):
             item_ids: list[str] = []
             for seq in morph.segment(src, word):
-                for item_id in sorted(
-                    lookup_lexical(net, src, seq.forms), key=net.lexicon_order.__getitem__
-                ):
+                for item_id in lookup_lexical(net, src, seq.forms):
                     if item_id not in item_ids:
                         item_ids.append(item_id)
             literal = word if word in literals else None

@@ -12,7 +12,7 @@ def run_engine(net, tokens, source="ko", target="en") -> MarkerState:
     """Feed surface tokens through a session and return it unclosed."""
     state = MarkerState(net, source, target)
     state.initial_prediction()
-    literals = net.literals(source)
+    literals = net.literals[source]
     morph = net.morphology
     for i, word in enumerate(tokens):
         items = []

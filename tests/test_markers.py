@@ -208,7 +208,7 @@ def test_agenda_quiescent_between_tokens(net):
         items = []
         for seq in net.morphology.segment("en", word):
             items.extend(sorted(lookup_lexical(net, "en", seq.forms)))
-        state.activate(items, i, literal=(word if word in net.literals("en") else None))
+        state.activate(items, i, literal=(word if word in net.literals["en"] else None))
         state.step_collisions()
         assert not state.agenda
     state.close()
@@ -337,7 +337,7 @@ def test_twin_slots_are_predicted_but_start_no_instance():
     assert net.twins["test"] == (None, None, 0, None, None, 4)
     plan = net.plans[("ko", "en")]
     assert {("test", i) for i in range(6) if i != 1} <= plan.predicted_slots
-    assert plan.slots_by_filler["a"] == (("test", 0), ("test", 3))
+    assert plan.starts_by_concept["a"] == (("test", 0), ("test", 3))
     assert plan.slots_by_literal["q0"] == (("test", 4),)
     state = run_engine(net, ["wa", "q0"])
     filled = {
@@ -345,6 +345,36 @@ def test_twin_slots_are_predicted_but_start_no_instance():
         for inst in state.instances
     }
     assert filled == {(0, (0,)), (0, (3,)), (1, (4,)), (0, (0, 4)), (0, (3, 4))}
+    state.close()
+
+
+def test_start_slots_merge_every_parent_in_declaration_order():
+    # l isa q,p: the start slots of q and p interleave across and within
+    # sequences, so neither parent's slots come first as a block
+    net = load_network(
+        "\n".join(
+            [
+                "concept p",
+                "concept q",
+                "concept l isa q,p",
+                "concept top",
+                "lex k-l ko wl isa l",
+                "lex e-l en vl isa l",
+                "cs z ko of top pair ez : q(CX)",
+                'cs y ko of top pair ey : p(CF) "x"(CX) q(CF) p(OF)',
+                "cs x ko of top pair ex : p(CX)",
+                "cs ez en of top pair z : q(CX)",
+                "cs ey en of top pair y : p(CX) q(CX)",
+                "cs ex en of top pair x : p(CX)",
+            ]
+        )
+    )
+    starts = net.plans[("ko", "en")].starts_by_concept
+    assert starts == {"l": (("z", 0), ("y", 0), ("y", 2), ("y", 3), ("x", 0))}
+    state = run_engine(net, ["wl"])
+    # the word starts one instance per slot, in the table's order
+    started = [(inst.cs, inst.filled.bit_length() - 1) for inst in state.instances]
+    assert started == list(starts["l"])
     state.close()
 
 
@@ -360,8 +390,10 @@ def test_lexical_prediction_table_is_items_below_minus_the_plan():
         }
         assert set(plan.unpredicted_below) == fillers
         assert any(plan.unpredicted_below.values())
+        items = [it for it in net.lexicon.values() if it.language == source]
         for concept in fillers:
-            below = net.items_below(source, concept)
+            below = [it.id for it in items if concept in net.ancestors[it.concept]]
+            assert net.items_below[(source, concept)] == tuple(below)
             assert plan.unpredicted_below[concept] == tuple(
                 item_id for item_id in below if item_id not in plan.predicted_items
             )

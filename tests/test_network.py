@@ -1,3 +1,8 @@
+import copy
+import sys
+import threading
+from types import MappingProxyType
+
 import pytest
 
 from markermt.network import (
@@ -12,6 +17,10 @@ from markermt.network import (
     serialize_network,
     validate_network,
 )
+from markermt.synth import parse_samples, synth_network
+from markermt.translator import translate
+
+from conftest import TRAVEL_CORPUS
 
 
 def test_fixture_loads_fully_indexed(net):
@@ -20,7 +29,7 @@ def test_fixture_loads_fully_indexed(net):
     assert net.sequences["kcs1"].paired == "ecs1"
     assert net.sequences["kcs1"].elements[0].etype == "OF"
     assert net.sequences["kcs1"].elements[2].literal == "kanun"
-    assert net.morpheme_index[("ko", ("pha-il", "tul", "ul"))] == frozenset({"files-ko"})
+    assert net.morpheme_index[("ko", ("pha-il", "tul", "ul"))] == ("files-ko",)
 
 
 def test_fixture_validates_clean(net):
@@ -28,11 +37,11 @@ def test_fixture_validates_clean(net):
 
 
 def test_lookup_exact_match(net):
-    assert lookup_lexical(net, "ko", ("pha-il",)) == {"file-ko"}
-    assert lookup_lexical(net, "en", ("way",)) == {"way-en"}
-    assert lookup_lexical(net, "en", ("zzz",)) == frozenset()
+    assert lookup_lexical(net, "ko", ("pha-il",)) == ("file-ko",)
+    assert lookup_lexical(net, "en", ("way",)) == ("way-en",)
+    assert lookup_lexical(net, "en", ("zzz",)) == ()
     # exact tuples only: prefix of a longer item does not match it
-    assert lookup_lexical(net, "ko", ("pha-il", "tul")) == frozenset()
+    assert lookup_lexical(net, "ko", ("pha-il", "tul")) == ()
 
 
 def test_lookup_iff_item_exists(net):
@@ -270,3 +279,73 @@ def test_concept_with_only_a_target_sequence_is_unpaired():
     assert validate_network(net) == [
         Diagnostic("unpaired-concept", "concept 'a' has ko item 'wa' but no en realization")
     ]
+
+
+# -- the frozen network ---------------------------------------------------
+
+
+def _corpus_rows():
+    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+    return [line.split("\t")[:2] for line in lines if line and not line.startswith("#")]
+
+
+def _outcomes(net, rows):
+    outcomes = []
+    for direction, sentence in rows:
+        r = translate(net, sentence, direction)
+        trace = [event.line() for event in r.trace]
+        outcomes.append((r.status, r.target_sentence, repr(r.concept_tree), trace))
+    return outcomes
+
+
+def _snapshot(net):
+    """A deep copy of every attribute of ``net`` and of its morphology, the
+    read-only tables as plain dicts."""
+    tables = dict(vars(net), morphology=vars(net.morphology))
+    return copy.deepcopy(
+        {name: dict(t) if isinstance(t, MappingProxyType) else t for name, t in tables.items()}
+    )
+
+
+def test_threads_share_one_network(travel_text):
+    rows = _corpus_rows()
+    serial = _outcomes(load_network(travel_text), rows)
+    net = load_network(travel_text)
+    results = [None] * 4
+
+    def work(k):  # each thread starts at a different sentence
+        results[k] = _outcomes(net, rows[k:] + rows[:k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, outcomes in enumerate(results):
+        assert outcomes == serial[k:] + serial[:k]
+
+
+def test_translation_writes_no_network_table(travel_text):
+    synth = synth_network(1000, 200, 42)
+    for text, rows in ((travel_text, _corpus_rows()), (synth, parse_samples(synth))):
+        net = load_network(text)
+        before = _snapshot(net)
+        assert any(status == "success" for status, *_ in _outcomes(net, rows))
+        assert _snapshot(net) == before
+
+
+@pytest.mark.parametrize(
+    "name", ["morpheme_index", "ancestors", "items_below", "sequences_below", "literals"]
+)
+def test_network_tables_are_read_only(net, name):
+    table = getattr(net, name)
+    key = next(iter(table))
+    with pytest.raises(TypeError):
+        table[key] = table[key]
+    assert all(isinstance(value, (tuple, frozenset)) for value in table.values())

@@ -142,7 +142,7 @@ def test_target_sentence_resegments(net):
         for word in toks.words:
             readings = net.morphology.segment(target, word)
             has_item = any(lookup_lexical(net, target, s.forms) for s in readings)
-            is_literal = word in net.literals(target)
+            is_literal = word in net.literals[target]
             assert has_item or is_literal, f"unparseable generated word {word!r}"
 
 
