@@ -15,7 +15,8 @@ Element types extend plain left-to-right prediction: free-order elements
 fixed elements (OX) is predicted together with the next required element so
 it can be skipped, its prediction withdrawn, when a later element is hit
 first.  Identical free elements (same type, same filler) fill in index
-order (``MemoryNetwork.twins``).
+order.  Prediction, omission and acceptance read what the types imply from
+the per-sequence table compiled at load (``MemoryNetwork.layouts``).
 
 The engine keeps every live alternative (it behaves like a chart
 recognizer): a fill never destroys the instance it extends, it derives a new
@@ -47,7 +48,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from markermt.network import ElementType, MemoryNetwork
+from markermt.network import MemoryNetwork
 
 AP = "AP"  # analysis prediction
 AA = "AA"  # analysis activation
@@ -114,36 +115,6 @@ class CsInstance:
     target_cursor: int  # paired target element the generation mirror waits at
 
 
-def fixed_frontier(elements, cursor, fills) -> list[int]:
-    """Fixed-order slots currently predicted: the run of omissible fixed
-    elements from the cursor plus the first required fixed element."""
-    out = []
-    for i in range(cursor, len(elements)):
-        el = elements[i]
-        if ElementType.free(el.etype) or fills[i] is not None:
-            continue
-        out.append(i)
-        if not ElementType.omissible(el.etype):
-            break
-    return out
-
-
-def initial_slots(net, cs) -> list[int]:
-    slots = fixed_frontier(cs.elements, 0, [None] * len(cs.elements))
-    return sorted(set(slots).union(net.free_elements[cs.id]))
-
-
-def satisfied(cs, fills) -> bool:
-    """Acceptance test: every required element filled (fixed ones are in
-    order by construction), omissible ones filled or omitted."""
-    for el, f in zip(cs.elements, fills):
-        if ElementType.omissible(el.etype):
-            continue
-        if f is None or f.kind == "omitted":
-            return False
-    return True
-
-
 def _label(location) -> str:
     """Trace form of a marker location on the network itself."""
     site = location[0]
@@ -163,7 +134,7 @@ class DirectionPlan:
     element index)`` slots that its passive can start an instance from, in
     declaration order; a concept's slots are those of all its ancestors
     (none: no entry), one tuple per set of fillers above.  A twin slot
-    (``MemoryNetwork.twins``) is predicted but starts none.  The initial
+    (``Layout.twins``) is predicted but starts none.  The initial
     markers are kept as sets of ids (AP on ``cse`` slots and on lexical
     items, GP on element 0 of target sequences); ``prefix`` is the trace
     their placement produces.  ``unpredicted_below`` maps the filler
@@ -193,8 +164,8 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
     prefix: list[TraceEvent] = []
     for cs in net.sequences.values():
         if cs.language == source:
-            twins = net.twins[cs.id]
-            for idx in initial_slots(net, cs):
+            layout = net.layouts[cs.id]
+            for idx in sorted(layout.frontier[0] + layout.free):
                 slot = (cs.id, idx)
                 el = cs.elements[idx]
                 predicted.append(slot)
@@ -207,7 +178,7 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
                         if item_id not in items:
                             items.add(item_id)
                             prefix.append(TraceEvent("predict", AP, f"lex:{item_id}", None, -1))
-                if twins[idx] is None:
+                if layout.twins[idx] is None:
                     starts.append(slot)
         elif cs.language == target:
             heads.append(cs.id)
@@ -460,15 +431,13 @@ class MarkerState:
             self._fill(None, cs, idx, fill, end, start=start)
 
     def _eligible_slots(self, inst, cs):
-        slots = fixed_frontier(cs.elements, inst.cursor, inst.fills)
-        twins = self.net.twins[cs.id]
-        filled = inst.filled
-        for i in self.net.free_elements[cs.id]:
-            if filled >> i & 1:
-                continue
-            if twins[i] is None or filled >> twins[i] & 1:  # a twin waits for the one before it
-                slots.append(i)
-        return sorted(set(slots))
+        layout = self.net.layouts[cs.id]
+        twins, filled = layout.twins, inst.filled
+        free = [  # a twin waits for the one before it
+            i for i in layout.free
+            if not filled >> i & 1 and (twins[i] is None or filled >> twins[i] & 1)
+        ]
+        return sorted(layout.frontier[inst.cursor] + tuple(free))
 
     def _slot_matches(self, element, concept, literal) -> bool:
         if element.is_literal:
@@ -484,11 +453,12 @@ class MarkerState:
         The key ``(cs, start, end, cursor, filled)`` names that state: fixed
         elements below the cursor that are not filled are omitted, all other
         elements not filled are open."""
+        layout = self.net.layouts[cs.id]
         if inst is None:
             begin, old_cursor, filled = start, 0, 0
         else:
             begin, old_cursor, filled = inst.start, inst.cursor, inst.filled
-        free = ElementType.free(cs.elements[idx].etype)
+        free = idx in layout.free
         cursor = old_cursor if free else idx + 1
         filled |= 1 << idx
         key = (cs.id, begin, end, cursor, filled)
@@ -506,21 +476,13 @@ class MarkerState:
             fills = list(inst.fills)
             parent = inst.id
             mirrored = inst.target_cursor
-        withdrawn = []
-        if not free:
-            for k in range(old_cursor, idx):
-                if ElementType.free(cs.elements[k].etype) or fills[k] is not None:
-                    continue
-                fills[k] = OMITTED
-                withdrawn.append(k)
+        # a fixed fill omits the fixed elements predicted before it
+        withdrawn = [] if free else [k for k in layout.frontier[old_cursor] if k < idx]
+        for k in withdrawn:
+            fills[k] = OMITTED
         fills[idx] = fill
 
-        accepted = satisfied(cs, fills)
-        if accepted:
-            assert all(
-                filled >> i & 1 or ElementType.omissible(cs.elements[i].etype)
-                for i in self.net.free_elements[cs.id]
-            ), "accepted instance with a required free element pending"
+        accepted = filled & layout.required == layout.required
         candidate = CsInstance(
             id=len(self.instances),
             cs=cs.id,
@@ -531,7 +493,7 @@ class MarkerState:
             filled=filled,
             status="accepted" if accepted else "active",
             parent=parent,
-            target_cursor=self._mirror_reach(cs, fills, mirrored),
+            target_cursor=self._mirror_reach(cs, filled, mirrored),
         )
         self.instances.append(candidate)
         self._by_end.setdefault(end, []).append(candidate.id)
@@ -543,10 +505,10 @@ class MarkerState:
         self.emit("collide", AA, self._loc_str(loc), fill.binding())
         for k in withdrawn:
             self.emit("withdraw", AP, self._loc_str(("icse", candidate.id, k)))
-        predicted = list(fixed_frontier(cs.elements, cursor, fills))
+        predicted = layout.frontier[cursor]
         if parent is None:  # free elements stay predicted until filled
-            predicted.extend(i for i in self.net.free_elements[cs.id] if i != idx)
-        for nxt in sorted(set(predicted)):
+            predicted = sorted(predicted + tuple(i for i in layout.free if i != idx))
+        for nxt in predicted:
             nloc = ("icse", candidate.id, nxt)
             self._place(AP, nloc)  # always new: the instance is new and nxt != idx
             self.emit("predict", AP, self._loc_str(nloc))
@@ -559,7 +521,7 @@ class MarkerState:
 
     # -- generation mirroring --------------------------------------------------
 
-    def _mirror_reach(self, cs, fills, cursor) -> int:
+    def _mirror_reach(self, cs, filled, cursor) -> int:
         """How far the GP cursor on the paired sequence of ``cs`` advances
         from ``cursor``: literals pass under a bare GP, a conceptual element
         waits until the source element that supplies it
@@ -569,7 +531,7 @@ class MarkerState:
         while cursor < len(elements):
             if not elements[cursor].is_literal:
                 j = supply[cursor]
-                if j is None or fills[j] is None or fills[j] is OMITTED:
+                if j is None or not filled >> j & 1:
                     break
             cursor += 1
         return cursor

@@ -85,6 +85,21 @@ class ElementType:
         return code in ("CF", "OF")
 
 
+@dataclass(frozen=True, slots=True)
+class Layout:
+    """What a sequence's element types imply for the engine.
+
+    ``frontier[c]``: the fixed elements predicted while the cursor is at
+    ``c``, i.e. the run of omissible fixed elements from ``c`` plus the first
+    required one; ``free``: the free-order elements; ``required``: bit i set
+    when element i is not omissible; ``twins``: see :func:`_twins`."""
+
+    frontier: tuple[tuple[int, ...], ...]
+    free: tuple[int, ...]
+    required: int
+    twins: tuple[int | None, ...]
+
+
 @dataclass(frozen=True)
 class SequenceElement:
     """One slot of a concept sequence.
@@ -158,8 +173,9 @@ class MemoryNetwork:
     - ``items_below[(language, filler)]`` and ``sequences_below``: items and
       sequences of that language at or below each element filler of one of
       its sequences, declaration order;
-    - ``literals[language]``, ``sequence_order``, ``counterparts``,
-      ``free_elements`` and ``twins``.
+    - ``layouts[cs_id]``: the :class:`Layout` compiled from the element
+      types of ``cs_id``, one shared object per distinct signature;
+    - ``literals[language]``, ``sequence_order`` and ``counterparts``.
 
     ``morphology`` and the compiled ``plans`` are built with them; nothing
     writes to either afterwards.
@@ -222,18 +238,14 @@ class MemoryNetwork:
                 if cs.paired in self.sequences
             }
         )
-        # free_elements[cs_id]: indices of the free-order elements of cs_id;
-        # twins[cs_id][i]: the element of cs_id that element i fills after,
-        # or None (see _twins).  Many sequences have equal tables, so equal
-        # ones share one tuple
-        shared: dict[tuple, tuple] = {}
-        free_elements, twins = {}, {}
+        shared: dict[tuple, Layout] = {}  # one layout per distinct signature
+        layouts = {}
         for cs in sequences:
-            free = tuple(i for i, el in enumerate(cs.elements) if ElementType.free(el.etype))
-            twin = _twins(cs)
-            free_elements[cs.id] = shared.setdefault(free, free)
-            twins[cs.id] = shared.setdefault(twin, twin)
-        self.free_elements, self.twins = MappingProxyType(free_elements), MappingProxyType(twins)
+            sig = (tuple(el.etype for el in cs.elements), _twins(cs))
+            if sig not in shared:
+                shared[sig] = _layout(*sig)
+            layouts[cs.id] = shared[sig]
+        self.layouts = MappingProxyType(layouts)
 
         from markermt.markers import compile_plan
         from markermt.morphology import Morphology
@@ -312,6 +324,24 @@ def _counterparts(net, source, target) -> tuple[int | None, ...]:
                 unpaired.remove(j)
                 break
     return tuple(supply)
+
+
+def _layout(etypes, twins) -> Layout:
+    """The :class:`Layout` of a sequence with element types ``etypes``."""
+    frontier: list[tuple[int, ...]] = [()]  # from the end: frontier[len] first
+    for c in reversed(range(len(etypes))):
+        if ElementType.free(etypes[c]):
+            frontier.append(frontier[-1])
+        elif ElementType.omissible(etypes[c]):
+            frontier.append((c,) + frontier[-1])
+        else:
+            frontier.append((c,))
+    return Layout(
+        frontier=tuple(reversed(frontier)),
+        free=tuple(i for i, t in enumerate(etypes) if ElementType.free(t)),
+        required=sum(1 << i for i, t in enumerate(etypes) if not ElementType.omissible(t)),
+        twins=twins,
+    )
 
 
 def _twins(cs) -> tuple[int | None, ...]:

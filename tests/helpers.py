@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 from markermt.markers import MarkerState
 from markermt.network import ElementType, load_network, lookup_lexical
@@ -17,12 +19,20 @@ def run_engine(net, tokens, source="ko", target="en") -> MarkerState:
     for i, word in enumerate(tokens):
         items = []
         for seq in morph.segment(source, word):
-            for item_id in sorted(lookup_lexical(net, source, seq.forms)):
+            for item_id in lookup_lexical(net, source, seq.forms):
                 if item_id not in items:
                     items.append(item_id)
         state.activate(items, i, literal=(word if word in literals else None))
         state.step_collisions()
     return state
+
+
+def cli_env() -> dict[str, str]:
+    """The environment for a ``python -m markermt`` child: this one, with
+    the checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
 
 
 def engine_accepts(net, cs_id, tokens, source="ko", target="en") -> bool:

@@ -15,7 +15,7 @@ from markermt.synth import parse_samples, synth_network
 from markermt.translator import round_trip, translate, trees_isomorphic
 
 from conftest import TRAVEL_NET
-from helpers import engine_accepts, mini_net, random_case, random_tokens, run_engine
+from helpers import cli_env, engine_accepts, mini_net, random_case, random_tokens, run_engine
 
 ENGLISH = "Would you tell me the way to Kennedy Park?"
 KOREAN = "ce-eykey ken-ney-ti kong-wen kanun kil-ul allyecwu-si-keyssupnikka?"
@@ -161,6 +161,7 @@ def test_criterion_7_repl_hygiene_and_stability(net):
         lines += [":trace on", ENGLISH, ":quit"]
         proc = subprocess.run(
             [sys.executable, "-m", "markermt", "repl", str(TRAVEL_NET), "--dir", "en-ko", "--debug"],
+            env=cli_env(),
             input="\n".join(lines) + "\n",
             capture_output=True,
             text=True,

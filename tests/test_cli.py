@@ -7,7 +7,7 @@ from markermt.network import load_network, validate_network
 from markermt.synth import parse_samples
 
 from conftest import TRAVEL_CORPUS, TRAVEL_NET
-from helpers import multi_parent_probe
+from helpers import cli_env, multi_parent_probe
 
 ENGLISH = "Would you tell me the way to Kennedy Park?"
 KOREAN = "ce-eykey ken-ney-ti kong-wen kanun kil-ul allyecwu-si-keyssupnikka?"
@@ -16,6 +16,7 @@ KOREAN = "ce-eykey ken-ney-ti kong-wen kanun kil-ul allyecwu-si-keyssupnikka?"
 def run_cli(args, stdin=""):
     proc = subprocess.run(
         [sys.executable, "-m", "markermt", *args],
+        env=cli_env(),
         input=stdin,
         capture_output=True,
         text=True,

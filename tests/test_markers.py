@@ -1,6 +1,9 @@
 import copy
+import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markermt.markers import (
     AA,
@@ -8,11 +11,7 @@ from markermt.markers import (
     GA,
     GP,
     MAX_INSTANCES,
-    Fill,
     MarkerState,
-    fixed_frontier,
-    initial_slots,
-    satisfied,
 )
 from markermt.network import (
     ConceptNode,
@@ -74,14 +73,15 @@ def test_initial_prediction_omissible_lookahead():
 
 def test_initial_slots_transitive_omissible_run():
     net = mini_net("b(OX) c(OX) a(CX) d(CX)")
-    assert initial_slots(net, net.sequences["test"]) == [0, 1, 2]
+    plan = net.plans[("ko", "en")]
+    assert sorted(i for cs_id, i in plan.predicted_slots if cs_id == "test") == [0, 1, 2]
 
 
 def test_fixed_frontier_stops_at_required():
     net = mini_net("b(OX) a(CX) c(OX) d(CX)")
-    cs = net.sequences["test"]
-    assert fixed_frontier(cs.elements, 0, [None] * 4) == [0, 1]
-    assert fixed_frontier(cs.elements, 2, [None] * 4) == [2, 3]
+    frontier = net.layouts["test"].frontier
+    assert frontier[0] == (0, 1)
+    assert frontier[2] == (2, 3)
 
 
 def test_single_element_accepts_in_one_step():
@@ -168,11 +168,65 @@ def test_activation_with_no_prediction_is_not_fatal(net):
 
 def test_satisfied_requires_required_fills():
     net = mini_net("a(CX) b(CF) c(OX)")
-    cs = net.sequences["test"]
-    lex = Fill(kind="lex", start=0, end=1, item="k-a", concept="a")
-    assert not satisfied(cs, (lex, None, None))        # CF unfilled
-    assert satisfied(cs, (lex, lex, None))             # OX implicitly omitted
-    assert satisfied(cs, (lex, lex, lex))
+    required = net.layouts["test"].required
+
+    def satisfied(filled):
+        return filled & required == required
+
+    assert not satisfied(0b001)  # CF unfilled
+    assert satisfied(0b011)      # OX implicitly omitted
+    assert satisfied(0b111)
+
+
+ELEMENT_TYPES = {"CX": (False, False), "CF": (False, True), "OX": (True, False), "OF": (True, True)}
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from(sorted(ELEMENT_TYPES)), min_size=1, max_size=8))
+def test_layout_reads_the_element_types(etypes):
+    # the plain reading: (omissible, free) per code, then a left-to-right scan
+    if all(ELEMENT_TYPES[t][0] for t in etypes):
+        etypes = ["CX"] + etypes[1:]  # a sequence must not accept the empty string
+    net = mini_net(" ".join(f"{'abcde'[i % 5]}({t})" for i, t in enumerate(etypes)))
+    layout = net.layouts["test"]
+    omissible = [ELEMENT_TYPES[t][0] for t in etypes]
+    free = [ELEMENT_TYPES[t][1] for t in etypes]
+    assert layout.free == tuple(i for i in range(len(etypes)) if free[i])
+    assert layout.required == sum(2**i for i in range(len(etypes)) if not omissible[i])
+    assert len(layout.frontier) == len(etypes) + 1
+    for cursor in range(len(etypes) + 1):
+        expected = []
+        for i in range(cursor, len(etypes)):
+            if free[i]:
+                continue
+            expected.append(i)
+            if not omissible[i]:
+                break
+        assert layout.frontier[cursor] == tuple(expected), cursor
+
+
+def test_layouts_are_read_only_and_shared_per_signature():
+    net = mini_net(
+        "a(CX) b(CF) c(OX)",
+        extra="\n".join(
+            [
+                "cs same ko of top pair mirror : c(CX) d(CF) e(OX)",
+                "cs twin ko of top pair mirror : a(CX) b(CF) b(CF)",
+                "cs other ko of top pair mirror : a(CX) b(CF) c(CF)",
+            ]
+        ),
+    )
+    layouts = net.layouts
+    with pytest.raises(TypeError):
+        layouts["test"] = layouts["same"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layouts["test"].required = 0
+    # equal element types and twins: one object; equal types but different
+    # twins: two
+    assert layouts["test"] is layouts["same"]
+    assert layouts["twin"].twins == (None, None, 1)
+    assert layouts["twin"] is not layouts["other"]
+    assert layouts["twin"].frontier == layouts["other"].frontier
 
 
 def _legal_site(kind, site) -> bool:
@@ -207,7 +261,7 @@ def test_agenda_quiescent_between_tokens(net):
     for i, word in enumerate(["you", "edited"]):
         items = []
         for seq in net.morphology.segment("en", word):
-            items.extend(sorted(lookup_lexical(net, "en", seq.forms)))
+            items.extend(lookup_lexical(net, "en", seq.forms))
         state.activate(items, i, literal=(word if word in net.literals["en"] else None))
         state.step_collisions()
         assert not state.agenda
@@ -334,7 +388,7 @@ def test_identical_free_elements_fill_in_index_order(k):
 
 def test_twin_slots_are_predicted_but_start_no_instance():
     net = mini_net('a(CF) b(CX) a(CF) a(OF) "q0"(CF) "q0"(CF)')
-    assert net.twins["test"] == (None, None, 0, None, None, 4)
+    assert net.layouts["test"].twins == (None, None, 0, None, None, 4)
     plan = net.plans[("ko", "en")]
     assert {("test", i) for i in range(6) if i != 1} <= plan.predicted_slots
     assert plan.starts_by_concept["a"] == (("test", 0), ("test", 3))

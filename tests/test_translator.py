@@ -32,6 +32,31 @@ def test_direction_parsing():
             parse_direction(bad)
 
 
+def test_readings_are_taken_in_declaration_order():
+    # both readings of "w" fill s's one element; the chart keeps the first,
+    # so the output follows the declaration order, not the item ids
+    net = load_network(
+        "\n".join(
+            [
+                "concept x",
+                "concept p isa x",
+                "concept q isa x",
+                "concept top sentence-type statement",
+                "lex z-q ko w isa q",
+                "lex a-p ko w isa p",
+                "lex e-p en vp isa p",
+                "lex e-q en vq isa q",
+                "cs s ko of top pair t : x(CX)",
+                "cs t en of top pair s : x(CX)",
+            ]
+        )
+    )
+    assert translate(net, "w", "ko-en").target_sentence == "Vq."
+    state = run_engine(net, ["w"])
+    assert state.best_result(1).fills[0].item == "z-q"
+    state.close()
+
+
 def test_forward_translation(net):
     result = translate(net, ENGLISH, "en-ko")
     assert result.ok
