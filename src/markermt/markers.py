@@ -40,7 +40,11 @@ the ``predict`` events all of that produces.  A session attaches the shared
 plan instead of recomputing it; its :class:`MarkerSet` answers for the
 plan's markers without copying them and records only the markers the
 session places itself, so a session's cost grows with its sentence, not
-with the network.
+with the network.  The trace is kept the same way: a session holds the
+plan's ``predict`` events by reference and records its own events as plain
+tuples; :func:`build_trace` makes :class:`TraceEvent` objects of the two
+only when the trace is read, so a caller that never reads it pays only for
+recording.
 """
 
 from __future__ import annotations
@@ -70,6 +74,13 @@ class TraceEvent:
 
     def line(self) -> str:
         return f"{self.event} {self.marker or '-'} {self.location} {self.binding or '-'} tok={self.token}"
+
+
+def build_trace(prefix: tuple[TraceEvent, ...], events) -> tuple[TraceEvent, ...]:
+    """The trace of a session: the plan's ``predict`` events, then the
+    session's own ``(event, marker, location, binding, token)`` tuples as
+    :class:`TraceEvent` objects."""
+    return prefix + tuple(TraceEvent(*event) for event in events)
 
 
 @dataclass(frozen=True)
@@ -291,7 +302,9 @@ class MarkerState:
 
     A session handles one sentence in one direction.  Sessions over the same
     network are independent; ``close`` empties the state so nothing leaks
-    into the next sentence.
+    into the next sentence.  The trace outlives ``close``: ``prefix`` is
+    the plan's, ``events`` holds the session's own events as tuples, and
+    :attr:`trace` builds the :class:`TraceEvent` objects of both when read.
     """
 
     def __init__(self, net: MemoryNetwork, source: str, target: str):
@@ -302,7 +315,8 @@ class MarkerState:
         self.markers = MarkerSet()
         self.instances: list[CsInstance] = []
         self.agenda: deque = deque()
-        self.trace: list[TraceEvent] = []
+        self.prefix: tuple[TraceEvent, ...] = ()
+        self.events: list[tuple] = []
         self.token_index = -1
         self._by_end: dict[int, list[int]] = {}
         # chart keys (see _fill), and (cs, start, end) of each passive a
@@ -314,9 +328,11 @@ class MarkerState:
     # -- bookkeeping -------------------------------------------------------
 
     def emit(self, event, marker, location, binding=None):
-        self.trace.append(
-            TraceEvent(event=event, marker=marker, location=location, binding=binding, token=self.token_index)
-        )
+        self.events.append((event, marker, location, binding, self.token_index))
+
+    @property
+    def trace(self) -> tuple[TraceEvent, ...]:
+        return build_trace(self.prefix, self.events)
 
     def _place(self, kind, location, binding=None) -> bool:
         """Set a marker bit; returns False if it was already present."""
@@ -333,9 +349,9 @@ class MarkerState:
     def initial_prediction(self):
         """Attach the direction's compiled plan (see :func:`compile_plan`):
         its markers join this session's and its ``predict`` events open the
-        trace."""
+        trace, kept by reference, not copied."""
         self.markers.attach(self.plan)
-        self.trace.extend(self.plan.prefix)
+        self.prefix = self.plan.prefix
 
     def _predict_lexical(self, element):
         if element.is_literal:
@@ -387,13 +403,14 @@ class MarkerState:
 
     def _process_lexical(self, item_id, span):
         item = self.net.lexicon[item_id]
+        binding = f"tok{span}"
         if (AP, ("lex", item_id), None) in self.markers:
-            self.emit("collide", AA, f"lex:{item_id}", f"tok{span}")
+            self.emit("collide", AA, f"lex:{item_id}", binding)
         # AA climbs the hierarchy; GA lands on the paired target items
-        self._place(AA, ("cn", item.concept), f"tok{span}")
+        self._place(AA, ("cn", item.concept), binding)
         for tgt_item in self.net.items_of_concept(self.target, item.concept):
-            if self._place(GA, ("lex", tgt_item), f"tok{span}"):
-                self.emit("activate", GA, f"lex:{tgt_item}", f"tok{span}")
+            if self._place(GA, ("lex", tgt_item), binding):
+                self.emit("activate", GA, f"lex:{tgt_item}", binding)
         fill = Fill(kind="lex", start=span, end=span + 1, item=item_id, concept=item.concept)
         self._match_passive(concept=item.concept, literal=None, start=span, end=span + 1, fill=fill)
 
@@ -501,8 +518,9 @@ class MarkerState:
 
         loc = ("icse", candidate.id, idx)
         self._place(AP, loc)
-        self._place(AA, loc, fill.binding())
-        self.emit("collide", AA, self._loc_str(loc), fill.binding())
+        binding = fill.binding()
+        self._place(AA, loc, binding)
+        self.emit("collide", AA, self._loc_str(loc), binding)
         for k in withdrawn:
             self.emit("withdraw", AP, self._loc_str(("icse", candidate.id, k)))
         predicted = layout.frontier[cursor]

@@ -8,9 +8,9 @@ profiles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from markermt.markers import GA, GP, OMITTED, CsInstance, MarkerState, TooAmbiguous
+from markermt.markers import GA, GP, OMITTED, CsInstance, MarkerState, TooAmbiguous, TraceEvent, build_trace
 from markermt.morphology import MorphologyError, tokenize
 from markermt.network import ElementType, LANGUAGES, MemoryNetwork, lookup_lexical
 
@@ -57,18 +57,34 @@ class TreeNode:
 
 @dataclass
 class TranslationResult:
+    """What :func:`translate` returns.
+
+    ``trace`` is the session's event stream: the plan's ``predict`` events
+    (``_prefix``, shared, not copied), then the session's own event tuples
+    (``_events``).  Its :class:`TraceEvent` objects are built when it is
+    first read and kept, so a caller that never reads it never builds them.
+    """
+
     status: str
     direction: str
     source_sentence: str
     target_sentence: str = ""
     concept_tree: TreeNode | None = None
-    trace: tuple = ()
     error_position: int | None = None  # 1-based token index for unknown-word
     debug_state: MarkerState | None = None
+    _prefix: tuple[TraceEvent, ...] = field(default=(), repr=False)
+    _events: list[tuple] = field(default_factory=list, repr=False)
+    _trace: tuple[TraceEvent, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.status == SUCCESS
+
+    @property
+    def trace(self) -> tuple[TraceEvent, ...]:
+        if self._trace is None:
+            self._trace = build_trace(self._prefix, self._events)
+        return self._trace
 
 
 class GenerationGap(Exception):
@@ -129,7 +145,7 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
                 result.target_sentence = text
                 result.concept_tree = tree
     finally:
-        result.trace = tuple(state.trace)
+        result._prefix, result._events = state.prefix, state.events
         state.close()
         if keep_state:
             result.debug_state = state
@@ -161,17 +177,30 @@ def trees_isomorphic(a: TreeNode | None, b: TreeNode | None) -> bool:
     default generation still round-trips as isomorphic."""
     if a is None or b is None:
         return a is b
-    return _node_sig(a) == _node_sig(b)
+    classes: dict[tuple, int] = {}
+    return _node_sig(a, classes) == _node_sig(b, classes)
 
 
-def _node_sig(node: TreeNode):
-    fills = []
-    for f in node.fills:
-        if f.kind in ("lex", "default"):
-            fills.append((f.filler, "lex", f.item_concept))
-        elif f.kind == "sub":
-            fills.append((f.filler, "sub", _node_sig(f.child)))
-    return (node.concept, frozenset((node.source_cs, node.target_cs)), tuple(sorted(fills, key=repr)))
+def _node_sig(root: TreeNode, classes: dict[tuple, int]) -> int:
+    """The isomorphism class of ``root``: the number ``classes`` gives its
+    signature (concept, sequence pair, sorted filled content), in which a
+    sub-instance stands for its own class.  Children are numbered before
+    their parent, from a list of the nodes, so nesting depth costs no
+    recursion."""
+    nodes = [root]
+    for node in nodes:  # the list grows as it is read: children after parents
+        nodes += [f.child for f in node.fills if f.kind == "sub"]
+    number: dict[int, int] = {}  # id of a node -> its class
+    for node in reversed(nodes):
+        fills = []
+        for f in node.fills:
+            if f.kind in ("lex", "default"):
+                fills.append((f.filler, "lex", f.item_concept))
+            elif f.kind == "sub":
+                fills.append((f.filler, "sub", number[id(f.child)]))
+        sig = (node.concept, frozenset((node.source_cs, node.target_cs)), tuple(sorted(fills, key=repr)))
+        number[id(node)] = classes.setdefault(sig, len(classes))
+    return number[id(root)]
 
 
 def _realize(net, state: MarkerState, winner: CsInstance, target_lang: str):
@@ -196,10 +225,30 @@ def _profile(language):
     return PROFILES[language]
 
 
-def _walk(net, state, inst: CsInstance, target_lang, words) -> TreeNode:
+def _walk(net, state, root: CsInstance, target_lang, words) -> TreeNode:
+    """Realize the tree of ``root`` depth first from an explicit stack of
+    :func:`_walk_instance` generators, so nesting depth costs no recursion:
+    each generator yields the sub-instance it needs and is sent its node."""
+    stack = [_walk_instance(net, state, root, target_lang, words)]
+    node = None
+    while True:
+        try:
+            sub = stack[-1].send(node)
+        except StopIteration as done:
+            stack.pop()
+            node = done.value
+            if not stack:
+                return node
+        else:
+            stack.append(_walk_instance(net, state, sub, target_lang, words))
+            node = None
+
+
+def _walk_instance(net, state, inst: CsInstance, target_lang, words):
     """Emit the paired target sequence of one accepted instance, in the
     target's declared element order, each element from the source fill that
-    ``net.counterparts`` assigns it, else from its default."""
+    ``net.counterparts`` assigns it, else from its default; yields each
+    sub-instance to realize in place and returns the instance's node."""
     morph = net.morphology
     source_cs = net.sequences[inst.cs]
     target_cs = net.sequences[source_cs.paired]
@@ -219,7 +268,7 @@ def _walk(net, state, inst: CsInstance, target_lang, words) -> TreeNode:
         fill = None if j is None else inst.fills[j]
         if fill is not None and fill is not OMITTED:
             if fill.kind == "sub":
-                children[j] = _walk(net, state, state.instances[fill.sub], target_lang, words)
+                children[j] = yield state.instances[fill.sub]
             else:
                 words.append(_emit_item(net, morph, target_lang, fill.concept, el, target_cs))
             if not mirrored:

@@ -1,14 +1,16 @@
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
+import markermt.cli
 import markermt.markers
 import markermt.translator
 from markermt.morphology import tokenize
 from markermt.network import load_network, lookup_lexical, validate_network
 from markermt.oracle import recognize_oracle
-from markermt.synth import synth_network
+from markermt.synth import parse_samples, synth_network
 from markermt.translator import (
     parse_direction,
     reverse_direction,
@@ -17,7 +19,7 @@ from markermt.translator import (
     trees_isomorphic,
 )
 
-from conftest import TRAVEL_CORPUS
+from conftest import TRAVEL_CORPUS, TRAVEL_NET
 from helpers import run_engine
 
 ENGLISH = "Would you tell me the way to Kennedy Park?"
@@ -321,3 +323,81 @@ def test_travel_traces_match_golden_file(net):
     for i, (a, b) in enumerate(zip(got, expected), start=1):
         assert a == b, f"line {i}"
     assert len(got) == len(expected)
+
+
+def _count_trace_events(monkeypatch) -> list:
+    """Put a counting ``TraceEvent`` into the engine: the returned list
+    grows by one per event object built from then on."""
+    built = []
+    real = markermt.markers.TraceEvent
+
+    def counting(*fields):
+        built.append(fields)
+        return real(*fields)
+
+    monkeypatch.setattr(markermt.markers, "TraceEvent", counting)
+    return built
+
+
+def test_trace_is_built_when_first_read(monkeypatch):
+    text = synth_network(1000, 200, 1)
+    net = load_network(text)
+    direction, sentence = parse_samples(text)[0]
+    built = _count_trace_events(monkeypatch)
+    result = translate(net, sentence, direction, keep_state=True)
+    assert result.ok
+    assert built == []
+    trace = result.trace
+    prefix = net.plans[parse_direction(direction)].prefix
+    assert result.debug_state.prefix is prefix  # shared, not copied
+    events = result.debug_state.events
+    assert len(built) == len(events) > 0
+    assert trace[: len(prefix)] == prefix
+    assert [(e.event, e.marker, e.location, e.binding, e.token) for e in trace[len(prefix):]] == events
+    assert result.trace is trace
+
+
+@pytest.mark.parametrize(
+    "sentence",
+    [ENGLISH, "the way xqz", "way the you would"],
+    ids=["success", "unknown-word", "no-parse"],
+)
+def test_closed_session_keeps_the_result_trace(net, sentence):
+    result = translate(net, sentence, "en-ko", keep_state=True)
+    assert result.debug_state.is_empty()
+    assert result.debug_state.events
+    assert result.trace == result.debug_state.trace
+
+
+def test_corpus_builds_no_trace_events(net, monkeypatch, capsys):
+    monkeypatch.setattr(markermt.cli, "load_network", lambda text: net)
+    built = _count_trace_events(monkeypatch)
+    args = argparse.Namespace(network=str(TRAVEL_NET), corpus=str(TRAVEL_CORPUS))
+    assert markermt.cli.cmd_corpus(args) == 0
+    assert capsys.readouterr().out.endswith(" passed, 0 failed\n")
+    assert built == []
+
+
+@pytest.mark.parametrize("depth", [1200, 3000])
+def test_deep_nesting_translates(depth):
+    # c_i owns ko k_i and en e_i, both c_{i-1}(CX), top sequences first, so
+    # the tree of "w0" nests depth instances
+    lines = ["concept c0", "lex k-c0 ko w0 isa c0", "lex e-c0 en v0 isa c0"]
+    lines += [f"concept c{i}" for i in range(1, depth + 1)]
+    for i in range(depth, 0, -1):
+        lines += [
+            f"cs k{i} ko of c{i} pair e{i} : c{i - 1}(CX)",
+            f"cs e{i} en of c{i} pair k{i} : c{i - 1}(CX)",
+        ]
+    net = load_network("\n".join(lines))
+    assert validate_network(net) == []
+    result = translate(net, "w0", "ko-en")
+    assert (result.status, result.target_sentence) == ("success", "V0")
+    node = result.concept_tree
+    for i in range(depth, 0, -1):
+        assert (node.concept, node.source_cs) == (f"c{i}", f"k{i}")
+        node, leaf = node.fills[0].child, node.fills[0]
+    assert node is None and leaf.item == "k-c0"
+    tree = result.concept_tree
+    assert trees_isomorphic(tree, tree)
+    assert not trees_isomorphic(tree, tree.fills[0].child)
