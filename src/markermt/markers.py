@@ -45,12 +45,17 @@ plan's ``predict`` events by reference and records its own events as plain
 tuples; :func:`build_trace` makes :class:`TraceEvent` objects of the two
 only when the trace is read, so a caller that never reads it pays only for
 recording.
+
+The records :class:`CsInstance`, :class:`Fill` and :class:`TraceEvent` are
+named tuples: immutable and cheap to build, as a sentence derives one
+instance per collision.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from markermt.network import MemoryNetwork
 
@@ -64,8 +69,7 @@ GA = "GA"  # generation activation
 MAX_INSTANCES = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     event: str
     marker: str | None
     location: str
@@ -83,8 +87,7 @@ def build_trace(prefix: tuple[TraceEvent, ...], events) -> tuple[TraceEvent, ...
     return prefix + tuple(TraceEvent(*event) for event in events)
 
 
-@dataclass(frozen=True)
-class Fill:
+class Fill(NamedTuple):
     """What one sequence element consumed: a lexical reading, a literal
     word, an accepted sub-instance, or nothing (omitted)."""
 
@@ -112,8 +115,7 @@ class TooAmbiguous(Exception):
     """The sentence needs more than ``MAX_INSTANCES`` chart instances."""
 
 
-@dataclass(frozen=True)
-class CsInstance:
+class CsInstance(NamedTuple):
     id: int
     cs: str
     start: int
@@ -124,16 +126,6 @@ class CsInstance:
     status: str  # active | accepted
     parent: int | None
     target_cursor: int  # paired target element the generation mirror waits at
-
-
-def _label(location) -> str:
-    """Trace form of a marker location on the network itself."""
-    site = location[0]
-    if site in ("cse", "tcse"):
-        return f"cs:{location[1]}#{location[2]}"
-    if site in ("lex", "lit", "cn"):
-        return f"{site}:{location[1]}"
-    return str(location)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +172,7 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
                 slot = (cs.id, idx)
                 el = cs.elements[idx]
                 predicted.append(slot)
-                prefix.append(TraceEvent("predict", AP, _label(("cse",) + slot), None, -1))
+                prefix.append(TraceEvent("predict", AP, f"cs:{cs.id}#{idx}", None, -1))
                 if el.is_literal:
                     starts = by_literal.setdefault(el.literal, [])
                 else:
@@ -193,7 +185,7 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
                     starts.append(slot)
         elif cs.language == target:
             heads.append(cs.id)
-            prefix.append(TraceEvent("predict", GP, _label(("tcse", cs.id, 0)), None, -1))
+            prefix.append(TraceEvent("predict", GP, f"cs:{cs.id}#0", None, -1))
     unpredicted: dict[str, tuple[str, ...]] = {}
     for cs in net.sequences.values():
         if cs.language != source:
@@ -234,7 +226,9 @@ class MarkerSet:
 
     The keys of an attached :class:`DirectionPlan` count as members without
     being copied; :meth:`add` records the rest.  The two parts never
-    overlap, so the length is the sum of theirs.
+    overlap, so the length is the sum of theirs.  A key the plan cannot
+    hold (one with a binding, or on an instance element) may go straight
+    into ``_own``.
     """
 
     __slots__ = ("_plan", "_own")
@@ -338,12 +332,6 @@ class MarkerState:
         """Set a marker bit; returns False if it was already present."""
         return self.markers.add((kind, location, binding))
 
-    def _loc_str(self, location) -> str:
-        if location[0] == "icse":
-            inst = self.instances[location[1]]
-            return f"inst:{location[1]}@{inst.cs}#{location[2]}"
-        return _label(location)
-
     # -- the three phases ----------------------------------------------------
 
     def initial_prediction(self):
@@ -425,18 +413,20 @@ class MarkerState:
         if key in self._keys:
             return
         self._keys.add(key)
-        for anc in self.net.ancestors[cs.owner]:
-            self._place(AA, ("cn", anc), f"inst:{inst_id}")
+        binding = f"inst:{inst_id}"
+        self.markers._own.update((AA, ("cn", anc), binding) for anc in self.net.ancestors[cs.owner])
         fill = Fill(kind="sub", start=inst.start, end=inst.end, concept=cs.owner, sub=inst_id)
         self._match_passive(concept=cs.owner, literal=None, start=inst.start, end=inst.end, fill=fill)
 
     def _match_passive(self, concept, literal, start, end, fill):
         # extend live instances whose span ends where this passive begins
+        above = self.net.ancestors[concept] if concept is not None else ()
         for inst_id in list(self._by_end.get(start, ())):
             inst = self.instances[inst_id]
             cs = self.net.sequences[inst.cs]
             for idx in self._eligible_slots(inst, cs):
-                if self._slot_matches(cs.elements[idx], concept, literal):
+                el = cs.elements[idx]
+                if el.literal == literal if el.is_literal else el.concept in above:
                     self._fill(inst, cs, idx, fill, end)
         # start new instances from the standing initial predictions
         if literal is not None:
@@ -449,19 +439,14 @@ class MarkerState:
 
     def _eligible_slots(self, inst, cs):
         layout = self.net.layouts[cs.id]
+        if not layout.free:
+            return layout.frontier[inst.cursor]
         twins, filled = layout.twins, inst.filled
         free = [  # a twin waits for the one before it
             i for i in layout.free
             if not filled >> i & 1 and (twins[i] is None or filled >> twins[i] & 1)
         ]
         return sorted(layout.frontier[inst.cursor] + tuple(free))
-
-    def _slot_matches(self, element, concept, literal) -> bool:
-        if element.is_literal:
-            return literal is not None and element.literal == literal
-        if concept is None:
-            return False
-        return element.concept in self.net.ancestors[concept]
 
     def _fill(self, inst, cs, idx, fill, end, start=None):
         """Derive the instance that results from filling element ``idx``,
@@ -499,43 +484,47 @@ class MarkerState:
             fills[k] = OMITTED
         fills[idx] = fill
 
+        new_id = len(self.instances)
+        fills = tuple(fills)
         accepted = filled & layout.required == layout.required
-        candidate = CsInstance(
-            id=len(self.instances),
+        target_cursor = self._mirror_reach(cs, filled, mirrored)
+        self.instances.append(CsInstance(
+            id=new_id,
             cs=cs.id,
             start=begin,
             end=end,
-            fills=tuple(fills),
+            fills=fills,
             cursor=cursor,
             filled=filled,
             status="accepted" if accepted else "active",
             parent=parent,
-            target_cursor=self._mirror_reach(cs, filled, mirrored),
-        )
-        self.instances.append(candidate)
-        self._by_end.setdefault(end, []).append(candidate.id)
+            target_cursor=target_cursor,
+        ))
+        self._by_end.setdefault(end, []).append(new_id)
         self._fills_this_token += 1
 
-        loc = ("icse", candidate.id, idx)
-        self._place(AP, loc)
+        # icse keys are never in the plan, and the instance is new, so none
+        # of its element markers is set yet
+        own = self.markers._own
         binding = fill.binding()
-        self._place(AA, loc, binding)
-        self.emit("collide", AA, self._loc_str(loc), binding)
+        own.add((AP, ("icse", new_id, idx), None))
+        own.add((AA, ("icse", new_id, idx), binding))
+        self.emit("collide", AA, f"inst:{new_id}@{cs.id}#{idx}", binding)
         for k in withdrawn:
-            self.emit("withdraw", AP, self._loc_str(("icse", candidate.id, k)))
+            self.emit("withdraw", AP, f"inst:{new_id}@{cs.id}#{k}")
         predicted = layout.frontier[cursor]
         if parent is None:  # free elements stay predicted until filled
             predicted = sorted(predicted + tuple(i for i in layout.free if i != idx))
         for nxt in predicted:
-            nloc = ("icse", candidate.id, nxt)
-            self._place(AP, nloc)  # always new: the instance is new and nxt != idx
-            self.emit("predict", AP, self._loc_str(nloc))
+            own.add((AP, ("icse", new_id, nxt), None))
+            self.emit("predict", AP, f"inst:{new_id}@{cs.id}#{nxt}")
             self._predict_lexical(cs.elements[nxt])
 
-        self._mirror(cs, candidate.fills, mirrored, candidate.target_cursor)
+        if target_cursor != mirrored:
+            self._mirror(cs, fills, mirrored, target_cursor)
         if accepted:
-            self.emit("accept", AA, f"cn:{cs.owner}", f"inst:{candidate.id}")
-            self.agenda.append(("sub", candidate.id))
+            self.emit("accept", AA, f"cn:{cs.owner}", f"inst:{new_id}")
+            self.agenda.append(("sub", new_id))
 
     # -- generation mirroring --------------------------------------------------
 
@@ -561,7 +550,7 @@ class MarkerState:
         elements = self.net.sequences[tcs_id].elements
         supply = self.net.counterparts[cs.id]
         for k in range(begin, end):
-            loc = self._loc_str(("tcse", tcs_id, k))
+            loc = f"cs:{tcs_id}#{k}"
             if elements[k].is_literal:
                 self.emit("generate", GP, loc)
                 continue

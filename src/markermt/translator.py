@@ -184,12 +184,12 @@ def trees_isomorphic(a: TreeNode | None, b: TreeNode | None) -> bool:
 def _node_sig(root: TreeNode, classes: dict[tuple, int]) -> int:
     """The isomorphism class of ``root``: the number ``classes`` gives its
     signature (concept, sequence pair, sorted filled content), in which a
-    sub-instance stands for its own class.  Children are numbered before
-    their parent, from a list of the nodes, so nesting depth costs no
-    recursion."""
+    sub-instance stands for its own class (None when it supplies no target
+    element, so it was never realized).  Children are numbered before their
+    parent, from a list of the nodes, so nesting depth costs no recursion."""
     nodes = [root]
     for node in nodes:  # the list grows as it is read: children after parents
-        nodes += [f.child for f in node.fills if f.kind == "sub"]
+        nodes += [f.child for f in node.fills if f.child is not None]
     number: dict[int, int] = {}  # id of a node -> its class
     for node in reversed(nodes):
         fills = []
@@ -197,7 +197,7 @@ def _node_sig(root: TreeNode, classes: dict[tuple, int]) -> int:
             if f.kind in ("lex", "default"):
                 fills.append((f.filler, "lex", f.item_concept))
             elif f.kind == "sub":
-                fills.append((f.filler, "sub", number[id(f.child)]))
+                fills.append((f.filler, "sub", None if f.child is None else number[id(f.child)]))
         sig = (node.concept, frozenset((node.source_cs, node.target_cs)), tuple(sorted(fills, key=repr)))
         number[id(node)] = classes.setdefault(sig, len(classes))
     return number[id(root)]

@@ -11,7 +11,11 @@ from markermt.markers import (
     GA,
     GP,
     MAX_INSTANCES,
+    OMITTED,
+    CsInstance,
+    Fill,
     MarkerState,
+    TraceEvent,
 )
 from markermt.network import (
     ConceptNode,
@@ -253,6 +257,44 @@ def test_markers_sit_on_legal_sites(net):
         assert not illegal, (sentence, illegal[:3])
         assert any(key[0] == GP and key[1][0] == "tcse" for key in state.markers)
         state.close()
+
+
+def test_session_markers_never_overlap_the_plan(net):
+    """The engine records bound and instance-element keys without asking
+    the plan, which holds neither, so no recorded key is also a plan key,
+    and every instance-element key names a real element of its instance."""
+    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+    rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
+    runs = [(net, direction.split("-"), sentence) for direction, sentence, _ in rows]
+    runs.append((load_network(multi_parent_probe(5)), ("ko", "en"), "wl wl wl wl wl"))
+    for network, (source, target), sentence in runs:
+        words = tokenize(source, sentence).words
+        state = run_engine(network, words, source, target)
+        markers = state.markers
+        assert not [key for key in markers._own if markers._in_plan(key)], words
+        keys = list(markers)
+        assert len(keys) == len(set(keys)) == len(markers)
+        icse = [loc for _, loc, _ in keys if loc[0] == "icse"]
+        assert icse
+        for _, inst_id, idx in icse:
+            assert 0 <= inst_id < len(state.instances)
+            assert 0 <= idx < len(network.sequences[state.instances[inst_id].cs].elements)
+        state.close()
+
+
+def test_chart_records_are_immutable_and_keep_their_formats():
+    fill = Fill(kind="lex", start=2, end=3, item="k-a", concept="a")
+    inst = CsInstance(0, "test", 0, 1, (fill,), 1, 1, "accepted", None, 1)
+    event = TraceEvent("collide", AA, "inst:0@test#0", fill.binding(), 2)
+    for record, field in ((fill, "kind"), (inst, "status"), (event, "token")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert event.line() == "collide AA inst:0@test#0 item:k-a@2 tok=2"
+    assert TraceEvent("dead", None, "tok:4", None, 4).line() == "dead - tok:4 - tok=4"
+    assert [f.binding() for f in (fill, Fill("lit", 5, 6), Fill("sub", 0, 3, sub=7), OMITTED)] == [
+        "item:k-a@2", "tok5", "inst:7", None,
+    ]
+    assert OMITTED == Fill(kind="omitted", start=-1, end=-1, item=None, concept=None, sub=None)
 
 
 def test_agenda_quiescent_between_tokens(net):

@@ -401,3 +401,24 @@ def test_deep_nesting_translates(depth):
     tree = result.concept_tree
     assert trees_isomorphic(tree, tree)
     assert not trees_isomorphic(tree, tree.fills[0].child)
+
+
+def test_unrealized_sub_instance_does_not_break_isomorphism():
+    # n's sub-instance fills s1 but supplies no element of t1, so its fill
+    # has no child node (validate flags the network; translate still runs)
+    net = load_network("""
+concept a
+concept n
+concept top sentence-type statement
+lex ka ko wa isa a
+lex ea en va isa a
+cs s1 ko of top pair t1 : a(CX) n(CX)
+cs t1 en of top pair s1 : a(CX)
+cs sn ko of n pair tn : a(CX)
+cs tn en of n pair sn : a(CX)
+""")
+    result = translate(net, "wa wa", "ko-en")
+    assert (result.status, result.target_sentence) == ("success", "Va.")
+    tree = result.concept_tree
+    assert (tree.fills[1].kind, tree.fills[1].child) == ("sub", None)
+    assert trees_isomorphic(tree, tree)
