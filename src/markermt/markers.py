@@ -32,6 +32,17 @@ Even packed, such elements make O(2^k) states, so a sentence that needs more
 than ``MAX_INSTANCES`` instances stops with :class:`TooAmbiguous`.  All
 scheduling is FIFO, so identical input yields an identical trace.
 
+Prediction also filters where instances start (Earley's prediction step,
+compiled into a left-corner table as in Moore's left-corner chart parser).
+A result is taken only from instances anchored at the first token, so an
+instance that starts at a later token s matters only as the start of a
+constituent that some instance ending at s predicts, directly or through a
+chain of sequences each beginning with the one below.  The plan's
+``left_corner`` table says, per sequence owner, which predicted fillers
+such a chain can reach; a start after the first token is made only where
+an instance ending there predicts one of them.  Where no instance ends,
+nothing is filtered, so the fragments after a dead token are still built.
+
 Initial prediction depends only on the network and the direction, so it is
 compiled once per ordered language pair when the network is built
 (:func:`compile_plan`): the table of initially predicted source slots, the
@@ -64,8 +75,8 @@ AA = "AA"  # analysis activation
 GP = "GP"  # generation prediction
 GA = "GA"  # generation activation
 
-# instances one sentence may make: the most any bench sentence needs is 182,
-# and k distinct free elements one word fills need 2^k and more (k = 10: 6,133)
+# instances one sentence may make: the most any bench sentence needs is 40,
+# and k distinct free elements one word fills need 2^k - 1 (k = 12: 4,095)
 MAX_INSTANCES = 4096
 
 
@@ -144,10 +155,21 @@ class DirectionPlan:
     concept of every source element to its ``items_below`` that the plan
     does not already predict, in declaration order: all that predicting
     the element later can still add.
+
+    The left-corner table filters instance starts after the first token.
+    ``filler_bit`` gives the filler concept of every source element one
+    bit.  ``left_corner`` maps each source sequence owner to the mask of
+    the fillers under which an instance of one of its sequences may begin a
+    constituent: the fillers at or above the owner, and, closed over left
+    corners, the ``left_corner`` of the owner of each slot in its
+    ``starts_by_concept``.  Owners with the same filler ancestors share one
+    value.
     """
 
     slots_by_literal: dict[str, tuple[tuple[str, int], ...]]
     starts_by_concept: dict[str, tuple[tuple[str, int], ...]]
+    filler_bit: dict[str, int]
+    left_corner: dict[str, int]
     predicted_slots: frozenset[tuple[str, int]]
     predicted_items: frozenset[str]
     unpredicted_below: dict[str, tuple[str, ...]]
@@ -173,7 +195,7 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
                 el = cs.elements[idx]
                 predicted.append(slot)
                 prefix.append(TraceEvent("predict", AP, f"cs:{cs.id}#{idx}", None, -1))
-                if el.is_literal:
+                if el.literal is not None:
                     starts = by_literal.setdefault(el.literal, [])
                 else:
                     starts = by_filler.setdefault(el.concept, [])
@@ -191,7 +213,7 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
         if cs.language != source:
             continue
         for el in cs.elements:
-            if el.is_literal or el.concept in unpredicted:
+            if el.literal is not None or el.concept in unpredicted:
                 continue
             if el.concept in by_filler:  # the plan predicts all its items
                 unpredicted[el.concept] = ()
@@ -201,24 +223,84 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
     order = net.sequence_order
     merged: dict[frozenset[str], tuple[tuple[str, int], ...]] = {}
     by_concept: dict[str, tuple[tuple[str, int], ...]] = {}
+    owners = [cs.owner for cs in net.sequences.values() if cs.language == source]
     concepts = [it.concept for it in net.lexicon.values() if it.language == source]
-    concepts += [cs.owner for cs in net.sequences.values() if cs.language == source]
-    for concept in dict.fromkeys(concepts):
+    for concept in dict.fromkeys(concepts + owners):
         fillers = frozenset(by_filler.keys() & net.ancestors[concept])
         if fillers not in merged:
             slots = [slot for filler in fillers for slot in by_filler[filler]]
             merged[fillers] = tuple(sorted(slots, key=lambda s: (order[s[0]], s[1])))
         if merged[fillers]:
             by_concept[concept] = merged[fillers]
+    # left corners: one graph node per distinct filler-ancestor mask of an
+    # owner, with an edge to the mask of every owner its start slots begin;
+    # unpredicted has a key for the filler of every source element
+    filler_bit = {filler: 1 << i for i, filler in enumerate(unpredicted)}
+    mask_of = {
+        owner: sum(filler_bit[a] for a in net.ancestors[owner] if a in filler_bit)
+        for owner in dict.fromkeys(owners)
+    }
+    edges: dict[int, set[int]] = {}
+    for owner, mask in mask_of.items():
+        if mask not in edges:
+            starts = by_concept.get(owner, ())
+            edges[mask] = {mask_of[net.sequences[cs_id].owner] for cs_id, _ in starts}
+    closed = _reach_or(edges)
     return DirectionPlan(
         slots_by_literal={k: tuple(v) for k, v in by_literal.items()},
         starts_by_concept=by_concept,
+        filler_bit=filler_bit,
+        left_corner={owner: closed[mask] for owner, mask in mask_of.items()},
         predicted_slots=frozenset(predicted),
         predicted_items=frozenset(items),
         unpredicted_below=unpredicted,
         target_heads=frozenset(heads),
         prefix=tuple(prefix),
     )
+
+
+def _reach_or(edges: dict[int, set[int]]) -> dict[int, int]:
+    """For each mask node of ``edges``, the OR of every node reachable from
+    it, itself included.  One pass of Tarjan's strongly connected components
+    walk (iterative): the nodes of a component share one value, and a
+    component is closed only after every component it reaches."""
+    value: dict[int, int] = {}
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    for root in edges:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        walk = [(root, iter(edges[root]))]
+        while walk:
+            node, succs = walk[-1]
+            for nxt in succs:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    walk.append((nxt, iter(edges[nxt])))
+                    break
+                if nxt not in value:  # on the stack: same component
+                    low[node] = min(low[node], index[nxt])
+            else:
+                walk.pop()
+                if walk:
+                    parent = walk[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    members = [stack.pop()]
+                    while members[-1] != node:
+                        members.append(stack.pop())
+                    acc = 0
+                    for m in members:
+                        acc |= m
+                        for nxt in edges[m]:
+                            acc |= value.get(nxt, 0)
+                    for m in members:
+                        value[m] = acc
+    return value
 
 
 class MarkerSet:
@@ -318,6 +400,7 @@ class MarkerState:
         self._keys: set[tuple] = set()
         self._fills_this_token = 0
         self._dead_reported = False
+        self._predicted: dict[int, int | None] = {}  # see _predicted_at
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -342,7 +425,7 @@ class MarkerState:
         self.prefix = self.plan.prefix
 
     def _predict_lexical(self, element):
-        if element.is_literal:
+        if element.literal is not None:
             return
         for item_id in self.plan.unpredicted_below[element.concept]:
             if self._place(AP, ("lex", item_id)):
@@ -419,23 +502,50 @@ class MarkerState:
         self._match_passive(concept=cs.owner, literal=None, start=inst.start, end=inst.end, fill=fill)
 
     def _match_passive(self, concept, literal, start, end, fill):
-        # extend live instances whose span ends where this passive begins
+        # extend live instances whose span ends where this passive begins;
+        # the list cannot grow meanwhile, as every fill ends after ``start``
         above = self.net.ancestors[concept] if concept is not None else ()
-        for inst_id in list(self._by_end.get(start, ())):
+        for inst_id in self._by_end.get(start, ()):
             inst = self.instances[inst_id]
             cs = self.net.sequences[inst.cs]
             for idx in self._eligible_slots(inst, cs):
                 el = cs.elements[idx]
-                if el.literal == literal if el.is_literal else el.concept in above:
+                if el.literal == literal if el.literal is not None else el.concept in above:
                     self._fill(inst, cs, idx, fill, end)
-        # start new instances from the standing initial predictions
+        # start new instances from the standing initial predictions, after
+        # the first token only where an instance ending here predicts one
         if literal is not None:
             slots = self.plan.slots_by_literal.get(literal, ())
         else:
             slots = self.plan.starts_by_concept.get(concept, ())
+        pred = self._predicted_at(start)
+        left_corner = self.plan.left_corner
         for cs_id, idx in slots:
             cs = self.net.sequences[cs_id]
-            self._fill(None, cs, idx, fill, end, start=start)
+            if pred is None or left_corner[cs.owner] & pred:
+                self._fill(None, cs, idx, fill, end, start=start)
+
+    def _predicted_at(self, pos) -> int | None:
+        """The ``plan.filler_bit`` mask of the conceptual eligible slots of
+        the instances ending at ``pos``, or None where none ends, as at the
+        first token (nothing is filtered there).  Memoized: the first call
+        comes from a passive that starts at ``pos``, and by then no instance
+        ending there is still to come, as every fill spans at least one
+        token."""
+        if pos not in self._predicted:
+            pred = None
+            if pos in self._by_end:
+                pred = 0
+                filler_bit = self.plan.filler_bit
+                for inst_id in self._by_end[pos]:
+                    inst = self.instances[inst_id]
+                    cs = self.net.sequences[inst.cs]
+                    for idx in self._eligible_slots(inst, cs):
+                        el = cs.elements[idx]
+                        if el.literal is None:
+                            pred |= filler_bit[el.concept]
+            self._predicted[pos] = pred
+        return self._predicted[pos]
 
     def _eligible_slots(self, inst, cs):
         layout = self.net.layouts[cs.id]
@@ -536,7 +646,7 @@ class MarkerState:
         elements = self.net.sequences[cs.paired].elements
         supply = self.net.counterparts[cs.id]
         while cursor < len(elements):
-            if not elements[cursor].is_literal:
+            if elements[cursor].literal is None:
                 j = supply[cursor]
                 if j is None or not filled >> j & 1:
                     break
@@ -551,7 +661,7 @@ class MarkerState:
         supply = self.net.counterparts[cs.id]
         for k in range(begin, end):
             loc = f"cs:{tcs_id}#{k}"
-            if elements[k].is_literal:
+            if elements[k].literal is not None:
                 self.emit("generate", GP, loc)
                 continue
             self._place(GP, ("tcse", tcs_id, k))
@@ -581,6 +691,7 @@ class MarkerState:
         self.agenda.clear()
         self._by_end.clear()
         self._keys.clear()
+        self._predicted.clear()
 
     def is_empty(self) -> bool:
         return not self.markers and not self.instances and not self.agenda

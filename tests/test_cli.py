@@ -61,17 +61,17 @@ def test_translate_missing_network_exit_3(capsys):
 
 def test_translate_too_ambiguous_exit_4(tmp_path, capsys):
     probe = tmp_path / "probe.net"
-    probe.write_text(multi_parent_probe(10))
-    code = main(["translate", str(probe), " ".join(["wl"] * 10), "--dir", "ko-en"])
+    probe.write_text(multi_parent_probe(13))
+    code = main(["translate", str(probe), " ".join(["wl"] * 13), "--dir", "ko-en"])
     assert code == 4
     assert "too ambiguous" in capsys.readouterr().err
 
 
 def test_corpus_counts_too_ambiguous_as_failure(tmp_path, capsys):
     probe = tmp_path / "probe.net"
-    probe.write_text(multi_parent_probe(10))
+    probe.write_text(multi_parent_probe(13))
     corpus = tmp_path / "probe.corpus"
-    corpus.write_text("ko-en\t" + " ".join(["wl"] * 10) + "\t*\n")
+    corpus.write_text("ko-en\t" + " ".join(["wl"] * 13) + "\t*\n")
     code = main(["corpus", str(probe), str(corpus)])
     out = capsys.readouterr().out
     assert code == 1

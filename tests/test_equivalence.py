@@ -6,6 +6,7 @@ fast seeded sample plus an exhaustive sweep over small tricky shapes.
 
 import itertools
 import random
+import time
 
 from markermt.network import ElementType
 from markermt.oracle import recognize_oracle
@@ -120,3 +121,79 @@ def test_random_shapes_with_repeated_free_fillers_agree():
             want = recognize_oracle(net, cs, tokens)
             got = engine_accepts(net, "test", tokens)
             assert want == got, f"{shape} on {tokens}: oracle={want} engine={got}"
+
+
+def _nested_case(rng: random.Random):
+    """A network whose ``test`` reaches sequences two or three levels down,
+    and the ko shape of each of its sequences by owner.  ``sd`` (owner d)
+    opens with an element filled by e, which owns ``se``; at depth 3 ``se``
+    opens with c, which owns ``sc``.  Element types are random, so three
+    opening elements in four are omissible or free, and an instance of a
+    deeper sequence can start wherever its owner is a left corner of what
+    is predicted."""
+
+    def shape(first, fillers, size):
+        elements = [first] + [rng.choice(fillers) for _ in range(size)]
+        elements = [(filler, rng.choice(ElementType.ALL)) for filler in elements]
+        if all(ElementType.omissible(etype) for _, etype in elements):
+            elements[-1] = (elements[-1][0], "CX")
+        return elements
+
+    depth = rng.choice((2, 3))
+    shapes = {
+        "d": shape("e", ["a", "b"], rng.randint(0, 2)),
+        "e": shape("c" if depth == 3 else "a", ["a", "b"], 1),
+    }
+    if depth == 3:
+        shapes["c"] = shape("a", ["b", '"q0"'], rng.randint(0, 1))
+    top = shape(rng.choice("abcd"), ["a", "b", "c", "d"], rng.randint(0, 1))
+    top.insert(rng.randint(1, len(top)), ("d", rng.choice(ElementType.ALL)))
+    shapes["top"] = top
+    lines = []
+    for owner, elements in shapes.items():
+        if owner != "top":
+            body = " ".join(f"{f}({t})" for f, t in elements)
+            lines.append(f"cs s{owner} ko of {owner} pair s{owner}m : {body}")
+            lines.append(f"cs s{owner}m en of {owner} pair s{owner} : a(CX)")
+    return mini_net(" ".join(f"{f}({t})" for f, t in top), "\n".join(lines)), shapes
+
+
+def _expand(rng: random.Random, shapes, owner) -> list[str]:
+    """Words for one member of the sequence of ``owner``, in element order,
+    omissible elements dropped at random; a filler that owns a sequence is
+    read as its own word or expanded."""
+    words = []
+    for filler, etype in shapes[owner]:
+        if ElementType.omissible(etype) and rng.random() < 0.4:
+            continue
+        if filler.startswith('"'):
+            words.append(filler.strip('"'))
+        elif filler in shapes and rng.random() < 0.7:
+            words += _expand(rng, shapes, filler)
+        else:
+            words.append(f"w{filler}")
+    return words
+
+
+def test_seeded_nested_sweep_agrees():
+    rng = random.Random(1986)
+    alphabet = ["wa", "wb", "wc", "wd", "we", "q0"]
+    started = time.perf_counter()
+    accepted = 0
+    for _ in range(200):
+        net, shapes = _nested_case(rng)
+        cs = net.sequences["test"]
+        inputs = [[rng.choice(alphabet) for _ in range(rng.randint(2, 4))]]
+        for _ in range(4):
+            tokens = _expand(rng, shapes, "top")
+            if rng.random() < 0.3 and len(tokens) > 1:
+                at = rng.randrange(len(tokens) - 1)
+                tokens[at : at + 2] = tokens[at + 1], tokens[at]
+            inputs.append(tokens[:5])
+        for tokens in inputs:
+            want = recognize_oracle(net, cs, tokens)
+            got = engine_accepts(net, "test", tokens)
+            assert want == got, f"{shapes} on {tokens}: oracle={want} engine={got}"
+            accepted += want
+    assert accepted > 500
+    assert time.perf_counter() - started < 30

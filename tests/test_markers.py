@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from markermt.network import (
     lookup_lexical,
 )
 from markermt.morphology import tokenize
-from markermt.synth import synth_network
+from markermt.synth import parse_samples, synth_network
 from markermt.translator import TOO_AMBIGUOUS, reverse_direction, translate
 
 from conftest import TRAVEL_CORPUS
@@ -420,12 +421,12 @@ def _identical_free_net(k: int):
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_identical_free_elements_fill_in_index_order(k):
-    # one instance per (start, number of elements filled), not one per
-    # permutation: k(k+1)/2 in all
+    # one instance per number of elements filled, not one per permutation,
+    # and none starting after the first word, which nothing predicts: k in all
     result = translate(_identical_free_net(k), " ".join(["wa"] * k), "ko-en")
     assert result.ok and result.target_sentence == "Va" + " va" * (k - 1) + "."
     collides = [e for e in result.trace if e.event == "collide" and e.location.startswith("inst:")]
-    assert len(collides) == k * (k + 1) // 2
+    assert len(collides) == k
 
 
 def test_twin_slots_are_predicted_but_start_no_instance():
@@ -440,7 +441,9 @@ def test_twin_slots_are_predicted_but_start_no_instance():
         (inst.start, tuple(i for i, f in enumerate(inst.fills) if f is not None))
         for inst in state.instances
     }
-    assert filled == {(0, (0,)), (0, (3,)), (1, (4,)), (0, (0, 4)), (0, (3, 4))}
+    # the q0 start at token 1 is pruned: the instances ending there take q0
+    # into their own element 4, and none has an element that top fills
+    assert filled == {(0, (0,)), (0, (3,)), (0, (0, 4)), (0, (3, 4))}
     state.close()
 
 
@@ -509,6 +512,105 @@ def test_distinct_free_elements_pack_by_filled_set(k):
 
 
 def test_instance_budget_ends_the_sentence_too_ambiguous():
-    result = translate(load_network(multi_parent_probe(10)), " ".join(["wl"] * 10), "ko-en")
+    # k = 13 needs 2^13 - 1 instances at token 0 alone
+    result = translate(load_network(multi_parent_probe(13)), " ".join(["wl"] * 13), "ko-en")
     assert result.status == TOO_AMBIGUOUS and result.target_sentence == ""
     assert len(_instance_collides(result)) == MAX_INSTANCES
+
+
+def test_probe_below_the_budget_succeeds_quickly():
+    # k = 12 needs 2^12 - 1 instances at token 0 and none after it; the
+    # unfiltered chart outgrew MAX_INSTANCES here
+    net = load_network(multi_parent_probe(12))
+    started = time.perf_counter()
+    result = translate(net, " ".join(["wl"] * 12), "ko-en")
+    elapsed = time.perf_counter() - started
+    assert result.ok and result.target_sentence == "Vl" + " vl" * 11 + "."
+    assert elapsed < 0.2
+
+
+def _chart(net, words, source, target):
+    """The keys of the instances anchored at token 0, in creation order,
+    and the number of instances in all."""
+    state = run_engine(net, words, source, target)
+    keys = [
+        (i.cs, i.end, i.cursor, i.filled, i.status, i.target_cursor)
+        for i in state.instances
+        if i.start == 0
+    ]
+    size = len(state.instances)
+    state.close()
+    return keys, size
+
+
+def test_filter_keeps_the_start0_chart(net, monkeypatch):
+    """Instances anchored at token 0, the only ones a result is taken
+    from, are the same and come in the same order with and without the
+    left-corner filter; the filter only drops instances after token 0."""
+    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+    runs = [(net, *line.split("\t")[:2]) for line in lines if line and not line.startswith("#")]
+    for seed in (1, 7, 42):
+        synth = synth_network(1000, 200, seed)
+        network = load_network(synth)
+        runs += [(network, d, text) for d, text in parse_samples(synth)]
+    runs = [(network, d.split("-"), tokenize(d[:2], text).words) for network, d, text in runs]
+    filtered = [_chart(network, words, *pair) for network, pair, words in runs]
+    monkeypatch.setattr(MarkerState, "_predicted_at", lambda self, pos: None)
+    unfiltered = [_chart(network, words, *pair) for network, pair, words in runs]
+    for (keys, size), (all_keys, all_size), (_, _, words) in zip(filtered, unfiltered, runs):
+        assert keys == all_keys and size <= all_size, words
+    assert sum(size for _, size in filtered) < sum(size for _, size in unfiltered)
+
+
+def test_left_corner_table_is_the_fixed_point(net):
+    """The one-pass table equals the naive fixed point: a start slot's
+    owner passes its left corners down to every concept that starts it."""
+    cyclic = mini_net(
+        "a(CX) d(CX)",
+        extra="\n".join(
+            [
+                "cs sd ko of d pair sdm : e(OF) a(CX)",
+                "cs se ko of e pair sem : d(CX) b(CX)",
+                "cs sdm en of d pair sd : a(CX)",
+                "cs sem en of e pair se : b(CX)",
+            ]
+        ),
+    )
+    for network in (net, cyclic, load_network(synth_network(1000, 200, 7, samples=0))):
+        for (source, _), plan in network.plans.items():
+            bit = plan.filler_bit
+            owners = {cs.owner for cs in network.sequences.values() if cs.language == source}
+            fillers = {
+                el.concept
+                for cs in network.sequences.values()
+                if cs.language == source
+                for el in cs.elements
+                if el.literal is None
+            }
+            assert set(bit) == fillers and set(plan.left_corner) == owners
+            want = {o: sum(bit[a] for a in network.ancestors[o] if a in bit) for o in owners}
+            changed = True
+            while changed:
+                changed = False
+                for owner in owners:
+                    for cs_id, _ in plan.starts_by_concept.get(owner, ()):
+                        more = want[owner] | want[network.sequences[cs_id].owner]
+                        if more != want[owner]:
+                            want[owner], changed = more, True
+            assert plan.left_corner == want
+    plan = cyclic.plans[("ko", "en")]
+    assert plan.left_corner["d"] == plan.left_corner["e"] == plan.filler_bit["d"] | plan.filler_bit["e"]
+
+
+def test_token_whose_starts_are_all_pruned_is_dead():
+    # wc can only start "side", and the instance ending at token 1 predicts
+    # b, which no instance of side (owner e) can fill: token 1 is dead.
+    # Nothing ends at token 2, so wc starts side there as a fragment.
+    net = mini_net(
+        "a(CX) b(CX)",
+        extra="cs side ko of e pair sidem : c(CX) d(OX)\ncs sidem en of e pair side : c(CX)",
+    )
+    state = run_engine(net, ["wa", "wc", "wc"])
+    assert [e.token for e in state.trace if e.event == "dead"] == [1]
+    assert {(i.cs, i.start) for i in state.instances} == {("test", 0), ("side", 2)}
+    state.close()
