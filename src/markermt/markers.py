@@ -30,7 +30,19 @@ elements, not one per filling order.  The first instance of each key is
 kept; it is the one :meth:`MarkerState.best_result` would pick among them.
 Even packed, such elements make O(2^k) states, so a sentence that needs more
 than ``MAX_INSTANCES`` instances stops with :class:`TooAmbiguous`.  All
-scheduling is FIFO, so identical input yields an identical trace.
+scheduling is FIFO, so identical input yields an identical trace.  As the
+key does not say what filled an element, two accepted instances of one
+sequence over one span feed their parent one instance between them; each
+still places its own ``AA`` markers on the owner's concepts, as every
+acceptance does.
+
+The chart has one column per position, as in Earley's recognizer: what
+the instances ending at a position wait for, every eligible element of each
+in creation and index order.  It is worked out once, when the first passive
+that starts there reads it; by then no instance ending there is still to
+come, as every fill spans at least one token.  A passive extends instances
+by scanning its start's column and filters new starts by the column's
+filler mask.
 
 Prediction also filters where instances start (Earley's prediction step,
 compiled into a left-corner table as in Moore's left-corner chart parser).
@@ -40,8 +52,8 @@ constituent that some instance ending at s predicts, directly or through a
 chain of sequences each beginning with the one below.  The plan's
 ``left_corner`` table says, per sequence owner, which predicted fillers
 such a chain can reach; a start after the first token is made only where
-an instance ending there predicts one of them.  Where no instance ends,
-nothing is filtered, so the fragments after a dead token are still built.
+the column there predicts one of them.  Where no instance ends, nothing is
+filtered, so the fragments after a dead token are still built.
 
 Initial prediction depends only on the network and the direction, so it is
 compiled once per ordered language pair when the network is built
@@ -376,6 +388,11 @@ class MarkerSet:
 class MarkerState:
     """All live markers, instances and pending collisions of one session.
 
+    The chart is ``instances``, indexed by end position (``_by_end``) and
+    by future state (``_keys``, see :meth:`_fill`); :meth:`_waiting_at`
+    memoizes each position's column of waiting elements.  A token is dead
+    when the instance count has not grown since its :meth:`activate`.
+
     A session handles one sentence in one direction.  Sessions over the same
     network are independent; ``close`` empties the state so nothing leaks
     into the next sentence.  The trace outlives ``close``: ``prefix`` is
@@ -395,12 +412,11 @@ class MarkerState:
         self.events: list[tuple] = []
         self.token_index = -1
         self._by_end: dict[int, list[int]] = {}
-        # chart keys (see _fill), and (cs, start, end) of each passive a
-        # sequence acceptance fed upward
-        self._keys: set[tuple] = set()
-        self._fills_this_token = 0
-        self._dead_reported = False
-        self._predicted: dict[int, int | None] = {}  # see _predicted_at
+        self._keys: set[tuple] = set()  # chart keys, see _fill
+        self._waiting: dict[int, tuple[list[tuple], int | None]] = {}  # see _waiting_at
+        # the instance count when the current token was activated, or None
+        # once that token has been checked for being dead
+        self._made_before: int | None = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -410,10 +426,6 @@ class MarkerState:
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
         return build_trace(self.prefix, self.events)
-
-    def _place(self, kind, location, binding=None) -> bool:
-        """Set a marker bit; returns False if it was already present."""
-        return self.markers.add((kind, location, binding))
 
     # -- the three phases ----------------------------------------------------
 
@@ -428,20 +440,19 @@ class MarkerState:
         if element.literal is not None:
             return
         for item_id in self.plan.unpredicted_below[element.concept]:
-            if self._place(AP, ("lex", item_id)):
+            if self.markers.add((AP, ("lex", item_id), None)):
                 self.emit("predict", AP, f"lex:{item_id}")
 
     def activate(self, lexical_items, span: int, literal: str | None = None):
         """AA markers onto one input token's readings; collisions are queued,
         not processed (see :meth:`step_collisions`)."""
         self.token_index = span
-        self._fills_this_token = 0
-        self._dead_reported = False
+        self._made_before = len(self.instances)
         binding = f"tok{span}"
         for item_id in lexical_items:
             item = self.net.lexicon[item_id]
             assert item.language == self.source, f"{item_id} is not a {self.source} item"
-            self._place(AA, ("lex", item_id), binding)
+            self.markers.add((AA, ("lex", item_id), binding))
             self.emit("activate", AA, f"lex:{item_id}", binding)
             self.agenda.append(("lex", item_id, span))
         if literal is not None:
@@ -466,9 +477,9 @@ class MarkerState:
                 self._process_passive_literal(entry[1], entry[2])
             elif kind == "sub":
                 self._process_sub(entry[1])
-        if self._fills_this_token == 0 and self.token_index >= 0 and not self._dead_reported:
+        if self._made_before == len(self.instances):
             self.emit("dead", AA, f"tok:{self.token_index}")
-            self._dead_reported = True
+        self._made_before = None
 
     # -- collision handling --------------------------------------------------
 
@@ -478,9 +489,9 @@ class MarkerState:
         if (AP, ("lex", item_id), None) in self.markers:
             self.emit("collide", AA, f"lex:{item_id}", binding)
         # AA climbs the hierarchy; GA lands on the paired target items
-        self._place(AA, ("cn", item.concept), binding)
+        self.markers.add((AA, ("cn", item.concept), binding))
         for tgt_item in self.net.items_of_concept(self.target, item.concept):
-            if self._place(GA, ("lex", tgt_item), binding):
+            if self.markers.add((GA, ("lex", tgt_item), binding)):
                 self.emit("activate", GA, f"lex:{tgt_item}", binding)
         fill = Fill(kind="lex", start=span, end=span + 1, item=item_id, concept=item.concept)
         self._match_passive(concept=item.concept, literal=None, start=span, end=span + 1, fill=fill)
@@ -492,71 +503,60 @@ class MarkerState:
     def _process_sub(self, inst_id):
         inst = self.instances[inst_id]
         cs = self.net.sequences[inst.cs]
-        key = (inst.cs, inst.start, inst.end)
-        if key in self._keys:
-            return
-        self._keys.add(key)
         binding = f"inst:{inst_id}"
         self.markers._own.update((AA, ("cn", anc), binding) for anc in self.net.ancestors[cs.owner])
         fill = Fill(kind="sub", start=inst.start, end=inst.end, concept=cs.owner, sub=inst_id)
         self._match_passive(concept=cs.owner, literal=None, start=inst.start, end=inst.end, fill=fill)
 
     def _match_passive(self, concept, literal, start, end, fill):
-        # extend live instances whose span ends where this passive begins;
-        # the list cannot grow meanwhile, as every fill ends after ``start``
+        # extend the instances waiting at ``start``
         above = self.net.ancestors[concept] if concept is not None else ()
-        for inst_id in self._by_end.get(start, ()):
-            inst = self.instances[inst_id]
-            cs = self.net.sequences[inst.cs]
-            for idx in self._eligible_slots(inst, cs):
-                el = cs.elements[idx]
-                if el.literal == literal if el.literal is not None else el.concept in above:
-                    self._fill(inst, cs, idx, fill, end)
+        waiting, pred = self._waiting_at(start)
+        for inst, cs, idx, el in waiting:
+            if el.literal == literal if el.literal is not None else el.concept in above:
+                self._fill(inst, cs, idx, fill, end)
         # start new instances from the standing initial predictions, after
         # the first token only where an instance ending here predicts one
         if literal is not None:
             slots = self.plan.slots_by_literal.get(literal, ())
         else:
             slots = self.plan.starts_by_concept.get(concept, ())
-        pred = self._predicted_at(start)
         left_corner = self.plan.left_corner
         for cs_id, idx in slots:
             cs = self.net.sequences[cs_id]
             if pred is None or left_corner[cs.owner] & pred:
                 self._fill(None, cs, idx, fill, end, start=start)
 
-    def _predicted_at(self, pos) -> int | None:
-        """The ``plan.filler_bit`` mask of the conceptual eligible slots of
-        the instances ending at ``pos``, or None where none ends, as at the
-        first token (nothing is filtered there).  Memoized: the first call
-        comes from a passive that starts at ``pos``, and by then no instance
-        ending there is still to come, as every fill spans at least one
-        token."""
-        if pos not in self._predicted:
-            pred = None
-            if pos in self._by_end:
-                pred = 0
-                filler_bit = self.plan.filler_bit
-                for inst_id in self._by_end[pos]:
-                    inst = self.instances[inst_id]
-                    cs = self.net.sequences[inst.cs]
-                    for idx in self._eligible_slots(inst, cs):
-                        el = cs.elements[idx]
-                        if el.literal is None:
-                            pred |= filler_bit[el.concept]
-            self._predicted[pos] = pred
-        return self._predicted[pos]
-
-    def _eligible_slots(self, inst, cs):
-        layout = self.net.layouts[cs.id]
-        if not layout.free:
-            return layout.frontier[inst.cursor]
-        twins, filled = layout.twins, inst.filled
-        free = [  # a twin waits for the one before it
-            i for i in layout.free
-            if not filled >> i & 1 and (twins[i] is None or filled >> twins[i] & 1)
-        ]
-        return sorted(layout.frontier[inst.cursor] + tuple(free))
+    def _waiting_at(self, pos) -> tuple[list[tuple], int | None]:
+        """The chart column at ``pos``: ``(inst, cs, idx, element)`` for
+        each eligible element of the instances ending at ``pos``, in
+        creation and index order, and the ``plan.filler_bit`` mask of the
+        conceptual ones, None where no instance ends, as at the first token
+        (nothing is filtered there).  Memoized: the first call comes from a
+        passive that starts at ``pos``, and by then no instance ending there
+        is still to come, as every fill spans at least one token."""
+        if pos not in self._waiting:
+            slots = []
+            pred = 0 if pos in self._by_end else None
+            filler_bit = self.plan.filler_bit
+            for inst_id in self._by_end.get(pos, ()):
+                inst = self.instances[inst_id]
+                cs = self.net.sequences[inst.cs]
+                layout = self.net.layouts[cs.id]
+                eligible = layout.frontier[inst.cursor]
+                if layout.free:  # a twin waits for the one before it
+                    twins, filled = layout.twins, inst.filled
+                    eligible = sorted(eligible + tuple(
+                        i for i in layout.free
+                        if not filled >> i & 1 and (twins[i] is None or filled >> twins[i] & 1)
+                    ))
+                for idx in eligible:
+                    el = cs.elements[idx]
+                    slots.append((inst, cs, idx, el))
+                    if el.literal is None:
+                        pred |= filler_bit[el.concept]
+            self._waiting[pos] = (slots, pred)
+        return self._waiting[pos]
 
     def _fill(self, inst, cs, idx, fill, end, start=None):
         """Derive the instance that results from filling element ``idx``,
@@ -611,7 +611,6 @@ class MarkerState:
             target_cursor=target_cursor,
         ))
         self._by_end.setdefault(end, []).append(new_id)
-        self._fills_this_token += 1
 
         # icse keys are never in the plan, and the instance is new, so none
         # of its element markers is set yet
@@ -664,7 +663,7 @@ class MarkerState:
             if elements[k].literal is not None:
                 self.emit("generate", GP, loc)
                 continue
-            self._place(GP, ("tcse", tcs_id, k))
+            self.markers.add((GP, ("tcse", tcs_id, k), None))
             self.emit("generate", GA, loc, fills[supply[k]].binding())
 
     # -- results and teardown ---------------------------------------------------
@@ -691,7 +690,7 @@ class MarkerState:
         self.agenda.clear()
         self._by_end.clear()
         self._keys.clear()
-        self._predicted.clear()
+        self._waiting.clear()
 
     def is_empty(self) -> bool:
         return not self.markers and not self.instances and not self.agenda

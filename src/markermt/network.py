@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 KO = "ko"
 EN = "en"
@@ -398,7 +398,7 @@ def load_network(source: str) -> MemoryNetwork:
     dangling references, duplicate ids, and degenerate files.  Semantic
     invariants beyond that are the business of :func:`validate_network`.
     """
-    net = MemoryNetwork()
+    decls = SimpleNamespace(concepts={}, lexicon={}, sequences={}, affixes=[], morph_rules=[])
     pending_refs: list[tuple[str, str, int]] = []  # (kind, id, line)
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -409,15 +409,15 @@ def load_network(source: str) -> MemoryNetwork:
         head = tokens[0]
         try:
             if head == "concept":
-                _parse_concept(net, tokens, lineno, pending_refs)
+                _parse_concept(decls, tokens, lineno, pending_refs)
             elif head == "lex":
-                _parse_lex(net, tokens, lineno, pending_refs)
+                _parse_lex(decls, tokens, lineno, pending_refs)
             elif head == "cs":
-                _parse_cs(net, tokens, lineno, pending_refs)
+                _parse_cs(decls, tokens, lineno, pending_refs)
             elif head == "affix":
-                _parse_affix(net, tokens, lineno)
+                _parse_affix(decls, tokens, lineno)
             elif head == "morphrule":
-                _parse_morphrule(net, tokens, lineno)
+                _parse_morphrule(decls, tokens, lineno)
             else:
                 raise NetworkSyntaxError(
                     f"unknown declaration '{head}'", lineno, raw.find(head) + 1
@@ -425,24 +425,23 @@ def load_network(source: str) -> MemoryNetwork:
         except IndexError:
             raise NetworkSyntaxError("truncated declaration", lineno) from None
 
-    if not net.concepts:
+    if not decls.concepts:
         raise NetworkError("no concepts declared")
 
-    _resolve_references(net, pending_refs)
+    _resolve_references(decls, pending_refs)
     # building the morphology tables also validates that every non-initial
     # morpheme of a lexical item is a declared affix
     from markermt.morphology import MorphologyError
 
     try:
-        net.build_indexes()
+        return MemoryNetwork(**vars(decls))
     except MorphologyError as exc:
         raise NetworkError(str(exc)) from None
-    return net
 
 
-def _parse_concept(net, tokens, lineno, pending):
+def _parse_concept(decls, tokens, lineno, pending):
     cid = tokens[1]
-    if cid in net.concepts:
+    if cid in decls.concepts:
         raise NetworkError(f"duplicate concept id '{cid}' (line {lineno})")
     parents: tuple[str, ...] = ()
     sentence_type = None
@@ -460,14 +459,14 @@ def _parse_concept(net, tokens, lineno, pending):
             i += 2
         else:
             raise NetworkSyntaxError(f"unexpected token '{tokens[i]}'", lineno)
-    net.concepts[cid] = ConceptNode(id=cid, parents=parents, sentence_type=sentence_type)
+    decls.concepts[cid] = ConceptNode(id=cid, parents=parents, sentence_type=sentence_type)
     for p in parents:
         pending.append(("concept", p, lineno))
 
 
-def _parse_lex(net, tokens, lineno, pending):
+def _parse_lex(decls, tokens, lineno, pending):
     lid = tokens[1]
-    if lid in net.lexicon:
+    if lid in decls.lexicon:
         raise NetworkError(f"duplicate lexical id '{lid}' (line {lineno})")
     language = tokens[2]
     if language not in LANGUAGES:
@@ -478,13 +477,13 @@ def _parse_lex(net, tokens, lineno, pending):
     if tokens[4] != "isa":
         raise NetworkSyntaxError("expected 'isa' in lex declaration", lineno)
     concept = tokens[5]
-    net.lexicon[lid] = LexicalItem(id=lid, language=language, morphemes=morphemes, concept=concept)
+    decls.lexicon[lid] = LexicalItem(id=lid, language=language, morphemes=morphemes, concept=concept)
     pending.append(("concept", concept, lineno))
 
 
-def _parse_cs(net, tokens, lineno, pending):
+def _parse_cs(decls, tokens, lineno, pending):
     csid = tokens[1]
-    if csid in net.sequences:
+    if csid in decls.sequences:
         raise NetworkError(f"duplicate sequence id '{csid}' (line {lineno})")
     language = tokens[2]
     if language not in LANGUAGES:
@@ -516,14 +515,14 @@ def _parse_cs(net, tokens, lineno, pending):
         raise NetworkError(
             f"sequence '{csid}' accepts the empty string: every element is omissible (line {lineno})"
         )
-    net.sequences[csid] = ConceptSequence(
+    decls.sequences[csid] = ConceptSequence(
         id=csid, language=language, owner=owner, elements=tuple(elements), paired=paired
     )
     pending.append(("concept", owner, lineno))
     pending.append(("cs", paired, lineno))
 
 
-def _parse_affix(net, tokens, lineno):
+def _parse_affix(decls, tokens, lineno):
     language = tokens[1]
     if language not in LANGUAGES:
         raise NetworkSyntaxError(f"bad language '{language}'", lineno)
@@ -541,12 +540,12 @@ def _parse_affix(net, tokens, lineno):
         for r in after:
             if r not in ROLES:
                 raise NetworkSyntaxError(f"unknown role '{r}' in after clause", lineno)
-    if any(a.language == language and a.morpheme == morpheme for a in net.affixes):
+    if any(a.language == language and a.morpheme == morpheme for a in decls.affixes):
         raise NetworkError(f"duplicate affix '{morpheme}' for {language} (line {lineno})")
-    net.affixes.append(AffixDecl(language=language, morpheme=morpheme, role=role, after=after))
+    decls.affixes.append(AffixDecl(language=language, morpheme=morpheme, role=role, after=after))
 
 
-def _parse_morphrule(net, tokens, lineno):
+def _parse_morphrule(decls, tokens, lineno):
     language = tokens[1]
     if language not in LANGUAGES:
         raise NetworkSyntaxError(f"bad language '{language}'", lineno)
@@ -556,32 +555,32 @@ def _parse_morphrule(net, tokens, lineno):
     surface = tokens[4]
     if any(
         r.language == language and r.root_class == root_class and r.affix == affix
-        for r in net.morph_rules
+        for r in decls.morph_rules
     ):
         raise NetworkError(
             f"duplicate morphrule '{root_class}+{affix}' for {language} (line {lineno})"
         )
-    net.morph_rules.append(
+    decls.morph_rules.append(
         MorphRuleDecl(language=language, root_class=root_class, affix=affix, surface=surface)
     )
 
 
-def _resolve_references(net, pending):
+def _resolve_references(decls, pending):
     for kind, rid, lineno in pending:
-        if kind == "concept" and rid not in net.concepts:
+        if kind == "concept" and rid not in decls.concepts:
             raise NetworkError(f"dangling concept reference '{rid}' (line {lineno})")
-        if kind == "lex" and rid not in net.lexicon:
+        if kind == "lex" and rid not in decls.lexicon:
             raise NetworkError(f"dangling lexical reference '{rid}' (line {lineno})")
-        if kind == "cs" and rid not in net.sequences:
+        if kind == "cs" and rid not in decls.sequences:
             raise NetworkError(f"dangling sequence reference '{rid}' (line {lineno})")
-    for cs in net.sequences.values():
-        mate = net.sequences[cs.paired]
+    for cs in decls.sequences.values():
+        mate = decls.sequences[cs.paired]
         if mate.id == cs.id or mate.language == cs.language:
             raise NetworkError(
                 f"pairing must cross languages: '{cs.id}' is paired with '{mate.id}'"
             )
         for el in cs.elements:
-            if el.default_item and net.lexicon[el.default_item].language != cs.language:
+            if el.default_item and decls.lexicon[el.default_item].language != cs.language:
                 raise NetworkError(
                     f"default item '{el.default_item}' of '{cs.id}' must be a "
                     f"{cs.language} item"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from markermt.markers import GA, GP, OMITTED, CsInstance, MarkerState, TooAmbiguous, TraceEvent, build_trace
-from markermt.morphology import MorphologyError, tokenize
+from markermt.morphology import PROFILES, MorphologyError, tokenize
 from markermt.network import ElementType, LANGUAGES, MemoryNetwork, lookup_lexical
 
 SUCCESS = "success"
@@ -209,7 +209,7 @@ def _realize(net, state: MarkerState, winner: CsInstance, target_lang: str):
     source_cs = net.sequences[winner.cs]
     owner = net.concepts[source_cs.owner]
     text = " ".join(words)
-    profile = _profile(target_lang)
+    profile = PROFILES[target_lang]
     if profile.capitalize_sentences and text:
         text = text[0].upper() + text[1:]
     if owner.sentence_type == "question":
@@ -217,12 +217,6 @@ def _realize(net, state: MarkerState, winner: CsInstance, target_lang: str):
     elif owner.sentence_type == "statement":
         text += "."
     return text, tree
-
-
-def _profile(language):
-    from markermt.morphology import PROFILES
-
-    return PROFILES[language]
 
 
 def _walk(net, state, root: CsInstance, target_lang, words) -> TreeNode:

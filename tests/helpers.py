@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
+import sys
 from pathlib import Path
 
 from markermt.markers import MarkerState
@@ -33,6 +35,18 @@ def cli_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
+def free_order_sentences(seed: int) -> list[tuple[str, str]]:
+    """``(network text, ko sentence)`` of every input of the benchmark's
+    free-order workload for ``seed`` (bench/workloads.py)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    workload = workloads.free_order(seed)
+    return [(workload.networks[s.net], s.text) for s in workload.sentences]
 
 
 def engine_accepts(net, cs_id, tokens, source="ko", target="en") -> bool:

@@ -33,7 +33,7 @@ from markermt.synth import parse_samples, synth_network
 from markermt.translator import TOO_AMBIGUOUS, reverse_direction, translate
 
 from conftest import TRAVEL_CORPUS
-from helpers import engine_accepts, mini_net, multi_parent_probe, run_engine
+from helpers import engine_accepts, free_order_sentences, mini_net, multi_parent_probe, run_engine
 
 
 def predicted_elements(state, cs_id):
@@ -555,7 +555,8 @@ def test_filter_keeps_the_start0_chart(net, monkeypatch):
         runs += [(network, d, text) for d, text in parse_samples(synth)]
     runs = [(network, d.split("-"), tokenize(d[:2], text).words) for network, d, text in runs]
     filtered = [_chart(network, words, *pair) for network, pair, words in runs]
-    monkeypatch.setattr(MarkerState, "_predicted_at", lambda self, pos: None)
+    waiting_at = MarkerState._waiting_at
+    monkeypatch.setattr(MarkerState, "_waiting_at", lambda self, pos: (waiting_at(self, pos)[0], None))
     unfiltered = [_chart(network, words, *pair) for network, pair, words in runs]
     for (keys, size), (all_keys, all_size), (_, _, words) in zip(filtered, unfiltered, runs):
         assert keys == all_keys and size <= all_size, words
@@ -614,3 +615,82 @@ def test_token_whose_starts_are_all_pruned_is_dead():
     assert [e.token for e in state.trace if e.event == "dead"] == [1]
     assert {(i.cs, i.start) for i in state.instances} == {("test", 0), ("side", 2)}
     state.close()
+
+
+# The inner ko sequence is a free-order shape in which one word (wmu, m2a)
+# fills either m2 or m2a, so two accepted inner instances with different
+# filled sets share one span; the outer sequence, declared first so that it
+# is the result, takes the inner owner x as its element 0.
+SHARED_SPAN_NETWORK = """
+concept thing
+concept s sentence-type statement
+concept x
+concept m0 isa thing
+concept m1 isa thing
+concept m2 isa thing
+concept m0a isa m0
+concept m0b isa m0
+concept m1a isa m1
+concept m1b isa m1
+concept m2a isa m2
+lex k-m0a ko wka isa m0a
+lex k-m0b ko wko isa m0b
+lex k-m1a ko wma isa m1a
+lex k-m1b ko wmi isa m1b
+lex k-m2a ko wmu isa m2a
+lex e-m0a en vka isa m0a
+lex e-m0b en vko isa m0b
+lex e-m1a en vma isa m1a
+lex e-m1b en vmi isa m1b
+lex e-m2a en vmu isa m2a
+cs outer ko of s pair outerm : x(CX)
+cs outerm en of s pair outer : x(CX)
+cs inner ko of x pair innerm : m0(CF) m1(CF) m2(OF) m0a(CF) m1b(CF) m2a(OF)
+cs innerm en of x pair inner : m0a(CX) m1b(CX) m0(CX) m1(CX) m2(CX)=e-m2a m2a(CX)=e-m2a
+"""
+
+
+def test_repeated_accepted_span_feeds_its_parent_once():
+    """Accepted instances of one sequence over one span make one parent
+    instance between them: the parent's chart key does not depend on which
+    of them fills its element.  Each still places its own ``AA cn:``."""
+    net = load_network(SHARED_SPAN_NETWORK)
+    words = ["wko", "wmi", "wka", "wmu", "wma"]
+    state = run_engine(net, words)
+    inner = [i for i in state.instances if i.cs == "inner" and i.status == "accepted"]
+    assert [(i.start, i.end) for i in inner] == [(0, 5), (0, 5)]
+    assert inner[0].filled != inner[1].filled
+    outer = [i for i in state.instances if i.cs == "outer" and (i.start, i.end) == (0, 5)]
+    assert len(outer) == 1 and outer[0].fills[0].sub == inner[0].id
+    for sub in inner:
+        assert (AA, ("cn", "x"), f"inst:{sub.id}") in state.markers
+    collides = [e for e in state.trace if e.event == "collide" and "@outer#0" in e.location]
+    assert [(e.binding, e.token) for e in collides] == [(f"inst:{inner[0].id}", 4)]
+    state.close()
+    result = translate(net, " ".join(words), "ko-en")
+    assert result.ok and result.target_sentence == "Vka vmi vko vma vmu vmu."
+
+
+def test_waiting_list_is_final_when_first_read(net):
+    """The waiting list memoized at each position equals one computed
+    afresh once the sentence has ended: no instance ending at a position
+    is made after a passive starting there has read it."""
+    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+    runs = [(net, *line.split("\t")[:2]) for line in lines if line and not line.startswith("#")]
+    free = free_order_sentences(1)
+    networks = {text: load_network(text) for text in dict.fromkeys(text for text, _ in free)}
+    runs += [(networks[text], "ko-en", sentence) for text, sentence in free]
+    synth = synth_network(1000, 200, 1)
+    network = load_network(synth)
+    runs += [(network, d, text) for d, text in parse_samples(synth)]
+    checked = 0
+    for network, direction, text in runs:
+        source, target = direction.split("-")
+        state = run_engine(network, tokenize(source, text).words, source, target)
+        memo = dict(state._waiting)
+        state._waiting.clear()
+        for pos, column in memo.items():
+            assert state._waiting_at(pos) == column, (text, pos)
+        checked += len(memo)
+        state.close()
+    assert checked > len(runs)
