@@ -78,6 +78,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 from markermt.network import MemoryNetwork
@@ -175,16 +176,16 @@ class DirectionPlan:
     constituent: the fillers at or above the owner, and, closed over left
     corners, the ``left_corner`` of the owner of each slot in its
     ``starts_by_concept``.  Owners with the same filler ancestors share one
-    value.
+    value.  The mappings are read-only.
     """
 
-    slots_by_literal: dict[str, tuple[tuple[str, int], ...]]
-    starts_by_concept: dict[str, tuple[tuple[str, int], ...]]
-    filler_bit: dict[str, int]
-    left_corner: dict[str, int]
+    slots_by_literal: MappingProxyType[str, tuple[tuple[str, int], ...]]
+    starts_by_concept: MappingProxyType[str, tuple[tuple[str, int], ...]]
+    filler_bit: MappingProxyType[str, int]
+    left_corner: MappingProxyType[str, int]
     predicted_slots: frozenset[tuple[str, int]]
     predicted_items: frozenset[str]
-    unpredicted_below: dict[str, tuple[str, ...]]
+    unpredicted_below: MappingProxyType[str, tuple[str, ...]]
     target_heads: frozenset[str]
     prefix: tuple[TraceEvent, ...]
 
@@ -259,13 +260,13 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
             edges[mask] = {mask_of[net.sequences[cs_id].owner] for cs_id, _ in starts}
     closed = _reach_or(edges)
     return DirectionPlan(
-        slots_by_literal={k: tuple(v) for k, v in by_literal.items()},
-        starts_by_concept=by_concept,
-        filler_bit=filler_bit,
-        left_corner={owner: closed[mask] for owner, mask in mask_of.items()},
+        slots_by_literal=MappingProxyType({k: tuple(v) for k, v in by_literal.items()}),
+        starts_by_concept=MappingProxyType(by_concept),
+        filler_bit=MappingProxyType(filler_bit),
+        left_corner=MappingProxyType({owner: closed[mask] for owner, mask in mask_of.items()}),
         predicted_slots=frozenset(predicted),
         predicted_items=frozenset(items),
-        unpredicted_below=unpredicted,
+        unpredicted_below=MappingProxyType(unpredicted),
         target_heads=frozenset(heads),
         prefix=tuple(prefix),
     )

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType, SimpleNamespace
+from typing import NamedTuple
 
 KO = "ko"
 EN = "en"
@@ -47,15 +49,13 @@ class NetworkSyntaxError(NetworkError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class ConceptNode:
+class ConceptNode(NamedTuple):
     id: str
     parents: tuple[str, ...] = ()
     sentence_type: str | None = None
 
 
-@dataclass(frozen=True)
-class LexicalItem:
+class LexicalItem(NamedTuple):
     id: str
     language: str
     morphemes: tuple[str, ...]
@@ -100,8 +100,7 @@ class Layout:
     twins: tuple[int | None, ...]
 
 
-@dataclass(frozen=True)
-class SequenceElement:
+class SequenceElement(NamedTuple):
     """One slot of a concept sequence.
 
     Exactly one of ``concept`` and ``literal`` is set.  A conceptual element
@@ -125,8 +124,7 @@ class SequenceElement:
         return f"{body}({self.etype})"
 
 
-@dataclass(frozen=True)
-class ConceptSequence:
+class ConceptSequence(NamedTuple):
     id: str
     language: str
     owner: str
@@ -165,7 +163,10 @@ class Diagnostic:
 @dataclass
 class MemoryNetwork:
     """The declarations and the tables :meth:`build_indexes` derives from
-    them once.  The tables are read-only mappings of tuples and frozensets:
+    them once.  The declaration records are named tuples, and
+    :func:`load_network` makes one ``SequenceElement`` per distinct element
+    token, shared by every use.  The tables are read-only mappings of tuples
+    and frozensets:
 
     - ``morpheme_index[(language, morphemes)]``: items, declaration order;
     - ``ancestors[concept]``: the reflexive IS-A closure upward, for item
@@ -177,8 +178,8 @@ class MemoryNetwork:
       types of ``cs_id``, one shared object per distinct signature;
     - ``literals[language]``, ``sequence_order`` and ``counterparts``.
 
-    ``morphology`` and the compiled ``plans`` are built with them; nothing
-    writes to either afterwards.
+    ``morphology`` and the read-only compiled ``plans`` are built with them;
+    nothing writes to either afterwards.
     """
 
     concepts: dict[str, ConceptNode] = field(default_factory=dict)
@@ -198,18 +199,16 @@ class MemoryNetwork:
         changing a hand-built network.  Raises ``MorphologyError`` when a
         lexical item uses an undeclared affix."""
         lexicon, sequences = self.lexicon.values(), self.sequences.values()
-        self.morpheme_index = MappingProxyType(
-            _grouped(((it.language, it.morphemes), it.id) for it in lexicon)
+        by_morphemes: dict = {}
+        by_concept: dict = {}
+        for it in lexicon:
+            by_morphemes.setdefault((it.language, it.morphemes), []).append(it.id)
+            by_concept.setdefault((it.language, it.concept), []).append(it.id)
+        self.morpheme_index = _tuples(by_morphemes)
+        self._items_of = _tuples(by_concept)
+        fillers = dict.fromkeys(
+            (cs.language, el.concept) for cs in sequences for el in cs.elements if el.literal is None
         )
-        self._items_of = MappingProxyType(
-            _grouped(((it.language, it.concept), it.id) for it in lexicon)
-        )
-        fillers = {
-            (cs.language, el.concept): ()
-            for cs in sequences
-            for el in cs.elements
-            if not el.is_literal
-        }
         # closures only for the concepts readers ask about: one for every
         # concept would cost quadratic time on a deep IS-A chain
         read = [it.concept for it in lexicon] + [cs.owner for cs in sequences]
@@ -217,15 +216,10 @@ class MemoryNetwork:
         self.ancestors = MappingProxyType(
             {cid: _closure(self.concepts, cid) for cid in dict.fromkeys(read)}
         )
-        self.items_below = _below(
-            self.ancestors, fillers, ((it.language, it.concept, it.id) for it in lexicon)
-        )
-        self.sequences_below = _below(
-            self.ancestors, fillers, ((cs.language, cs.owner, cs.id) for cs in sequences)
-        )
+        self.items_below, self.sequences_below = _below(self.ancestors, fillers, lexicon, sequences)
         literals = {lang: set() for lang in LANGUAGES}
         for cs in sequences:
-            literals[cs.language].update(el.literal for el in cs.elements if el.is_literal)
+            literals[cs.language].update(el.literal for el in cs.elements if el.literal is not None)
         self.literals = MappingProxyType({k: frozenset(v) for k, v in literals.items()})
         # declaration positions: tied parses are ordered by them
         self.sequence_order = MappingProxyType({cid: i for i, cid in enumerate(self.sequences)})
@@ -251,12 +245,8 @@ class MemoryNetwork:
         from markermt.morphology import Morphology
 
         self.morphology = Morphology.from_network(self)
-        self.plans = {
-            (src, tgt): compile_plan(self, src, tgt)
-            for src in LANGUAGES
-            for tgt in LANGUAGES
-            if src != tgt
-        }
+        directions = [(src, tgt) for src in LANGUAGES for tgt in LANGUAGES if src != tgt]
+        self.plans = MappingProxyType({d: compile_plan(self, *d) for d in directions})
 
     def items_of_concept(self, language: str, concept_id: str) -> tuple[str, ...]:
         """Lexical items attached to exactly this concept, declaration order."""
@@ -277,27 +267,26 @@ def _closure(concepts, concept_id) -> frozenset[str]:
     return frozenset(seen)
 
 
-def _below(ancestors, fillers, members) -> MappingProxyType:
-    """For each ``(language, filler)`` key of ``fillers``, the ids of the
-    ``(language, concept, id)`` members whose concept lies at or below the
-    filler, in member order: one pass files each member under every
-    ancestor of its concept that is a filler."""
-    below = _grouped(
-        ((language, anc), mid)
-        for language, concept, mid in members
-        for anc in ancestors[concept]
-        if (language, anc) in fillers
+def _below(ancestors, fillers, lexicon, sequences):
+    """``items_below`` and ``sequences_below``: one walk over the ancestors
+    of each item and sequence files its id, in declaration order, under
+    every ``(language, filler)`` key of ``fillers`` among them."""
+    below = {key: ([], []) for key in fillers}
+    members = chain(
+        ((it.language, it.concept, it.id, 0) for it in lexicon),
+        ((cs.language, cs.owner, cs.id, 1) for cs in sequences),
     )
-    return MappingProxyType({**fillers, **below})
+    for language, concept, member, kind in members:
+        for anc in ancestors[concept]:
+            group = below.get((language, anc))
+            if group is not None:
+                group[kind].append(member)
+    return tuple(_tuples({key: group[kind] for key, group in below.items()}) for kind in (0, 1))
 
 
-def _grouped(pairs) -> dict:
-    """``{key: tuple(values)}`` from ``(key, value)`` pairs, values in
-    input order."""
-    groups: dict = {}
-    for key, value in pairs:
-        groups.setdefault(key, []).append(value)
-    return {key: tuple(values) for key, values in groups.items()}
+def _tuples(groups) -> MappingProxyType:
+    """``groups`` read-only, each list of values made a tuple."""
+    return MappingProxyType({key: tuple(values) for key, values in groups.items()})
 
 
 def _counterparts(net, source, target) -> tuple[int | None, ...]:
@@ -308,15 +297,15 @@ def _counterparts(net, source, target) -> tuple[int | None, ...]:
     in source order, whose concept is at or below its own."""
     same: dict[str, list[int]] = {}
     for j, el in enumerate(source.elements):
-        if not el.is_literal:
+        if el.literal is None:
             same.setdefault(el.concept, []).append(j)
     supply: list[int | None] = [None] * len(target.elements)
     for k, el in enumerate(target.elements):
-        if not el.is_literal and same.get(el.concept):
+        if el.literal is None and same.get(el.concept):
             supply[k] = same[el.concept].pop(0)
     unpaired = sorted(j for left in same.values() for j in left)
     for k, el in enumerate(target.elements):
-        if el.is_literal or supply[k] is not None:
+        if el.literal is not None or supply[k] is not None:
             continue
         for j in unpaired:
             if el.concept in net.ancestors[source.elements[j].concept]:
@@ -398,8 +387,12 @@ def load_network(source: str) -> MemoryNetwork:
     dangling references, duplicate ids, and degenerate files.  Semantic
     invariants beyond that are the business of :func:`validate_network`.
     """
-    decls = SimpleNamespace(concepts={}, lexicon={}, sequences={}, affixes=[], morph_rules=[])
-    pending_refs: list[tuple[str, str, int]] = []  # (kind, id, line)
+    # affixes and morphrules are keyed by what makes one a duplicate
+    decls = SimpleNamespace(concepts={}, lexicon={}, sequences={}, affixes={}, morph_rules={})
+    # (kind, id, line) of each reference to an id not declared when read
+    # (a declared id stays declared, so only these need checking at the end)
+    pending_refs: list[tuple[str, str, int]] = []
+    elements: dict[str, SequenceElement] = {}  # one record per distinct token
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -413,7 +406,7 @@ def load_network(source: str) -> MemoryNetwork:
             elif head == "lex":
                 _parse_lex(decls, tokens, lineno, pending_refs)
             elif head == "cs":
-                _parse_cs(decls, tokens, lineno, pending_refs)
+                _parse_cs(decls, tokens, lineno, pending_refs, elements)
             elif head == "affix":
                 _parse_affix(decls, tokens, lineno)
             elif head == "morphrule":
@@ -434,7 +427,13 @@ def load_network(source: str) -> MemoryNetwork:
     from markermt.morphology import MorphologyError
 
     try:
-        return MemoryNetwork(**vars(decls))
+        return MemoryNetwork(
+            concepts=decls.concepts,
+            lexicon=decls.lexicon,
+            sequences=decls.sequences,
+            affixes=list(decls.affixes.values()),
+            morph_rules=list(decls.morph_rules.values()),
+        )
     except MorphologyError as exc:
         raise NetworkError(str(exc)) from None
 
@@ -459,9 +458,10 @@ def _parse_concept(decls, tokens, lineno, pending):
             i += 2
         else:
             raise NetworkSyntaxError(f"unexpected token '{tokens[i]}'", lineno)
-    decls.concepts[cid] = ConceptNode(id=cid, parents=parents, sentence_type=sentence_type)
+    decls.concepts[cid] = ConceptNode(cid, parents, sentence_type)
     for p in parents:
-        pending.append(("concept", p, lineno))
+        if p not in decls.concepts:
+            pending.append(("concept", p, lineno))
 
 
 def _parse_lex(decls, tokens, lineno, pending):
@@ -477,11 +477,12 @@ def _parse_lex(decls, tokens, lineno, pending):
     if tokens[4] != "isa":
         raise NetworkSyntaxError("expected 'isa' in lex declaration", lineno)
     concept = tokens[5]
-    decls.lexicon[lid] = LexicalItem(id=lid, language=language, morphemes=morphemes, concept=concept)
-    pending.append(("concept", concept, lineno))
+    decls.lexicon[lid] = LexicalItem(lid, language, morphemes, concept)
+    if concept not in decls.concepts:
+        pending.append(("concept", concept, lineno))
 
 
-def _parse_cs(decls, tokens, lineno, pending):
+def _parse_cs(decls, tokens, lineno, pending, known):
     csid = tokens[1]
     if csid in decls.sequences:
         raise NetworkError(f"duplicate sequence id '{csid}' (line {lineno})")
@@ -495,31 +496,32 @@ def _parse_cs(decls, tokens, lineno, pending):
         raise NetworkSyntaxError("expected ':' before element list", lineno)
     elements = []
     for tok in tokens[8:]:
-        m = _ELEMENT_RE.match(tok)
-        if not m:
-            raise NetworkSyntaxError(f"bad element '{tok}'", lineno)
-        el = SequenceElement(
-            etype=m.group("type"),
-            concept=m.group("con"),
-            literal=m.group("lit"),
-            default_item=m.group("dflt"),
-        )
+        el = known.get(tok)
+        if el is None:
+            # a token seen before had its references checked or queued at
+            # its first line, where a dangling one is reported first
+            m = _ELEMENT_RE.match(tok)
+            if not m:
+                raise NetworkSyntaxError(f"bad element '{tok}'", lineno)
+            el = known[tok] = SequenceElement(
+                m.group("type"), m.group("con"), m.group("lit"), m.group("dflt")
+            )
+            if el.concept and el.concept not in decls.concepts:
+                pending.append(("concept", el.concept, lineno))
+            if el.default_item and el.default_item not in decls.lexicon:
+                pending.append(("lex", el.default_item, lineno))
         elements.append(el)
-        if el.concept:
-            pending.append(("concept", el.concept, lineno))
-        if el.default_item:
-            pending.append(("lex", el.default_item, lineno))
     if not elements:
         raise NetworkSyntaxError("sequence with no elements", lineno)
     if not any(not ElementType.omissible(e.etype) for e in elements):
         raise NetworkError(
             f"sequence '{csid}' accepts the empty string: every element is omissible (line {lineno})"
         )
-    decls.sequences[csid] = ConceptSequence(
-        id=csid, language=language, owner=owner, elements=tuple(elements), paired=paired
-    )
-    pending.append(("concept", owner, lineno))
-    pending.append(("cs", paired, lineno))
+    decls.sequences[csid] = ConceptSequence(csid, language, owner, tuple(elements), paired)
+    if owner not in decls.concepts:
+        pending.append(("concept", owner, lineno))
+    if paired not in decls.sequences:
+        pending.append(("cs", paired, lineno))
 
 
 def _parse_affix(decls, tokens, lineno):
@@ -540,9 +542,9 @@ def _parse_affix(decls, tokens, lineno):
         for r in after:
             if r not in ROLES:
                 raise NetworkSyntaxError(f"unknown role '{r}' in after clause", lineno)
-    if any(a.language == language and a.morpheme == morpheme for a in decls.affixes):
+    if (language, morpheme) in decls.affixes:
         raise NetworkError(f"duplicate affix '{morpheme}' for {language} (line {lineno})")
-    decls.affixes.append(AffixDecl(language=language, morpheme=morpheme, role=role, after=after))
+    decls.affixes[(language, morpheme)] = AffixDecl(language, morpheme, role, after)
 
 
 def _parse_morphrule(decls, tokens, lineno):
@@ -553,16 +555,12 @@ def _parse_morphrule(decls, tokens, lineno):
         raise NetworkSyntaxError("expected 'morphrule <lang> <class>+<affix> -> <surface>'", lineno)
     root_class, affix = tokens[2].split("+", 1)
     surface = tokens[4]
-    if any(
-        r.language == language and r.root_class == root_class and r.affix == affix
-        for r in decls.morph_rules
-    ):
+    key = (language, root_class, affix)
+    if key in decls.morph_rules:
         raise NetworkError(
             f"duplicate morphrule '{root_class}+{affix}' for {language} (line {lineno})"
         )
-    decls.morph_rules.append(
-        MorphRuleDecl(language=language, root_class=root_class, affix=affix, surface=surface)
-    )
+    decls.morph_rules[key] = MorphRuleDecl(language, root_class, affix, surface)
 
 
 def _resolve_references(decls, pending):
@@ -724,7 +722,7 @@ def _realizable(net, language, concept_id) -> bool:
 def _check_reachability(net, diags):
     for cs in net.sequences.values():
         for i, el in enumerate(cs.elements):
-            if el.is_literal:
+            if el.literal is not None:
                 continue
             if el.concept not in net.concepts:
                 continue  # reported as dangling at load
@@ -762,7 +760,7 @@ def _check_generation_supply(net, diags):
         if target is None:
             continue
         for k, (el, j) in enumerate(zip(target.elements, net.counterparts[cs.id])):
-            if el.is_literal or ElementType.omissible(el.etype) or el.default_item:
+            if el.literal is not None or ElementType.omissible(el.etype) or el.default_item:
                 continue
             if j is None:
                 why = f"has no source counterpart in '{cs.id}'"
@@ -783,7 +781,7 @@ def _check_omissible_cycles(net, diags):
     edges: dict[str, set[str]] = {cs.id: set() for cs in net.sequences.values()}
     for cs in net.sequences.values():
         for el in cs.elements:
-            if el.is_literal or not ElementType.omissible(el.etype):
+            if el.literal is not None or not ElementType.omissible(el.etype):
                 continue
             if el.concept not in net.concepts:
                 continue

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import os
 import random
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
-from markermt.markers import MarkerState
+from markermt.markers import DirectionPlan, MarkerState
 from markermt.network import ElementType, load_network, lookup_lexical
 
 
@@ -27,6 +29,18 @@ def run_engine(net, tokens, source="ko", target="en") -> MarkerState:
         state.activate(items, i, literal=(word if word in literals else None))
         state.step_collisions()
     return state
+
+
+def plain(value):
+    """``value`` in a form ``copy.deepcopy`` can copy, as strict under
+    ``==``: read-only mappings become dicts, and a :class:`DirectionPlan`
+    its class and a dict of its fields, recursively."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, DirectionPlan):
+        fields = {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return (DirectionPlan, fields)
+    return value
 
 
 def cli_env() -> dict[str, str]:

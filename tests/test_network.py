@@ -1,14 +1,17 @@
 import copy
+import dataclasses
 import sys
 import threading
-from types import MappingProxyType
+import time
 
 import pytest
 
+from markermt.markers import DirectionPlan
 from markermt.network import (
     ConceptNode,
     ConceptSequence,
     Diagnostic,
+    LexicalItem,
     MemoryNetwork,
     NetworkError,
     SequenceElement,
@@ -21,6 +24,7 @@ from markermt.synth import parse_samples, synth_network
 from markermt.translator import translate
 
 from conftest import TRAVEL_CORPUS
+from helpers import plain
 
 
 def test_fixture_loads_fully_indexed(net):
@@ -50,15 +54,85 @@ def test_lookup_iff_item_exists(net):
         assert item.id in found
 
 
-def test_serialize_round_trip(net, travel_text):
-    text = serialize_network(net)
-    reloaded = load_network(text)
-    assert reloaded.concepts == net.concepts
-    assert reloaded.lexicon == net.lexicon
-    assert reloaded.sequences == net.sequences
-    assert reloaded.affixes == net.affixes
-    assert reloaded.morph_rules == net.morph_rules
-    assert serialize_network(reloaded) == text
+def test_serialize_round_trip(net):
+    for network in (net, load_network(synth_network(1000, 200, 1))):
+        text = serialize_network(network)
+        reloaded = load_network(text)
+        assert reloaded.concepts == network.concepts
+        assert reloaded.lexicon == network.lexicon
+        assert reloaded.sequences == network.sequences
+        assert reloaded.affixes == network.affixes
+        assert reloaded.morph_rules == network.morph_rules
+        assert serialize_network(reloaded) == text
+
+
+def _token(el):
+    return el.label() + (f"={el.default_item}" if el.default_item else "")
+
+
+def test_identical_element_tokens_share_one_record():
+    net = load_network(synth_network(1000, 200, 1))
+    elements = [el for cs in net.sequences.values() for el in cs.elements]
+    first = {}
+    for el in elements:
+        assert first.setdefault(_token(el), el) is el
+    assert len(first) < len(elements)  # some token does repeat
+
+
+def test_declaration_records_are_immutable(net):
+    cs = next(iter(net.sequences.values()))
+    records = [
+        next(iter(net.concepts.values())),
+        next(iter(net.lexicon.values())),
+        cs,
+        cs.elements[0],
+    ]
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+
+def test_keyword_built_network_equals_loaded_one():
+    text = (
+        "concept thing\nconcept a isa thing\nconcept top sentence-type statement\n"
+        "lex k-a ko wa isa a\nlex e-a en va isa a\n"
+        "cs s ko of top pair t : thing(CX)\n"
+        'cs t en of top pair s : "the"(CX) thing(CX)=e-a\n'
+    )
+    net = MemoryNetwork()
+    net.concepts["thing"] = ConceptNode(id="thing")
+    net.concepts["a"] = ConceptNode(id="a", parents=("thing",))
+    net.concepts["top"] = ConceptNode(id="top", sentence_type="statement")
+    net.lexicon["k-a"] = LexicalItem(id="k-a", language="ko", morphemes=("wa",), concept="a")
+    net.lexicon["e-a"] = LexicalItem(id="e-a", language="en", morphemes=("va",), concept="a")
+    net.sequences["s"] = ConceptSequence(
+        id="s",
+        language="ko",
+        owner="top",
+        elements=(SequenceElement(etype="CX", concept="thing"),),
+        paired="t",
+    )
+    net.sequences["t"] = ConceptSequence(
+        id="t",
+        language="en",
+        owner="top",
+        elements=(
+            SequenceElement(etype="CX", literal="the"),
+            SequenceElement(etype="CX", concept="thing", default_item="e-a"),
+        ),
+        paired="s",
+    )
+    net.build_indexes()
+    loaded = load_network(text)
+    assert (net.concepts, net.lexicon, net.sequences) == (
+        loaded.concepts,
+        loaded.lexicon,
+        loaded.sequences,
+    )
+    assert validate_network(net) == []
+    result = translate(net, "wa", "ko-en")
+    assert result.ok and result.target_sentence == "The va."
 
 
 def test_empty_file_rejected():
@@ -116,6 +190,34 @@ def test_default_item_language_must_match_sequence():
     )
     with pytest.raises(NetworkError, match="must be a ko item"):
         load_network(text)
+
+
+def test_duplicate_affix_rejected():
+    text = "concept a\naffix ko ul role case-marker\naffix ko ul role suffix\n"
+    with pytest.raises(NetworkError) as err:
+        load_network(text)
+    assert str(err.value) == "duplicate affix 'ul' for ko (line 3)"
+
+
+def test_duplicate_morphrule_rejected():
+    text = "concept a\nmorphrule ko C+ul -> lul\nmorphrule ko C+ul -> ul\n"
+    with pytest.raises(NetworkError) as err:
+        load_network(text)
+    assert str(err.value) == "duplicate morphrule 'C+ul' for ko (line 3)"
+
+
+def test_many_affixes_and_morphrules_load_in_linear_time():
+    # a duplicate check that scans the earlier declarations takes tens of
+    # seconds here
+    n = 20_000
+    lines = ["concept a"]
+    lines += [f"affix ko x{i} role suffix" for i in range(n)]
+    lines += [f"morphrule ko c{i}+x{i} -> y{i}" for i in range(n)]
+    started = time.perf_counter()
+    net = load_network("\n".join(lines))
+    elapsed = time.perf_counter() - started
+    assert (len(net.affixes), len(net.morph_rules)) == (n, n)
+    assert elapsed < 3.0, f"load took {elapsed:.2f}s"
 
 
 def test_all_omissible_sequence_rejected_at_load():
@@ -301,10 +403,7 @@ def _outcomes(net, rows):
 def _snapshot(net):
     """A deep copy of every attribute of ``net`` and of its morphology, the
     read-only tables as plain dicts."""
-    tables = dict(vars(net), morphology=vars(net.morphology))
-    return copy.deepcopy(
-        {name: dict(t) if isinstance(t, MappingProxyType) else t for name, t in tables.items()}
-    )
+    return copy.deepcopy(plain(dict(vars(net), morphology=vars(net.morphology))))
 
 
 def test_threads_share_one_network(travel_text):
@@ -341,11 +440,25 @@ def test_translation_writes_no_network_table(travel_text):
 
 
 @pytest.mark.parametrize(
-    "name", ["morpheme_index", "ancestors", "items_below", "sequences_below", "literals"]
+    "name", ["morpheme_index", "ancestors", "items_below", "sequences_below", "literals", "plans"]
 )
 def test_network_tables_are_read_only(net, name):
     table = getattr(net, name)
     key = next(iter(table))
     with pytest.raises(TypeError):
         table[key] = table[key]
-    assert all(isinstance(value, (tuple, frozenset)) for value in table.values())
+    assert all(isinstance(value, (tuple, frozenset, DirectionPlan)) for value in table.values())
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["slots_by_literal", "starts_by_concept", "filler_bit", "left_corner", "unpredicted_below"],
+)
+def test_plan_tables_are_read_only(travel_text, name):
+    # a network of its own: a write that succeeds must not reach other tests
+    for plan in load_network(travel_text).plans.values():
+        table = getattr(plan, name)
+        with pytest.raises(TypeError):
+            table["new"] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, name, dict(table))
