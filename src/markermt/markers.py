@@ -210,8 +210,10 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
                 prefix.append(TraceEvent("predict", AP, f"cs:{cs.id}#{idx}", None, -1))
                 if el.literal is not None:
                     starts = by_literal.setdefault(el.literal, [])
+                elif el.concept in by_filler:  # its items are predicted already
+                    starts = by_filler[el.concept]
                 else:
-                    starts = by_filler.setdefault(el.concept, [])
+                    starts = by_filler[el.concept] = []
                     for item_id in net.items_below[(source, el.concept)]:
                         if item_id not in items:
                             items.add(item_id)

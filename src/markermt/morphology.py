@@ -4,7 +4,10 @@ Analysis and generation run over the same data: a root pool (first morphemes
 of lexical items, plus standalone function words), an affix table with a flat
 role-adjacency relation, and boundary rewrite rules for irregular forms.
 Generation is deterministic; analysis inverts it by searching root and affix
-readings whose regenerated surface matches the input.
+readings whose regenerated surface matches the input.  Both run from tables
+compiled when the network is built: the roots keyed by the prefix no rule
+can rewrite, the rules of each affix, longest class first, and for each role
+the affixes that may follow it.
 
 Word joining is a language-profile property: Korean (Yale romanization)
 joins morphemes inside an Eojeol with ``-``, English concatenates directly.
@@ -90,6 +93,16 @@ def tokenize(language: str, sentence: str) -> Tokenized:
     )
 
 
+def _join(stem: str, rules, plain: str) -> str:
+    """``stem`` with one affix attached: the first ``(class, surface)`` rule
+    whose class ends the stem replaces that class, otherwise ``plain``
+    (joiner + affix) is appended."""
+    for cls_, surface in rules:
+        if stem.endswith(cls_):
+            return stem[: len(stem) - len(cls_)] + surface
+    return stem + plain
+
+
 class Morphology:
     """Segmentation and word generation over one network's tables."""
 
@@ -99,13 +112,12 @@ class Morphology:
         self.roots = roots
         self.affixes = affixes
         self.adjacency = adjacency
-        self.rules = rules
         self.max_class = {
             lang: max((len(c) for c, _ in table), default=0)
             for lang, table in rules.items()
         }
         # {lang: {stable prefix: stored roots}}: a root keyed by the part no
-        # boundary rule can rewrite, cut as _compatible cuts it, can start a
+        # boundary rule can rewrite, cut as segment cuts it, can start a
         # reading of a word only if its key is a prefix of the word.  Groups
         # are nearly all one root, so they grow as tuples: a list per key
         # would be garbage that outweighs the index.
@@ -115,6 +127,33 @@ class Morphology:
             for folded, stored in table.items():
                 key = folded[: max(0, len(stored) - self.max_class.get(lang, 0))]
                 index[key] = index.get(key, ()) + (stored,)
+        # {lang: {affix: ((class, surface), ...)}}, longest class first, so
+        # the first class a stem ends with is the longest that applies
+        self._rules_by_affix: dict[str, dict[str, tuple[tuple[str, str], ...]]] = {}
+        for lang, table in rules.items():
+            by_affix: dict[str, list[tuple[str, str]]] = {}
+            for (cls_, affix), surface in table.items():
+                by_affix.setdefault(affix, []).append((cls_, surface))
+            self._rules_by_affix[lang] = {
+                affix: tuple(sorted(pairs, key=lambda p: -len(p[0])))
+                for affix, pairs in by_affix.items()
+            }
+        # {lang: {role: ((unit, rules, plain), ...)}}: the affixes adjacency
+        # allows after ``role``, in declaration order, each with its unit,
+        # its rules and its plain joiner + affix surface
+        self._next: dict[str, dict[str, tuple]] = {}
+        for lang, table in affixes.items():
+            rules_of, joiner = self._rules_by_affix.get(lang, {}), PROFILES[lang].joiner
+            before: dict[str, list[str]] = {}
+            for prev, role in adjacency[lang]:
+                before.setdefault(role, []).append(prev)
+            steps: dict[str, list] = {prev: [] for prev in ("root", *table.values())}
+            for affix, role in table.items():
+                step = (MorphUnit(affix, role), rules_of.get(affix, ()), joiner + affix)
+                for prev in before.get(role, ()):
+                    if prev in steps:
+                        steps[prev].append(step)
+            self._next[lang] = {prev: tuple(found) for prev, found in steps.items()}
 
     @classmethod
     def from_network(cls, net: MemoryNetwork) -> "Morphology":
@@ -152,16 +191,8 @@ class Morphology:
 
     def attach(self, language: str, stem: str, affix: str) -> str:
         """Join one affix onto an accumulated stem surface."""
-        table = self.rules.get(language, {})
-        best = None
-        for (cls_, afx), frag in table.items():
-            if afx == affix and stem.endswith(cls_):
-                if best is None or len(cls_) > len(best[0]):
-                    best = (cls_, frag)
-        if best is not None:
-            cls_, frag = best
-            return stem[: len(stem) - len(cls_)] + frag
-        return stem + PROFILES[language].joiner + affix
+        rules = self._rules_by_affix.get(language, {}).get(affix, ())
+        return _join(stem, rules, PROFILES[language].joiner + affix)
 
     def generate_word(self, language: str, seq: MorphemeSequence) -> str:
         units = seq.units
@@ -206,57 +237,46 @@ class Morphology:
         """All segmentations of a surface word, longest root first.
 
         Empty result signals an unknown word.  Matching is case-insensitive;
-        returned units carry the stored (lexicon) spellings.  Candidate roots
-        cost ``len(word) + 1`` dict lookups, one per word prefix, so the cost
-        grows with the word and the roots sharing its prefixes (each searched
-        through the affix table), not with the size of the lexicon.
+        returned units carry the stored (lexicon) spellings.
+
+        A reading is a root and its affixes, with the surface generation
+        gives them.  A boundary rule rewrites at most the last ``max_class``
+        characters of a surface, so the part before them (the stable prefix)
+        is final: a reading whose stable prefix is not a prefix of the word
+        is never kept, nor anything grown from it.  The candidate roots, whose
+        stable prefixes are prefixes of the word, cost ``len(word) + 1`` dict
+        lookups.  Each kept reading of at most ``len(word) + 1`` units grows
+        by every affix on its last role's successor list, attached by the
+        rules of that one affix (a completed reading may still grow, since
+        rules can shrink surfaces).  So the cost grows with the word, the
+        roots sharing its prefixes and the affixes that fit, not with the
+        size of the lexicon or the rules of other affixes.
         """
         target = word.casefold()
         if not target:
             return ()
-        results: list[MorphemeSequence] = []
-        seen: set[tuple[str, ...]] = set()
+        cut = self.max_class.get(language, 0)
+        size = len(target)
+        successors = self._next.get(language)
         by_stable = self._roots_by_stable.get(language, {})
-        for end in range(len(target) + 1):
-            for root in by_stable.get(target[:end], ()):
-                self._extend(
-                    language,
-                    target,
-                    [MorphUnit(root, "root")],
-                    root,
-                    "root",
-                    results,
-                    seen,
-                )
+        stack = [
+            ((MorphUnit(root, "root"),), root)
+            for end in range(size + 1)
+            for root in by_stable.get(target[:end], ())
+        ]
+        results: list[MorphemeSequence] = []
+        while stack:
+            units, formed = stack.pop()
+            if formed.casefold() == target:
+                results.append(MorphemeSequence(language, units))
+            if len(units) > size + 1:
+                continue
+            for unit, rules, plain in successors[units[-1].role]:
+                surface = _join(formed, rules, plain)
+                stable = len(surface) - cut
+                if stable <= 0 or (
+                    stable <= size and surface.casefold()[:stable] == target[:stable]
+                ):
+                    stack.append((units + (unit,), surface))
         results.sort(key=lambda s: (-len(s.units[0].form), s.forms))
         return tuple(results)
-
-    def _compatible(self, language: str, formed: str, target: str) -> bool:
-        stable = max(0, len(formed) - self.max_class.get(language, 0))
-        if stable > len(target):
-            return False
-        return formed.casefold()[:stable] == target[:stable]
-
-    def _extend(self, language, target, units, formed, prev_role, results, seen):
-        if not self._compatible(language, formed, target):
-            return
-        if formed.casefold() == target:
-            key = tuple(u.form for u in units)
-            if key not in seen:
-                seen.add(key)
-                results.append(MorphemeSequence(language=language, units=tuple(units)))
-            # a completed reading may still extend (rules can shrink surfaces)
-        if len(units) > len(target) + 1:
-            return
-        for affix, role in self.affixes[language].items():
-            if (prev_role, role) not in self.adjacency[language]:
-                continue
-            self._extend(
-                language,
-                target,
-                units + [MorphUnit(affix, role)],
-                self.attach(language, formed, affix),
-                role,
-                results,
-                seen,
-            )

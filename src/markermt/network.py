@@ -628,6 +628,7 @@ def validate_network(net: MemoryNetwork) -> list[Diagnostic]:
     _check_reachability(net, diags)
     _check_generation_supply(net, diags)
     _check_omissible_cycles(net, diags)
+    _check_morph_rules(net, diags)
     return diags
 
 
@@ -795,3 +796,18 @@ def _check_omissible_cycles(net, diags):
                 f"all-omissible sequence reference cycle through '{cycle[-1]}'",
             )
         )
+
+
+def _check_morph_rules(net, diags):
+    # a rule applies only when its affix is attached, and only the declared
+    # non-root affixes (the morphology's affix table) are
+    affixes = net.morphology.affixes
+    for r in net.morph_rules:
+        if r.affix not in affixes[r.language]:
+            diags.append(
+                Diagnostic(
+                    "dead-morphrule",
+                    f"morphrule '{r.root_class}+{r.affix}' ({r.language}) never applies: "
+                    f"'{r.affix}' is not a declared {r.language} affix",
+                )
+            )

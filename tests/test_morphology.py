@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markermt.morphology import MorphemeSequence, MorphologyError, MorphUnit, tokenize
+from markermt.morphology import PROFILES, MorphemeSequence, MorphologyError, MorphUnit, tokenize
 from markermt.network import load_network
 from markermt.synth import parse_samples, synth_network
+from markermt.translator import translate
+
+from conftest import TRAVEL_CORPUS
 
 
 def seqs(morph, language, word):
@@ -152,14 +155,49 @@ def test_lexicon_item_round_trip(net):
         assert item.morphemes in analyses
 
 
-def segment_by_scan(m, language, word):
-    """Reference segmentation: the affix search started from every root."""
+def segment_by_scan(net, language, word):
+    """Reference segmentation, frozen: a recursive search started from every
+    root that, at each step, scans every affix for adjacency and every rule
+    of the language for the boundary rewrite."""
+    m = net.morphology
+    rules = {(r.root_class, r.affix): r.surface for r in net.morph_rules if r.language == language}
+    max_class = max((len(c) for c, _ in rules), default=0)
+    joiner = PROFILES[language].joiner
     target = word.casefold()
     if not target:
         return ()
     results, seen = [], set()
+
+    def attach(stem, affix):
+        best = None
+        for (cls_, afx), frag in rules.items():
+            if afx == affix and stem.endswith(cls_):
+                if best is None or len(cls_) > len(best[0]):
+                    best = (cls_, frag)
+        if best is not None:
+            return stem[: len(stem) - len(best[0])] + best[1]
+        return stem + joiner + affix
+
+    def compatible(formed):
+        stable = max(0, len(formed) - max_class)
+        return stable <= len(target) and formed.casefold()[:stable] == target[:stable]
+
+    def extend(units, formed, prev_role):
+        if not compatible(formed):
+            return
+        if formed.casefold() == target:
+            key = tuple(u.form for u in units)
+            if key not in seen:
+                seen.add(key)
+                results.append(MorphemeSequence(language, tuple(units)))
+        if len(units) > len(target) + 1:
+            return
+        for affix, role in m.affixes[language].items():
+            if (prev_role, role) in m.adjacency[language]:
+                extend(units + [MorphUnit(affix, role)], attach(formed, affix), role)
+
     for root in m.roots[language].values():
-        m._extend(language, target, [MorphUnit(root, "root")], root, "root", results, seen)
+        extend([MorphUnit(root, "root")], root, "root")
     results.sort(key=lambda s: (-len(s.units[0].form), s.forms))
     return tuple(results)
 
@@ -176,9 +214,9 @@ def near_surfaces(surfaces):
     return sorted(words)
 
 
-def assert_segment_matches_scan(m, language, words):
+def assert_segment_matches_scan(net, language, words):
     for word in words:
-        assert m.segment(language, word) == segment_by_scan(m, language, word), word
+        assert net.morphology.segment(language, word) == segment_by_scan(net, language, word), word
 
 
 @pytest.mark.parametrize("language", ["ko", "en"])
@@ -190,15 +228,15 @@ def test_segment_matches_root_scan_on_travel_surfaces(net, language):
     ]
     words = near_surfaces(surfaces + [w.upper() for w in surfaces[:20]])
     assert len(words) > 500
-    assert_segment_matches_scan(m, language, words)
+    assert_segment_matches_scan(net, language, words)
 
 
 def test_segment_matches_root_scan_on_synth_samples():
     text = synth_network(300, 60, 5, samples=40)
-    m = load_network(text).morphology
+    net = load_network(text)
     for direction, sentence in parse_samples(text):
         language = direction.split("-")[0]
-        assert_segment_matches_scan(m, language, near_surfaces(sentence.split()))
+        assert_segment_matches_scan(net, language, near_surfaces(sentence.split()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,24 +247,87 @@ def test_segment_matches_root_scan_on_random_words(net, data):
     pieces |= {affix for table in m.affixes.values() for affix in table}
     language = data.draw(st.sampled_from(["ko", "en"]))
     word = data.draw(st.lists(st.sampled_from(sorted(pieces)), max_size=8).map("".join))
-    assert m.segment(language, word) == segment_by_scan(m, language, word)
+    assert m.segment(language, word) == segment_by_scan(net, language, word)
 
 
-def _extend_calls(m, language, word):
-    calls = 0
-    extend = m._extend
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_segment_matches_root_scan_on_rule_surfaces(net, data):
+    """A root that ends in a rule class, cut back by up to two characters,
+    then a rule surface (travel's are wun, ies, pping and ed) and up to two
+    more pieces: the words on which boundary rewrites fire or nearly do."""
+    m = net.morphology
+    language = data.draw(st.sampled_from(["ko", "en"]))
+    classes = tuple(r.root_class for r in net.morph_rules if r.language == language)
+    roots = sorted(root for root in m.roots[language].values() if root.endswith(classes))
+    root = data.draw(st.sampled_from(roots))
+    root = root[: len(root) - data.draw(st.integers(0, 2))]
+    surfaces = sorted(r.surface for r in net.morph_rules)
+    pieces = sorted({"-", *surfaces, *m.affixes[language]})
+    tail = data.draw(st.sampled_from(surfaces))
+    tail += data.draw(st.lists(st.sampled_from(pieces), max_size=2).map("".join))
+    word = data.draw(st.sampled_from([root + tail, (root + tail).upper()]))
+    assert m.segment(language, word) == segment_by_scan(net, language, word)
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return extend(*args)
 
-    m._extend = counting
+@pytest.mark.parametrize(
+    "language, word, forms",
+    [
+        ("ko", "kowun", ("kop", "un")),
+        ("en", "studies", ("study", "s")),
+        ("en", "stopping", ("stop", "ing")),
+        ("en", "filed", ("file", "ed")),
+    ],
+)
+def test_rule_surface_words_segment_through_their_rule(net, language, word, forms):
+    readings = net.morphology.segment(language, word)
+    assert forms in {s.forms for s in readings}
+    assert readings == segment_by_scan(net, language, word)
+
+
+def test_longest_rule_class_wins(travel_text):
+    # declared after y+s, so only its longer class makes it win on "way"
+    net = load_network(travel_text + "morphrule en ay+s -> ays\n")
+    m = net.morphology
+    assert m.word_for_morphemes("en", ("way", "s")) == "ways"
+    assert m.word_for_morphemes("en", ("study", "s")) == "studies"
+    for word in ("ways", "waies", "studies", "studys"):
+        assert m.segment("en", word) == segment_by_scan(net, "en", word), word
+    assert {s.forms for s in m.segment("en", "ways")} == {("way", "s")}
+    assert m.segment("en", "waies") == ()
+
+
+def test_rules_that_keep_the_length_stop_at_the_unit_bound(travel_text):
+    # x may follow itself and adds nothing after an e, so "file" also reads
+    # as file+x, file+x+x, ... up to len(word) + 2 units, where the search
+    # stops
+    extra = "affix en x role plural after root,plural\nmorphrule en e+x -> e\n"
+    net = load_network(travel_text + extra)
+    readings = net.morphology.segment("en", "file")
+    assert [s.forms for s in readings] == [("file",) + ("x",) * k for k in range(6)]
+    assert readings == segment_by_scan(net, "en", "file")
+
+
+class CountingSteps(dict):
+    """A successor table that counts its lookups: one per reading the
+    search keeps and grows."""
+
+    lookups = 0
+
+    def __getitem__(self, role):
+        self.lookups += 1
+        return super().__getitem__(role)
+
+
+def candidate_readings(m, language, word):
+    """How many readings ``segment`` keeps while it searches ``word``."""
+    saved = m._next[language]
+    m._next[language] = steps = CountingSteps(saved)
     try:
         result = m.segment(language, word)
     finally:
-        del m._extend
-    return calls, result
+        m._next[language] = saved
+    return steps.lookups, result
 
 
 @pytest.mark.parametrize("language", ["ko", "en"])
@@ -240,7 +341,31 @@ def test_segment_cost_does_not_grow_with_the_lexicon(language):
         if direction.startswith(language)
     )
     counts = [
-        _extend_calls(load_network(text).morphology, language, word)
+        candidate_readings(load_network(text).morphology, language, word)
         for text in (small, synth_network(4000, 800, 3, samples=10))
     ]
-    assert counts[0][1] and counts[0] == counts[1]
+    assert counts[0][0] > 0 and counts[0][1]
+    assert counts[0] == counts[1]
+
+
+def test_rules_of_other_affixes_leave_translation_alone(net, travel_text):
+    """2,000 rules of undeclared affixes give the same outputs and the same
+    search: each affix is attached by its own rules only."""
+    extra = "".join(f"morphrule ko p+zq{i} -> x\n" for i in range(2000))
+    heavy = load_network(travel_text + extra)
+    assert len(heavy.morph_rules) == len(net.morph_rules) + 2000
+    assert heavy.morphology._next == net.morphology._next
+    rows = [
+        line.split("\t")
+        for line in TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+        if line and not line.startswith("#")
+    ]
+    for direction, sentence, _ in rows:
+        plain, loaded = (translate(n, sentence, direction) for n in (net, heavy))
+        assert plain.status == "success"
+        assert (loaded.status, loaded.target_sentence) == (plain.status, plain.target_sentence)
+        source = direction.split("-")[0]
+        for word in tokenize(source, sentence).words:
+            assert candidate_readings(heavy.morphology, source, word) == candidate_readings(
+                net.morphology, source, word
+            )

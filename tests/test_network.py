@@ -367,6 +367,24 @@ def test_target_element_supplied_only_by_an_omissible_counterpart_diagnosed():
     assert validate_network(_supply_net('"x"(CX) a(OX)', '"y"(CX) a(CX)=ea')) == []
 
 
+def test_morphrule_of_no_declared_affix_diagnosed(travel_text):
+    # zq is no affix, tul is a ko affix only, and zr is declared as a root
+    net = load_network(
+        travel_text
+        + "morphrule ko p+zq -> x\nmorphrule en y+tul -> x\n"
+        + "affix ko zr role root\nmorphrule ko p+zr -> x\n"
+    )
+    dead = [("p+zq", "ko", "zq"), ("y+tul", "en", "tul"), ("p+zr", "ko", "zr")]
+    assert validate_network(net) == [
+        Diagnostic(
+            "dead-morphrule",
+            f"morphrule '{rule}' ({lang}) never applies: '{affix}' is not a declared {lang} affix",
+        )
+        for rule, lang, affix in dead
+    ]
+    assert net.morphology.segment("ko", "kox") == ()
+
+
 def test_concept_with_only_a_target_sequence_is_unpaired():
     # a lexical fill of a is realized by an en item of a; the en sequence a
     # owns does not supply one, so translating "wa" could only end no-parse
