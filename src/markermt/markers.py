@@ -324,8 +324,8 @@ class MarkerSet:
     The keys of an attached :class:`DirectionPlan` count as members without
     being copied; :meth:`add` records the rest.  The two parts never
     overlap, so the length is the sum of theirs.  A key the plan cannot
-    hold (one with a binding, or on an instance element) may go straight
-    into ``_own``.
+    hold (one with a binding, one on an instance element, or an ``AP`` on
+    an item of ``unpredicted_below``) may go straight into ``_own``.
     """
 
     __slots__ = ("_plan", "_own")
@@ -442,8 +442,13 @@ class MarkerState:
     def _predict_lexical(self, element):
         if element.literal is not None:
             return
+        # the plan predicts none of these items, so their keys can only be
+        # in the session's own part
+        own = self.markers._own
         for item_id in self.plan.unpredicted_below[element.concept]:
-            if self.markers.add((AP, ("lex", item_id), None)):
+            key = (AP, ("lex", item_id), None)
+            if key not in own:
+                own.add(key)
                 self.emit("predict", AP, f"lex:{item_id}")
 
     def activate(self, lexical_items, span: int, literal: str | None = None):
@@ -452,10 +457,11 @@ class MarkerState:
         self.token_index = span
         self._made_before = len(self.instances)
         binding = f"tok{span}"
+        own = self.markers._own  # bound AA keys are never in the plan
         for item_id in lexical_items:
             item = self.net.lexicon[item_id]
             assert item.language == self.source, f"{item_id} is not a {self.source} item"
-            self.markers.add((AA, ("lex", item_id), binding))
+            own.add((AA, ("lex", item_id), binding))
             self.emit("activate", AA, f"lex:{item_id}", binding)
             self.agenda.append(("lex", item_id, span))
         if literal is not None:
@@ -491,10 +497,14 @@ class MarkerState:
         binding = f"tok{span}"
         if (AP, ("lex", item_id), None) in self.markers:
             self.emit("collide", AA, f"lex:{item_id}", binding)
-        # AA climbs the hierarchy; GA lands on the paired target items
-        self.markers.add((AA, ("cn", item.concept), binding))
+        # AA climbs the hierarchy; GA lands on the paired target items.
+        # Bound keys are never in the plan, so they go to the own part.
+        own = self.markers._own
+        own.add((AA, ("cn", item.concept), binding))
         for tgt_item in self.net.items_of_concept(self.target, item.concept):
-            if self.markers.add((GA, ("lex", tgt_item), binding)):
+            key = (GA, ("lex", tgt_item), binding)
+            if key not in own:
+                own.add(key)
                 self.emit("activate", GA, f"lex:{tgt_item}", binding)
         fill = Fill(kind="lex", start=span, end=span + 1, item=item_id, concept=item.concept)
         self._match_passive(concept=item.concept, literal=None, start=span, end=span + 1, fill=fill)

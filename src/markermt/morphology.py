@@ -13,11 +13,18 @@ Word joining is a language-profile property: Korean (Yale romanization)
 joins morphemes inside an Eojeol with ``-``, English concatenates directly.
 Irregular rules replace the boundary outright, so ``kop + un`` can surface
 as ``kowun`` while ``pha-il + tul + ul`` stays ``pha-il-tul-ul``.
+
+A segmentation is a :class:`MorphemeSequence` of :class:`MorphUnit`
+records, both named tuples.  Generating a lexical item's word
+(:meth:`Morphology.word_for_morphemes`) reads its stored morpheme tuple
+directly and builds neither.  Loading rejects an item whose affixes the
+adjacency table does not allow, so every item's word can be generated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from markermt.network import EN, KO, MemoryNetwork
 
@@ -38,14 +45,12 @@ PROFILES = {
 }
 
 
-@dataclass(frozen=True)
-class MorphUnit:
+class MorphUnit(NamedTuple):
     form: str
     role: str
 
 
-@dataclass(frozen=True)
-class MorphemeSequence:
+class MorphemeSequence(NamedTuple):
     """One word's segmentation: a single root followed by affixes."""
 
     language: str
@@ -172,13 +177,27 @@ class Morphology:
         for rule in net.morph_rules:
             rules[rule.language][(rule.root_class, rule.affix)] = rule.surface
 
+        # an item whose affixes adjacency does not allow could never be
+        # generated; the first such item is reported after the loop, so an
+        # undeclared affix anywhere keeps its own message
+        broken = None
         for item in net.lexicon.values():
             roots[item.language].setdefault(item.morphemes[0].casefold(), item.morphemes[0])
+            if len(item.morphemes) == 1:
+                continue
+            table, allowed = affixes[item.language], adjacency[item.language]
+            prev_role = "root"
             for m in item.morphemes[1:]:
-                if m not in affixes[item.language]:
+                role = table.get(m)
+                if role is None:
                     raise MorphologyError(
                         f"lexical item '{item.id}' uses undeclared affix '{m}'"
                     )
+                if broken is None and (prev_role, role) not in allowed:
+                    broken = f"lexical item '{item.id}': affix '{m}' ({role}) cannot follow {prev_role}"
+                prev_role = role
+        if broken is not None:
+            raise MorphologyError(broken)
         # literal elements are standalone function words; register them as
         # roots so generated sentences re-segment cleanly
         for lang in PROFILES:
@@ -219,8 +238,28 @@ class Morphology:
         return surface
 
     def word_for_morphemes(self, language: str, morphemes) -> str:
-        """Generate the surface for a lexical item's stored morpheme tuple."""
-        return self.generate_word(language, self.sequence(language, morphemes))
+        """Generate the surface for a lexical item's stored morpheme tuple.
+
+        The same checks as ``generate_word(language, sequence(language,
+        morphemes))``, with the same messages in the same order (every
+        affix is declared, then the root is known, then each affix may
+        follow the role before it), without building either record."""
+        affixes = self.affixes[language]
+        for m in morphemes[1:]:
+            if m not in affixes:
+                raise MorphologyError(f"unknown morpheme '{m}'")
+        surface = morphemes[0]
+        if surface.casefold() not in self.roots[language]:
+            raise MorphologyError(f"unknown morpheme '{surface}'")
+        adjacency = self.adjacency[language]
+        prev_role = "root"
+        for m in morphemes[1:]:
+            role = affixes[m]
+            if (prev_role, role) not in adjacency:
+                raise MorphologyError(f"affix '{m}' ({role}) cannot follow {prev_role}")
+            surface = self.attach(language, surface, m)
+            prev_role = role
+        return surface
 
     def sequence(self, language: str, morphemes) -> MorphemeSequence:
         units = [MorphUnit(morphemes[0], "root")]

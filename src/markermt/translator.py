@@ -4,11 +4,16 @@ The same orchestration serves both directions; nothing here branches on a
 particular language, only on the source/target tags carried by the
 direction argument (language-specific behavior lives in the morphology
 profiles).
+
+The concept tree of a result is made of named tuples, :class:`TreeNode`
+and :class:`TreeFill`: immutable, cheap to build (realization makes one
+record per source element), and printed by ``repr`` field by field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from markermt.markers import GA, GP, OMITTED, CsInstance, MarkerState, TooAmbiguous, TraceEvent, build_trace
 from markermt.morphology import PROFILES, MorphologyError, tokenize
@@ -33,8 +38,7 @@ def reverse_direction(direction: str) -> str:
     return f"{tgt}-{src}"
 
 
-@dataclass(frozen=True)
-class TreeFill:
+class TreeFill(NamedTuple):
     """One element of an instantiated sequence in the concept tree."""
 
     filler: str | None  # element's concept, None for literals
@@ -47,8 +51,7 @@ class TreeFill:
     child: "TreeNode | None" = None
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     concept: str
     source_cs: str
     target_cs: str
@@ -58,6 +61,9 @@ class TreeNode:
 @dataclass
 class TranslationResult:
     """What :func:`translate` returns.
+
+    ``concept_tree`` is the realized tree of named tuples (:class:`TreeNode`
+    and :class:`TreeFill`), None unless the status is ``success``.
 
     ``trace`` is the session's event stream: the plan's ``predict`` events
     (``_prefix``, shared, not copied), then the session's own event tuples
@@ -250,13 +256,12 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
 
     children: dict[int, TreeNode] = {}  # source element -> realized sub-instance
     extras: list[TreeFill] = []
+    mirrored = inst.target_cursor  # elements before it have their generate event traced
     for k, el in enumerate(target_cs.elements):
-        loc = f"cs:{target_cs.id}#{k}"
-        mirrored = k < inst.target_cursor  # its generate event is already traced
-        if el.is_literal:
+        if el.literal is not None:
             words.append(el.literal)
-            if not mirrored:
-                state.emit("generate", GP, loc)
+            if k >= mirrored:
+                state.emit("generate", GP, f"cs:{target_cs.id}#{k}")
             continue
         j = supply[k]
         fill = None if j is None else inst.fills[j]
@@ -265,12 +270,12 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
                 children[j] = yield state.instances[fill.sub]
             else:
                 words.append(_emit_item(net, morph, target_lang, fill.concept, el, target_cs))
-            if not mirrored:
-                state.emit("generate", GA, loc, fill.binding())
+            if k >= mirrored:
+                state.emit("generate", GA, f"cs:{target_cs.id}#{k}", fill.binding())
         elif el.default_item is not None:
             item = net.lexicon[el.default_item]
             words.append(morph.word_for_morphemes(target_lang, item.morphemes))
-            state.emit("generate", GP, loc)  # no source counterpart: GP only
+            state.emit("generate", GP, f"cs:{target_cs.id}#{k}")  # no source counterpart: GP only
             extras.append(
                 TreeFill(
                     filler=el.concept,
@@ -288,27 +293,21 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
                 f"required element {target_cs.id}#{k} ({el.concept}) has no source fill"
             )
 
-    fills = []
+    fills = []  # positional: keywords would double the cost of each record
     for j, (el, fill) in enumerate(zip(source_cs.elements, inst.fills)):
         fill = fill or OMITTED
-        fills.append(
-            TreeFill(
-                filler=el.concept,
-                literal=el.literal,
-                etype=el.etype,
-                kind=fill.kind,
-                item=fill.item,
-                item_concept=fill.concept if fill.kind == "lex" else None,
-                span=(fill.start, fill.end) if fill.kind in ("lex", "lit") else None,
-                child=children.get(j),
-            )
-        )
-    return TreeNode(
-        concept=source_cs.owner,
-        source_cs=source_cs.id,
-        target_cs=target_cs.id,
-        fills=tuple(fills) + tuple(extras),
-    )
+        kind = fill.kind
+        fills.append(TreeFill(
+            el.concept,  # filler
+            el.literal,
+            el.etype,
+            kind,
+            fill.item,
+            fill.concept if kind == "lex" else None,  # item_concept
+            (fill.start, fill.end) if kind in ("lex", "lit") else None,  # span
+            children.get(j),  # child
+        ))
+    return TreeNode(source_cs.owner, source_cs.id, target_cs.id, tuple(fills) + tuple(extras))
 
 
 def _emit_item(net, morph, target_lang, concept, element, target_cs) -> str:

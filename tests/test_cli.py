@@ -59,6 +59,14 @@ def test_translate_missing_network_exit_3(capsys):
     assert code == 3
 
 
+def test_translate_network_with_affix_adjacency_break_exit_3(tmp_path, travel_text):
+    bad = tmp_path / "bad.net"
+    bad.write_text(travel_text.replace("lex edit-en en edit+ed isa edit", "lex edit-en en edit+ed+s isa edit"))
+    proc = run_cli(["translate", str(bad), "pha-il-tul-ul swu-ceng-ha-yess-supnita.", "--dir", "ko-en"])
+    assert proc.returncode == 3
+    assert proc.stderr == "network error: lexical item 'edit-en': affix 's' (suffix) cannot follow suffix\n"
+
+
 def test_translate_too_ambiguous_exit_4(tmp_path, capsys):
     probe = tmp_path / "probe.net"
     probe.write_text(multi_parent_probe(13))

@@ -290,6 +290,34 @@ def test_session_markers_never_overlap_the_plan(net):
         state.close()
 
 
+def test_translated_sessions_never_record_a_plan_key(net, monkeypatch):
+    """Whole translations, realization included, over the travel corpus
+    and the synth samples: just before each session closes, none of the
+    keys the engine wrote straight into ``_own`` is one the plan holds."""
+    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+    rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
+    runs = [(net, direction, sentence) for direction, sentence, _ in rows]
+    synth = synth_network(1000, 200, 1)
+    network = load_network(synth)
+    runs += [(network, d, text) for d, text in parse_samples(synth)]
+    checked = []
+    real_close = MarkerState.close
+
+    def checking_close(state):
+        markers = state.markers
+        checked.append((state, [key for key in markers._own if markers._in_plan(key)]))
+        real_close(state)
+
+    monkeypatch.setattr(MarkerState, "close", checking_close)
+    for network, direction, sentence in runs:
+        result = translate(network, sentence, direction, keep_state=True)
+        assert result.ok, sentence
+        state, overlap = checked[-1]
+        assert state is result.debug_state
+        assert not overlap, (sentence, overlap[:3])
+    assert len(checked) == len(runs)
+
+
 def test_chart_records_are_immutable_and_keep_their_formats():
     fill = Fill(kind="lex", start=2, end=3, item="k-a", concept="a")
     inst = CsInstance(0, "test", 0, 1, (fill,), 1, 1, "accepted", None, 1)

@@ -73,6 +73,52 @@ def test_generate_rejects_bad_adjacency(net):
         m.generate_word("ko", seq)
 
 
+def generate_both_ways(m, language, morphemes):
+    """``word_for_morphemes`` and ``generate_word(sequence(...))`` on one
+    morpheme tuple: each its surface or its error message."""
+    outcomes = []
+    for generate in (
+        lambda: m.word_for_morphemes(language, morphemes),
+        lambda: m.generate_word(language, m.sequence(language, morphemes)),
+    ):
+        try:
+            outcomes.append(("surface", generate()))
+        except MorphologyError as exc:
+            outcomes.append(("error", str(exc)))
+    return outcomes
+
+
+def test_word_for_morphemes_matches_generate_word(net):
+    """Generating straight from the stored tuple gives what the records
+    give: the same surface, or the same error first."""
+    nets = [net, load_network(synth_network(1000, 200, 1))]
+    for each in nets:
+        for item in each.lexicon.values():
+            direct, staged = generate_both_ways(each.morphology, item.language, item.morphemes)
+            assert direct == staged and direct[0] == "surface", item.id
+    malformed = [
+        ("ko", ("zzz-zzz", "ul")),  # unknown root
+        ("ko", ("pha-il", "qq")),  # undeclared affix
+        ("ko", ("pha-il", "ul", "tul")),  # plural cannot follow a case-marker
+        ("ko", ("pha-il", "ul", "tul", "qq")),  # undeclared affix after that break
+        ("en", ("zzz", "qq")),  # unknown root and undeclared affix
+        ("en", ("edit", "ed", "s")),  # suffix cannot follow suffix
+    ]
+    messages = []
+    for language, morphemes in malformed:
+        direct, staged = generate_both_ways(net.morphology, language, morphemes)
+        assert direct == staged, morphemes
+        messages.append(direct)
+    assert messages == [
+        ("error", "unknown morpheme 'zzz-zzz'"),
+        ("error", "unknown morpheme 'qq'"),
+        ("error", "affix 'tul' (plural) cannot follow case-marker"),
+        ("error", "unknown morpheme 'qq'"),
+        ("error", "unknown morpheme 'qq'"),
+        ("error", "affix 's' (suffix) cannot follow suffix"),
+    ]
+
+
 def test_case_insensitive_match_returns_stored_spelling(net):
     m = net.morphology
     result = m.segment("en", "kennedy")

@@ -182,6 +182,24 @@ def test_undeclared_affix_in_item_rejected():
         load_network(text)
 
 
+def test_item_whose_affixes_break_adjacency_rejected(travel_text):
+    # validated clean and crashed in translate when edit-en was generated
+    text = travel_text.replace("lex edit-en en edit+ed isa edit", "lex edit-en en edit+ed+s isa edit")
+    with pytest.raises(NetworkError) as err:
+        load_network(text)
+    assert str(err.value) == "lexical item 'edit-en': affix 's' (suffix) cannot follow suffix"
+
+
+def test_undeclared_affix_reported_before_an_earlier_adjacency_break():
+    text = (
+        "concept a\naffix ko tul role plural\naffix ko ul role case-marker after plural\n"
+        "lex l1 ko w+ul isa a\nlex l2 ko v+qq isa a\n"
+    )
+    with pytest.raises(NetworkError) as err:
+        load_network(text)
+    assert str(err.value) == "lexical item 'l2' uses undeclared affix 'qq'"
+
+
 def test_default_item_language_must_match_sequence():
     text = (
         "concept a\nlex ka ko wa isa a\nlex ea en va isa a\n"

@@ -325,6 +325,25 @@ def test_travel_traces_match_golden_file(net):
     assert len(got) == len(expected)
 
 
+GOLDEN_TREES = Path(__file__).parent / "data" / "travel.trees"
+
+
+def test_travel_concept_trees_match_golden_file(net):
+    """The ``repr`` of each corpus line's concept tree, one per line, must
+    not drift, whatever record type the tree is built from."""
+    got = []
+    for line in TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            direction, sentence, _ = line.split("\t")
+            result = translate(net, sentence, direction)
+            assert result.ok, sentence
+            got.append(repr(result.concept_tree))
+    expected = GOLDEN_TREES.read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(expected)
+    for i, (a, b) in enumerate(zip(got, expected), start=1):
+        assert a == b, f"line {i}"
+
+
 def _count_trace_events(monkeypatch) -> list:
     """Put a counting ``TraceEvent`` into the engine: the returned list
     grows by one per event object built from then on."""
