@@ -32,13 +32,13 @@ _STATUS_EXIT = {
 }
 
 
-def _load(path: str, out=sys.stderr):
+def _load(path: str):
     try:
         return load_network(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        print(f"cannot read network: {exc}", file=out)
+        print(f"cannot read network: {exc}", file=sys.stderr)
     except NetworkError as exc:
-        print(f"network error: {exc}", file=out)
+        print(f"network error: {exc}", file=sys.stderr)
     return None
 
 

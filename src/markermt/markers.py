@@ -58,16 +58,17 @@ filtered, so the fragments after a dead token are still built.
 Initial prediction depends only on the network and the direction, so it is
 compiled once per ordered language pair when the network is built
 (:func:`compile_plan`): the table of initially predicted source slots, the
-predicted lexical items, the target sequences that carry an initial GP, and
-the ``predict`` events all of that produces.  A session attaches the shared
-plan instead of recomputing it; its :class:`MarkerSet` answers for the
-plan's markers without copying them and records only the markers the
-session places itself, so a session's cost grows with its sentence, not
-with the network.  The trace is kept the same way: a session holds the
-plan's ``predict`` events by reference and records its own events as plain
-tuples; :func:`build_trace` makes :class:`TraceEvent` objects of the two
-only when the trace is read, so a caller that never reads it pays only for
-recording.
+predicted lexical items and the target sequences that carry an initial GP.
+A session attaches the shared plan instead of recomputing it; its
+:class:`MarkerSet` answers for the plan's markers without copying them and
+records only the markers the session places itself, so a session's cost
+grows with its sentence, not with the network.  The trace costs nothing
+until it is read: a session records its own events as plain tuples, and
+:func:`build_trace` makes :class:`TraceEvent` objects of them only when the
+trace is read, after the ``predict`` events of the initial prediction, which
+it derives anew from the network (:func:`initial_predictions`, the same walk
+that :func:`compile_plan` reads).  So neither the load nor a session builds
+an event that no one reads, and the loaded network holds no trace.
 
 The records :class:`CsInstance`, :class:`Fill` and :class:`TraceEvent` are
 named tuples: immutable and cheap to build, as a sentence derives one
@@ -104,11 +105,48 @@ class TraceEvent(NamedTuple):
         return f"{self.event} {self.marker or '-'} {self.location} {self.binding or '-'} tok={self.token}"
 
 
-def build_trace(prefix: tuple[TraceEvent, ...], events) -> tuple[TraceEvent, ...]:
-    """The trace of a session: the plan's ``predict`` events, then the
-    session's own ``(event, marker, location, binding, token)`` tuples as
-    :class:`TraceEvent` objects."""
-    return prefix + tuple(TraceEvent(*event) for event in events)
+def initial_predictions(net: MemoryNetwork, source: str, target: str):
+    """The initial predictions of one direction, in network declaration
+    order: ``("cse", (cs id, index))`` for each initially predicted element
+    of a source sequence, each followed by ``("lex", item id)`` for the
+    lexical items below its filler that no earlier element predicted, and
+    ``("tcse", cs id)`` for element 0 of each target sequence (GP)."""
+    fillers: set[str] = set()
+    items: set[str] = set()
+    for cs in net.sequences.values():
+        if cs.language == source:
+            layout = net.layouts[cs.id]
+            for idx in sorted(layout.frontier[0] + layout.free):
+                yield "cse", (cs.id, idx)
+                el = cs.elements[idx]
+                if el.literal is not None or el.concept in fillers:  # no items, or predicted already
+                    continue
+                fillers.add(el.concept)
+                for item_id in net.items_below[(source, el.concept)]:
+                    if item_id not in items:
+                        items.add(item_id)
+                        yield "lex", item_id
+        elif cs.language == target:
+            yield "tcse", cs.id
+
+
+def build_trace(net: MemoryNetwork | None, source: str, target: str, events) -> tuple[TraceEvent, ...]:
+    """The trace of a session: the ``predict`` events of the initial
+    prediction of ``source`` to ``target``, made anew from
+    :func:`initial_predictions` (none when ``net`` is None: the session
+    made no initial prediction), then the session's own ``(event, marker,
+    location, binding, token)`` tuples as :class:`TraceEvent` objects."""
+    trace = []
+    if net is not None:
+        for site, what in initial_predictions(net, source, target):
+            if site == "cse":
+                trace.append(TraceEvent("predict", AP, f"cs:{what[0]}#{what[1]}", None, -1))
+            elif site == "lex":
+                trace.append(TraceEvent("predict", AP, f"lex:{what}", None, -1))
+            else:
+                trace.append(TraceEvent("predict", GP, f"cs:{what}#0", None, -1))
+    trace.extend(TraceEvent(*event) for event in events)
+    return tuple(trace)
 
 
 class Fill(NamedTuple):
@@ -163,11 +201,13 @@ class DirectionPlan:
     (none: no entry), one tuple per set of fillers above.  A twin slot
     (``Layout.twins``) is predicted but starts none.  The initial
     markers are kept as sets of ids (AP on ``cse`` slots and on lexical
-    items, GP on element 0 of target sequences); ``prefix`` is the trace
-    their placement produces.  ``unpredicted_below`` maps the filler
-    concept of every source element to its ``items_below`` that the plan
-    does not already predict, in declaration order: all that predicting
-    the element later can still add.
+    items, GP on element 0 of target sequences), read from
+    :func:`initial_predictions`; the plan keeps no trace of their
+    placement, which :func:`build_trace` derives when a trace is read.
+    ``unpredicted_below`` maps the filler concept of every source element
+    to its ``items_below`` that the plan does not already predict, in
+    declaration order: all that predicting the element later can still
+    add.
 
     The left-corner table filters instance starts after the first token.
     ``filler_bit`` gives the filler concept of every source element one
@@ -187,7 +227,6 @@ class DirectionPlan:
     predicted_items: frozenset[str]
     unpredicted_below: MappingProxyType[str, tuple[str, ...]]
     target_heads: frozenset[str]
-    prefix: tuple[TraceEvent, ...]
 
 
 def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
@@ -199,30 +238,21 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
     items: set[str] = set()
     predicted: list[tuple[str, int]] = []
     heads: list[str] = []
-    prefix: list[TraceEvent] = []
-    for cs in net.sequences.values():
-        if cs.language == source:
-            layout = net.layouts[cs.id]
-            for idx in sorted(layout.frontier[0] + layout.free):
-                slot = (cs.id, idx)
-                el = cs.elements[idx]
-                predicted.append(slot)
-                prefix.append(TraceEvent("predict", AP, f"cs:{cs.id}#{idx}", None, -1))
-                if el.literal is not None:
-                    starts = by_literal.setdefault(el.literal, [])
-                elif el.concept in by_filler:  # its items are predicted already
-                    starts = by_filler[el.concept]
-                else:
-                    starts = by_filler[el.concept] = []
-                    for item_id in net.items_below[(source, el.concept)]:
-                        if item_id not in items:
-                            items.add(item_id)
-                            prefix.append(TraceEvent("predict", AP, f"lex:{item_id}", None, -1))
-                if layout.twins[idx] is None:
-                    starts.append(slot)
-        elif cs.language == target:
-            heads.append(cs.id)
-            prefix.append(TraceEvent("predict", GP, f"cs:{cs.id}#0", None, -1))
+    for site, what in initial_predictions(net, source, target):
+        if site == "cse":
+            predicted.append(what)
+            cs_id, idx = what
+            el = net.sequences[cs_id].elements[idx]
+            if el.literal is not None:
+                starts = by_literal.setdefault(el.literal, [])
+            else:
+                starts = by_filler.setdefault(el.concept, [])
+            if net.layouts[cs_id].twins[idx] is None:
+                starts.append(what)
+        elif site == "lex":
+            items.add(what)
+        else:
+            heads.append(what)
     unpredicted: dict[str, tuple[str, ...]] = {}
     for cs in net.sequences.values():
         if cs.language != source:
@@ -270,7 +300,6 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
         predicted_items=frozenset(items),
         unpredicted_below=MappingProxyType(unpredicted),
         target_heads=frozenset(heads),
-        prefix=tuple(prefix),
     )
 
 
@@ -398,9 +427,10 @@ class MarkerState:
 
     A session handles one sentence in one direction.  Sessions over the same
     network are independent; ``close`` empties the state so nothing leaks
-    into the next sentence.  The trace outlives ``close``: ``prefix`` is
-    the plan's, ``events`` holds the session's own events as tuples, and
-    :attr:`trace` builds the :class:`TraceEvent` objects of both when read.
+    into the next sentence.  The trace outlives ``close``: ``events`` holds
+    the session's own events as tuples, and :attr:`trace` builds the
+    :class:`TraceEvent` objects of those and, once :meth:`initial_prediction`
+    has run, of the ``predict`` events before them, each time it is read.
     """
 
     def __init__(self, net: MemoryNetwork, source: str, target: str):
@@ -411,7 +441,7 @@ class MarkerState:
         self.markers = MarkerSet()
         self.instances: list[CsInstance] = []
         self.agenda: deque = deque()
-        self.prefix: tuple[TraceEvent, ...] = ()
+        self.predicted = False  # set by initial_prediction
         self.events: list[tuple] = []
         self.token_index = -1
         self._by_end: dict[int, list[int]] = {}
@@ -428,16 +458,16 @@ class MarkerState:
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
-        return build_trace(self.prefix, self.events)
+        return build_trace(self.net if self.predicted else None, self.source, self.target, self.events)
 
     # -- the three phases ----------------------------------------------------
 
     def initial_prediction(self):
         """Attach the direction's compiled plan (see :func:`compile_plan`):
-        its markers join this session's and its ``predict`` events open the
-        trace, kept by reference, not copied."""
+        its markers join this session's, not copied, and their ``predict``
+        events will open the trace."""
         self.markers.attach(self.plan)
-        self.prefix = self.plan.prefix
+        self.predicted = True
 
     def _predict_lexical(self, element):
         if element.literal is not None:

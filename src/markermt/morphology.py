@@ -317,5 +317,7 @@ class Morphology:
                     stable <= size and surface.casefold()[:stable] == target[:stable]
                 ):
                     stack.append((units + (unit,), surface))
-        results.sort(key=lambda s: (-len(s.units[0].form), s.forms))
+        # units order as their forms do: unit 0 is the root and an affix's
+        # role follows from its form, so equal forms mean equal units
+        results.sort(key=lambda s: (-len(s.units[0].form), s.units))
         return tuple(results)

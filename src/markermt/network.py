@@ -778,18 +778,20 @@ def _check_generation_supply(net, diags):
 
 
 def _check_omissible_cycles(net, diags):
-    # sequence-reference graph restricted to omissible conceptual elements
-    edges: dict[str, set[str]] = {cs.id: set() for cs in net.sequences.values()}
+    # sequence-reference graph restricted to omissible conceptual elements;
+    # a sequence with none has no edge out, so it is on no cycle and gets no
+    # node (a set per sequence would be objects enough to set off a garbage
+    # collection inside validate)
+    edges: dict[str, set[str]] = {}
     for cs in net.sequences.values():
         for el in cs.elements:
             if el.literal is not None or not ElementType.omissible(el.etype):
                 continue
             if el.concept not in net.concepts:
                 continue
-            for sub in net.sequences_below[(cs.language, el.concept)]:
-                edges[cs.id].add(sub)
+            edges.setdefault(cs.id, set()).update(net.sequences_below[(cs.language, el.concept)])
 
-    for cycle in _back_edges(edges, lambda cid: sorted(edges[cid])):
+    for cycle in _back_edges(edges, lambda cid: sorted(edges.get(cid, ()))):
         diags.append(
             Diagnostic(
                 "omissible-cycle",

@@ -65,10 +65,13 @@ class TranslationResult:
     ``concept_tree`` is the realized tree of named tuples (:class:`TreeNode`
     and :class:`TreeFill`), None unless the status is ``success``.
 
-    ``trace`` is the session's event stream: the plan's ``predict`` events
-    (``_prefix``, shared, not copied), then the session's own event tuples
-    (``_events``).  Its :class:`TraceEvent` objects are built when it is
-    first read and kept, so a caller that never reads it never builds them.
+    ``trace`` is the session's event stream: the ``predict`` events of the
+    direction's initial prediction, derived from the network (``_net``) when
+    the trace is first read, then the session's own event tuples
+    (``_events``).  Its :class:`TraceEvent` objects are built then and kept,
+    so a caller that never reads it never builds them.  The first read costs
+    about 2 µs per ``predict`` event (one per initially predicted slot, item
+    and target head), some 40 ms at 16000/3200 lexical/sequence pairs.
     """
 
     status: str
@@ -78,7 +81,7 @@ class TranslationResult:
     concept_tree: TreeNode | None = None
     error_position: int | None = None  # 1-based token index for unknown-word
     debug_state: MarkerState | None = None
-    _prefix: tuple[TraceEvent, ...] = field(default=(), repr=False)
+    _net: MemoryNetwork | None = field(default=None, repr=False, compare=False)
     _events: list[tuple] = field(default_factory=list, repr=False)
     _trace: tuple[TraceEvent, ...] | None = field(default=None, repr=False, compare=False)
 
@@ -89,7 +92,7 @@ class TranslationResult:
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
         if self._trace is None:
-            self._trace = build_trace(self._prefix, self._events)
+            self._trace = build_trace(self._net, *parse_direction(self.direction), self._events)
         return self._trace
 
 
@@ -151,7 +154,7 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
                 result.target_sentence = text
                 result.concept_tree = tree
     finally:
-        result._prefix, result._events = state.prefix, state.events
+        result._net, result._events = net, state.events
         state.close()
         if keep_state:
             result.debug_state = state

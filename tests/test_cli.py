@@ -67,6 +67,17 @@ def test_translate_network_with_affix_adjacency_break_exit_3(tmp_path, travel_te
     assert proc.stderr == "network error: lexical item 'edit-en': affix 's' (suffix) cannot follow suffix\n"
 
 
+def test_translate_bad_network_error_in_process(tmp_path, capsys):
+    # the message goes to the sys.stderr of the call, not of the import
+    bad = tmp_path / "bad.net"
+    bad.write_text("frobnicate x\n")
+    code = main(["translate", str(bad), "hello", "--dir", "en-ko"])
+    assert code == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "network error: line 1, column 1: unknown declaration 'frobnicate'\n"
+
+
 def test_translate_too_ambiguous_exit_4(tmp_path, capsys):
     probe = tmp_path / "probe.net"
     probe.write_text(multi_parent_probe(13))

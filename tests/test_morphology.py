@@ -415,3 +415,30 @@ def test_rules_of_other_affixes_leave_translation_alone(net, travel_text):
             assert candidate_readings(heavy.morphology, source, word) == candidate_readings(
                 net.morphology, source, word
             )
+
+
+def test_segment_orders_readings_by_root_length_then_forms(travel_text):
+    """``segment`` sorts by units, which is the order of their forms: every
+    word of the travel corpus, both sides, keeps that order, also where an
+    extra root and affixes give words several readings."""
+    words = set()
+    for line in TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            direction, sentence, expected = line.split("\t")
+            source, target = direction.split("-")
+            words.update((source, w) for w in tokenize(source, sentence).words)
+            if expected != "*":  # a line that checks the status only
+                words.update((target, w) for w in tokenize(target, expected).words)
+    ambiguous = (
+        "affix en Kenn role root\naffix en edy role plural after root\n"
+        "affix en x role plural after root,plural\nmorphrule en e+x -> e\n"
+    )
+    several = 0
+    for text in (travel_text, travel_text + ambiguous):
+        m = load_network(text).morphology
+        for language, word in sorted(words):
+            readings = m.segment(language, word)
+            assert readings, word
+            assert list(readings) == sorted(readings, key=lambda s: (-len(s.forms[0]), s.forms)), word
+            several += len(readings) > 1
+    assert several > 1

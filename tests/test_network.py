@@ -471,7 +471,9 @@ def test_translation_writes_no_network_table(travel_text):
     for text, rows in ((travel_text, _corpus_rows()), (synth, parse_samples(synth))):
         net = load_network(text)
         before = _snapshot(net)
-        assert any(status == "success" for status, *_ in _outcomes(net, rows))
+        outcomes = _outcomes(net, rows)  # every result's trace read too
+        assert any(status == "success" for status, *_ in outcomes)
+        assert all(trace[0].startswith("predict ") for *_, trace in outcomes)
         assert _snapshot(net) == before
 
 

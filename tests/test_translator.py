@@ -367,13 +367,37 @@ def test_trace_is_built_when_first_read(monkeypatch):
     assert result.ok
     assert built == []
     trace = result.trace
-    prefix = net.plans[parse_direction(direction)].prefix
-    assert result.debug_state.prefix is prefix  # shared, not copied
+    assert len(built) == len(trace)
     events = result.debug_state.events
-    assert len(built) == len(events) > 0
-    assert trace[: len(prefix)] == prefix
+    prefix = trace[: len(trace) - len(events)]
     assert [(e.event, e.marker, e.location, e.binding, e.token) for e in trace[len(prefix):]] == events
     assert result.trace is trace
+    # the predict prefix places each of the plan's markers once
+    assert {(e.event, e.binding, e.token) for e in prefix} == {("predict", None, -1)}
+    assert len(set(prefix)) == len(prefix)
+    slots, items, heads = [], [], []
+    for e in prefix:
+        site, _, where = e.location.partition(":")
+        cs_id, _, idx = where.rpartition("#")
+        if site == "lex":
+            items.append(where)
+        elif e.marker == "AP":
+            slots.append((cs_id, int(idx)))
+        else:
+            assert idx == "0"
+            heads.append(cs_id)
+    plan = net.plans[parse_direction(direction)]
+    assert set(slots) == plan.predicted_slots
+    assert set(items) == plan.predicted_items
+    assert set(heads) == plan.target_heads
+
+
+def test_load_builds_no_trace_events(monkeypatch):
+    text = synth_network(1000, 200, 1)
+    built = _count_trace_events(monkeypatch)
+    net = load_network(text)
+    assert len(net.plans) == 2
+    assert built == []
 
 
 @pytest.mark.parametrize(
