@@ -33,8 +33,7 @@ than ``MAX_INSTANCES`` instances stops with :class:`TooAmbiguous`.  All
 scheduling is FIFO, so identical input yields an identical trace.  As the
 key does not say what filled an element, two accepted instances of one
 sequence over one span feed their parent one instance between them; each
-still places its own ``AA`` markers on the owner's concepts, as every
-acceptance does.
+still has its own ``accept`` event in the trace.
 
 The chart has one column per position, as in Earley's recognizer: what
 the instances ending at a position wait for, every eligible element of each
@@ -59,16 +58,18 @@ Initial prediction depends only on the network and the direction, so it is
 compiled once per ordered language pair when the network is built
 (:func:`compile_plan`): the table of initially predicted source slots, the
 predicted lexical items and the target sequences that carry an initial GP.
-A session attaches the shared plan instead of recomputing it; its
-:class:`MarkerSet` answers for the plan's markers without copying them and
-records only the markers the session places itself, so a session's cost
-grows with its sentence, not with the network.  The trace costs nothing
-until it is read: a session records its own events as plain tuples, and
-:func:`build_trace` makes :class:`TraceEvent` objects of them only when the
-trace is read, after the ``predict`` events of the initial prediction, which
-it derives anew from the network (:func:`initial_predictions`, the same walk
-that :func:`compile_plan` reads).  So neither the load nor a session builds
-an event that no one reads, and the loaded network holds no trace.
+A session attaches the shared plan instead of recomputing it, so a
+session's cost grows with its sentence, not with the network.  Of the
+markers a session places itself it keeps only the two kinds it reads back:
+``AP`` on the lexical items it predicts and ``GA`` on the target items
+each token activates; the chart carries the parse, and the trace records
+every placement.  The trace costs nothing until it is read: a session
+records its own events as tuples of raw fields, and :func:`build_trace`
+formats them into :class:`TraceEvent` objects only when the trace is read,
+after the ``predict`` events of the initial prediction, which it derives
+anew from the network (:func:`initial_predictions`, the same walk that
+:func:`compile_plan` reads).  So neither the load nor a session builds an
+event that no one reads, and the loaded network holds no trace.
 
 The records :class:`CsInstance`, :class:`Fill` and :class:`TraceEvent` are
 named tuples: immutable and cheap to build, as a sentence derives one
@@ -130,12 +131,31 @@ def initial_predictions(net: MemoryNetwork, source: str, target: str):
             yield "tcse", cs.id
 
 
+def _text(field) -> str | None:
+    """The trace text of a raw event location or binding (see
+    :attr:`MarkerState.events`)."""
+    match field:
+        case None | str():
+            return field
+        case int():
+            return f"tok{field}"
+        case Fill():
+            return field.binding()
+        case ("inst", inst_id, cs_id, k):
+            return f"inst:{inst_id}@{cs_id}#{k}"
+        case ("cs", cs_id, k):
+            return f"cs:{cs_id}#{k}"
+        case (site, name):
+            return f"{site}:{name}"
+
+
 def build_trace(net: MemoryNetwork | None, source: str, target: str, events) -> tuple[TraceEvent, ...]:
     """The trace of a session: the ``predict`` events of the initial
     prediction of ``source`` to ``target``, made anew from
     :func:`initial_predictions` (none when ``net`` is None: the session
     made no initial prediction), then the session's own ``(event, marker,
-    location, binding, token)`` tuples as :class:`TraceEvent` objects."""
+    location, binding, token)`` tuples as :class:`TraceEvent` objects, their
+    raw locations and bindings formatted."""
     trace = []
     if net is not None:
         for site, what in initial_predictions(net, source, target):
@@ -145,7 +165,8 @@ def build_trace(net: MemoryNetwork | None, source: str, target: str, events) -> 
                 trace.append(TraceEvent("predict", AP, f"lex:{what}", None, -1))
             else:
                 trace.append(TraceEvent("predict", GP, f"cs:{what}#0", None, -1))
-    trace.extend(TraceEvent(*event) for event in events)
+    for event, marker, location, binding, token in events:
+        trace.append(TraceEvent(event, marker, _text(location), _text(binding), token))
     return tuple(trace)
 
 
@@ -348,58 +369,42 @@ def _reach_or(edges: dict[int, set[int]]) -> dict[int, int]:
 
 
 class MarkerSet:
-    """Marker keys ``(kind, location, binding)`` of one session.
+    """A read-only view of one session's markers as ``(kind, location,
+    binding)`` keys: those of the attached :class:`DirectionPlan` (None:
+    none), ``AP`` on the lexical items of ``items`` and ``GA`` bound to a
+    token on the ``(target item, token)`` pairs of ``generated``.  The
+    parts never overlap, so the length is the sum of theirs."""
 
-    The keys of an attached :class:`DirectionPlan` count as members without
-    being copied; :meth:`add` records the rest.  The two parts never
-    overlap, so the length is the sum of theirs.  A key the plan cannot
-    hold (one with a binding, one on an instance element, or an ``AP`` on
-    an item of ``unpredicted_below``) may go straight into ``_own``.
-    """
+    __slots__ = ("_plan", "_items", "_generated")
 
-    __slots__ = ("_plan", "_own")
-
-    def __init__(self):
-        self._plan: DirectionPlan | None = None
-        self._own: set[tuple] = set()
-
-    def attach(self, plan: DirectionPlan):
+    def __init__(self, plan: DirectionPlan | None, items: set[str], generated: set[tuple[str, int]]):
         self._plan = plan
-
-    def _in_plan(self, key) -> bool:
-        plan = self._plan
-        kind, location, binding = key
-        if plan is None or binding is not None:
-            return False
-        site = location[0]
-        if kind == AP and site == "lex":
-            return location[1] in plan.predicted_items
-        if kind == AP and site == "cse":
-            return location[1:] in plan.predicted_slots
-        if kind == GP and site == "tcse":
-            return location[2] == 0 and location[1] in plan.target_heads
-        return False
-
-    def add(self, key) -> bool:
-        """Set a marker bit; returns False if it was already present."""
-        if key in self._own or self._in_plan(key):
-            return False
-        self._own.add(key)
-        return True
+        self._items = items
+        self._generated = generated
 
     def __contains__(self, key) -> bool:
-        return key in self._own or self._in_plan(key)
+        kind, location, binding = key
+        plan, site = self._plan, location[0]
+        if kind == GA:
+            return site == "lex" and any(
+                item == location[1] and binding == f"tok{tok}" for item, tok in self._generated
+            )
+        if binding is not None:
+            return False
+        if kind == AP and site == "lex":
+            return location[1] in self._items or plan is not None and location[1] in plan.predicted_items
+        if plan is None:
+            return False
+        if kind == AP and site == "cse":
+            return location[1:] in plan.predicted_slots
+        return kind == GP and site == "tcse" and location[2] == 0 and location[1] in plan.target_heads
 
     def __len__(self) -> int:
         plan = self._plan
+        own = len(self._items) + len(self._generated)
         if plan is None:
-            return len(self._own)
-        return (
-            len(self._own)
-            + len(plan.predicted_slots)
-            + len(plan.predicted_items)
-            + len(plan.target_heads)
-        )
+            return own
+        return own + len(plan.predicted_slots) + len(plan.predicted_items) + len(plan.target_heads)
 
     def __iter__(self):
         plan = self._plan
@@ -410,11 +415,10 @@ class MarkerSet:
                 yield (AP, ("lex", item_id), None)
             for cs_id in plan.target_heads:
                 yield (GP, ("tcse", cs_id, 0), None)
-        yield from self._own
-
-    def clear(self):
-        self._plan = None
-        self._own.clear()
+        for item_id in self._items:
+            yield (AP, ("lex", item_id), None)
+        for item_id, tok in self._generated:
+            yield (GA, ("lex", item_id), f"tok{tok}")
 
 
 class MarkerState:
@@ -425,12 +429,20 @@ class MarkerState:
     memoizes each position's column of waiting elements.  A token is dead
     when the instance count has not grown since its :meth:`activate`.
 
+    Of the markers the session places itself it keeps the two kinds it
+    reads back: ``predicted_items``, the lexical items it predicts beyond
+    the plan (AP), and ``generated_items``, the ``(target item, token)``
+    pairs it activates (GA); ``markers`` views them with the plan's.
+
     A session handles one sentence in one direction.  Sessions over the same
     network are independent; ``close`` empties the state so nothing leaks
     into the next sentence.  The trace outlives ``close``: ``events`` holds
-    the session's own events as tuples, and :attr:`trace` builds the
-    :class:`TraceEvent` objects of those and, once :meth:`initial_prediction`
-    has run, of the ``predict`` events before them, each time it is read.
+    the session's own events as ``(event, marker, location, binding,
+    token)`` tuples of raw fields: a location or binding is a string,
+    ``("inst", id, cs, k)``, ``("cs", cs, k)``, ``(site, name)``, a token
+    number or the :class:`Fill` bound.  :attr:`trace` formats them into
+    :class:`TraceEvent` objects, after those of the ``predict`` events once
+    :meth:`initial_prediction` has run, each time it is read.
     """
 
     def __init__(self, net: MemoryNetwork, source: str, target: str):
@@ -438,7 +450,9 @@ class MarkerState:
         self.source = source
         self.target = target
         self.plan = net.plans[(source, target)]
-        self.markers = MarkerSet()
+        self.predicted_items: set[str] = set()
+        self.generated_items: set[tuple[str, int]] = set()
+        self.markers = MarkerSet(None, self.predicted_items, self.generated_items)
         self.instances: list[CsInstance] = []
         self.agenda: deque = deque()
         self.predicted = False  # set by initial_prediction
@@ -453,9 +467,6 @@ class MarkerState:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def emit(self, event, marker, location, binding=None):
-        self.events.append((event, marker, location, binding, self.token_index))
-
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
         return build_trace(self.net if self.predicted else None, self.source, self.target, self.events)
@@ -466,36 +477,31 @@ class MarkerState:
         """Attach the direction's compiled plan (see :func:`compile_plan`):
         its markers join this session's, not copied, and their ``predict``
         events will open the trace."""
-        self.markers.attach(self.plan)
+        self.markers = MarkerSet(self.plan, self.predicted_items, self.generated_items)
         self.predicted = True
 
     def _predict_lexical(self, element):
         if element.literal is not None:
             return
-        # the plan predicts none of these items, so their keys can only be
-        # in the session's own part
-        own = self.markers._own
+        # the plan predicts none of these items
+        predicted = self.predicted_items
         for item_id in self.plan.unpredicted_below[element.concept]:
-            key = (AP, ("lex", item_id), None)
-            if key not in own:
-                own.add(key)
-                self.emit("predict", AP, f"lex:{item_id}")
+            if item_id not in predicted:
+                predicted.add(item_id)
+                self.events.append(("predict", AP, ("lex", item_id), None, self.token_index))
 
     def activate(self, lexical_items, span: int, literal: str | None = None):
         """AA markers onto one input token's readings; collisions are queued,
         not processed (see :meth:`step_collisions`)."""
         self.token_index = span
         self._made_before = len(self.instances)
-        binding = f"tok{span}"
-        own = self.markers._own  # bound AA keys are never in the plan
         for item_id in lexical_items:
             item = self.net.lexicon[item_id]
             assert item.language == self.source, f"{item_id} is not a {self.source} item"
-            own.add((AA, ("lex", item_id), binding))
-            self.emit("activate", AA, f"lex:{item_id}", binding)
+            self.events.append(("activate", AA, ("lex", item_id), span, span))
             self.agenda.append(("lex", item_id, span))
         if literal is not None:
-            self.emit("activate", AA, f"lit:{literal}", binding)
+            self.events.append(("activate", AA, ("lit", literal), span, span))
             self.agenda.append(("lit", literal, span))
 
     def step_collisions(self):
@@ -517,25 +523,22 @@ class MarkerState:
             elif kind == "sub":
                 self._process_sub(entry[1])
         if self._made_before == len(self.instances):
-            self.emit("dead", AA, f"tok:{self.token_index}")
+            self.events.append(("dead", AA, f"tok:{self.token_index}", None, self.token_index))
         self._made_before = None
 
     # -- collision handling --------------------------------------------------
 
     def _process_lexical(self, item_id, span):
         item = self.net.lexicon[item_id]
-        binding = f"tok{span}"
-        if (AP, ("lex", item_id), None) in self.markers:
-            self.emit("collide", AA, f"lex:{item_id}", binding)
-        # AA climbs the hierarchy; GA lands on the paired target items.
-        # Bound keys are never in the plan, so they go to the own part.
-        own = self.markers._own
-        own.add((AA, ("cn", item.concept), binding))
+        events = self.events
+        if self.predicted and item_id in self.plan.predicted_items or item_id in self.predicted_items:
+            events.append(("collide", AA, ("lex", item_id), span, span))
+        # GA lands on the paired target items
+        generated = self.generated_items
         for tgt_item in self.net.items_of_concept(self.target, item.concept):
-            key = (GA, ("lex", tgt_item), binding)
-            if key not in own:
-                own.add(key)
-                self.emit("activate", GA, f"lex:{tgt_item}", binding)
+            if (tgt_item, span) not in generated:
+                generated.add((tgt_item, span))
+                events.append(("activate", GA, ("lex", tgt_item), span, span))
         fill = Fill(kind="lex", start=span, end=span + 1, item=item_id, concept=item.concept)
         self._match_passive(concept=item.concept, literal=None, start=span, end=span + 1, fill=fill)
 
@@ -546,8 +549,6 @@ class MarkerState:
     def _process_sub(self, inst_id):
         inst = self.instances[inst_id]
         cs = self.net.sequences[inst.cs]
-        binding = f"inst:{inst_id}"
-        self.markers._own.update((AA, ("cn", anc), binding) for anc in self.net.ancestors[cs.owner])
         fill = Fill(kind="sub", start=inst.start, end=inst.end, concept=cs.owner, sub=inst_id)
         self._match_passive(concept=cs.owner, literal=None, start=inst.start, end=inst.end, fill=fill)
 
@@ -655,27 +656,21 @@ class MarkerState:
         ))
         self._by_end.setdefault(end, []).append(new_id)
 
-        # icse keys are never in the plan, and the instance is new, so none
-        # of its element markers is set yet
-        own = self.markers._own
-        binding = fill.binding()
-        own.add((AP, ("icse", new_id, idx), None))
-        own.add((AA, ("icse", new_id, idx), binding))
-        self.emit("collide", AA, f"inst:{new_id}@{cs.id}#{idx}", binding)
+        events, tok = self.events, self.token_index
+        events.append(("collide", AA, ("inst", new_id, cs.id, idx), fill, tok))
         for k in withdrawn:
-            self.emit("withdraw", AP, f"inst:{new_id}@{cs.id}#{k}")
+            events.append(("withdraw", AP, ("inst", new_id, cs.id, k), None, tok))
         predicted = layout.frontier[cursor]
         if parent is None:  # free elements stay predicted until filled
             predicted = sorted(predicted + tuple(i for i in layout.free if i != idx))
         for nxt in predicted:
-            own.add((AP, ("icse", new_id, nxt), None))
-            self.emit("predict", AP, f"inst:{new_id}@{cs.id}#{nxt}")
+            events.append(("predict", AP, ("inst", new_id, cs.id, nxt), None, tok))
             self._predict_lexical(cs.elements[nxt])
 
         if target_cursor != mirrored:
             self._mirror(cs, fills, mirrored, target_cursor)
         if accepted:
-            self.emit("accept", AA, f"cn:{cs.owner}", f"inst:{new_id}")
+            events.append(("accept", AA, ("cn", cs.owner), ("inst", new_id), tok))
             self.agenda.append(("sub", new_id))
 
     # -- generation mirroring --------------------------------------------------
@@ -701,13 +696,12 @@ class MarkerState:
         tcs_id = cs.paired
         elements = self.net.sequences[tcs_id].elements
         supply = self.net.counterparts[cs.id]
+        events, tok = self.events, self.token_index
         for k in range(begin, end):
-            loc = f"cs:{tcs_id}#{k}"
             if elements[k].literal is not None:
-                self.emit("generate", GP, loc)
-                continue
-            self.markers.add((GP, ("tcse", tcs_id, k), None))
-            self.emit("generate", GA, loc, fills[supply[k]].binding())
+                events.append(("generate", GP, ("cs", tcs_id, k), None, tok))
+            else:
+                events.append(("generate", GA, ("cs", tcs_id, k), fills[supply[k]], tok))
 
     # -- results and teardown ---------------------------------------------------
 
@@ -728,7 +722,9 @@ class MarkerState:
     def close(self):
         """End the session: no markers, instances or pending work may leak.
         The shared plan is only detached, never modified."""
-        self.markers.clear()
+        self.predicted_items.clear()
+        self.generated_items.clear()
+        self.markers = MarkerSet(None, self.predicted_items, self.generated_items)
         self.instances.clear()
         self.agenda.clear()
         self._by_end.clear()

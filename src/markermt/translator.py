@@ -7,7 +7,9 @@ profiles).
 
 The concept tree of a result is made of named tuples, :class:`TreeNode`
 and :class:`TreeFill`: immutable, cheap to build (realization makes one
-record per source element), and printed by ``repr`` field by field.
+record per source element), and printed by ``repr`` field by field, as a
+named tuple prints, from an explicit stack (:func:`_tree_repr`), so a deep
+tree prints without recursion.
 """
 
 from __future__ import annotations
@@ -50,12 +52,45 @@ class TreeFill(NamedTuple):
     span: tuple[int, int] | None = None
     child: "TreeNode | None" = None
 
+    def __repr__(self) -> str:
+        return _tree_repr(self)
+
 
 class TreeNode(NamedTuple):
     concept: str
     source_cs: str
     target_cs: str
     fills: tuple[TreeFill, ...]
+
+    def __repr__(self) -> str:
+        return _tree_repr(self)
+
+
+def _tree_repr(root: TreeNode | TreeFill) -> str:
+    """The default named-tuple ``repr`` of a tree record, from a stack of
+    the text pieces and the records still to print."""
+    out: list[str] = []
+    stack: list = [root]
+    while stack:
+        record = stack.pop()
+        if type(record) is str:
+            out.append(record)
+            continue
+        parts: list = [type(record).__name__ + "("]
+        for i, (name, value) in enumerate(zip(record._fields, record)):
+            parts.append(f", {name}=" if i else f"{name}=")
+            if type(value) is TreeNode:  # TreeFill.child
+                parts.append(value)
+            elif name == "fills":  # TreeNode.fills
+                parts.append("(")
+                for j, fill in enumerate(value):
+                    parts += (", ", fill) if j else (fill,)
+                parts.append(",)" if len(value) == 1 else ")")
+            else:
+                parts.append(repr(value))
+        parts.append(")")
+        stack += reversed(parts)
+    return "".join(out)
 
 
 @dataclass
@@ -148,7 +183,7 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
             try:
                 text, tree = _realize(net, state, winner, tgt)
             except GenerationGap as gap:
-                state.emit("note", None, "generation", str(gap))
+                state.events.append(("note", None, "generation", str(gap), state.token_index))
             else:
                 result.status = SUCCESS
                 result.target_sentence = text
@@ -260,11 +295,12 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
     children: dict[int, TreeNode] = {}  # source element -> realized sub-instance
     extras: list[TreeFill] = []
     mirrored = inst.target_cursor  # elements before it have their generate event traced
+    events, tok = state.events, state.token_index  # raw fields, see MarkerState
     for k, el in enumerate(target_cs.elements):
         if el.literal is not None:
             words.append(el.literal)
             if k >= mirrored:
-                state.emit("generate", GP, f"cs:{target_cs.id}#{k}")
+                events.append(("generate", GP, ("cs", target_cs.id, k), None, tok))
             continue
         j = supply[k]
         fill = None if j is None else inst.fills[j]
@@ -274,11 +310,12 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
             else:
                 words.append(_emit_item(net, morph, target_lang, fill.concept, el, target_cs))
             if k >= mirrored:
-                state.emit("generate", GA, f"cs:{target_cs.id}#{k}", fill.binding())
+                events.append(("generate", GA, ("cs", target_cs.id, k), fill, tok))
         elif el.default_item is not None:
             item = net.lexicon[el.default_item]
             words.append(morph.word_for_morphemes(target_lang, item.morphemes))
-            state.emit("generate", GP, f"cs:{target_cs.id}#{k}")  # no source counterpart: GP only
+            # no source counterpart: GP only
+            events.append(("generate", GP, ("cs", target_cs.id, k), None, tok))
             extras.append(
                 TreeFill(
                     filler=el.concept,

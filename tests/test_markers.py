@@ -268,9 +268,9 @@ def test_markers_sit_on_legal_sites(net):
 
 
 def test_session_markers_never_overlap_the_plan(net):
-    """The engine records bound and instance-element keys without asking
-    the plan, which holds neither, so no recorded key is also a plan key,
-    and every instance-element key names a real element of its instance."""
+    """The session predicts only items the plan does not, and its GA
+    markers sit on target items, which the plan holds none of, so the
+    markers view yields every key once, as many as its length says."""
     lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
     rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
     runs = [(net, direction.split("-"), sentence) for direction, sentence, _ in rows]
@@ -278,22 +278,19 @@ def test_session_markers_never_overlap_the_plan(net):
     for network, (source, target), sentence in runs:
         words = tokenize(source, sentence).words
         state = run_engine(network, words, source, target)
-        markers = state.markers
-        assert not [key for key in markers._own if markers._in_plan(key)], words
-        keys = list(markers)
-        assert len(keys) == len(set(keys)) == len(markers)
-        icse = [loc for _, loc, _ in keys if loc[0] == "icse"]
-        assert icse
-        for _, inst_id, idx in icse:
-            assert 0 <= inst_id < len(state.instances)
-            assert 0 <= idx < len(network.sequences[state.instances[inst_id].cs].elements)
+        assert not state.predicted_items & state.plan.predicted_items, words
+        assert state.generated_items
+        assert {network.lexicon[item].language for item, _ in state.generated_items} == {target}
+        keys = list(state.markers)
+        assert len(keys) == len(set(keys)) == len(state.markers)
+        assert all(key in state.markers for key in keys)
         state.close()
 
 
 def test_translated_sessions_never_record_a_plan_key(net, monkeypatch):
     """Whole translations, realization included, over the travel corpus
     and the synth samples: just before each session closes, none of the
-    keys the engine wrote straight into ``_own`` is one the plan holds."""
+    lexical items the session predicted is one the plan predicts."""
     lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
     rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
     runs = [(net, direction, sentence) for direction, sentence, _ in rows]
@@ -304,8 +301,7 @@ def test_translated_sessions_never_record_a_plan_key(net, monkeypatch):
     real_close = MarkerState.close
 
     def checking_close(state):
-        markers = state.markers
-        checked.append((state, [key for key in markers._own if markers._in_plan(key)]))
+        checked.append((state, state.predicted_items & state.plan.predicted_items))
         real_close(state)
 
     monkeypatch.setattr(MarkerState, "close", checking_close)
@@ -314,7 +310,41 @@ def test_translated_sessions_never_record_a_plan_key(net, monkeypatch):
         assert result.ok, sentence
         state, overlap = checked[-1]
         assert state is result.debug_state
-        assert not overlap, (sentence, overlap[:3])
+        assert not overlap, (sentence, sorted(overlap)[:3])
+    assert len(checked) == len(runs)
+
+
+def test_session_marker_sets_agree_with_the_trace(net, monkeypatch):
+    """Just before each session closes, its AP items are the ``lex:`` items
+    of its own ``predict`` events and its GA pairs those of its ``activate
+    GA`` events; it keeps no marker of an instance element or a concept
+    and no bound ``AA``, which nothing reads."""
+    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+    rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
+    runs = [(net, direction, sentence) for direction, sentence, _ in rows]
+    synth = synth_network(1000, 200, 1)
+    network = load_network(synth)
+    runs += [(network, d, text) for d, text in parse_samples(synth)]
+    runs.append((load_network(multi_parent_probe(5)), "ko-en", "wl wl wl wl wl"))
+    checked = []
+    real_close = MarkerState.close
+
+    def checking_close(state):
+        predicted, generated = set(), set()
+        for e in state.trace:
+            if e.event == "predict" and e.location.startswith("lex:") and e.token >= 0:
+                predicted.add(e.location[4:])
+            elif (e.event, e.marker) == ("activate", GA):
+                assert e.binding == f"tok{e.token}"
+                generated.add((e.location[4:], e.token))
+        stray = [k for k in state.markers if k[1][0] in ("icse", "cn") or k[0] == AA and k[2] is not None]
+        checked.append((state.predicted_items == predicted, state.generated_items == generated, stray))
+        real_close(state)
+
+    monkeypatch.setattr(MarkerState, "close", checking_close)
+    for network, direction, sentence in runs:
+        assert translate(network, sentence, direction).ok, sentence
+        assert checked[-1] == (True, True, []), sentence
     assert len(checked) == len(runs)
 
 
@@ -688,7 +718,7 @@ cs innerm en of x pair inner : m0a(CX) m1b(CX) m0(CX) m1(CX) m2(CX)=e-m2a m2a(CX
 def test_repeated_accepted_span_feeds_its_parent_once():
     """Accepted instances of one sequence over one span make one parent
     instance between them: the parent's chart key does not depend on which
-    of them fills its element.  Each still places its own ``AA cn:``."""
+    of them fills its element.  Each still has its own ``accept`` event."""
     net = load_network(SHARED_SPAN_NETWORK)
     words = ["wko", "wmi", "wka", "wmu", "wma"]
     state = run_engine(net, words)
@@ -697,8 +727,8 @@ def test_repeated_accepted_span_feeds_its_parent_once():
     assert inner[0].filled != inner[1].filled
     outer = [i for i in state.instances if i.cs == "outer" and (i.start, i.end) == (0, 5)]
     assert len(outer) == 1 and outer[0].fills[0].sub == inner[0].id
-    for sub in inner:
-        assert (AA, ("cn", "x"), f"inst:{sub.id}") in state.markers
+    accepts = [e.line() for e in state.trace if e.event == "accept" and e.location == "cn:x"]
+    assert accepts == [f"accept AA cn:x inst:{sub.id} tok=4" for sub in inner]
     collides = [e for e in state.trace if e.event == "collide" and "@outer#0" in e.location]
     assert [(e.binding, e.token) for e in collides] == [(f"inst:{inner[0].id}", 4)]
     state.close()

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import re
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from markermt.network import load_network, lookup_lexical, validate_network
 from markermt.oracle import recognize_oracle
 from markermt.synth import parse_samples, synth_network
 from markermt.translator import (
+    TreeFill,
+    TreeNode,
     parse_direction,
     reverse_direction,
     round_trip,
@@ -344,6 +347,38 @@ def test_travel_concept_trees_match_golden_file(net):
         assert a == b, f"line {i}"
 
 
+PlainNode = collections.namedtuple("TreeNode", TreeNode._fields)
+PlainFill = collections.namedtuple("TreeFill", TreeFill._fields)
+
+
+def _plain_tree(node: TreeNode):
+    """The tree as plain named tuples, which ``repr`` prints recursively."""
+    fills = tuple(
+        PlainFill(*fill[:-1], None if fill.child is None else _plain_tree(fill.child))
+        for fill in node.fills
+    )
+    return PlainNode(*node[:-1], fills)
+
+
+def test_tree_repr_is_the_default_named_tuple_repr(net):
+    runs = []
+    for line in TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            direction, sentence, _ = line.split("\t")
+            runs.append((net, direction, sentence))
+    synth = synth_network(1000, 200, 1)
+    network = load_network(synth)
+    runs += [(network, d, text) for d, text in parse_samples(synth)]
+    for network, direction, sentence in runs:
+        tree = translate(network, sentence, direction).concept_tree
+        plain = _plain_tree(tree)
+        assert repr(tree) == repr(plain), sentence
+        assert [repr(fill) for fill in tree.fills] == [repr(fill) for fill in plain.fills]
+    one = TreeNode("c", "s", "t", (TreeFill("a", None, "CX", "lex", "k-a", "a", (0, 1)),))
+    assert repr(one) == repr(_plain_tree(one)) and repr(one).endswith("span=(0, 1), child=None),))")
+    assert repr(TreeNode("c", "s", "t", ())) == "TreeNode(concept='c', source_cs='s', target_cs='t', fills=())"
+
+
 def _count_trace_events(monkeypatch) -> list:
     """Put a counting ``TraceEvent`` into the engine: the returned list
     grows by one per event object built from then on."""
@@ -370,7 +405,9 @@ def test_trace_is_built_when_first_read(monkeypatch):
     assert len(built) == len(trace)
     events = result.debug_state.events
     prefix = trace[: len(trace) - len(events)]
-    assert [(e.event, e.marker, e.location, e.binding, e.token) for e in trace[len(prefix):]] == events
+    assert [(e.event, e.marker, e.token) for e in trace[len(prefix):]] == [
+        (event, marker, token) for event, marker, _, _, token in events
+    ]
     assert result.trace is trace
     # the predict prefix places each of the plan's markers once
     assert {(e.event, e.binding, e.token) for e in prefix} == {("predict", None, -1)}
@@ -444,6 +481,8 @@ def test_deep_nesting_translates(depth):
     tree = result.concept_tree
     assert trees_isomorphic(tree, tree)
     assert not trees_isomorphic(tree, tree.fills[0].child)
+    text = repr(tree)
+    assert text.startswith(f"TreeNode(concept='c{depth}'") and text.count("TreeNode(") == depth
 
 
 def test_unrealized_sub_instance_does_not_break_isomorphism():
