@@ -16,7 +16,10 @@ fixed elements (OX) is predicted together with the next required element so
 it can be skipped, its prediction withdrawn, when a later element is hit
 first.  Identical free elements (same type, same filler) fill in index
 order.  Prediction, omission and acceptance read what the types imply from
-the per-sequence table compiled at load (``MemoryNetwork.layouts``).
+the per-sequence table compiled at load (``MemoryNetwork.layouts``), down
+to each instance's next moves: what a new instance predicts
+(``Layout.opens``) and what an instance waits for at its cursor
+(``Layout.merged``), so the engine sorts nothing per instance.
 
 The engine keeps every live alternative (it behaves like a chart
 recognizer): a fill never destroys the instance it extends, it derives a new
@@ -37,11 +40,11 @@ still has its own ``accept`` event in the trace.
 
 The chart has one column per position, as in Earley's recognizer: what
 the instances ending at a position wait for, every eligible element of each
-in creation and index order.  It is worked out once, when the first passive
-that starts there reads it; by then no instance ending there is still to
-come, as every fill spans at least one token.  A passive extends instances
-by scanning its start's column and filters new starts by the column's
-filler mask.
+in creation and index order, read from the per-sequence table compiled at
+load.  It is worked out once, when the first passive that starts there
+reads it; by then no instance ending there is still to come, as every fill
+spans at least one token.  A passive extends instances by scanning its
+start's column and filters new starts by the column's filler mask.
 
 Prediction also filters where instances start (Earley's prediction step,
 compiled into a left-corner table as in Moore's left-corner chart parser).
@@ -116,8 +119,7 @@ def initial_predictions(net: MemoryNetwork, source: str, target: str):
     items: set[str] = set()
     for cs in net.sequences.values():
         if cs.language == source:
-            layout = net.layouts[cs.id]
-            for idx in sorted(layout.frontier[0] + layout.free):
+            for idx in net.layouts[cs.id].merged[0]:
                 yield "cse", (cs.id, idx)
                 el = cs.elements[idx]
                 if el.literal is not None or el.concept in fillers:  # no items, or predicted already
@@ -191,7 +193,7 @@ class Fill(NamedTuple):
         return None
 
 
-OMITTED = Fill(kind="omitted")
+OMITTED = Fill("omitted")
 
 
 class TooAmbiguous(Exception):
@@ -480,12 +482,11 @@ class MarkerState:
         self.markers = MarkerSet(self.plan, self.predicted_items, self.generated_items)
         self.predicted = True
 
-    def _predict_lexical(self, element):
-        if element.literal is not None:
-            return
-        # the plan predicts none of these items
+    def _predict_lexical(self, below):
+        """AP on the items of ``below`` (a filler's ``plan.unpredicted_below``,
+        none of them predicted by the plan) that the session has not."""
         predicted = self.predicted_items
-        for item_id in self.plan.unpredicted_below[element.concept]:
+        for item_id in below:
             if item_id not in predicted:
                 predicted.add(item_id)
                 self.events.append(("predict", AP, ("lex", item_id), None, self.token_index))
@@ -539,82 +540,92 @@ class MarkerState:
             if (tgt_item, span) not in generated:
                 generated.add((tgt_item, span))
                 events.append(("activate", GA, ("lex", tgt_item), span, span))
-        fill = Fill(kind="lex", start=span, end=span + 1, item=item_id, concept=item.concept)
-        self._match_passive(concept=item.concept, literal=None, start=span, end=span + 1, fill=fill)
+        fill = Fill("lex", span, span + 1, item_id, item.concept)
+        self._match_passive(item.concept, None, span, span + 1, fill)
 
     def _process_passive_literal(self, text, span):
-        fill = Fill(kind="lit", start=span, end=span + 1, item=None, concept=None)
-        self._match_passive(concept=None, literal=text, start=span, end=span + 1, fill=fill)
+        self._match_passive(None, text, span, span + 1, Fill("lit", span, span + 1))
 
     def _process_sub(self, inst_id):
         inst = self.instances[inst_id]
-        cs = self.net.sequences[inst.cs]
-        fill = Fill(kind="sub", start=inst.start, end=inst.end, concept=cs.owner, sub=inst_id)
-        self._match_passive(concept=cs.owner, literal=None, start=inst.start, end=inst.end, fill=fill)
+        owner = self.net.sequences[inst.cs].owner
+        fill = Fill("sub", inst.start, inst.end, None, owner, inst_id)
+        self._match_passive(owner, None, inst.start, inst.end, fill)
 
     def _match_passive(self, concept, literal, start, end, fill):
         # extend the instances waiting at ``start``
         above = self.net.ancestors[concept] if concept is not None else ()
         waiting, pred = self._waiting_at(start)
-        for inst, cs, idx, el in waiting:
+        for inst, cs, layout, idx, el in waiting:
             if el.literal == literal if el.literal is not None else el.concept in above:
-                self._fill(inst, cs, idx, fill, end)
+                self._fill(inst, cs, layout, idx, fill, end)
         # start new instances from the standing initial predictions, after
         # the first token only where an instance ending here predicts one
         if literal is not None:
-            slots = self.plan.slots_by_literal.get(literal, ())
+            slots = self.plan.slots_by_literal.get(literal)
         else:
-            slots = self.plan.starts_by_concept.get(concept, ())
-        left_corner = self.plan.left_corner
-        for cs_id, idx in slots:
-            cs = self.net.sequences[cs_id]
-            if pred is None or left_corner[cs.owner] & pred:
-                self._fill(None, cs, idx, fill, end, start=start)
+            slots = self.plan.starts_by_concept.get(concept)
+        if slots:
+            sequences, layouts = self.net.sequences, self.net.layouts
+            left_corner = self.plan.left_corner
+            for cs_id, idx in slots:
+                cs = sequences[cs_id]
+                if pred is None or left_corner[cs.owner] & pred:
+                    self._fill(None, cs, layouts[cs_id], idx, fill, end, start)
 
     def _waiting_at(self, pos) -> tuple[list[tuple], int | None]:
-        """The chart column at ``pos``: ``(inst, cs, idx, element)`` for
-        each eligible element of the instances ending at ``pos``, in
+        """The chart column at ``pos``: ``(inst, cs, layout, idx, element)``
+        for each eligible element of the instances ending at ``pos``, in
         creation and index order, and the ``plan.filler_bit`` mask of the
         conceptual ones, None where no instance ends, as at the first token
-        (nothing is filtered there).  Memoized: the first call comes from a
-        passive that starts at ``pos``, and by then no instance ending there
-        is still to come, as every fill spans at least one token."""
-        if pos not in self._waiting:
-            slots = []
-            pred = 0 if pos in self._by_end else None
-            filler_bit = self.plan.filler_bit
-            for inst_id in self._by_end.get(pos, ()):
-                inst = self.instances[inst_id]
-                cs = self.net.sequences[inst.cs]
-                layout = self.net.layouts[cs.id]
-                eligible = layout.frontier[inst.cursor]
-                if layout.free:  # a twin waits for the one before it
-                    twins, filled = layout.twins, inst.filled
-                    eligible = sorted(eligible + tuple(
-                        i for i in layout.free
-                        if not filled >> i & 1 and (twins[i] is None or filled >> twins[i] & 1)
-                    ))
-                for idx in eligible:
-                    el = cs.elements[idx]
-                    slots.append((inst, cs, idx, el))
-                    if el.literal is None:
-                        pred |= filler_bit[el.concept]
-            self._waiting[pos] = (slots, pred)
-        return self._waiting[pos]
+        (nothing is filtered there).  An instance's elements are read from
+        its layout's ``merged[cursor]``; a bit test skips the free ones it
+        filled and those whose twin is still empty (a twin waits for the one
+        before it).  Memoized: the first call comes from a passive that
+        starts at ``pos``, and by then no instance ending there is still to
+        come, as every fill spans at least one token."""
+        column = self._waiting.get(pos)
+        if column is None:
+            ends = self._by_end.get(pos)
+            if ends is None:
+                column = ([], None)
+            else:
+                slots, pred = [], 0
+                instances, sequences, layouts = self.instances, self.net.sequences, self.net.layouts
+                filler_bit = self.plan.filler_bit
+                for inst_id in ends:
+                    inst = instances[inst_id]
+                    cs, layout = sequences[inst.cs], layouts[inst.cs]
+                    elements = cs.elements
+                    skip = filled = inst.filled
+                    for i, twin in layout.twin_pairs:
+                        if not filled >> twin & 1:
+                            skip |= 1 << i
+                    for idx in layout.merged[inst.cursor]:
+                        if not skip >> idx & 1:
+                            el = elements[idx]
+                            slots.append((inst, cs, layout, idx, el))
+                            if el.literal is None:
+                                pred |= filler_bit[el.concept]
+                column = (slots, pred)
+            self._waiting[pos] = column
+        return column
 
-    def _fill(self, inst, cs, idx, fill, end, start=None):
-        """Derive the instance that results from filling element ``idx``,
-        unless the chart already holds one with its future state.
+    def _fill(self, inst, cs, layout, idx, fill, end, start=None):
+        """Derive the instance that results from filling element ``idx`` of
+        ``cs`` (whose :class:`~markermt.network.Layout` is ``layout``), unless
+        the chart already holds one with its future state.
 
         The key ``(cs, start, end, cursor, filled)`` names that state: fixed
         elements below the cursor that are not filled are omitted, all other
-        elements not filled are open."""
-        layout = self.net.layouts[cs.id]
+        elements not filled are open.  What the new instance predicts is
+        read from the layout: ``opens[idx]`` for a start, else the
+        ``frontier`` at its cursor."""
         if inst is None:
             begin, old_cursor, filled = start, 0, 0
         else:
             begin, old_cursor, filled = inst.start, inst.cursor, inst.filled
-        free = idx in layout.free
+        free = layout.free_mask >> idx & 1
         cursor = old_cursor if free else idx + 1
         filled |= 1 << idx
         key = (cs.id, begin, end, cursor, filled)
@@ -632,8 +643,11 @@ class MarkerState:
             fills = list(inst.fills)
             parent = inst.id
             mirrored = inst.target_cursor
-        # a fixed fill omits the fixed elements predicted before it
-        withdrawn = [] if free else [k for k in layout.frontier[old_cursor] if k < idx]
+        # a fixed fill that skips elements omits the fixed ones predicted
+        # before it
+        withdrawn = ()
+        if not free and idx > old_cursor:
+            withdrawn = [k for k in layout.frontier[old_cursor] if k < idx]
         for k in withdrawn:
             fills[k] = OMITTED
         fills[idx] = fill
@@ -643,16 +657,8 @@ class MarkerState:
         accepted = filled & layout.required == layout.required
         target_cursor = self._mirror_reach(cs, filled, mirrored)
         self.instances.append(CsInstance(
-            id=new_id,
-            cs=cs.id,
-            start=begin,
-            end=end,
-            fills=fills,
-            cursor=cursor,
-            filled=filled,
-            status="accepted" if accepted else "active",
-            parent=parent,
-            target_cursor=target_cursor,
+            new_id, cs.id, begin, end, fills, cursor, filled,
+            "accepted" if accepted else "active", parent, target_cursor,
         ))
         self._by_end.setdefault(end, []).append(new_id)
 
@@ -660,12 +666,14 @@ class MarkerState:
         events.append(("collide", AA, ("inst", new_id, cs.id, idx), fill, tok))
         for k in withdrawn:
             events.append(("withdraw", AP, ("inst", new_id, cs.id, k), None, tok))
-        predicted = layout.frontier[cursor]
-        if parent is None:  # free elements stay predicted until filled
-            predicted = sorted(predicted + tuple(i for i in layout.free if i != idx))
-        for nxt in predicted:
+        # a start also predicts the free elements, which stay predicted
+        # until filled
+        elements, unpredicted = cs.elements, self.plan.unpredicted_below
+        for nxt in layout.opens[idx] if parent is None else layout.frontier[cursor]:
             events.append(("predict", AP, ("inst", new_id, cs.id, nxt), None, tok))
-            self._predict_lexical(cs.elements[nxt])
+            below = unpredicted.get(elements[nxt].concept)  # None for a literal
+            if below:
+                self._predict_lexical(below)
 
         if target_cursor != mirrored:
             self._mirror(cs, fills, mirrored, target_cursor)

@@ -87,17 +87,31 @@ class ElementType:
 
 @dataclass(frozen=True, slots=True)
 class Layout:
-    """What a sequence's element types imply for the engine.
+    """What a sequence's element types imply for the engine, compiled once
+    per signature (element types and twins) so that the engine reads each
+    chart move instead of working it out per instance.
 
     ``frontier[c]``: the fixed elements predicted while the cursor is at
     ``c``, i.e. the run of omissible fixed elements from ``c`` plus the first
-    required one; ``free``: the free-order elements; ``required``: bit i set
-    when element i is not omissible; ``twins``: see :func:`_twins`."""
+    required one; ``required``: bit i set when element i is not omissible;
+    ``twins``: see :func:`_twins`.
+
+    ``merged[c]``: ``frontier[c]`` and every free element, in index order:
+    what an instance with its cursor at ``c`` may wait for, before the free
+    elements it filled and those whose twin is still empty are skipped.
+    ``opens[i]``: what a new instance that starts by filling element ``i``
+    predicts, in index order: ``frontier`` at its cursor after the fill
+    (0 when ``i`` is free, else ``i + 1``) and the free elements but ``i``.
+    ``free_mask``: bit i set when element i is free-order; ``twin_pairs``:
+    the ``(i, twins[i])`` pairs whose twin is not None."""
 
     frontier: tuple[tuple[int, ...], ...]
-    free: tuple[int, ...]
     required: int
     twins: tuple[int | None, ...]
+    merged: tuple[tuple[int, ...], ...]
+    opens: tuple[tuple[int, ...], ...]
+    free_mask: int
+    twin_pairs: tuple[tuple[int, int], ...]
 
 
 class SequenceElement(NamedTuple):
@@ -325,11 +339,19 @@ def _layout(etypes, twins) -> Layout:
             frontier.append((c,) + frontier[-1])
         else:
             frontier.append((c,))
+    frontier = tuple(reversed(frontier))
+    free = tuple(i for i, t in enumerate(etypes) if ElementType.free(t))
     return Layout(
-        frontier=tuple(reversed(frontier)),
-        free=tuple(i for i, t in enumerate(etypes) if ElementType.free(t)),
+        frontier=frontier,
         required=sum(1 << i for i, t in enumerate(etypes) if not ElementType.omissible(t)),
         twins=twins,
+        merged=tuple(tuple(sorted(f + free)) for f in frontier),
+        opens=tuple(
+            tuple(sorted(frontier[0 if i in free else i + 1] + tuple(j for j in free if j != i)))
+            for i in range(len(etypes))
+        ),
+        free_mask=sum(1 << i for i in free),
+        twin_pairs=tuple((i, twin) for i, twin in enumerate(twins) if twin is not None),
     )
 
 

@@ -19,10 +19,19 @@ from itertools import combinations
 from markermt.network import ElementType, MemoryNetwork, lookup_lexical
 
 MAX_ELEMENTS = 8
+# sequences nested inside one another along one derivation: a level takes
+# one Python frame per element of its sequence and one more, so 64 levels of
+# sequences of up to MAX_ELEMENTS elements stay well inside the default
+# recursion limit of 1000
+MAX_DEPTH = 64
 
 
 def recognize_oracle(net: MemoryNetwork, cs, tokens) -> bool:
-    """True iff ``tokens`` (surface words) is in the language of ``cs``."""
+    """True iff ``tokens`` (surface words) is in the language of ``cs``.
+
+    Raises ValueError for a sequence of more than ``MAX_ELEMENTS`` elements,
+    and when a derivation it searches nests more than ``MAX_DEPTH``
+    sequences."""
     if len(cs.elements) > MAX_ELEMENTS:
         raise ValueError(f"oracle limited to {MAX_ELEMENTS} elements, got {len(cs.elements)}")
     return _match_cs(net, cs, tuple(tokens), frozenset())
@@ -32,6 +41,8 @@ def _match_cs(net, cs, tokens, visiting) -> bool:
     key = (cs.id, tokens)
     if key in visiting:
         return False  # re-deriving the same span through the same sequence
+    if len(visiting) == MAX_DEPTH:  # visiting holds one key per enclosing sequence
+        raise ValueError(f"oracle limited to {MAX_DEPTH} nested sequences")
     visiting = visiting | {key}
 
     omissible = [i for i, el in enumerate(cs.elements) if ElementType.omissible(el.etype)]

@@ -96,6 +96,19 @@ def mini_net(elements: str, extra: str = ""):
     return load_network("\n".join(lines))
 
 
+def deep_chain(depth: int) -> str:
+    """Network text in which ``w0`` nests ``depth`` sequences: c_i owns ko
+    k_i and en e_i, both ``c_{i-1}(CX)``, top sequences first."""
+    lines = ["concept c0", "lex k-c0 ko w0 isa c0", "lex e-c0 en v0 isa c0"]
+    lines += [f"concept c{i}" for i in range(1, depth + 1)]
+    for i in range(depth, 0, -1):
+        lines += [
+            f"cs k{i} ko of c{i} pair e{i} : c{i - 1}(CX)",
+            f"cs e{i} en of c{i} pair k{i} : c{i - 1}(CX)",
+        ]
+    return "\n".join(lines)
+
+
 def multi_parent_probe(k: int) -> str:
     """Network text whose ko sequence has k distinct free elements
     ``m0(CF) .. m(k-1)(CF)`` that one word fills: ``wl`` reads as concept

@@ -194,27 +194,65 @@ ELEMENT_TYPES = {"CX": (False, False), "CF": (False, True), "OX": (True, False),
 
 
 @settings(deadline=None)
-@given(st.lists(st.sampled_from(sorted(ELEMENT_TYPES)), min_size=1, max_size=8))
-def test_layout_reads_the_element_types(etypes):
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(ELEMENT_TYPES)), st.sampled_from("abc")),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_layout_reads_the_element_types(elements):
     # the plain reading: (omissible, free) per code, then a left-to-right scan
+    etypes = [t for t, _ in elements]
     if all(ELEMENT_TYPES[t][0] for t in etypes):
         etypes = ["CX"] + etypes[1:]  # a sequence must not accept the empty string
-    net = mini_net(" ".join(f"{'abcde'[i % 5]}({t})" for i, t in enumerate(etypes)))
+    fillers = [c for _, c in elements]
+    net = mini_net(" ".join(f"{c}({t})" for c, t in zip(fillers, etypes)))
     layout = net.layouts["test"]
+    n = len(etypes)
     omissible = [ELEMENT_TYPES[t][0] for t in etypes]
     free = [ELEMENT_TYPES[t][1] for t in etypes]
-    assert layout.free == tuple(i for i in range(len(etypes)) if free[i])
-    assert layout.required == sum(2**i for i in range(len(etypes)) if not omissible[i])
-    assert len(layout.frontier) == len(etypes) + 1
-    for cursor in range(len(etypes) + 1):
+    assert layout.free_mask == sum(2**i for i in range(n) if free[i])
+    assert layout.required == sum(2**i for i in range(n) if not omissible[i])
+    assert len(layout.frontier) == len(layout.merged) == n + 1
+    frontier = []
+    for cursor in range(n + 1):
         expected = []
-        for i in range(cursor, len(etypes)):
+        for i in range(cursor, n):
             if free[i]:
                 continue
             expected.append(i)
             if not omissible[i]:
                 break
+        frontier.append(expected)
         assert layout.frontier[cursor] == tuple(expected), cursor
+        # waiting at the cursor: its fixed frontier and every free element
+        assert layout.merged[cursor] == tuple(i for i in range(n) if free[i] or i in expected), cursor
+    # a start fills i first: the cursor stays at 0 for a free i, else moves
+    # past it; every other free element is predicted too
+    assert len(layout.opens) == n
+    for i in range(n):
+        after = frontier[0 if free[i] else i + 1]
+        assert layout.opens[i] == tuple(j for j in range(n) if j != i and (free[j] or j in after)), i
+    # a twin: the last earlier free element of the same type and filler
+    twins = [
+        max((j for j in range(i) if free[i] and (etypes[j], fillers[j]) == (etypes[i], fillers[i])), default=None)
+        for i in range(n)
+    ]
+    assert layout.twins == tuple(twins)
+    assert layout.twin_pairs == tuple((i, j) for i, j in enumerate(twins) if j is not None)
+
+
+def test_a_start_at_a_free_element_predicts_the_fixed_elements_before_it():
+    # wb fills the free b first: the cursor stays at 0, so the new instance
+    # predicts a; c is predicted, with its item, only once wa fills a
+    result = translate(mini_net("a(CX) b(CF) c(CX)"), "wb wa wc", "ko-en")
+    assert result.ok
+    lines = {tok: [e.line() for e in result.trace if e.token == tok] for tok in range(3)}
+    assert "predict AP inst:0@test#0 - tok=0" in lines[0]
+    assert not any(line.startswith("predict AP inst:0@test#2 ") for line in lines[0])
+    assert "predict AP lex:k-c - tok=1" in lines[1]
+    assert [e.token for e in result.trace if e.location == "lex:k-c" and e.event == "predict"] == [1]
 
 
 def test_layouts_are_read_only_and_shared_per_signature():

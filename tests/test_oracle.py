@@ -1,8 +1,9 @@
 import pytest
 
-from markermt.oracle import recognize_oracle
+from markermt.network import load_network
+from markermt.oracle import MAX_DEPTH, recognize_oracle
 
-from helpers import mini_net
+from helpers import deep_chain, mini_net
 
 
 def test_omissible_free_may_be_dropped(net):
@@ -56,3 +57,16 @@ def test_size_limit():
     net = mini_net(" ".join(["a(CX)"] * 9))
     with pytest.raises(ValueError, match="limited to 8"):
         recognize_oracle(net, net.sequences["test"], ["wa"])
+
+
+def test_deep_nesting_is_refused_past_the_stated_depth():
+    # the 1,200-deep chain used to raise RecursionError
+    net = load_network(deep_chain(1200))
+    with pytest.raises(ValueError, match=f"limited to {MAX_DEPTH} nested sequences"):
+        recognize_oracle(net, net.sequences["k1200"], ["w0"])
+    at_limit = load_network(deep_chain(MAX_DEPTH))
+    assert recognize_oracle(at_limit, at_limit.sequences[f"k{MAX_DEPTH}"], ["w0"])
+    assert not recognize_oracle(at_limit, at_limit.sequences[f"k{MAX_DEPTH}"], ["w0", "w0"])
+    past = load_network(deep_chain(MAX_DEPTH + 1))
+    with pytest.raises(ValueError):
+        recognize_oracle(past, past.sequences[f"k{MAX_DEPTH + 1}"], ["w0"])

@@ -23,7 +23,7 @@ from markermt.translator import (
 )
 
 from conftest import TRAVEL_CORPUS, TRAVEL_NET
-from helpers import run_engine
+from helpers import deep_chain, run_engine
 
 ENGLISH = "Would you tell me the way to Kennedy Park?"
 KOREAN = "ce-eykey ken-ney-ti kong-wen kanun kil-ul allyecwu-si-keyssupnikka?"
@@ -86,6 +86,29 @@ def test_round_trip_isomorphic(net):
 def test_round_trip_requires_forward_success(net):
     with pytest.raises(ValueError, match="forward translation failed"):
         round_trip(net, "xqz zzz", "en-ko")
+
+
+def test_round_trip_mismatches_are_counted():
+    # every sample round-trips, but three back-trees differ from their
+    # forward tree: the Korean output keeps two words of one concept in the
+    # forward order, and parsing it back, the chart keeps the derivation
+    # made first, which gives the free element the later word.  The list
+    # also pins the chart's packing order; a change that fixes a mismatch
+    # shortens it.
+    mismatches = []
+    for seed in range(36, 44):
+        text = synth_network(1000, 200, seed)
+        net = load_network(text)
+        for direction, sentence in parse_samples(text):
+            forward, back = round_trip(net, sentence, direction)
+            assert back.ok, (seed, sentence)
+            if not trees_isomorphic(forward.concept_tree, back.concept_tree):
+                mismatches.append((seed, direction, sentence))
+    assert mismatches == [
+        (38, "en-ko", "v27x napika mesaka cemuka"),
+        (39, "en-ko", "v71x lepuka homuka cipoka komoka"),
+        (42, "en-ko", "v81x hakoka makuka maseka kenika"),
+    ]
 
 
 def test_unknown_word_position(net):
@@ -460,16 +483,7 @@ def test_corpus_builds_no_trace_events(net, monkeypatch, capsys):
 
 @pytest.mark.parametrize("depth", [1200, 3000])
 def test_deep_nesting_translates(depth):
-    # c_i owns ko k_i and en e_i, both c_{i-1}(CX), top sequences first, so
-    # the tree of "w0" nests depth instances
-    lines = ["concept c0", "lex k-c0 ko w0 isa c0", "lex e-c0 en v0 isa c0"]
-    lines += [f"concept c{i}" for i in range(1, depth + 1)]
-    for i in range(depth, 0, -1):
-        lines += [
-            f"cs k{i} ko of c{i} pair e{i} : c{i - 1}(CX)",
-            f"cs e{i} en of c{i} pair k{i} : c{i - 1}(CX)",
-        ]
-    net = load_network("\n".join(lines))
+    net = load_network(deep_chain(depth))
     assert validate_network(net) == []
     result = translate(net, "w0", "ko-en")
     assert (result.status, result.target_sentence) == ("success", "V0")
