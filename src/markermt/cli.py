@@ -167,7 +167,7 @@ def cmd_repl(args) -> int:
             print(f"unknown command {line.split()[0]}")
             continue
 
-        result = translate(net, line, direction, keep_state=args.debug)
+        result = translate(net, line, direction)
         if show_trace:
             for event in result.trace:
                 print(event.line())
@@ -178,12 +178,6 @@ def cmd_repl(args) -> int:
             suffix = f" at token {result.error_position}" if result.error_position else ""
             print(f"[{result.status}{suffix}]")
             history.append((direction, line, f"<{result.status}>"))
-        if args.debug:
-            state = result.debug_state
-            print(
-                f"[debug markers={len(state.markers)} instances={len(state.instances)} "
-                f"agenda={len(state.agenda)} empty={state.is_empty()}]"
-            )
     return EXIT_OK
 
 
@@ -210,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repl", help="interactive translation loop")
     p.add_argument("network")
     p.add_argument("--dir", default="en-ko")
-    p.add_argument("--debug", action="store_true", help="report session marker state per line")
     p.set_defaults(func=cmd_repl)
 
     p = sub.add_parser("validate", help="load a network and report diagnostics")

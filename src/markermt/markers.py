@@ -4,11 +4,12 @@ Analysis predicts with AP markers and activates with AA markers; AP-AA
 collisions consume input (the shift analogue) and sequence acceptance passes
 activation up the hierarchy (the reduce analogue).  Generation mirrors each
 analysis step on the paired target sequence with GP/GA markers, so the
-target sentence is assembled while the source sentence is parsed.  Which
-source element supplies each target element is decided once, when the
-network is built (``MemoryNetwork.counterparts``); the mirror here and the
-realizer in :mod:`markermt.translator` both read that table, so the trace
-binds each target element to the fill the output uses.
+target sentence is assembled while the source sentence is parsed (a
+recording session traces the mirror, see below).  Which source element
+supplies each target element is decided once, when the network is built
+(``MemoryNetwork.counterparts``); the mirror here and the realizer in
+:mod:`markermt.translator` both read that table, so the trace binds each
+target element to the fill the output uses.
 
 Element types extend plain left-to-right prediction: free-order elements
 (CF, OF) stay predicted from the start until filled, and a run of omissible
@@ -62,17 +63,25 @@ compiled once per ordered language pair when the network is built
 (:func:`compile_plan`): the table of initially predicted source slots, the
 predicted lexical items and the target sequences that carry an initial GP.
 A session attaches the shared plan instead of recomputing it, so a
-session's cost grows with its sentence, not with the network.  Of the
-markers a session places itself it keeps only the two kinds it reads back:
-``AP`` on the lexical items it predicts and ``GA`` on the target items
-each token activates; the chart carries the parse, and the trace records
-every placement.  The trace costs nothing until it is read: a session
-records its own events as tuples of raw fields, and :func:`build_trace`
-formats them into :class:`TraceEvent` objects only when the trace is read,
-after the ``predict`` events of the initial prediction, which it derives
-anew from the network (:func:`initial_predictions`, the same walk that
-:func:`compile_plan` reads).  So neither the load nor a session builds an
-event that no one reads, and the loaded network holds no trace.
+session's cost grows with its sentence, not with the network.
+
+The chart carries the parse; the markers a session places itself, the
+generation mirror and the events explain it, and only the trace reads
+them.  So a session records them only when it is made to
+(``MarkerState(..., record=True)``); one that does not record skips every
+step that only the trace reads.  As scheduling is FIFO, a recording
+session over the same input makes the same chart, so
+:mod:`markermt.translator` translates without recording and builds a
+result's trace, when it is first read, by running the sentence again with
+a recording session.  A recording session keeps its events as tuples of
+raw fields and only the two kinds of marker that it reads back: ``AP`` on
+the lexical items it predicts and ``GA`` on the target items each token
+activates.  :func:`build_trace` formats the events into
+:class:`TraceEvent` objects after the ``predict`` events of the initial
+prediction, which it derives anew from the network
+(:func:`initial_predictions`, the same walk that :func:`compile_plan`
+reads).  So neither the load nor a translation builds an event that no one
+reads, and the loaded network holds no trace.
 
 The records :class:`CsInstance`, :class:`Fill` and :class:`TraceEvent` are
 named tuples: immutable and cheap to build, as a sentence derives one
@@ -201,6 +210,10 @@ class TooAmbiguous(Exception):
 
 
 class CsInstance(NamedTuple):
+    """One chart instance.  Where the generation mirror waits on the paired
+    target sequence is trace-only, so a recording session keeps it apart
+    (:attr:`MarkerState.target_cursors`)."""
+
     id: int
     cs: str
     start: int
@@ -210,7 +223,6 @@ class CsInstance(NamedTuple):
     filled: int  # bit i set when element i has a fill (omitted is not one)
     status: str  # active | accepted
     parent: int | None
-    target_cursor: int  # paired target element the generation mirror waits at
 
 
 @dataclass(frozen=True, slots=True)
@@ -431,23 +443,29 @@ class MarkerState:
     memoizes each position's column of waiting elements.  A token is dead
     when the instance count has not grown since its :meth:`activate`.
 
-    Of the markers the session places itself it keeps the two kinds it
-    reads back: ``predicted_items``, the lexical items it predicts beyond
-    the plan (AP), and ``generated_items``, the ``(target item, token)``
-    pairs it activates (GA); ``markers`` views them with the plan's.
+    A session made with ``record=True`` also records its trace.  Only the
+    trace reads what that takes, so a session that does not record skips
+    it all: the events, the markers it places itself, the generation
+    mirror and the dead-token check.  Of those markers a recording session
+    keeps the two kinds the trace reads back: ``predicted_items``, the
+    lexical items it predicts beyond the plan (AP), and
+    ``generated_items``, the ``(target item, token)`` pairs it activates
+    (GA); ``markers`` views them with the plan's.  ``target_cursors[i]`` is
+    where the mirror of instance ``i`` waits on the paired target sequence.
 
     A session handles one sentence in one direction.  Sessions over the same
     network are independent; ``close`` empties the state so nothing leaks
-    into the next sentence.  The trace outlives ``close``: ``events`` holds
-    the session's own events as ``(event, marker, location, binding,
-    token)`` tuples of raw fields: a location or binding is a string,
-    ``("inst", id, cs, k)``, ``("cs", cs, k)``, ``(site, name)``, a token
-    number or the :class:`Fill` bound.  :attr:`trace` formats them into
-    :class:`TraceEvent` objects, after those of the ``predict`` events once
-    :meth:`initial_prediction` has run, each time it is read.
+    into the next sentence.  The trace outlives ``close``: ``events`` (None
+    when the session does not record) holds the session's own events as
+    ``(event, marker, location, binding, token)`` tuples of raw fields: a
+    location or binding is a string, ``("inst", id, cs, k)``, ``("cs", cs,
+    k)``, ``(site, name)``, a token number or the :class:`Fill` bound.
+    :attr:`trace` formats them into :class:`TraceEvent` objects, after those
+    of the ``predict`` events once :meth:`initial_prediction` has run, each
+    time it is read.
     """
 
-    def __init__(self, net: MemoryNetwork, source: str, target: str):
+    def __init__(self, net: MemoryNetwork, source: str, target: str, *, record: bool = False):
         self.net = net
         self.source = source
         self.target = target
@@ -458,19 +476,22 @@ class MarkerState:
         self.instances: list[CsInstance] = []
         self.agenda: deque = deque()
         self.predicted = False  # set by initial_prediction
-        self.events: list[tuple] = []
+        self.events: list[tuple] | None = [] if record else None
+        self.target_cursors: list[int] | None = [] if record else None
         self.token_index = -1
         self._by_end: dict[int, list[int]] = {}
         self._keys: set[tuple] = set()  # chart keys, see _fill
         self._waiting: dict[int, tuple[list[tuple], int | None]] = {}  # see _waiting_at
-        # the instance count when the current token was activated, or None
-        # once that token has been checked for being dead
+        # while recording: the instance count when the current token was
+        # activated, or None once that token has been checked for being dead
         self._made_before: int | None = None
 
     # -- bookkeeping -------------------------------------------------------
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
+        if self.events is None:
+            raise ValueError("the session does not record its trace")
         return build_trace(self.net if self.predicted else None, self.source, self.target, self.events)
 
     # -- the three phases ----------------------------------------------------
@@ -495,15 +516,18 @@ class MarkerState:
         """AA markers onto one input token's readings; collisions are queued,
         not processed (see :meth:`step_collisions`)."""
         self.token_index = span
-        self._made_before = len(self.instances)
+        events, agenda = self.events, self.agenda
+        if events is not None:
+            self._made_before = len(self.instances)
         for item_id in lexical_items:
-            item = self.net.lexicon[item_id]
-            assert item.language == self.source, f"{item_id} is not a {self.source} item"
-            self.events.append(("activate", AA, ("lex", item_id), span, span))
-            self.agenda.append(("lex", item_id, span))
+            assert self.net.lexicon[item_id].language == self.source, f"{item_id} is not a {self.source} item"
+            if events is not None:
+                events.append(("activate", AA, ("lex", item_id), span, span))
+            agenda.append(("lex", item_id, span))
         if literal is not None:
-            self.events.append(("activate", AA, ("lit", literal), span, span))
-            self.agenda.append(("lit", literal, span))
+            if events is not None:
+                events.append(("activate", AA, ("lit", literal), span, span))
+            agenda.append(("lit", literal, span))
 
     def step_collisions(self):
         """Drain the agenda to quiescence.
@@ -511,9 +535,9 @@ class MarkerState:
         A lexical collision passes activation up the IS-A hierarchy and puts
         GA on the paired target items; concept/literal passives then extend
         or create instances; each acceptance feeds a new passive upward.
-        A token whose readings produced no fill anywhere is recorded as a
-        dead activation (unusable at this position) and the sentence simply
-        continues."""
+        A recording session records a token whose readings produced no fill
+        anywhere as a dead activation (unusable at this position); the
+        sentence simply continues."""
         while self.agenda:
             entry = self.agenda.popleft()
             kind = entry[0]
@@ -532,14 +556,15 @@ class MarkerState:
     def _process_lexical(self, item_id, span):
         item = self.net.lexicon[item_id]
         events = self.events
-        if self.predicted and item_id in self.plan.predicted_items or item_id in self.predicted_items:
-            events.append(("collide", AA, ("lex", item_id), span, span))
-        # GA lands on the paired target items
-        generated = self.generated_items
-        for tgt_item in self.net.items_of_concept(self.target, item.concept):
-            if (tgt_item, span) not in generated:
-                generated.add((tgt_item, span))
-                events.append(("activate", GA, ("lex", tgt_item), span, span))
+        if events is not None:
+            if self.predicted and item_id in self.plan.predicted_items or item_id in self.predicted_items:
+                events.append(("collide", AA, ("lex", item_id), span, span))
+            # GA lands on the paired target items
+            generated = self.generated_items
+            for tgt_item in self.net.items_of_concept(self.target, item.concept):
+                if (tgt_item, span) not in generated:
+                    generated.add((tgt_item, span))
+                    events.append(("activate", GA, ("lex", tgt_item), span, span))
         fill = Fill("lex", span, span + 1, item_id, item.concept)
         self._match_passive(item.concept, None, span, span + 1, fill)
 
@@ -618,9 +643,8 @@ class MarkerState:
 
         The key ``(cs, start, end, cursor, filled)`` names that state: fixed
         elements below the cursor that are not filled are omitted, all other
-        elements not filled are open.  What the new instance predicts is
-        read from the layout: ``opens[idx]`` for a start, else the
-        ``frontier`` at its cursor."""
+        elements not filled are open.  A recording session then records the
+        fill (:meth:`_record_fill`)."""
         if inst is None:
             begin, old_cursor, filled = start, 0, 0
         else:
@@ -638,11 +662,9 @@ class MarkerState:
         if inst is None:
             fills = [None] * len(cs.elements)
             parent = None
-            mirrored = 0
         else:
             fills = list(inst.fills)
             parent = inst.id
-            mirrored = inst.target_cursor
         # a fixed fill that skips elements omits the fixed ones predicted
         # before it
         withdrawn = ()
@@ -653,33 +675,45 @@ class MarkerState:
         fills[idx] = fill
 
         new_id = len(self.instances)
-        fills = tuple(fills)
         accepted = filled & layout.required == layout.required
-        target_cursor = self._mirror_reach(cs, filled, mirrored)
-        self.instances.append(CsInstance(
-            new_id, cs.id, begin, end, fills, cursor, filled,
-            "accepted" if accepted else "active", parent, target_cursor,
-        ))
+        new = CsInstance(
+            new_id, cs.id, begin, end, tuple(fills), cursor, filled,
+            "accepted" if accepted else "active", parent,
+        )
+        self.instances.append(new)
         self._by_end.setdefault(end, []).append(new_id)
+        if self.events is not None:
+            self._record_fill(new, cs, layout, idx, withdrawn)
+        if accepted:
+            self.agenda.append(("sub", new_id))
 
+    def _record_fill(self, new, cs, layout, idx, withdrawn):
+        """The events of the fill of element ``idx`` that made instance
+        ``new``: its collision, the predictions it withdraws and those it
+        places, read from the layout (``opens[idx]`` for a start, else the
+        ``frontier`` at its cursor) with the lexical ones below them, the
+        target elements its mirror passes and its acceptance."""
         events, tok = self.events, self.token_index
-        events.append(("collide", AA, ("inst", new_id, cs.id, idx), fill, tok))
+        events.append(("collide", AA, ("inst", new.id, cs.id, idx), new.fills[idx], tok))
         for k in withdrawn:
-            events.append(("withdraw", AP, ("inst", new_id, cs.id, k), None, tok))
+            events.append(("withdraw", AP, ("inst", new.id, cs.id, k), None, tok))
         # a start also predicts the free elements, which stay predicted
         # until filled
         elements, unpredicted = cs.elements, self.plan.unpredicted_below
-        for nxt in layout.opens[idx] if parent is None else layout.frontier[cursor]:
-            events.append(("predict", AP, ("inst", new_id, cs.id, nxt), None, tok))
+        for nxt in layout.opens[idx] if new.parent is None else layout.frontier[new.cursor]:
+            events.append(("predict", AP, ("inst", new.id, cs.id, nxt), None, tok))
             below = unpredicted.get(elements[nxt].concept)  # None for a literal
             if below:
                 self._predict_lexical(below)
 
-        if target_cursor != mirrored:
-            self._mirror(cs, fills, mirrored, target_cursor)
-        if accepted:
-            events.append(("accept", AA, ("cn", cs.owner), ("inst", new_id), tok))
-            self.agenda.append(("sub", new_id))
+        cursors = self.target_cursors
+        mirrored = 0 if new.parent is None else cursors[new.parent]
+        reach = self._mirror_reach(cs, new.filled, mirrored)
+        cursors.append(reach)
+        if reach != mirrored:
+            self._mirror(cs, new.fills, mirrored, reach)
+        if new.status == "accepted":
+            events.append(("accept", AA, ("cn", cs.owner), ("inst", new.id), tok))
 
     # -- generation mirroring --------------------------------------------------
 
@@ -734,6 +768,8 @@ class MarkerState:
         self.generated_items.clear()
         self.markers = MarkerSet(None, self.predicted_items, self.generated_items)
         self.instances.clear()
+        if self.target_cursors is not None:
+            self.target_cursors.clear()
         self.agenda.clear()
         self._by_end.clear()
         self._keys.clear()

@@ -100,13 +100,20 @@ class TranslationResult:
     ``concept_tree`` is the realized tree of named tuples (:class:`TreeNode`
     and :class:`TreeFill`), None unless the status is ``success``.
 
-    ``trace`` is the session's event stream: the ``predict`` events of the
-    direction's initial prediction, derived from the network (``_net``) when
-    the trace is first read, then the session's own event tuples
-    (``_events``).  Its :class:`TraceEvent` objects are built then and kept,
-    so a caller that never reads it never builds them.  The first read costs
-    about 2 µs per ``predict`` event (one per initially predicted slot, item
-    and target head), some 40 ms at 16000/3200 lexical/sequence pairs.
+    ``trace`` is the event stream of the sentence's session: the
+    ``predict`` events of the direction's initial prediction, derived from
+    the network (``_net``), then the session's own events.  A translation
+    records none of it: when the trace is first read, the sentence is
+    translated again with a recording session
+    (:class:`~markermt.markers.MarkerState`), and its :class:`TraceEvent`
+    objects are built then and kept, so a caller that never reads the trace
+    pays nothing for it.  The read raises ``RuntimeError`` if that second
+    run's status, error position, output or concept tree differs from the
+    result's, so a trace never contradicts its output.  The first read
+    costs one more translation plus about 2 µs per ``predict`` event (one
+    per initially predicted slot, item and target head), some 40 ms at
+    16000/3200 lexical/sequence pairs.  A sentence that does not tokenize
+    has no session (``_net`` is None) and an empty trace.
     """
 
     status: str
@@ -115,9 +122,7 @@ class TranslationResult:
     target_sentence: str = ""
     concept_tree: TreeNode | None = None
     error_position: int | None = None  # 1-based token index for unknown-word
-    debug_state: MarkerState | None = None
     _net: MemoryNetwork | None = field(default=None, repr=False, compare=False)
-    _events: list[tuple] = field(default_factory=list, repr=False)
     _trace: tuple[TraceEvent, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -127,15 +132,27 @@ class TranslationResult:
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
         if self._trace is None:
-            self._trace = build_trace(self._net, *parse_direction(self.direction), self._events)
+            src, tgt = parse_direction(self.direction)
+            events = ()
+            if self._net is not None:
+                replay, events = _translate(self._net, self.source_sentence, self.direction, True)
+                if _outcome(replay) != _outcome(self):
+                    raise RuntimeError(f"the traced run of {self.source_sentence!r} disagrees with its result")
+            self._trace = build_trace(self._net, src, tgt, events)
         return self._trace
+
+
+def _outcome(result: TranslationResult) -> tuple:
+    """What a result says about its sentence; the tree by its ``repr``, which
+    compares a deep tree without recursion."""
+    return (result.status, result.error_position, result.target_sentence, repr(result.concept_tree))
 
 
 class GenerationGap(Exception):
     """A required target element had no source counterpart and no default."""
 
 
-def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: bool = False) -> TranslationResult:
+def translate(net: MemoryNetwork, sentence: str, direction: str) -> TranslationResult:
     """Translate one sentence; failures come back in ``status``, not raised.
 
     Steps: attach the direction's initial prediction, compiled once when
@@ -143,8 +160,16 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
     activation + collision draining, then realization of the paired target
     sequence tree of the widest accepted instance anchored at the sentence
     start.  A sentence whose chart outgrows ``markers.MAX_INSTANCES`` stops
-    there and ends ``too-ambiguous``.
+    there and ends ``too-ambiguous``.  Nothing is traced until
+    :attr:`TranslationResult.trace` is read.
     """
+    return _translate(net, sentence, direction, False)[0]
+
+
+def _translate(net: MemoryNetwork, sentence: str, direction: str, record: bool):
+    """The steps of :func:`translate`, in a session that records its trace
+    when ``record`` is true; returns the result and the session's events
+    (None when it does not record or the sentence made no session)."""
     src, tgt = parse_direction(direction)
     morph = net.morphology
     result = TranslationResult(status=NO_PARSE, direction=direction, source_sentence=sentence)
@@ -152,9 +177,9 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
     try:
         toks = tokenize(src, sentence)
     except MorphologyError:
-        return result
+        return result, None
 
-    state = MarkerState(net, src, tgt)
+    state = MarkerState(net, src, tgt, record=record)
     state.initial_prediction()
     literals = net.literals[src]
 
@@ -169,13 +194,13 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
             if not item_ids and literal is None:
                 result.status = UNKNOWN_WORD
                 result.error_position = i + 1
-                return result
+                return result, state.events
             state.activate(item_ids, i, literal=literal)
             try:
                 state.step_collisions()
             except TooAmbiguous:
                 result.status = TOO_AMBIGUOUS
-                return result
+                return result, state.events
             assert not state.agenda, "agenda must be quiescent between tokens"
 
         winner = state.best_result(len(toks.words))
@@ -183,17 +208,16 @@ def translate(net: MemoryNetwork, sentence: str, direction: str, keep_state: boo
             try:
                 text, tree = _realize(net, state, winner, tgt)
             except GenerationGap as gap:
-                state.events.append(("note", None, "generation", str(gap), state.token_index))
+                if state.events is not None:
+                    state.events.append(("note", None, "generation", str(gap), state.token_index))
             else:
                 result.status = SUCCESS
                 result.target_sentence = text
                 result.concept_tree = tree
     finally:
-        result._net, result._events = net, state.events
+        result._net = net
         state.close()
-        if keep_state:
-            result.debug_state = state
-    return result
+    return result, state.events
 
 
 def round_trip(net: MemoryNetwork, sentence: str, direction: str):
@@ -294,12 +318,13 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
 
     children: dict[int, TreeNode] = {}  # source element -> realized sub-instance
     extras: list[TreeFill] = []
-    mirrored = inst.target_cursor  # elements before it have their generate event traced
     events, tok = state.events, state.token_index  # raw fields, see MarkerState
+    # elements before the mirror's cursor have their generate event traced
+    mirrored = None if events is None else state.target_cursors[inst.id]
     for k, el in enumerate(target_cs.elements):
         if el.literal is not None:
             words.append(el.literal)
-            if k >= mirrored:
+            if events is not None and k >= mirrored:
                 events.append(("generate", GP, ("cs", target_cs.id, k), None, tok))
             continue
         j = supply[k]
@@ -309,13 +334,13 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
                 children[j] = yield state.instances[fill.sub]
             else:
                 words.append(_emit_item(net, morph, target_lang, fill.concept, el, target_cs))
-            if k >= mirrored:
+            if events is not None and k >= mirrored:
                 events.append(("generate", GA, ("cs", target_cs.id, k), fill, tok))
         elif el.default_item is not None:
             item = net.lexicon[el.default_item]
             words.append(morph.word_for_morphemes(target_lang, item.morphemes))
-            # no source counterpart: GP only
-            events.append(("generate", GP, ("cs", target_cs.id, k), None, tok))
+            if events is not None:  # no source counterpart: GP only
+                events.append(("generate", GP, ("cs", target_cs.id, k), None, tok))
             extras.append(
                 TreeFill(
                     filler=el.concept,

@@ -15,8 +15,9 @@ from markermt.network import ElementType, load_network, lookup_lexical
 
 
 def run_engine(net, tokens, source="ko", target="en") -> MarkerState:
-    """Feed surface tokens through a session and return it unclosed."""
-    state = MarkerState(net, source, target)
+    """Feed surface tokens through a recording session and return it
+    unclosed."""
+    state = MarkerState(net, source, target, record=True)
     state.initial_prediction()
     literals = net.literals[source]
     morph = net.morphology
@@ -29,6 +30,21 @@ def run_engine(net, tokens, source="ko", target="en") -> MarkerState:
         state.activate(items, i, literal=(word if word in literals else None))
         state.step_collisions()
     return state
+
+
+def closed_sessions(monkeypatch, check=lambda state: None) -> list:
+    """Make ``MarkerState.close`` append ``(session, check(session))`` to
+    the returned list, ``check`` run just before ``close`` empties the
+    session."""
+    closed = []
+    real_close = MarkerState.close
+
+    def checking_close(state):
+        closed.append((state, check(state)))
+        real_close(state)
+
+    monkeypatch.setattr(MarkerState, "close", checking_close)
+    return closed
 
 
 def plain(value):

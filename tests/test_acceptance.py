@@ -3,19 +3,20 @@
 Run with ``pytest tests/test_acceptance.py -v -rA`` to see the lines.
 """
 
+import io
 import random
-import subprocess
 import sys
 import time
 from contextlib import contextmanager
 
+from markermt.cli import main
 from markermt.network import load_network, validate_network
 from markermt.oracle import recognize_oracle
 from markermt.synth import parse_samples, synth_network
 from markermt.translator import round_trip, translate, trees_isomorphic
 
 from conftest import TRAVEL_NET
-from helpers import cli_env, engine_accepts, mini_net, random_case, random_tokens, run_engine
+from helpers import closed_sessions, engine_accepts, mini_net, random_case, random_tokens, run_engine
 
 ENGLISH = "Would you tell me the way to Kennedy Park?"
 KOREAN = "ce-eykey ken-ney-ti kong-wen kanun kil-ul allyecwu-si-keyssupnikka?"
@@ -149,7 +150,7 @@ def test_criterion_6_scale_and_latency():
         assert mean_ms < 100.0, f"mean latency {mean_ms:.1f} ms"
 
 
-def test_criterion_7_repl_hygiene_and_stability(net):
+def test_criterion_7_repl_hygiene_and_stability(net, monkeypatch, capsys):
     with criterion(7, "100-sentence REPL leaves empty marker state; first and last traces identical"):
         sentences = [
             ENGLISH,
@@ -159,23 +160,17 @@ def test_criterion_7_repl_hygiene_and_stability(net):
         lines = [":trace on", ENGLISH, ":trace off"]
         lines += [sentences[i % len(sentences)] for i in range(98)]
         lines += [":trace on", ENGLISH, ":quit"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "markermt", "repl", str(TRAVEL_NET), "--dir", "en-ko", "--debug"],
-            env=cli_env(),
-            input="\n".join(lines) + "\n",
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0
-        debug_lines = [l for l in proc.stdout.splitlines() if "[debug" in l]
-        assert len(debug_lines) == 100
-        assert all("empty=True" in l for l in debug_lines)
-        assert all("markers=0 instances=0 agenda=0" in l for l in debug_lines)
+        closed = closed_sessions(monkeypatch)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["repl", str(TRAVEL_NET), "--dir", "en-ko"]) == 0
+        stdout = capsys.readouterr().out
+        # one session per sentence, and a recording one per trace printed
+        assert len(closed) == 102 and sum(state.events is not None for state, _ in closed) == 2
+        assert all(state.is_empty() for state, _ in closed)
 
         events = [
             line.removeprefix("> ")
-            for line in proc.stdout.splitlines()
+            for line in stdout.splitlines()
             if line.removeprefix("> ").split(" ")[0]
             in ("predict", "activate", "collide", "accept", "generate", "dead", "withdraw", "note")
         ]

@@ -34,6 +34,7 @@ from markermt.translator import TOO_AMBIGUOUS, reverse_direction, translate
 
 from conftest import TRAVEL_CORPUS
 from helpers import (
+    closed_sessions,
     engine_accepts,
     free_order_sentences,
     mini_net,
@@ -327,33 +328,32 @@ def test_session_markers_never_overlap_the_plan(net):
 
 def test_translated_sessions_never_record_a_plan_key(net, monkeypatch):
     """Whole translations, realization included, over the travel corpus
-    and the synth samples: just before each session closes, none of the
-    lexical items the session predicted is one the plan predicts."""
+    and the synth samples, each traced: just before the recording session
+    that the trace read runs closes, none of the lexical items it
+    predicted is one the plan predicts."""
     lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
     rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
     runs = [(net, direction, sentence) for direction, sentence, _ in rows]
     synth = synth_network(1000, 200, 1)
     network = load_network(synth)
     runs += [(network, d, text) for d, text in parse_samples(synth)]
-    checked = []
-    real_close = MarkerState.close
-
-    def checking_close(state):
-        checked.append((state, state.predicted_items & state.plan.predicted_items))
-        real_close(state)
-
-    monkeypatch.setattr(MarkerState, "close", checking_close)
+    closed = closed_sessions(monkeypatch, lambda state: set(state.predicted_items))
+    predicted_any = False
     for network, direction, sentence in runs:
-        result = translate(network, sentence, direction, keep_state=True)
-        assert result.ok, sentence
-        state, overlap = checked[-1]
-        assert state is result.debug_state
+        result = translate(network, sentence, direction)
+        assert result.ok and result.trace, sentence
+        (session, _), (replay, predicted) = closed  # translate's, then the trace read's
+        assert session.events is None and replay.events is not None
+        overlap = predicted & replay.plan.predicted_items
         assert not overlap, (sentence, sorted(overlap)[:3])
-    assert len(checked) == len(runs)
+        predicted_any |= bool(predicted)
+        closed.clear()
+    assert predicted_any
 
 
 def test_session_marker_sets_agree_with_the_trace(net, monkeypatch):
-    """Just before each session closes, its AP items are the ``lex:`` items
+    """Each sentence's trace is read, and just before the one recording
+    session that the read runs closes, its AP items are the ``lex:`` items
     of its own ``predict`` events and its GA pairs those of its ``activate
     GA`` events; it keeps no marker of an instance element or a concept
     and no bound ``AA``, which nothing reads."""
@@ -364,10 +364,10 @@ def test_session_marker_sets_agree_with_the_trace(net, monkeypatch):
     network = load_network(synth)
     runs += [(network, d, text) for d, text in parse_samples(synth)]
     runs.append((load_network(multi_parent_probe(5)), "ko-en", "wl wl wl wl wl"))
-    checked = []
-    real_close = MarkerState.close
 
-    def checking_close(state):
+    def check(state):
+        if state.events is None:  # translate's session, which records nothing
+            return None
         predicted, generated = set(), set()
         for e in state.trace:
             if e.event == "predict" and e.location.startswith("lex:") and e.token >= 0:
@@ -376,19 +376,19 @@ def test_session_marker_sets_agree_with_the_trace(net, monkeypatch):
                 assert e.binding == f"tok{e.token}"
                 generated.add((e.location[4:], e.token))
         stray = [k for k in state.markers if k[1][0] in ("icse", "cn") or k[0] == AA and k[2] is not None]
-        checked.append((state.predicted_items == predicted, state.generated_items == generated, stray))
-        real_close(state)
+        return state.predicted_items == predicted, state.generated_items == generated, stray
 
-    monkeypatch.setattr(MarkerState, "close", checking_close)
+    closed = closed_sessions(monkeypatch, check)
     for network, direction, sentence in runs:
-        assert translate(network, sentence, direction).ok, sentence
-        assert checked[-1] == (True, True, []), sentence
-    assert len(checked) == len(runs)
+        result = translate(network, sentence, direction)
+        assert result.ok and result.trace, sentence
+        assert [checked for _, checked in closed] == [None, (True, True, [])], sentence
+        closed.clear()
 
 
 def test_chart_records_are_immutable_and_keep_their_formats():
     fill = Fill(kind="lex", start=2, end=3, item="k-a", concept="a")
-    inst = CsInstance(0, "test", 0, 1, (fill,), 1, 1, "accepted", None, 1)
+    inst = CsInstance(0, "test", 0, 1, (fill,), 1, 1, "accepted", None)
     event = TraceEvent("collide", AA, "inst:0@test#0", fill.binding(), 2)
     for record, field in ((fill, "kind"), (inst, "status"), (event, "token")):
         with pytest.raises(AttributeError):
@@ -637,7 +637,7 @@ def _chart(net, words, source, target):
     and the number of instances in all."""
     state = run_engine(net, words, source, target)
     keys = [
-        (i.cs, i.end, i.cursor, i.filled, i.status, i.target_cursor)
+        (i.cs, i.end, i.cursor, i.filled, i.status, state.target_cursors[i.id])
         for i in state.instances
         if i.start == 0
     ]

@@ -23,7 +23,7 @@ from markermt.translator import (
 )
 
 from conftest import TRAVEL_CORPUS, TRAVEL_NET
-from helpers import deep_chain, run_engine
+from helpers import closed_sessions, deep_chain, multi_parent_probe, run_engine
 
 ENGLISH = "Would you tell me the way to Kennedy Park?"
 KOREAN = "ce-eykey ken-ney-ti kong-wen kanun kil-ul allyecwu-si-keyssupnikka?"
@@ -210,10 +210,11 @@ def test_trace_is_deterministic(net):
     [ENGLISH, "xqz zzz", "way the you would"],
     ids=["success", "unknown-word", "no-parse"],
 )
-def test_session_state_is_emptied(net, sentence):
-    result = translate(net, sentence, "en-ko", keep_state=True)
-    assert result.debug_state is not None
-    assert result.debug_state.is_empty()
+def test_session_state_is_emptied(net, sentence, monkeypatch):
+    closed = closed_sessions(monkeypatch)
+    translate(net, sentence, "en-ko")
+    [(state, _)] = closed
+    assert state.is_empty()
 
 
 def test_no_direction_conditionals_outside_profiles():
@@ -421,12 +422,15 @@ def test_trace_is_built_when_first_read(monkeypatch):
     net = load_network(text)
     direction, sentence = parse_samples(text)[0]
     built = _count_trace_events(monkeypatch)
-    result = translate(net, sentence, direction, keep_state=True)
+    closed = closed_sessions(monkeypatch)
+    result = translate(net, sentence, direction)
     assert result.ok
     assert built == []
     trace = result.trace
     assert len(built) == len(trace)
-    events = result.debug_state.events
+    [_, (replay, _)] = closed  # translate's session, then the trace read's
+    events = replay.events
+    assert events
     prefix = trace[: len(trace) - len(events)]
     assert [(e.event, e.marker, e.token) for e in trace[len(prefix):]] == [
         (event, marker, token) for event, marker, _, _, token in events
@@ -465,11 +469,58 @@ def test_load_builds_no_trace_events(monkeypatch):
     [ENGLISH, "the way xqz", "way the you would"],
     ids=["success", "unknown-word", "no-parse"],
 )
-def test_closed_session_keeps_the_result_trace(net, sentence):
-    result = translate(net, sentence, "en-ko", keep_state=True)
-    assert result.debug_state.is_empty()
-    assert result.debug_state.events
-    assert result.trace == result.debug_state.trace
+def test_closed_session_keeps_the_result_trace(net, sentence, monkeypatch):
+    result = translate(net, sentence, "en-ko")
+    closed = closed_sessions(monkeypatch)
+    trace = result.trace
+    [(replay, _)] = closed  # the recording session the read ran
+    assert replay.is_empty()
+    assert replay.events
+    assert trace == replay.trace
+
+
+@pytest.mark.parametrize(
+    "direction, sentence, status",
+    [("en-ko", ENGLISH, "success"), ("en-ko", "the way xqz", "unknown-word"),
+     ("en-ko", "way the you would", "no-parse"), ("ko-en", " ".join(["wl"] * 13), "too-ambiguous")],
+    ids=["success", "unknown-word", "no-parse", "too-ambiguous"],
+)
+def test_translate_session_records_nothing(net, direction, sentence, status, monkeypatch):
+    """The session ``translate`` closes holds no event and places no marker
+    of its own, and no trace event is built, whatever the status."""
+    network = load_network(multi_parent_probe(13)) if status == "too-ambiguous" else net
+    built = _count_trace_events(monkeypatch)
+    closed = closed_sessions(
+        monkeypatch, lambda state: (state.events, state.target_cursors, set(state.predicted_items),
+                                    set(state.generated_items))
+    )
+    assert translate(network, sentence, direction).status == status
+    [(_, kept)] = closed
+    assert kept == (None, None, set(), set())
+    assert built == []
+
+
+def test_trace_is_read_by_one_replay_and_kept(net, monkeypatch):
+    result = translate(net, ENGLISH, "en-ko")
+    closed = closed_sessions(monkeypatch)
+    trace = result.trace
+    assert result.trace is trace
+    [(replay, _)] = closed
+    assert replay.events is not None
+
+
+def test_trace_read_raises_when_the_replay_disagrees(net, monkeypatch):
+    result = translate(net, ENGLISH, "en-ko")
+    real = markermt.translator._translate
+
+    def disagreeing(*args):
+        replay, events = real(*args)
+        replay.target_sentence += "!"
+        return replay, events
+
+    monkeypatch.setattr(markermt.translator, "_translate", disagreeing)
+    with pytest.raises(RuntimeError, match="disagrees with its result"):
+        result.trace
 
 
 def test_corpus_builds_no_trace_events(net, monkeypatch, capsys):
