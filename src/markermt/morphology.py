@@ -6,8 +6,10 @@ role-adjacency relation, and boundary rewrite rules for irregular forms.
 Generation is deterministic; analysis inverts it by searching root and affix
 readings whose regenerated surface matches the input.  Both run from tables
 compiled when the network is built: the roots keyed by the prefix no rule
-can rewrite, the rules of each affix, longest class first, and for each role
-the affixes that may follow it.
+can rewrite, with the lengths those keys have; the rules of each affix as a
+``{class: surface}`` dict with the affix's distinct class lengths, longest
+first; and for each role the affixes that may follow it, each marked
+terminal when no affix may follow its own role.
 
 Word joining is a language-profile property: Korean (Yale romanization)
 joins morphemes inside an Eojeol with ``-``, English concatenates directly.
@@ -99,12 +101,21 @@ def tokenize(language: str, sentence: str) -> Tokenized:
 
 
 def _join(stem: str, rules, plain: str) -> str:
-    """``stem`` with one affix attached: the first ``(class, surface)`` rule
-    whose class ends the stem replaces that class, otherwise ``plain``
-    (joiner + affix) is appended."""
-    for cls_, surface in rules:
-        if stem.endswith(cls_):
-            return stem[: len(stem) - len(cls_)] + surface
+    """``stem`` with one affix attached: the longest of the affix's rule
+    classes that ends the stem is replaced by its surface, otherwise
+    ``plain`` (joiner + affix) is appended.
+
+    ``rules`` is the affix's distinct class lengths, longest first, and its
+    ``{class: surface}`` dict.  Two distinct classes of one length cannot
+    both end a stem, so one probe per length finds the longest: the cost is
+    the number of lengths, not the number of rules."""
+    lengths, surfaces = rules
+    size = len(stem)
+    for length in lengths:
+        if length <= size:
+            surface = surfaces.get(stem[size - length:])
+            if surface is not None:
+                return stem[: size - length] + surface
     return stem + plain
 
 
@@ -127,34 +138,41 @@ class Morphology:
         # are nearly all one root, so they grow as tuples: a list per key
         # would be garbage that outweighs the index.
         self._roots_by_stable: dict[str, dict[str, tuple[str, ...]]] = {}
+        # {lang: the lengths of its stable-prefix keys, shortest first}: the
+        # only prefixes of a word worth a lookup
+        self._key_lengths: dict[str, tuple[int, ...]] = {}
         for lang, table in roots.items():
             index = self._roots_by_stable[lang] = {}
             for folded, stored in table.items():
                 key = folded[: max(0, len(stored) - self.max_class.get(lang, 0))]
                 index[key] = index.get(key, ()) + (stored,)
-        # {lang: {affix: ((class, surface), ...)}}, longest class first, so
-        # the first class a stem ends with is the longest that applies
-        self._rules_by_affix: dict[str, dict[str, tuple[tuple[str, str], ...]]] = {}
+            self._key_lengths[lang] = tuple(sorted({len(key) for key in index}))
+        # {lang: {affix: (class lengths, {class: surface})}}: the distinct
+        # lengths of the affix's rule classes, longest first, as _join
+        # probes them
+        self._rules_by_affix: dict[str, dict[str, tuple[tuple[int, ...], dict[str, str]]]] = {}
         for lang, table in rules.items():
-            by_affix: dict[str, list[tuple[str, str]]] = {}
+            by_affix: dict[str, dict[str, str]] = {}
             for (cls_, affix), surface in table.items():
-                by_affix.setdefault(affix, []).append((cls_, surface))
+                by_affix.setdefault(affix, {})[cls_] = surface
             self._rules_by_affix[lang] = {
-                affix: tuple(sorted(pairs, key=lambda p: -len(p[0])))
-                for affix, pairs in by_affix.items()
+                affix: (tuple(sorted({len(c) for c in surfaces}, reverse=True)), surfaces)
+                for affix, surfaces in by_affix.items()
             }
-        # {lang: {role: ((unit, rules, plain), ...)}}: the affixes adjacency
-        # allows after ``role``, in declaration order, each with its unit,
-        # its rules and its plain joiner + affix surface
+        # {lang: {role: ((unit, rules, plain, terminal), ...)}}: the affixes
+        # adjacency allows after ``role``, in declaration order, each with
+        # its unit, its rules (None if it has none), its plain joiner + affix
+        # surface, and whether its role is terminal (no affix may follow it)
         self._next: dict[str, dict[str, tuple]] = {}
         for lang, table in affixes.items():
             rules_of, joiner = self._rules_by_affix.get(lang, {}), PROFILES[lang].joiner
             before: dict[str, list[str]] = {}
             for prev, role in adjacency[lang]:
                 before.setdefault(role, []).append(prev)
+            ahead = {prev for role in table.values() for prev in before.get(role, ())}
             steps: dict[str, list] = {prev: [] for prev in ("root", *table.values())}
             for affix, role in table.items():
-                step = (MorphUnit(affix, role), rules_of.get(affix, ()), joiner + affix)
+                step = (MorphUnit(affix, role), rules_of.get(affix), joiner + affix, role not in ahead)
                 for prev in before.get(role, ()):
                     if prev in steps:
                         steps[prev].append(step)
@@ -210,8 +228,9 @@ class Morphology:
 
     def attach(self, language: str, stem: str, affix: str) -> str:
         """Join one affix onto an accumulated stem surface."""
-        rules = self._rules_by_affix.get(language, {}).get(affix, ())
-        return _join(stem, rules, PROFILES[language].joiner + affix)
+        rules = self._rules_by_affix.get(language, {}).get(affix)
+        plain = PROFILES[language].joiner + affix
+        return _join(stem, rules, plain) if rules else stem + plain
 
     def generate_word(self, language: str, seq: MorphemeSequence) -> str:
         units = seq.units
@@ -283,13 +302,17 @@ class Morphology:
         characters of a surface, so the part before them (the stable prefix)
         is final: a reading whose stable prefix is not a prefix of the word
         is never kept, nor anything grown from it.  The candidate roots, whose
-        stable prefixes are prefixes of the word, cost ``len(word) + 1`` dict
-        lookups.  Each kept reading of at most ``len(word) + 1`` units grows
-        by every affix on its last role's successor list, attached by the
-        rules of that one affix (a completed reading may still grow, since
-        rules can shrink surfaces).  So the cost grows with the word, the
-        roots sharing its prefixes and the affixes that fit, not with the
-        size of the lexicon or the rules of other affixes.
+        stable prefixes are prefixes of the word, cost one dict lookup per
+        key length the root index holds, up to ``len(word)``.  Each reading
+        is matched against the word when it is made.  A kept reading of at
+        most ``len(word) + 1`` units grows by every affix on its last role's
+        successor list, each attached with one probe per class length of
+        that affix's rules (a completed reading may still grow, since rules
+        can shrink surfaces); a reading whose last role is terminal is
+        matched and never kept.  So the cost grows with the word, the roots
+        sharing its prefixes and the affixes that fit, not with the size of
+        the lexicon, the number of rules on an affix or the rules of other
+        affixes.
         """
         target = word.casefold()
         if not target:
@@ -298,26 +321,34 @@ class Morphology:
         size = len(target)
         successors = self._next.get(language)
         by_stable = self._roots_by_stable.get(language, {})
-        stack = [
-            ((MorphUnit(root, "root"),), root)
-            for end in range(size + 1)
-            for root in by_stable.get(target[:end], ())
-        ]
         results: list[MorphemeSequence] = []
+        stack = []
+        for end in self._key_lengths.get(language, ()):
+            if end > size:
+                break
+            for root in by_stable.get(target[:end], ()):
+                units = (MorphUnit(root, "root"),)
+                if root.casefold() == target:
+                    results.append(MorphemeSequence(language, units))
+                stack.append((units, root))
         while stack:
             units, formed = stack.pop()
-            if formed.casefold() == target:
-                results.append(MorphemeSequence(language, units))
-            if len(units) > size + 1:
-                continue
-            for unit, rules, plain in successors[units[-1].role]:
-                surface = _join(formed, rules, plain)
+            grows = len(units) <= size  # a kept reading has len(word) + 1 units at most
+            for unit, rules, plain, terminal in successors[units[-1].role]:
+                surface = _join(formed, rules, plain) if rules else formed + plain
                 stable = len(surface) - cut
-                if stable <= 0 or (
-                    stable <= size and surface.casefold()[:stable] == target[:stable]
-                ):
+                if stable > size:  # not kept, and no match: casefolding never shortens
+                    continue
+                folded = surface.casefold()
+                if folded == target:
+                    results.append(MorphemeSequence(language, units + (unit,)))
+                if terminal or not grows:
+                    continue
+                if stable <= 0 or target.startswith(folded[:stable]):
                     stack.append((units + (unit,), surface))
-        # units order as their forms do: unit 0 is the root and an affix's
-        # role follows from its form, so equal forms mean equal units
-        results.sort(key=lambda s: (-len(s.units[0].form), s.units))
+        if len(results) > 1:
+            # units order as their forms do: unit 0 is the root and an
+            # affix's role follows from its form, so equal forms mean equal
+            # units
+            results.sort(key=lambda s: (-len(s.units[0].form), s.units))
         return tuple(results)

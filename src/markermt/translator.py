@@ -171,7 +171,6 @@ def _translate(net: MemoryNetwork, sentence: str, direction: str, record: bool):
     when ``record`` is true; returns the result and the session's events
     (None when it does not record or the sentence made no session)."""
     src, tgt = parse_direction(direction)
-    morph = net.morphology
     result = TranslationResult(status=NO_PARSE, direction=direction, source_sentence=sentence)
 
     try:
@@ -185,11 +184,7 @@ def _translate(net: MemoryNetwork, sentence: str, direction: str, record: bool):
 
     try:
         for i, word in enumerate(toks.words):
-            item_ids: list[str] = []
-            for seq in morph.segment(src, word):
-                for item_id in lookup_lexical(net, src, seq.forms):
-                    if item_id not in item_ids:
-                        item_ids.append(item_id)
+            item_ids = word_items(net, src, word)
             literal = word if word in literals else None
             if not item_ids and literal is None:
                 result.status = UNKNOWN_WORD
@@ -218,6 +213,20 @@ def _translate(net: MemoryNetwork, sentence: str, direction: str, record: bool):
         result._net = net
         state.close()
     return result, state.events
+
+
+def word_items(net: MemoryNetwork, language: str, word: str) -> list[str]:
+    """The lexical items of one case-folded word: those of each of its
+    segmentations in turn, each item once, in the order first found.
+
+    ``lookup_lexical`` is read from this module, where the benchmark's
+    per-layer spans (bench/spans.py) replace it."""
+    items: list[str] = []
+    for seq in net.morphology.segment(language, word):
+        for item_id in lookup_lexical(net, language, seq.forms):
+            if item_id not in items:
+                items.append(item_id)
+    return items
 
 
 def round_trip(net: MemoryNetwork, sentence: str, direction: str):

@@ -11,7 +11,8 @@ from pathlib import Path
 from types import MappingProxyType
 
 from markermt.markers import DirectionPlan, MarkerState
-from markermt.network import ElementType, load_network, lookup_lexical
+from markermt.network import ElementType, load_network
+from markermt.translator import word_items
 
 
 def run_engine(net, tokens, source="ko", target="en") -> MarkerState:
@@ -20,14 +21,9 @@ def run_engine(net, tokens, source="ko", target="en") -> MarkerState:
     state = MarkerState(net, source, target, record=True)
     state.initial_prediction()
     literals = net.literals[source]
-    morph = net.morphology
     for i, word in enumerate(tokens):
-        items = []
-        for seq in morph.segment(source, word):
-            for item_id in lookup_lexical(net, source, seq.forms):
-                if item_id not in items:
-                    items.append(item_id)
-        state.activate(items, i, literal=(word if word in literals else None))
+        literal = word if word in literals else None
+        state.activate(word_items(net, source, word), i, literal=literal)
         state.step_collisions()
     return state
 

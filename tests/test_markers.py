@@ -26,11 +26,10 @@ from markermt.network import (
     MemoryNetwork,
     SequenceElement,
     load_network,
-    lookup_lexical,
 )
 from markermt.morphology import tokenize
 from markermt.synth import parse_samples, synth_network
-from markermt.translator import TOO_AMBIGUOUS, reverse_direction, translate
+from markermt.translator import TOO_AMBIGUOUS, reverse_direction, translate, word_items
 
 from conftest import TRAVEL_CORPUS
 from helpers import (
@@ -405,10 +404,8 @@ def test_agenda_quiescent_between_tokens(net):
     state = MarkerState(net, "en", "ko")
     state.initial_prediction()
     for i, word in enumerate(["you", "edited"]):
-        items = []
-        for seq in net.morphology.segment("en", word):
-            items.extend(lookup_lexical(net, "en", seq.forms))
-        state.activate(items, i, literal=(word if word in net.literals["en"] else None))
+        literal = word if word in net.literals["en"] else None
+        state.activate(word_items(net, "en", word), i, literal=literal)
         state.step_collisions()
         assert not state.agenda
     state.close()

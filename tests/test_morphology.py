@@ -201,28 +201,36 @@ def test_lexicon_item_round_trip(net):
         assert item.morphemes in analyses
 
 
+def language_rules(net, language):
+    """``{(class, affix): surface}`` of the language's raw morphrules."""
+    return {(r.root_class, r.affix): r.surface for r in net.morph_rules if r.language == language}
+
+
+def attach_by_scan(rules, language, stem, affix):
+    """Reference attach: scans every rule of ``rules`` (see
+    :func:`language_rules`) and applies the longest class of ``affix``
+    that ends the stem."""
+    best = None
+    for (cls_, afx), frag in rules.items():
+        if afx == affix and stem.endswith(cls_):
+            if best is None or len(cls_) > len(best[0]):
+                best = (cls_, frag)
+    if best is not None:
+        return stem[: len(stem) - len(best[0])] + best[1]
+    return stem + PROFILES[language].joiner + affix
+
+
 def segment_by_scan(net, language, word):
     """Reference segmentation, frozen: a recursive search started from every
     root that, at each step, scans every affix for adjacency and every rule
     of the language for the boundary rewrite."""
     m = net.morphology
-    rules = {(r.root_class, r.affix): r.surface for r in net.morph_rules if r.language == language}
+    rules = language_rules(net, language)
     max_class = max((len(c) for c, _ in rules), default=0)
-    joiner = PROFILES[language].joiner
     target = word.casefold()
     if not target:
         return ()
     results, seen = [], set()
-
-    def attach(stem, affix):
-        best = None
-        for (cls_, afx), frag in rules.items():
-            if afx == affix and stem.endswith(cls_):
-                if best is None or len(cls_) > len(best[0]):
-                    best = (cls_, frag)
-        if best is not None:
-            return stem[: len(stem) - len(best[0])] + best[1]
-        return stem + joiner + affix
 
     def compatible(formed):
         stable = max(0, len(formed) - max_class)
@@ -240,7 +248,8 @@ def segment_by_scan(net, language, word):
             return
         for affix, role in m.affixes[language].items():
             if (prev_role, role) in m.adjacency[language]:
-                extend(units + [MorphUnit(affix, role)], attach(formed, affix), role)
+                surface = attach_by_scan(rules, language, formed, affix)
+                extend(units + [MorphUnit(affix, role)], surface, role)
 
     for root in m.roots[language].values():
         extend([MorphUnit(root, "root")], root, "root")
@@ -394,6 +403,15 @@ def test_segment_cost_does_not_grow_with_the_lexicon(language):
     assert counts[0] == counts[1]
 
 
+def corpus_rows():
+    """``(direction, sentence, expected)`` of each travel corpus line."""
+    return [
+        line.split("\t")
+        for line in TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+        if line and not line.startswith("#")
+    ]
+
+
 def test_rules_of_other_affixes_leave_translation_alone(net, travel_text):
     """2,000 rules of undeclared affixes give the same outputs and the same
     search: each affix is attached by its own rules only."""
@@ -401,12 +419,7 @@ def test_rules_of_other_affixes_leave_translation_alone(net, travel_text):
     heavy = load_network(travel_text + extra)
     assert len(heavy.morph_rules) == len(net.morph_rules) + 2000
     assert heavy.morphology._next == net.morphology._next
-    rows = [
-        line.split("\t")
-        for line in TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
-        if line and not line.startswith("#")
-    ]
-    for direction, sentence, _ in rows:
+    for direction, sentence, _ in corpus_rows():
         plain, loaded = (translate(n, sentence, direction) for n in (net, heavy))
         assert plain.status == "success"
         assert (loaded.status, loaded.target_sentence) == (plain.status, plain.target_sentence)
@@ -415,6 +428,94 @@ def test_rules_of_other_affixes_leave_translation_alone(net, travel_text):
             assert candidate_readings(heavy.morphology, source, word) == candidate_readings(
                 net.morphology, source, word
             )
+
+
+# 2,000 rules on one declared affix whose classes no travel word ends with
+HOSTILE_RULES = "".join(f"morphrule ko zq{i}+ul -> lul\n" for i in range(2000))
+
+
+class CountingRules(dict):
+    """A ``{class: surface}`` table that counts the classes probed."""
+
+    probes = 0
+
+    def get(self, cls_, default=None):
+        self.probes += 1
+        return super().get(cls_, default)
+
+
+def test_many_rules_on_one_affix_leave_translation_alone(net, travel_text):
+    """2,000 rules on ``ul``: the same outputs and readings, and one attach
+    of ``ul`` probes one class per distinct class length, not per rule."""
+    heavy = load_network(travel_text + HOSTILE_RULES)
+    for direction, sentence, _ in corpus_rows():
+        plain, loaded = (translate(n, sentence, direction) for n in (net, heavy))
+        assert plain.status == "success"
+        assert (loaded.status, loaded.target_sentence) == (plain.status, plain.target_sentence)
+        source = direction.split("-")[0]
+        assert_segment_matches_scan(heavy, source, tokenize(source, sentence).words)
+    rules = language_rules(heavy, "ko")
+    lengths = {len(cls_) for cls_, affix in rules if affix == "ul"}
+    m = heavy.morphology
+    order, table = m._rules_by_affix["ko"]["ul"]
+    m._rules_by_affix["ko"]["ul"] = (order, counting := CountingRules(table))
+    for stem in ("kil", "pha-il-tul", "zq7", "zq1999", "ezq1999", "zq"):
+        counting.probes = 0
+        assert m.attach("ko", stem, "ul") == attach_by_scan(rules, "ko", stem, "ul"), stem
+        assert counting.probes <= len(lengths) == 4, stem
+
+
+# a few pieces for random morphologies: case pairs, and a letter whose
+# casefold is longer than itself
+MORPH_PIECES = "abAß"
+AFFIX_ROLES = ("suffix", "plural", "tense")
+
+
+@st.composite
+def random_morphologies(draw):
+    """``(network, language, words, stems)`` over a random morphology:
+    roles that may follow themselves or each other and roles that nothing
+    follows, several rules on one affix with classes of equal and of
+    different lengths (the empty class too) and surfaces that shrink, and
+    roots and affixes in mixed case.  The words are surfaces of random root
+    and affix chains, their upper-case forms and random strings."""
+    language = draw(st.sampled_from(["ko", "en"]))
+    piece = st.text(MORPH_PIECES, min_size=1, max_size=3)
+    morphemes = draw(st.lists(piece, min_size=2, max_size=6, unique=True))
+    split = draw(st.integers(1, len(morphemes) - 1))
+    roots, affixes = morphemes[:split], morphemes[split:]
+    lines = ["concept c"] + [f"affix {language} {root} role root" for root in roots]
+    for affix in affixes:
+        role = draw(st.sampled_from(AFFIX_ROLES))
+        after = draw(st.lists(st.sampled_from(("root",) + AFFIX_ROLES), min_size=1, max_size=3,
+                              unique=True))
+        lines.append(f"affix {language} {affix} role {role} after {','.join(after)}")
+    for affix in draw(st.lists(st.sampled_from(affixes), max_size=3, unique=True)):
+        classes = st.lists(st.text(MORPH_PIECES, max_size=3), min_size=1, max_size=4, unique=True)
+        for cls_ in draw(classes):
+            lines.append(f"morphrule {language} {cls_}+{affix} -> {draw(piece)}")
+    net = load_network("\n".join(lines))
+    rules = language_rules(net, language)
+    words = []
+    for _ in range(draw(st.integers(1, 4))):
+        word = draw(st.sampled_from(roots))
+        for affix in draw(st.lists(st.sampled_from(affixes), max_size=3)):
+            word = attach_by_scan(rules, language, word, affix)
+        words += [word, word.upper()]
+    words += draw(st.lists(st.text(MORPH_PIECES + "-", max_size=6), max_size=3))
+    return net, language, words, words + roots + draw(st.lists(piece, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=random_morphologies())
+def test_random_morphologies_segment_and_attach_as_the_scans_do(case):
+    net, language, words, stems = case
+    assert_segment_matches_scan(net, language, words)
+    m, rules = net.morphology, language_rules(net, language)
+    for stem in stems:
+        for affix in m.affixes[language]:
+            expected = attach_by_scan(rules, language, stem, affix)
+            assert m.attach(language, stem, affix) == expected, (stem, affix)
 
 
 def test_segment_orders_readings_by_root_length_then_forms(travel_text):
