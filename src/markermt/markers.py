@@ -306,12 +306,15 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
     owners = [cs.owner for cs in net.sequences.values() if cs.language == source]
     concepts = [it.concept for it in net.lexicon.values() if it.language == source]
     for concept in dict.fromkeys(concepts + owners):
+        if by_filler.keys().isdisjoint(net.ancestors[concept]):
+            continue
         fillers = frozenset(by_filler.keys() & net.ancestors[concept])
-        if fillers not in merged:
+        starts = merged.get(fillers)
+        if starts is None:
             slots = [slot for filler in fillers for slot in by_filler[filler]]
-            merged[fillers] = tuple(sorted(slots, key=lambda s: (order[s[0]], s[1])))
-        if merged[fillers]:
-            by_concept[concept] = merged[fillers]
+            starts = merged[fillers] = tuple(sorted(slots, key=lambda s: (order[s[0]], s[1])))
+        if starts:
+            by_concept[concept] = starts
     # left corners: one graph node per distinct filler-ancestor mask of an
     # owner, with an edge to the mask of every owner its start slots begin;
     # unpredicted has a key for the filler of every source element

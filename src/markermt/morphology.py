@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from markermt.network import EN, KO, MemoryNetwork
+from markermt.network import EN, KO, MemoryNetwork, _grouped
 
 
 class MorphologyError(Exception):
@@ -119,6 +119,12 @@ def _join(stem: str, rules, plain: str) -> str:
     return stem + plain
 
 
+def _folded(root: str) -> str:
+    """``root`` casefolded: ``root`` itself when folding changes nothing."""
+    folded = root.casefold()
+    return root if folded == root else folded
+
+
 class Morphology:
     """Segmentation and word generation over one network's tables."""
 
@@ -134,18 +140,15 @@ class Morphology:
         }
         # {lang: {stable prefix: stored roots}}: a root keyed by the part no
         # boundary rule can rewrite, cut as segment cuts it, can start a
-        # reading of a word only if its key is a prefix of the word.  Groups
-        # are nearly all one root, so they grow as tuples: a list per key
-        # would be garbage that outweighs the index.
-        self._roots_by_stable: dict[str, dict[str, tuple[str, ...]]] = {}
+        # reading of a word only if its key is a prefix of the word
+        self._roots_by_stable: dict = {}
         # {lang: the lengths of its stable-prefix keys, shortest first}: the
         # only prefixes of a word worth a lookup
         self._key_lengths: dict[str, tuple[int, ...]] = {}
         for lang, table in roots.items():
-            index = self._roots_by_stable[lang] = {}
-            for folded, stored in table.items():
-                key = folded[: max(0, len(stored) - self.max_class.get(lang, 0))]
-                index[key] = index.get(key, ()) + (stored,)
+            cut = self.max_class.get(lang, 0)
+            stable = (key[: len(root) - cut] if len(root) > cut else "" for key, root in table.items())
+            index = self._roots_by_stable[lang] = _grouped(zip(stable, table.values()), {})
             self._key_lengths[lang] = tuple(sorted({len(key) for key in index}))
         # {lang: {affix: (class lengths, {class: surface})}}: the distinct
         # lengths of the affix's rule classes, longest first, as _join
@@ -187,7 +190,7 @@ class Morphology:
 
         for decl in net.affixes:
             if decl.role == "root":
-                roots[decl.language].setdefault(decl.morpheme.casefold(), decl.morpheme)
+                roots[decl.language].setdefault(_folded(decl.morpheme), decl.morpheme)
             else:
                 affixes[decl.language][decl.morpheme] = decl.role
                 for prev in decl.after:
@@ -200,7 +203,7 @@ class Morphology:
         # undeclared affix anywhere keeps its own message
         broken = None
         for item in net.lexicon.values():
-            roots[item.language].setdefault(item.morphemes[0].casefold(), item.morphemes[0])
+            roots[item.language].setdefault(_folded(item.morphemes[0]), item.morphemes[0])
             if len(item.morphemes) == 1:
                 continue
             table, allowed = affixes[item.language], adjacency[item.language]
@@ -220,7 +223,7 @@ class Morphology:
         # roots so generated sentences re-segment cleanly
         for lang in PROFILES:
             for lit in sorted(net.literals[lang]):
-                roots[lang].setdefault(lit.casefold(), lit)
+                roots[lang].setdefault(_folded(lit), lit)
 
         return cls(roots, affixes, adjacency, rules)
 

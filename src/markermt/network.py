@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
@@ -179,8 +178,8 @@ class MemoryNetwork:
     """The declarations and the tables :meth:`build_indexes` derives from
     them once.  The declaration records are named tuples, and
     :func:`load_network` makes one ``SequenceElement`` per distinct element
-    token, shared by every use.  The tables are read-only mappings of tuples
-    and frozensets:
+    token, shared by every use, and one string per name.  The tables are
+    read-only mappings of tuples and frozensets:
 
     - ``morpheme_index[(language, morphemes)]``: items, declaration order;
     - ``ancestors[concept]``: the reflexive IS-A closure upward, for item
@@ -213,13 +212,10 @@ class MemoryNetwork:
         changing a hand-built network.  Raises ``MorphologyError`` when a
         lexical item uses an undeclared affix."""
         lexicon, sequences = self.lexicon.values(), self.sequences.values()
-        by_morphemes: dict = {}
-        by_concept: dict = {}
-        for it in lexicon:
-            by_morphemes.setdefault((it.language, it.morphemes), []).append(it.id)
-            by_concept.setdefault((it.language, it.concept), []).append(it.id)
-        self.morpheme_index = _tuples(by_morphemes)
-        self._items_of = _tuples(by_concept)
+        by_morphemes = (((it.language, it.morphemes), it.id) for it in lexicon)
+        self.morpheme_index = MappingProxyType(_grouped(by_morphemes, {}))
+        by_concept = (((it.language, it.concept), it.id) for it in lexicon)
+        self._items_of = MappingProxyType(_grouped(by_concept, {}))
         fillers = dict.fromkeys(
             (cs.language, el.concept) for cs in sequences for el in cs.elements if el.literal is None
         )
@@ -230,7 +226,10 @@ class MemoryNetwork:
         self.ancestors = MappingProxyType(
             {cid: _closure(self.concepts, cid) for cid in dict.fromkeys(read)}
         )
-        self.items_below, self.sequences_below = _below(self.ancestors, fillers, lexicon, sequences)
+        items = ((it.language, it.concept, it.id) for it in lexicon)
+        self.items_below = _below(self.ancestors, fillers, items)
+        owned = ((cs.language, cs.owner, cs.id) for cs in sequences)
+        self.sequences_below = _below(self.ancestors, fillers, owned)
         literals = {lang: set() for lang in LANGUAGES}
         for cs in sequences:
             literals[cs.language].update(el.literal for el in cs.elements if el.literal is not None)
@@ -281,26 +280,32 @@ def _closure(concepts, concept_id) -> frozenset[str]:
     return frozenset(seen)
 
 
-def _below(ancestors, fillers, lexicon, sequences):
-    """``items_below`` and ``sequences_below``: one walk over the ancestors
-    of each item and sequence files its id, in declaration order, under
-    every ``(language, filler)`` key of ``fillers`` among them."""
-    below = {key: ([], []) for key in fillers}
-    members = chain(
-        ((it.language, it.concept, it.id, 0) for it in lexicon),
-        ((cs.language, cs.owner, cs.id, 1) for cs in sequences),
-    )
-    for language, concept, member, kind in members:
-        for anc in ancestors[concept]:
-            group = below.get((language, anc))
-            if group is not None:
-                group[kind].append(member)
-    return tuple(_tuples({key: group[kind] for key, group in below.items()}) for kind in (0, 1))
+def _below(ancestors, fillers, members) -> MappingProxyType:
+    """Each ``(language, concept, id)`` of ``members`` filed, in order, under
+    every ``(language, filler)`` key of ``fillers`` at or above its concept."""
+    pairs = (((language, anc), member) for language, concept, member in members
+             for anc in ancestors[concept] if (language, anc) in fillers)
+    return MappingProxyType(_grouped(pairs, dict.fromkeys(fillers, ())))
 
 
-def _tuples(groups) -> MappingProxyType:
-    """``groups`` read-only, each list of values made a tuple."""
-    return MappingProxyType({key: tuple(values) for key, values in groups.items()})
+def _grouped(pairs, groups: dict) -> dict:
+    """``groups`` with each ``(key, value)`` of ``pairs`` filed, in order,
+    under its key, each group a tuple.  Nearly all groups hold one to three
+    values, so a group grows as a tuple (a list per key would be garbage
+    that outweighs the table) up to eight, then as a list: linear time."""
+    long = []
+    for key, value in pairs:
+        group = groups.get(key, ())
+        if len(group) < 8:
+            groups[key] = group + (value,)
+        elif isinstance(group, tuple):
+            groups[key] = [*group, value]
+            long.append(key)
+        else:
+            group.append(value)
+    for key in long:
+        groups[key] = tuple(groups[key])
+    return groups
 
 
 def _counterparts(net, source, target) -> tuple[int | None, ...]:
@@ -405,38 +410,31 @@ def load_network(source: str) -> MemoryNetwork:
     ``"<literal>"(CX|CF|OX|OF)``, optionally suffixed ``=<lex-id>`` to name
     the default item generated when the element has no source counterpart.
 
-    Raises :class:`NetworkError` on syntax errors (with line/column),
-    dangling references, duplicate ids, and degenerate files.  Semantic
-    invariants beyond that are the business of :func:`validate_network`.
+    Each reference to a name declared on an earlier line shares that id's
+    string, and each language is ``KO`` or ``EN``; a forward reference (the
+    mate of the first sequence of a pair, say) keeps its own string.
+
+    Raises :class:`NetworkError` on syntax errors (with line/column), tokens
+    after a declaration's last field (``lex``, ``affix`` and ``morphrule``
+    lines once ignored them), dangling references, duplicate ids, and
+    degenerate files.  Semantic invariants beyond that are the business of
+    :func:`validate_network`.
     """
-    # affixes and morphrules are keyed by what makes one a duplicate
-    decls = SimpleNamespace(concepts={}, lexicon={}, sequences={}, affixes={}, morph_rules={})
-    # (kind, id, line) of each reference to an id not declared when read
-    # (a declared id stays declared, so only these need checking at the end)
-    pending_refs: list[tuple[str, str, int]] = []
-    elements: dict[str, SequenceElement] = {}  # one record per distinct token
+    # affixes and morphrules keyed by what makes one a duplicate, elements by token
+    decls = SimpleNamespace(concepts={}, lexicon={}, sequences={}, affixes={}, morph_rules={}, elements={})
+    # (table, kind, id, line) of each reference to an id not declared when
+    # read (a declared id stays declared, so only these need checking at the end)
+    pending_refs: list[tuple[dict, str, str, int]] = []
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw[: raw.index("#")] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
-        head = tokens[0]
+        parse = _PARSERS.get(tokens[0])
+        if parse is None:
+            raise NetworkSyntaxError(f"unknown declaration '{tokens[0]}'", lineno, raw.find(tokens[0]) + 1)
         try:
-            if head == "concept":
-                _parse_concept(decls, tokens, lineno, pending_refs)
-            elif head == "lex":
-                _parse_lex(decls, tokens, lineno, pending_refs)
-            elif head == "cs":
-                _parse_cs(decls, tokens, lineno, pending_refs, elements)
-            elif head == "affix":
-                _parse_affix(decls, tokens, lineno)
-            elif head == "morphrule":
-                _parse_morphrule(decls, tokens, lineno)
-            else:
-                raise NetworkSyntaxError(
-                    f"unknown declaration '{head}'", lineno, raw.find(head) + 1
-                )
+            parse(decls, tokens, lineno, pending_refs)
         except IndexError:
             raise NetworkSyntaxError("truncated declaration", lineno) from None
 
@@ -460,16 +458,38 @@ def load_network(source: str) -> MemoryNetwork:
         raise NetworkError(str(exc)) from None
 
 
+def _declared(table, name, kind, lineno, pending):
+    """The id string ``table`` declares as ``name``; else ``name``, queued as a ``kind``."""
+    record = table.get(name)
+    if record is None:
+        pending.append((table, kind, name, lineno))
+        return name
+    return record.id
+
+
+def _language(token, lineno) -> str:
+    """The language constant ``token`` names: one string per language."""
+    if token not in LANGUAGES:
+        raise NetworkSyntaxError(f"bad language '{token}'", lineno)
+    return KO if token == KO else EN
+
+
+def _no_more(tokens, count, lineno):
+    """Reject a declaration with tokens after its first ``count``."""
+    if len(tokens) > count:
+        raise NetworkSyntaxError(f"unexpected token '{tokens[count]}'", lineno)
+
+
 def _parse_concept(decls, tokens, lineno, pending):
     cid = tokens[1]
     if cid in decls.concepts:
         raise NetworkError(f"duplicate concept id '{cid}' (line {lineno})")
-    parents: tuple[str, ...] = ()
+    names: list[str] = []  # of the parents
     sentence_type = None
     i = 2
     while i < len(tokens):
         if tokens[i] == "isa":
-            parents = tuple(tokens[i + 1].split(","))
+            names = tokens[i + 1].split(",")
             i += 2
         elif tokens[i] == "sentence-type":
             sentence_type = tokens[i + 1]
@@ -480,58 +500,49 @@ def _parse_concept(decls, tokens, lineno, pending):
             i += 2
         else:
             raise NetworkSyntaxError(f"unexpected token '{tokens[i]}'", lineno)
+    parents = tuple(_declared(decls.concepts, p, "concept", lineno, pending) for p in names)
     decls.concepts[cid] = ConceptNode(cid, parents, sentence_type)
-    for p in parents:
-        if p not in decls.concepts:
-            pending.append(("concept", p, lineno))
 
 
 def _parse_lex(decls, tokens, lineno, pending):
     lid = tokens[1]
     if lid in decls.lexicon:
         raise NetworkError(f"duplicate lexical id '{lid}' (line {lineno})")
-    language = tokens[2]
-    if language not in LANGUAGES:
-        raise NetworkSyntaxError(f"bad language '{language}'", lineno)
+    language = _language(tokens[2], lineno)
     morphemes = tuple(tokens[3].split("+"))
     if not all(morphemes):
         raise NetworkSyntaxError("empty morpheme in lexical item", lineno)
     if tokens[4] != "isa":
         raise NetworkSyntaxError("expected 'isa' in lex declaration", lineno)
-    concept = tokens[5]
+    _no_more(tokens, 6, lineno)
+    concept = _declared(decls.concepts, tokens[5], "concept", lineno, pending)
     decls.lexicon[lid] = LexicalItem(lid, language, morphemes, concept)
-    if concept not in decls.concepts:
-        pending.append(("concept", concept, lineno))
 
 
-def _parse_cs(decls, tokens, lineno, pending, known):
+def _parse_cs(decls, tokens, lineno, pending):
     csid = tokens[1]
     if csid in decls.sequences:
         raise NetworkError(f"duplicate sequence id '{csid}' (line {lineno})")
-    language = tokens[2]
-    if language not in LANGUAGES:
-        raise NetworkSyntaxError(f"bad language '{language}'", lineno)
+    language = _language(tokens[2], lineno)
     if tokens[3] != "of" or tokens[5] != "pair":
         raise NetworkSyntaxError("expected 'cs <id> <lang> of <cn> pair <cs> : ...'", lineno)
-    owner, paired = tokens[4], tokens[6]
     if tokens[7] != ":":
         raise NetworkSyntaxError("expected ':' before element list", lineno)
     elements = []
     for tok in tokens[8:]:
-        el = known.get(tok)
+        el = decls.elements.get(tok)
         if el is None:
             # a token seen before had its references checked or queued at
             # its first line, where a dangling one is reported first
             m = _ELEMENT_RE.match(tok)
             if not m:
                 raise NetworkSyntaxError(f"bad element '{tok}'", lineno)
-            el = known[tok] = SequenceElement(
-                m.group("type"), m.group("con"), m.group("lit"), m.group("dflt")
-            )
-            if el.concept and el.concept not in decls.concepts:
-                pending.append(("concept", el.concept, lineno))
-            if el.default_item and el.default_item not in decls.lexicon:
-                pending.append(("lex", el.default_item, lineno))
+            concept, default = m.group("con"), m.group("dflt")
+            if concept is not None:
+                concept = _declared(decls.concepts, concept, "concept", lineno, pending)
+            if default is not None:
+                default = _declared(decls.lexicon, default, "lexical", lineno, pending)
+            el = decls.elements[tok] = SequenceElement(m.group("type"), concept, m.group("lit"), default)
         elements.append(el)
     if not elements:
         raise NetworkSyntaxError("sequence with no elements", lineno)
@@ -539,17 +550,13 @@ def _parse_cs(decls, tokens, lineno, pending, known):
         raise NetworkError(
             f"sequence '{csid}' accepts the empty string: every element is omissible (line {lineno})"
         )
+    owner = _declared(decls.concepts, tokens[4], "concept", lineno, pending)
+    paired = _declared(decls.sequences, tokens[6], "sequence", lineno, pending)
     decls.sequences[csid] = ConceptSequence(csid, language, owner, tuple(elements), paired)
-    if owner not in decls.concepts:
-        pending.append(("concept", owner, lineno))
-    if paired not in decls.sequences:
-        pending.append(("cs", paired, lineno))
 
 
-def _parse_affix(decls, tokens, lineno):
-    language = tokens[1]
-    if language not in LANGUAGES:
-        raise NetworkSyntaxError(f"bad language '{language}'", lineno)
+def _parse_affix(decls, tokens, lineno, pending):
+    language = _language(tokens[1], lineno)
     morpheme = tokens[2]
     if tokens[3] != "role":
         raise NetworkSyntaxError("expected 'role' in affix declaration", lineno)
@@ -557,26 +564,24 @@ def _parse_affix(decls, tokens, lineno):
     if role not in ROLES:
         raise NetworkSyntaxError(f"unknown role '{role}'", lineno)
     after: tuple[str, ...] = ("root",)
-    if len(tokens) > 5:
-        if tokens[5] != "after":
-            raise NetworkSyntaxError(f"unexpected token '{tokens[5]}'", lineno)
+    if tokens[5:6] == ["after"]:
         after = tuple(tokens[6].split(","))
         for r in after:
             if r not in ROLES:
                 raise NetworkSyntaxError(f"unknown role '{r}' in after clause", lineno)
+    _no_more(tokens, 7 if tokens[5:6] == ["after"] else 5, lineno)
     if (language, morpheme) in decls.affixes:
         raise NetworkError(f"duplicate affix '{morpheme}' for {language} (line {lineno})")
     decls.affixes[(language, morpheme)] = AffixDecl(language, morpheme, role, after)
 
 
-def _parse_morphrule(decls, tokens, lineno):
-    language = tokens[1]
-    if language not in LANGUAGES:
-        raise NetworkSyntaxError(f"bad language '{language}'", lineno)
+def _parse_morphrule(decls, tokens, lineno, pending):
+    language = _language(tokens[1], lineno)
     if "+" not in tokens[2] or tokens[3] != "->":
         raise NetworkSyntaxError("expected 'morphrule <lang> <class>+<affix> -> <surface>'", lineno)
     root_class, affix = tokens[2].split("+", 1)
     surface = tokens[4]
+    _no_more(tokens, 5, lineno)
     key = (language, root_class, affix)
     if key in decls.morph_rules:
         raise NetworkError(
@@ -585,14 +590,15 @@ def _parse_morphrule(decls, tokens, lineno):
     decls.morph_rules[key] = MorphRuleDecl(language, root_class, affix, surface)
 
 
+_PARSERS = {"lex": _parse_lex, "concept": _parse_concept, "cs": _parse_cs,
+            "affix": _parse_affix, "morphrule": _parse_morphrule}
+
+
 def _resolve_references(decls, pending):
-    for kind, rid, lineno in pending:
-        if kind == "concept" and rid not in decls.concepts:
-            raise NetworkError(f"dangling concept reference '{rid}' (line {lineno})")
-        if kind == "lex" and rid not in decls.lexicon:
-            raise NetworkError(f"dangling lexical reference '{rid}' (line {lineno})")
-        if kind == "cs" and rid not in decls.sequences:
-            raise NetworkError(f"dangling sequence reference '{rid}' (line {lineno})")
+    """Check the queued references; a forward one keeps its own string."""
+    for table, kind, rid, lineno in pending:
+        if rid not in table:
+            raise NetworkError(f"dangling {kind} reference '{rid}' (line {lineno})")
     for cs in decls.sequences.values():
         mate = decls.sequences[cs.paired]
         if mate.id == cs.id or mate.language == cs.language:

@@ -1,19 +1,25 @@
 import copy
 import dataclasses
+import functools
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from markermt.markers import DirectionPlan
 from markermt.network import (
+    EN,
+    KO,
     ConceptNode,
     ConceptSequence,
     Diagnostic,
     LexicalItem,
     MemoryNetwork,
     NetworkError,
+    NetworkSyntaxError,
     SequenceElement,
     load_network,
     lookup_lexical,
@@ -21,9 +27,9 @@ from markermt.network import (
     validate_network,
 )
 from markermt.synth import parse_samples, synth_network
-from markermt.translator import translate
+from markermt.translator import NO_PARSE, SUCCESS, TOO_AMBIGUOUS, UNKNOWN_WORD, translate
 
-from conftest import TRAVEL_CORPUS
+from conftest import TRAVEL_CORPUS, TRAVEL_NET
 from helpers import plain
 
 
@@ -79,6 +85,43 @@ def test_identical_element_tokens_share_one_record():
     assert len(first) < len(elements)  # some token does repeat
 
 
+@pytest.mark.parametrize("which", ["travel", "synth"])
+def test_each_declared_name_is_one_string(travel_text, which):
+    # every reference to a name declared on an earlier line is that
+    # declaration's id string; an element is read at its token's first line
+    text = travel_text if which == "travel" else synth_network(1000, 200, 3)
+    net = load_network(text)
+    tables = {"concept": net.concepts, "lex": net.lexicon, "cs": net.sequences}
+    declared = {head: set() for head in tables}
+    first_use: set[str] = set()
+    shared = 0
+    for line in text.splitlines():
+        tokens = line.split("#", 1)[0].split()
+        if not tokens or tokens[0] not in tables:
+            continue
+        head, name = tokens[0], tokens[1]
+        record = tables[head][name]
+        if head == "concept":
+            refs = [("concept", parent) for parent in record.parents]
+        elif head == "lex":
+            refs = [("concept", record.concept)]
+        else:
+            refs = [("concept", record.owner), ("cs", record.paired)]
+            for token, el in zip(tokens[8:], record.elements):
+                if token not in first_use:
+                    first_use.add(token)
+                    refs += [("concept", el.concept), ("lex", el.default_item)]
+        for kind, ref in refs:
+            if ref in declared[kind]:
+                assert ref is tables[kind][ref].id, (line, ref)
+                shared += 1
+        declared[head].add(name)
+    assert shared > len(net.lexicon)
+    languages = [r.language for table in (net.lexicon, net.sequences) for r in table.values()]
+    languages += [r.language for r in net.affixes + net.morph_rules]
+    assert all(language is KO or language is EN for language in languages)
+
+
 def test_declaration_records_are_immutable(net):
     cs = next(iter(net.sequences.values()))
     records = [
@@ -130,6 +173,13 @@ def test_keyword_built_network_equals_loaded_one():
         loaded.lexicon,
         loaded.sequences,
     )
+    # the loaded network shares one string per name: no derived table may
+    # depend on which string objects the records hold
+    tables = ["morpheme_index", "_items_of", "ancestors", "items_below", "sequences_below"]
+    tables += ["layouts", "literals", "sequence_order", "counterparts", "plans"]
+    for name in tables:
+        assert plain(getattr(net, name)) == plain(getattr(loaded, name)), name
+    assert plain(vars(net.morphology)) == plain(vars(loaded.morphology))
     assert validate_network(net) == []
     result = translate(net, "wa", "ko-en")
     assert result.ok and result.target_sentence == "The va."
@@ -238,6 +288,25 @@ def test_many_affixes_and_morphrules_load_in_linear_time():
     assert elapsed < 3.0, f"load took {elapsed:.2f}s"
 
 
+def test_long_groups_load_in_linear_time():
+    # groups grown one id at a time as tuples take tens of seconds here:
+    # n homonyms of one concept, and n roots under one stable prefix (the
+    # 6-letter rule class cuts every root of up to 6 letters to "")
+    n = 20_000
+    lines = ["concept a", "concept top", "affix ko ul role case-marker"]
+    lines += ["morphrule ko abcdef+ul -> x", "lex e en v isa a"]
+    lines += [f"lex k{i} ko w isa a" for i in range(n)]
+    lines += [f"lex r{i} ko w{i} isa a" for i in range(n)]
+    lines += ["cs s ko of top pair t : a(CX)", "cs t en of top pair s : a(CX)"]
+    started = time.perf_counter()
+    net = load_network("\n".join(lines))
+    elapsed = time.perf_counter() - started
+    assert len(net.morpheme_index[("ko", ("w",))]) == n
+    assert len(net.items_of_concept("ko", "a")) == len(net.items_below[("ko", "a")]) == 2 * n
+    assert len(net.morphology._roots_by_stable["ko"][""]) == n + 1
+    assert elapsed < 3.0, f"load took {elapsed:.2f}s"
+
+
 def test_all_omissible_sequence_rejected_at_load():
     text = (
         "concept a\nlex l ko w isa a\nlex e en v isa a\n"
@@ -246,6 +315,91 @@ def test_all_omissible_sequence_rejected_at_load():
     )
     with pytest.raises(NetworkError, match="every element is omissible"):
         load_network(text)
+
+
+# each malformed line: the loader's message, and the line and column of a
+# syntax error ("concept a" first, so only the line under test is at fault)
+LOAD_ERRORS = [
+    ("   frob b", "line 2, column 4: unknown declaration 'frob'", 4),
+    ("\tfrob b", "line 2, column 2: unknown declaration 'frob'", 2),
+    ("concept", "line 2: truncated declaration", None),
+    ("concept b isa", "line 2: truncated declaration", None),
+    ("lex l ko w isa", "line 2: truncated declaration", None),
+    ("cs s ko of a pair t", "line 2: truncated declaration", None),
+    ("affix ko ul role", "line 2: truncated declaration", None),
+    ("morphrule ko a+ul ->", "line 2: truncated declaration", None),
+    ("lex l jp w isa a", "line 2: bad language 'jp'", None),
+    ("cs s jp of a pair t : a(CX)", "line 2: bad language 'jp'", None),
+    ("affix jp ul role case-marker", "line 2: bad language 'jp'", None),
+    ("morphrule jp a+ul -> lul", "line 2: bad language 'jp'", None),
+    ("lex l ko w++x isa a", "line 2: empty morpheme in lexical item", None),
+    ("lex l ko w iza a", "line 2: expected 'isa' in lex declaration", None),
+    ("cs s ko of a pair t : a(ZZ)", "line 2: bad element 'a(ZZ)'", None),
+    # '#' starts a comment even inside a literal
+    ('cs s ko of a pair t : "a#b"(CX)', "line 2: bad element '\"a'", None),
+    ("concept b junk", "line 2: unexpected token 'junk'", None),
+    ("lex l ko w isa a junk", "line 2: unexpected token 'junk'", None),
+    ("affix ko ul role case-marker junk", "line 2: unexpected token 'junk'", None),
+    ("affix ko ul role case-marker after root junk", "line 2: unexpected token 'junk'", None),
+    ("morphrule ko a+ul -> b junk", "line 2: unexpected token 'junk'", None),
+    ("concept b sentence-type maybe", "line 2: bad sentence-type 'maybe'", None),
+    ("affix ko ul rule case-marker", "line 2: expected 'role' in affix declaration", None),
+    ("affix ko ul role nonsense", "line 2: unknown role 'nonsense'", None),
+    ("affix ko ul role case-marker after x", "line 2: unknown role 'x' in after clause", None),
+    ("morphrule ko aul -> lul", "line 2: expected 'morphrule <lang> <class>+<affix> -> <surface>'", None),
+    ("cs s ko off a pair t : a(CX)", "line 2: expected 'cs <id> <lang> of <cn> pair <cs> : ...'", None),
+    ("cs s ko of a pair t ; a(CX)", "line 2: expected ':' before element list", None),
+    ("cs s ko of a pair t :", "line 2: sequence with no elements", None),
+]
+
+
+@pytest.mark.parametrize("line, message, column", LOAD_ERRORS)
+def test_loader_error_is_pinned(line, message, column):
+    with pytest.raises(NetworkSyntaxError) as err:
+        load_network(f"concept a\n{line}\n")
+    assert (str(err.value), err.value.line, err.value.column) == (message, 2, column)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("concept a\nlex l ko w isa ghost\n", "dangling concept reference 'ghost' (line 2)"),
+        ("concept a\ncs s ko of a pair t : a(CX)=ghost\n", "dangling lexical reference 'ghost' (line 2)"),
+        ("concept a\ncs s ko of a pair ghost : a(CX)\n", "dangling sequence reference 'ghost' (line 2)"),
+        ("concept a isa b\n", "dangling concept reference 'b' (line 1)"),
+        ("concept a\nlex l ko w isa a\nlex l ko v isa a\n", "duplicate lexical id 'l' (line 3)"),
+        ("# only a comment\n", "no concepts declared"),
+    ],
+)
+def test_loader_reference_error_is_pinned(text, message):
+    with pytest.raises(NetworkError) as err:
+        load_network(text)
+    assert str(err.value) == message and not isinstance(err.value, NetworkSyntaxError)
+
+
+ACCEPTED = (
+    "concept thing\nconcept a isa thing\nconcept top sentence-type statement\n"
+    "lex k-a ko wa isa a\nlex e-a en va isa a\n"
+    "affix ko ul role case-marker after root\nmorphrule ko a+ul -> lul\n"
+    "cs s ko of top pair t : thing(CX)\n"
+    'cs t en of top pair s : "the"(CX) thing(CX)=e-a\n'
+)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda text: text.replace("\n", '  # a note, with "a#b"(CX) in it\n'),
+        lambda text: text.replace(" ", "\t"),
+        lambda text: text.replace("\n", "\n\n \t\n"),
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace(" ", "\t").replace("\n", "  # note\r\n"),
+    ],
+    ids=["comments", "tabs", "blank-lines", "crlf", "all"],
+)
+def test_accepted_forms_load_the_same_network(form):
+    expected = serialize_network(load_network(ACCEPTED))
+    assert serialize_network(load_network(form(ACCEPTED))) == expected
 
 
 # -- validator mutation tests: each broken invariant yields a diagnostic ----
@@ -500,3 +654,66 @@ def test_plan_tables_are_read_only(travel_text, name):
             table["new"] = None
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(plan, name, dict(table))
+
+
+# -- mutated network files ------------------------------------------------
+
+STATUSES = {SUCCESS, NO_PARSE, UNKNOWN_WORD, TOO_AMBIGUOUS}
+
+
+@functools.lru_cache(maxsize=None)
+def _mutation_source(seed):
+    """Network text and its sentences: travel.net and its corpus for seed 0,
+    else ``synth_network(200, 40, seed)`` and its samples."""
+    if seed == 0:
+        return TRAVEL_NET.read_text(encoding="utf-8"), tuple(map(tuple, _corpus_rows()))
+    text = synth_network(200, 40, seed)
+    return text, tuple(parse_samples(text))
+
+
+def _mutate(data, lines):
+    """Drop, duplicate, swap or edit lines, or edit one token of a line:
+    drop it, double it, take one from another line or write junk."""
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        j = data.draw(st.integers(0, len(lines) - 1), label="other line")
+        op = data.draw(st.sampled_from(["drop", "duplicate", "swap", "token"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split(" ")
+            k = data.draw(st.integers(0, len(tokens) - 1), label="token")
+            edit = data.draw(st.sampled_from(["drop", "double", "borrow", "junk"]))
+            if edit == "drop":
+                del tokens[k]
+            elif edit == "double":
+                tokens.insert(k, tokens[k])
+            elif edit == "borrow":
+                tokens[k] = data.draw(st.sampled_from(lines[j].split() or [""]))
+            else:
+                tokens[k] = data.draw(st.text(alphabet='ab#+,()"=:-CXOF \t', max_size=6))
+            lines[i] = " ".join(tokens)
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_network_files_load_validate_and_translate(data):
+    text, rows = _mutation_source(data.draw(st.integers(0, 4), label="source"))
+    mutated = "\n".join(_mutate(data, text.splitlines()))
+    try:
+        net = load_network(mutated)
+    except NetworkError:
+        event("load error")
+        return
+    if validate_network(net):
+        event("diagnosed")
+        return
+    event("translated")
+    start = data.draw(st.integers(0, max(0, len(rows) - 8)), label="first sentence")
+    for direction, sentence in rows[start : start + 8]:
+        assert translate(net, sentence, direction).status in STATUSES
