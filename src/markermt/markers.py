@@ -24,13 +24,14 @@ to each instance's next moves: what a new instance predicts
 
 The engine keeps every live alternative (it behaves like a chart
 recognizer): a fill never destroys the instance it extends, it derives a new
-one.  The chart is keyed by an instance's future state: its sequence, start,
-end, cursor and which elements are filled or omitted, not what filled them
-(an Earley item extended to unordered elements, as in Shieber's ID/LP
-parser, with Tomita's packing of equal states).  A derivation whose key is
-already in the chart is dropped before its instance is built, so k distinct
-free elements that one word can fill make one instance per set of filled
-elements, not one per filling order.  The first instance of each key is
+one.  The chart is keyed by an instance's future state (an Earley item
+extended to unordered elements, as in Shieber's ID/LP parser, with Tomita's
+packing of equal states): its sequence, start, end, cursor and which
+elements are filled, not what filled them.  An omissible element is simply
+never filled.  A derivation whose key is already in the chart is dropped
+before its instance is built, so k distinct free elements that one word can
+fill make one instance per set of filled elements, not one per filling
+order.  The first instance of each key is
 kept; it is the one :meth:`MarkerState.best_result` would pick among them.
 Even packed, such elements make O(2^k) states, so a sentence that needs more
 than ``MAX_INSTANCES`` instances stops with :class:`TooAmbiguous`.  All
@@ -183,9 +184,11 @@ def build_trace(net: MemoryNetwork | None, source: str, target: str, events) -> 
 
 class Fill(NamedTuple):
     """What one sequence element consumed: a lexical reading, a literal
-    word, an accepted sub-instance, or nothing (omitted)."""
+    word or an accepted sub-instance.  It is also what the agenda queues,
+    as the passive that extends or starts instances.  An element that is
+    not filled, omitted or still open, has no fill (None)."""
 
-    kind: str  # lex | lit | sub | omitted
+    kind: str  # lex | lit | sub
     start: int = -1
     end: int = -1
     item: str | None = None
@@ -197,12 +200,7 @@ class Fill(NamedTuple):
             return f"item:{self.item}@{self.start}"
         if self.kind == "lit":
             return f"tok{self.start}"
-        if self.kind == "sub":
-            return f"inst:{self.sub}"
-        return None
-
-
-OMITTED = Fill("omitted")
+        return f"inst:{self.sub}"
 
 
 class TooAmbiguous(Exception):
@@ -210,18 +208,20 @@ class TooAmbiguous(Exception):
 
 
 class CsInstance(NamedTuple):
-    """One chart instance.  Where the generation mirror waits on the paired
-    target sequence is trace-only, so a recording session keeps it apart
+    """One chart instance: what the parse reads and no more.  It is accepted
+    when every required element is filled (``filled & Layout.required ==
+    Layout.required``); a fixed element below the cursor that is not filled
+    was omitted.  Where the generation mirror waits on the paired target
+    sequence is trace-only, so a recording session keeps it apart
     (:attr:`MarkerState.target_cursors`)."""
 
     id: int
     cs: str
     start: int
     end: int
-    fills: tuple[Fill | None, ...]
+    fills: tuple[Fill | None, ...]  # None: not filled
     cursor: int  # element index where the fixed-order scan resumes
-    filled: int  # bit i set when element i has a fill (omitted is not one)
-    status: str  # active | accepted
+    filled: int  # bit i set when element i has a fill
     parent: int | None
 
 
@@ -443,7 +443,10 @@ class MarkerState:
 
     The chart is ``instances``, indexed by end position (``_by_end``) and
     by future state (``_keys``, see :meth:`_fill`); :meth:`_waiting_at`
-    memoizes each position's column of waiting elements.  A token is dead
+    memoizes each position's column of waiting elements.  The ``agenda``
+    holds the fills still to match, each as ``(literal, fill)``: a token's
+    lexical readings and literal, and the sub fill of each accepted
+    instance (``literal`` is None but for a literal word).  A token is dead
     when the instance count has not grown since its :meth:`activate`.
 
     A session made with ``record=True`` also records its trace.  Only the
@@ -519,69 +522,57 @@ class MarkerState:
         """AA markers onto one input token's readings; collisions are queued,
         not processed (see :meth:`step_collisions`)."""
         self.token_index = span
-        events, agenda = self.events, self.agenda
+        events, agenda, lexicon = self.events, self.agenda, self.net.lexicon
         if events is not None:
             self._made_before = len(self.instances)
         for item_id in lexical_items:
-            assert self.net.lexicon[item_id].language == self.source, f"{item_id} is not a {self.source} item"
+            item = lexicon[item_id]
+            assert item.language == self.source, f"{item_id} is not a {self.source} item"
             if events is not None:
                 events.append(("activate", AA, ("lex", item_id), span, span))
-            agenda.append(("lex", item_id, span))
+            agenda.append((None, Fill("lex", span, span + 1, item_id, item.concept)))
         if literal is not None:
             if events is not None:
                 events.append(("activate", AA, ("lit", literal), span, span))
-            agenda.append(("lit", literal, span))
+            agenda.append((literal, Fill("lit", span, span + 1)))
 
     def step_collisions(self):
-        """Drain the agenda to quiescence.
+        """Drain the agenda of fills to quiescence.
 
-        A lexical collision passes activation up the IS-A hierarchy and puts
-        GA on the paired target items; concept/literal passives then extend
-        or create instances; each acceptance feeds a new passive upward.
-        A recording session records a token whose readings produced no fill
-        anywhere as a dead activation (unusable at this position); the
+        Each fill extends the instances waiting where it starts and starts
+        new ones (:meth:`_match_passive`); each acceptance queues its sub
+        fill, which passes activation up the hierarchy.  A recording
+        session also records a lexical fill's collision and the GA it puts
+        on the paired target items, and a token whose readings produced no
+        fill anywhere as a dead activation (unusable at this position); the
         sentence simply continues."""
-        while self.agenda:
-            entry = self.agenda.popleft()
-            kind = entry[0]
-            if kind == "lex":
-                self._process_lexical(entry[1], entry[2])
-            elif kind == "lit":
-                self._process_passive_literal(entry[1], entry[2])
-            elif kind == "sub":
-                self._process_sub(entry[1])
+        agenda, events = self.agenda, self.events
+        while agenda:
+            literal, fill = agenda.popleft()
+            if events is not None and fill.kind == "lex":
+                self._record_lexical(fill)
+            self._match_passive(literal, fill)
         if self._made_before == len(self.instances):
-            self.events.append(("dead", AA, f"tok:{self.token_index}", None, self.token_index))
+            events.append(("dead", AA, f"tok:{self.token_index}", None, self.token_index))
         self._made_before = None
 
     # -- collision handling --------------------------------------------------
 
-    def _process_lexical(self, item_id, span):
-        item = self.net.lexicon[item_id]
-        events = self.events
-        if events is not None:
-            if self.predicted and item_id in self.plan.predicted_items or item_id in self.predicted_items:
-                events.append(("collide", AA, ("lex", item_id), span, span))
-            # GA lands on the paired target items
-            generated = self.generated_items
-            for tgt_item in self.net.items_of_concept(self.target, item.concept):
-                if (tgt_item, span) not in generated:
-                    generated.add((tgt_item, span))
-                    events.append(("activate", GA, ("lex", tgt_item), span, span))
-        fill = Fill("lex", span, span + 1, item_id, item.concept)
-        self._match_passive(item.concept, None, span, span + 1, fill)
+    def _record_lexical(self, fill):
+        """The collision of a lexical reading with its AP, if predicted, and
+        GA on the paired target items."""
+        item_id, span, events = fill.item, fill.start, self.events
+        if self.predicted and item_id in self.plan.predicted_items or item_id in self.predicted_items:
+            events.append(("collide", AA, ("lex", item_id), span, span))
+        generated = self.generated_items
+        for tgt_item in self.net.items_of_concept(self.target, fill.concept):
+            if (tgt_item, span) not in generated:
+                generated.add((tgt_item, span))
+                events.append(("activate", GA, ("lex", tgt_item), span, span))
 
-    def _process_passive_literal(self, text, span):
-        self._match_passive(None, text, span, span + 1, Fill("lit", span, span + 1))
-
-    def _process_sub(self, inst_id):
-        inst = self.instances[inst_id]
-        owner = self.net.sequences[inst.cs].owner
-        fill = Fill("sub", inst.start, inst.end, None, owner, inst_id)
-        self._match_passive(owner, None, inst.start, inst.end, fill)
-
-    def _match_passive(self, concept, literal, start, end, fill):
-        # extend the instances waiting at ``start``
+    def _match_passive(self, literal, fill):
+        # extend the instances waiting at the fill's start
+        concept, start, end = fill.concept, fill.start, fill.end
         above = self.net.ancestors[concept] if concept is not None else ()
         waiting, pred = self._waiting_at(start)
         for inst, cs, layout, idx, el in waiting:
@@ -646,8 +637,9 @@ class MarkerState:
 
         The key ``(cs, start, end, cursor, filled)`` names that state: fixed
         elements below the cursor that are not filled are omitted, all other
-        elements not filled are open.  A recording session then records the
-        fill (:meth:`_record_fill`)."""
+        elements not filled are open; either way their fill is None.  A
+        recording session then records the fill (:meth:`_record_fill`).  An
+        accepted instance queues its sub fill on the agenda."""
         if inst is None:
             begin, old_cursor, filled = start, 0, 0
         else:
@@ -668,38 +660,32 @@ class MarkerState:
         else:
             fills = list(inst.fills)
             parent = inst.id
-        # a fixed fill that skips elements omits the fixed ones predicted
-        # before it
-        withdrawn = ()
-        if not free and idx > old_cursor:
-            withdrawn = [k for k in layout.frontier[old_cursor] if k < idx]
-        for k in withdrawn:
-            fills[k] = OMITTED
         fills[idx] = fill
 
         new_id = len(self.instances)
-        accepted = filled & layout.required == layout.required
-        new = CsInstance(
-            new_id, cs.id, begin, end, tuple(fills), cursor, filled,
-            "accepted" if accepted else "active", parent,
-        )
+        new = CsInstance(new_id, cs.id, begin, end, tuple(fills), cursor, filled, parent)
         self.instances.append(new)
         self._by_end.setdefault(end, []).append(new_id)
+        accepted = filled & layout.required == layout.required
         if self.events is not None:
-            self._record_fill(new, cs, layout, idx, withdrawn)
+            self._record_fill(new, cs, layout, idx, old_cursor, accepted)
         if accepted:
-            self.agenda.append(("sub", new_id))
+            self.agenda.append((None, Fill("sub", begin, end, None, cs.owner, new_id)))
 
-    def _record_fill(self, new, cs, layout, idx, withdrawn):
+    def _record_fill(self, new, cs, layout, idx, old_cursor, accepted):
         """The events of the fill of element ``idx`` that made instance
-        ``new``: its collision, the predictions it withdraws and those it
-        places, read from the layout (``opens[idx]`` for a start, else the
-        ``frontier`` at its cursor) with the lexical ones below them, the
-        target elements its mirror passes and its acceptance."""
+        ``new`` from a cursor at ``old_cursor``: its collision, the
+        predictions it withdraws (a fixed fill that skips elements omits the
+        fixed ones predicted before it) and those it places, read from the
+        layout (``opens[idx]`` for a start, else the ``frontier`` at its
+        cursor) with the lexical ones below them, the target elements its
+        mirror passes and its acceptance."""
         events, tok = self.events, self.token_index
         events.append(("collide", AA, ("inst", new.id, cs.id, idx), new.fills[idx], tok))
-        for k in withdrawn:
-            events.append(("withdraw", AP, ("inst", new.id, cs.id, k), None, tok))
+        if not layout.free_mask >> idx & 1:
+            for k in layout.frontier[old_cursor]:
+                if k < idx:
+                    events.append(("withdraw", AP, ("inst", new.id, cs.id, k), None, tok))
         # a start also predicts the free elements, which stay predicted
         # until filled
         elements, unpredicted = cs.elements, self.plan.unpredicted_below
@@ -715,7 +701,7 @@ class MarkerState:
         cursors.append(reach)
         if reach != mirrored:
             self._mirror(cs, new.fills, mirrored, reach)
-        if new.status == "accepted":
+        if accepted:
             events.append(("accept", AA, ("cn", cs.owner), ("inst", new.id), tok))
 
     # -- generation mirroring --------------------------------------------------
@@ -754,9 +740,12 @@ class MarkerState:
         """The best accepted instance anchored at the sentence start, if it
         covers the input: widest span, then network declaration order, then
         creation order."""
-        order = self.net.sequence_order
+        order, layouts = self.net.sequence_order, self.net.layouts
         best = min(
-            (inst for inst in self.instances if inst.status == "accepted" and inst.start == 0),
+            (
+                i for i in self.instances
+                if i.start == 0 and i.filled & layouts[i.cs].required == layouts[i.cs].required
+            ),
             key=lambda i: (-i.end, order[i.cs], i.id),
             default=None,
         )

@@ -66,38 +66,21 @@ class MorphemeSequence(NamedTuple):
         return "+".join(f"{u.form}({u.role})" for u in self.units)
 
 
-@dataclass(frozen=True)
-class Tokenized:
-    """Whitespace tokens of a sentence, case-folded for lookup.
-
-    ``terminal`` holds the detached sentence-final punctuation mark, if any.
-    """
-
-    language: str
-    words: tuple[str, ...]
-    terminal: str | None
-
-
-def tokenize(language: str, sentence: str) -> Tokenized:
+def tokenize(sentence: str) -> tuple[str, ...]:
+    """The whitespace tokens of a sentence, case-folded for lookup, without
+    the sentence-final punctuation mark, if any."""
     surfaces = sentence.split()
     if not surfaces:
         raise MorphologyError("empty sentence")
-    terminal = None
     last = surfaces[-1]
-    if last and last[-1] in ".?!":
-        terminal = last[-1]
-        last = last[:-1]
-        if last:
-            surfaces[-1] = last
+    if last[-1] in ".?!":
+        if last[:-1]:
+            surfaces[-1] = last[:-1]
         else:
             surfaces.pop()
     if not surfaces:
         raise MorphologyError("sentence contains only punctuation")
-    return Tokenized(
-        language=language,
-        words=tuple(w.casefold() for w in surfaces),
-        terminal=terminal,
-    )
+    return tuple(w.casefold() for w in surfaces)
 
 
 def _join(stem: str, rules, plain: str) -> str:

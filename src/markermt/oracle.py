@@ -8,8 +8,12 @@ through conceptual fillers (a token may satisfy an element via a lexical
 item below the filler, or a token span may satisfy it via a sequence owned
 below the filler).
 
-This module shares only the network data with the engine, none of its
-logic, so it can serve as ground truth in equivalence tests.
+It shares the network data with the engine and none of the marker
+engine's logic, so it can serve as ground truth in equivalence tests.  It
+does share the word lookup: :func:`_token_below` reads a word through the
+engine's own segmentation (``net.morphology.segment``) and
+``lookup_lexical``, so a defect in segmentation is invisible to it (ROADMAP
+item 9 gives it a segmentation of its own).
 """
 
 from __future__ import annotations

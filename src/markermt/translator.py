@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from markermt.markers import GA, GP, OMITTED, CsInstance, MarkerState, TooAmbiguous, TraceEvent, build_trace
+from markermt.markers import GA, GP, CsInstance, MarkerState, TooAmbiguous, TraceEvent, build_trace
 from markermt.morphology import PROFILES, MorphologyError, tokenize
 from markermt.network import ElementType, LANGUAGES, MemoryNetwork, lookup_lexical
 
@@ -174,7 +174,7 @@ def _translate(net: MemoryNetwork, sentence: str, direction: str, record: bool):
     result = TranslationResult(status=NO_PARSE, direction=direction, source_sentence=sentence)
 
     try:
-        toks = tokenize(src, sentence)
+        words = tokenize(sentence)
     except MorphologyError:
         return result, None
 
@@ -183,7 +183,7 @@ def _translate(net: MemoryNetwork, sentence: str, direction: str, record: bool):
     literals = net.literals[src]
 
     try:
-        for i, word in enumerate(toks.words):
+        for i, word in enumerate(words):
             item_ids = word_items(net, src, word)
             literal = word if word in literals else None
             if not item_ids and literal is None:
@@ -198,7 +198,7 @@ def _translate(net: MemoryNetwork, sentence: str, direction: str, record: bool):
                 return result, state.events
             assert not state.agenda, "agenda must be quiescent between tokens"
 
-        winner = state.best_result(len(toks.words))
+        winner = state.best_result(len(words))
         if winner is not None:
             try:
                 text, tree = _realize(net, state, winner, tgt)
@@ -338,7 +338,7 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
             continue
         j = supply[k]
         fill = None if j is None else inst.fills[j]
-        if fill is not None and fill is not OMITTED:
+        if fill is not None:
             if fill.kind == "sub":
                 children[j] = yield state.instances[fill.sub]
             else:
@@ -369,7 +369,9 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
 
     fills = []  # positional: keywords would double the cost of each record
     for j, (el, fill) in enumerate(zip(source_cs.elements, inst.fills)):
-        fill = fill or OMITTED
+        if fill is None:  # not filled
+            fills.append(TreeFill(el.concept, el.literal, el.etype, "omitted"))
+            continue
         kind = fill.kind
         fills.append(TreeFill(
             el.concept,  # filler

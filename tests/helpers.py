@@ -15,10 +15,10 @@ from markermt.network import ElementType, load_network
 from markermt.translator import word_items
 
 
-def run_engine(net, tokens, source="ko", target="en") -> MarkerState:
-    """Feed surface tokens through a recording session and return it
-    unclosed."""
-    state = MarkerState(net, source, target, record=True)
+def run_engine(net, tokens, source="ko", target="en", record=True) -> MarkerState:
+    """Feed surface tokens through a session, recording unless ``record``
+    is false, and return it unclosed."""
+    state = MarkerState(net, source, target, record=record)
     state.initial_prediction()
     literals = net.literals[source]
     for i, word in enumerate(tokens):
@@ -75,10 +75,16 @@ def free_order_sentences(seed: int) -> list[tuple[str, str]]:
     return [(workload.networks[s.net], s.text) for s in workload.sentences]
 
 
+def is_accepted(net, inst) -> bool:
+    """Whether a chart instance has every required element filled."""
+    required = net.layouts[inst.cs].required
+    return inst.filled & required == required
+
+
 def engine_accepts(net, cs_id, tokens, source="ko", target="en") -> bool:
     state = run_engine(net, tokens, source, target)
     ok = any(
-        inst.status == "accepted"
+        is_accepted(net, inst)
         and inst.cs == cs_id
         and inst.start == 0
         and inst.end == len(tokens)

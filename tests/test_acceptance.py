@@ -16,7 +16,7 @@ from markermt.synth import parse_samples, synth_network
 from markermt.translator import round_trip, translate, trees_isomorphic
 
 from conftest import TRAVEL_NET
-from helpers import closed_sessions, engine_accepts, mini_net, random_case, random_tokens, run_engine
+from helpers import closed_sessions, engine_accepts, is_accepted, mini_net, random_case, random_tokens, run_engine
 
 ENGLISH = "Would you tell me the way to Kennedy Park?"
 KOREAN = "ce-eykey ken-ney-ti kong-wen kanun kil-ul allyecwu-si-keyssupnikka?"
@@ -74,9 +74,9 @@ def test_criterion_3b_omissible_fixed_skip_withdraws_prediction():
         state = run_engine(case_net, ["wa"])
         accepted = [
             i for i in state.instances
-            if i.status == "accepted" and i.cs == "test" and i.start == 0 and i.end == 1
+            if is_accepted(case_net, i) and i.cs == "test" and i.start == 0 and i.end == 1
         ]
-        assert accepted and accepted[0].fills[0].kind == "omitted"
+        assert accepted and accepted[0].fills[0] is None and accepted[0].cursor > 0
         withdraws = [e for e in state.trace if e.event == "withdraw"]
         state.close()
         assert withdraws, "withdrawn prediction must appear in the trace"

@@ -12,7 +12,6 @@ from markermt.markers import (
     GA,
     GP,
     MAX_INSTANCES,
-    OMITTED,
     CsInstance,
     Fill,
     MarkerState,
@@ -36,6 +35,7 @@ from helpers import (
     closed_sessions,
     engine_accepts,
     free_order_sentences,
+    is_accepted,
     mini_net,
     multi_parent_probe,
     plain,
@@ -105,14 +105,29 @@ def test_single_element_accepts_in_one_step():
 def test_omissible_fixed_skipped_with_withdrawn_prediction():
     net = mini_net("c(OX) a(CX)")
     state = run_engine(net, ["wa"])
-    accepted = [i for i in state.instances if i.status == "accepted" and i.cs == "test"]
+    accepted = [i for i in state.instances if is_accepted(net, i) and i.cs == "test"]
     assert accepted, "instance must accept with the omissible element skipped"
-    assert accepted[0].fills[0].kind == "omitted"
+    assert accepted[0].fills[0] is None and accepted[0].cursor > 0
     withdraws = [e for e in state.trace if e.event == "withdraw"]
     assert withdraws and "#0" in withdraws[0].location
     state.close()
     # the omissible element can still be filled when its token shows up first
     assert engine_accepts(net, "test", ["wc", "wa"])
+
+
+def test_withdrawn_and_unfilled_elements_are_both_not_filled():
+    """An omitted element has no fill, whether its prediction was withdrawn
+    (fixed ``c``) or it was never filled (free ``e``), and the tree gives
+    both the kind ``omitted``."""
+    net = mini_net("c(OX) e(OF) a(CX)")
+    state = run_engine(net, ["wa"])
+    accepted = [i for i in state.instances if is_accepted(net, i) and i.cs == "test"]
+    assert [i.fills for i in accepted] == [(None, None, Fill("lex", 0, 1, "k-a", "a"))]
+    assert [e.location for e in state.trace if e.event == "withdraw"] == [f"inst:{accepted[0].id}@test#0"]
+    state.close()
+    result = translate(net, "wa", "ko-en")
+    assert result.ok
+    assert [(f.filler, f.kind) for f in result.concept_tree.fills] == [("c", "omitted"), ("e", "omitted"), ("a", "lex")]
 
 
 def test_free_required_fills_out_of_order():
@@ -165,7 +180,7 @@ def test_dead_activation_keeps_session_alive():
     net = mini_net("a(CX) b(CX)")
     state = run_engine(net, ["wb"])  # b is not predicted at the start
     assert any(e.event == "dead" for e in state.trace)
-    assert all(i.cs != "test" or i.status != "accepted" for i in state.instances)
+    assert all(i.cs != "test" or not is_accepted(net, i) for i in state.instances)
     state.close()
 
 
@@ -174,7 +189,7 @@ def test_activation_with_no_prediction_is_not_fatal(net):
     state = run_engine(net, ["kanun", "ken-ney-ti", "kong-wen"])
     dead = [e for e in state.trace if e.event == "dead"]
     assert dead and dead[0].token == 0
-    assert any(i.status == "accepted" and i.cs == "kcs-loc" for i in state.instances)
+    assert any(is_accepted(net, i) and i.cs == "kcs-loc" for i in state.instances)
     state.close()
 
 
@@ -296,13 +311,41 @@ def test_markers_sit_on_legal_sites(net):
     assert {d for d, _ in runs} == {"ko-en", "en-ko"}
     for direction, sentence in runs:
         source, target = direction.split("-")
-        words = tokenize(source, sentence).words
+        words = tokenize(sentence)
         state = run_engine(net, words, source, target)
         assert state.best_result(len(words)) is not None, sentence
         illegal = [key for key in state.markers if not _legal_site(key[0], key[1][0])]
         assert not illegal, (sentence, illegal[:3])
         assert any(key[0] == GP and key[1][0] == "tcse" for key in state.markers)
         state.close()
+
+
+def test_recording_does_not_change_the_chart(net):
+    """A recording session makes the same chart as one that does not, so
+    the trace, replayed with a recording session, explains the chart the
+    translation read: the travel corpus both ways, the free-order inputs
+    of seed 801, and, as neither withdraws a prediction, the synth samples
+    of seed 1 and two inputs that do."""
+    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
+    rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
+    runs = [(net, direction, sentence) for direction, sentence, _ in rows]
+    runs += [(net, reverse_direction(d), out) for d, _, out in rows if out != "*"]
+    networks = {}
+    for text, sentence in free_order_sentences(801):
+        runs.append((networks.setdefault(text, load_network(text)), "ko-en", sentence))
+    synth = synth_network(1000, 200, 1)
+    network = load_network(synth)
+    runs += [(network, d, text) for d, text in parse_samples(synth)]
+    runs += [(mini_net(elements), "ko-en", "wa") for elements in ("c(OX) a(CX)", "c(OX) e(OF) a(CX)")]
+    for network, direction, sentence in runs:
+        source, target = direction.split("-")
+        quiet, recording = (
+            run_engine(network, tokenize(sentence), source, target, record=record) for record in (False, True)
+        )
+        assert quiet.events is None and recording.events
+        assert quiet.instances == recording.instances, sentence
+        quiet.close()
+        recording.close()
 
 
 def test_session_markers_never_overlap_the_plan(net):
@@ -314,7 +357,7 @@ def test_session_markers_never_overlap_the_plan(net):
     runs = [(net, direction.split("-"), sentence) for direction, sentence, _ in rows]
     runs.append((load_network(multi_parent_probe(5)), ("ko", "en"), "wl wl wl wl wl"))
     for network, (source, target), sentence in runs:
-        words = tokenize(source, sentence).words
+        words = tokenize(sentence)
         state = run_engine(network, words, source, target)
         assert not state.predicted_items & state.plan.predicted_items, words
         assert state.generated_items
@@ -387,17 +430,16 @@ def test_session_marker_sets_agree_with_the_trace(net, monkeypatch):
 
 def test_chart_records_are_immutable_and_keep_their_formats():
     fill = Fill(kind="lex", start=2, end=3, item="k-a", concept="a")
-    inst = CsInstance(0, "test", 0, 1, (fill,), 1, 1, "accepted", None)
+    inst = CsInstance(0, "test", 0, 1, (fill,), 1, 1, None)
     event = TraceEvent("collide", AA, "inst:0@test#0", fill.binding(), 2)
-    for record, field in ((fill, "kind"), (inst, "status"), (event, "token")):
+    for record, field in ((fill, "kind"), (inst, "filled"), (event, "token")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     assert event.line() == "collide AA inst:0@test#0 item:k-a@2 tok=2"
     assert TraceEvent("dead", None, "tok:4", None, 4).line() == "dead - tok:4 - tok=4"
-    assert [f.binding() for f in (fill, Fill("lit", 5, 6), Fill("sub", 0, 3, sub=7), OMITTED)] == [
-        "item:k-a@2", "tok5", "inst:7", None,
+    assert [f.binding() for f in (fill, Fill("lit", 5, 6), Fill("sub", 0, 3, sub=7))] == [
+        "item:k-a@2", "tok5", "inst:7",
     ]
-    assert OMITTED == Fill(kind="omitted", start=-1, end=-1, item=None, concept=None, sub=None)
 
 
 def test_agenda_quiescent_between_tokens(net):
@@ -634,7 +676,7 @@ def _chart(net, words, source, target):
     and the number of instances in all."""
     state = run_engine(net, words, source, target)
     keys = [
-        (i.cs, i.end, i.cursor, i.filled, i.status, state.target_cursors[i.id])
+        (i.cs, i.end, i.cursor, i.filled, state.target_cursors[i.id])
         for i in state.instances
         if i.start == 0
     ]
@@ -653,7 +695,7 @@ def test_filter_keeps_the_start0_chart(net, monkeypatch):
         synth = synth_network(1000, 200, seed)
         network = load_network(synth)
         runs += [(network, d, text) for d, text in parse_samples(synth)]
-    runs = [(network, d.split("-"), tokenize(d[:2], text).words) for network, d, text in runs]
+    runs = [(network, d.split("-"), tokenize(text)) for network, d, text in runs]
     filtered = [_chart(network, words, *pair) for network, pair, words in runs]
     waiting_at = MarkerState._waiting_at
     monkeypatch.setattr(MarkerState, "_waiting_at", lambda self, pos: (waiting_at(self, pos)[0], None))
@@ -757,7 +799,7 @@ def test_repeated_accepted_span_feeds_its_parent_once():
     net = load_network(SHARED_SPAN_NETWORK)
     words = ["wko", "wmi", "wka", "wmu", "wma"]
     state = run_engine(net, words)
-    inner = [i for i in state.instances if i.cs == "inner" and i.status == "accepted"]
+    inner = [i for i in state.instances if i.cs == "inner" and is_accepted(net, i)]
     assert [(i.start, i.end) for i in inner] == [(0, 5), (0, 5)]
     assert inner[0].filled != inner[1].filled
     outer = [i for i in state.instances if i.cs == "outer" and (i.start, i.end) == (0, 5)]
@@ -786,7 +828,7 @@ def test_waiting_list_is_final_when_first_read(net):
     checked = 0
     for network, direction, text in runs:
         source, target = direction.split("-")
-        state = run_engine(network, tokenize(source, text).words, source, target)
+        state = run_engine(network, tokenize(text), source, target)
         memo = dict(state._waiting)
         state._waiting.clear()
         for pos, column in memo.items():

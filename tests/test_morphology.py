@@ -126,25 +126,23 @@ def test_case_insensitive_match_returns_stored_spelling(net):
 
 
 def test_tokenize_question(net):
-    toks = tokenize("en", "Would you tell me the way to Kennedy Park?")
-    assert toks.words == ("would", "you", "tell", "me", "the", "way", "to", "kennedy", "park")
-    assert toks.terminal == "?"
+    words = tokenize("Would you tell me the way to Kennedy Park?")
+    assert words == ("would", "you", "tell", "me", "the", "way", "to", "kennedy", "park")
 
 
 def test_tokenize_korean_eojeols(net):
-    toks = tokenize("ko", "ken-ney-ti kong-wen")
-    assert toks.words == ("ken-ney-ti", "kong-wen")
-    assert toks.terminal is None
+    words = tokenize("ken-ney-ti kong-wen")
+    assert words == ("ken-ney-ti", "kong-wen")
     # both Eojeols resolve against the fixture lexicon
-    for word in toks.words:
+    for word in words:
         assert net.morphology.segment("ko", word)
 
 
 def test_tokenize_empty_rejected():
     with pytest.raises(MorphologyError):
-        tokenize("en", "   ")
+        tokenize("   ")
     with pytest.raises(MorphologyError):
-        tokenize("en", " ? ")
+        tokenize(" ? ")
 
 
 def grammatical_chains(m, language, max_affixes=2):
@@ -424,7 +422,7 @@ def test_rules_of_other_affixes_leave_translation_alone(net, travel_text):
         assert plain.status == "success"
         assert (loaded.status, loaded.target_sentence) == (plain.status, plain.target_sentence)
         source = direction.split("-")[0]
-        for word in tokenize(source, sentence).words:
+        for word in tokenize(sentence):
             assert candidate_readings(heavy.morphology, source, word) == candidate_readings(
                 net.morphology, source, word
             )
@@ -453,7 +451,7 @@ def test_many_rules_on_one_affix_leave_translation_alone(net, travel_text):
         assert plain.status == "success"
         assert (loaded.status, loaded.target_sentence) == (plain.status, plain.target_sentence)
         source = direction.split("-")[0]
-        assert_segment_matches_scan(heavy, source, tokenize(source, sentence).words)
+        assert_segment_matches_scan(heavy, source, tokenize(sentence))
     rules = language_rules(heavy, "ko")
     lengths = {len(cls_) for cls_, affix in rules if affix == "ul"}
     m = heavy.morphology
@@ -527,9 +525,9 @@ def test_segment_orders_readings_by_root_length_then_forms(travel_text):
         if line and not line.startswith("#"):
             direction, sentence, expected = line.split("\t")
             source, target = direction.split("-")
-            words.update((source, w) for w in tokenize(source, sentence).words)
+            words.update((source, w) for w in tokenize(sentence))
             if expected != "*":  # a line that checks the status only
-                words.update((target, w) for w in tokenize(target, expected).words)
+                words.update((target, w) for w in tokenize(expected))
     ambiguous = (
         "affix en Kenn role root\naffix en edy role plural after root\n"
         "affix en x role plural after root,plural\nmorphrule en e+x -> e\n"

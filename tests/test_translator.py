@@ -191,8 +191,7 @@ def test_target_sentence_resegments(net):
     for sentence, direction, target in cases:
         result = translate(net, sentence, direction)
         assert result.ok
-        toks = tokenize(target, result.target_sentence)
-        for word in toks.words:
+        for word in tokenize(result.target_sentence):
             readings = net.morphology.segment(target, word)
             has_item = any(lookup_lexical(net, target, s.forms) for s in readings)
             is_literal = word in net.literals[target]
