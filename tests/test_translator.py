@@ -23,7 +23,7 @@ from markermt.translator import (
 )
 
 from conftest import TRAVEL_CORPUS, TRAVEL_NET
-from helpers import closed_sessions, deep_chain, multi_parent_probe, run_engine
+from helpers import closed_sessions, deep_chain, mini_net, multi_parent_probe, run_engine
 
 ENGLISH = "Would you tell me the way to Kennedy Park?"
 KOREAN = "ce-eykey ken-ney-ti kong-wen kanun kil-ul allyecwu-si-keyssupnikka?"
@@ -368,6 +368,40 @@ def test_travel_concept_trees_match_golden_file(net):
     assert len(got) == len(expected)
     for i, (a, b) in enumerate(zip(got, expected), start=1):
         assert a == b, f"line {i}"
+
+
+GOLDEN_WITHDRAW = Path(__file__).parent / "data" / "withdraw.trace"
+
+# (test sequence, ko sentence): a start past a run of omissible fixed
+# elements, an extension past one, a start on a free element and a dead
+# token mid-sentence, the moves that withdraw or skip a prediction
+WITHDRAW_CASES = [
+    ("b(OX) c(OX) a(CX) d(CX)", "wa wd"),
+    ("b(OX) c(OX) a(CX) d(CX)", "wc wa wd"),
+    ("a(CX) b(OX) c(OX) d(CX)", "wa wd"),
+    ("a(CX) b(OX) c(OX) d(CX)", "wa wc wd"),
+    ("e(OF) b(OX) a(CX)", "we wa"),
+    ("e(OF) b(OX) a(CX)", "wa we"),
+    ("c(OX) e(OF) a(CX) b(CX)", "wa wd we wb"),
+    ("a(CX) c(OX) e(OF) b(CX)", "wa wd we wb"),
+]
+
+
+def test_withdraw_traces_match_golden_file():
+    """The traces of the withdraw cases, each after a ``# sequence |
+    sentence | status`` line, must not drift: the travel corpus withdraws
+    no prediction."""
+    got = []
+    for shape, sentence in WITHDRAW_CASES:
+        result = translate(mini_net(shape), sentence, "ko-en")
+        got.append(f"# {shape} | {sentence} | {result.status}")
+        got.extend(e.line() for e in result.trace)
+    expected = GOLDEN_WITHDRAW.read_text(encoding="utf-8").splitlines()
+    for i, (a, b) in enumerate(zip(got, expected), start=1):
+        assert a == b, f"line {i}"
+    assert len(got) == len(expected)
+    assert sum(line.startswith("withdraw ") for line in got) == 9
+    assert sum(line.startswith("dead ") for line in got) == 4
 
 
 PlainNode = collections.namedtuple("TreeNode", TreeNode._fields)
