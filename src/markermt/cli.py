@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from markermt.markers import MAX_INSTANCES
-from markermt.network import NetworkError, load_network, validate_network
+from markermt.network import LANGUAGES, NetworkError, load_network, validate_network
 from markermt.synth import synth_network
 from markermt.translator import (
     NO_PARSE,
@@ -31,11 +31,13 @@ _STATUS_EXIT = {
     TOO_AMBIGUOUS: EXIT_TOO_AMBIGUOUS,
 }
 
+DIRECTIONS = [f"{src}-{tgt}" for src in LANGUAGES for tgt in LANGUAGES if src != tgt]
+
 
 def _load(path: str):
     try:
         return load_network(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read network: {exc}", file=sys.stderr)
     except NetworkError as exc:
         print(f"network error: {exc}", file=sys.stderr)
@@ -79,7 +81,7 @@ def cmd_corpus(args) -> int:
         return EXIT_NETWORK
     try:
         lines = Path(args.corpus).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read corpus: {exc}", file=sys.stderr)
         return EXIT_NETWORK
     passed = failed = 0
@@ -197,13 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("network", help="network file path")
     p.add_argument("sentence", help="source sentence")
-    p.add_argument("--dir", required=True, help="direction, ko-en or en-ko")
+    p.add_argument("--dir", required=True, choices=DIRECTIONS, help="direction")
     p.add_argument("--trace", action="store_true", help="print marker events to stderr")
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("repl", help="interactive translation loop")
     p.add_argument("network")
-    p.add_argument("--dir", default="en-ko")
+    p.add_argument("--dir", default="en-ko", choices=DIRECTIONS)
     p.set_defaults(func=cmd_repl)
 
     p = sub.add_parser("validate", help="load a network and report diagnostics")

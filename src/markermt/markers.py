@@ -18,9 +18,8 @@ it can be skipped, its prediction withdrawn, when a later element is hit
 first.  Identical free elements (same type, same filler) fill in index
 order.  Prediction, omission and acceptance read what the types imply from
 the per-sequence table compiled at load (``MemoryNetwork.layouts``), down
-to each instance's next moves: what a new instance predicts
-(``Layout.opens``) and what an instance waits for at its cursor
-(``Layout.merged``), so the engine sorts nothing per instance.
+to what an instance waits for at its cursor (``Layout.merged``), so the
+engine sorts nothing per instance.
 
 The engine keeps every live alternative (it behaves like a chart
 recognizer): a fill never destroys the instance it extends, it derives a new
@@ -212,8 +211,7 @@ class CsInstance(NamedTuple):
     when every required element is filled (``filled & Layout.required ==
     Layout.required``); a fixed element below the cursor that is not filled
     was omitted.  Where the generation mirror waits on the paired target
-    sequence is trace-only, so a recording session keeps it apart
-    (:attr:`MarkerState.target_cursors`)."""
+    sequence follows from ``filled`` (:meth:`MarkerState.mirrored`)."""
 
     id: int
     cs: str
@@ -234,23 +232,19 @@ class DirectionPlan:
     element index)`` slots that its passive can start an instance from, in
     declaration order; a concept's slots are those of all its ancestors
     (none: no entry), one tuple per set of fillers above.  A twin slot
-    (``Layout.twins``) is predicted but starts none.  The initial
+    (``Layout.twin_pairs``) is predicted but starts none.  The initial
     markers are kept as sets of ids (AP on ``cse`` slots and on lexical
     items, GP on element 0 of target sequences), read from
     :func:`initial_predictions`; the plan keeps no trace of their
     placement, which :func:`build_trace` derives when a trace is read.
-    ``unpredicted_below`` maps the filler concept of every source element
-    to its ``items_below`` that the plan does not already predict, in
-    declaration order: all that predicting the element later can still
-    add.
 
     The left-corner table filters instance starts after the first token.
     ``filler_bit`` gives the filler concept of every source element one
-    bit.  ``left_corner`` maps each source sequence owner to the mask of
-    the fillers under which an instance of one of its sequences may begin a
-    constituent: the fillers at or above the owner, and, closed over left
-    corners, the ``left_corner`` of the owner of each slot in its
-    ``starts_by_concept``.  Owners with the same filler ancestors share one
+    bit, in declaration order.  ``left_corner`` maps each source sequence
+    owner to the mask of the fillers under which an instance of one of its
+    sequences may begin a constituent: the fillers at or above the owner,
+    and, closed over left corners, the ``left_corner`` of the owner of each
+    slot in its ``starts_by_concept``.  Owners with the same filler ancestors share one
     value.  The mappings are read-only.
     """
 
@@ -260,7 +254,6 @@ class DirectionPlan:
     left_corner: MappingProxyType[str, int]
     predicted_slots: frozenset[tuple[str, int]]
     predicted_items: frozenset[str]
-    unpredicted_below: MappingProxyType[str, tuple[str, ...]]
     target_heads: frozenset[str]
 
 
@@ -282,24 +275,12 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
                 starts = by_literal.setdefault(el.literal, [])
             else:
                 starts = by_filler.setdefault(el.concept, [])
-            if net.layouts[cs_id].twins[idx] is None:
+            if all(i != idx for i, _ in net.layouts[cs_id].twin_pairs):
                 starts.append(what)
         elif site == "lex":
             items.add(what)
         else:
             heads.append(what)
-    unpredicted: dict[str, tuple[str, ...]] = {}
-    for cs in net.sequences.values():
-        if cs.language != source:
-            continue
-        for el in cs.elements:
-            if el.literal is not None or el.concept in unpredicted:
-                continue
-            if el.concept in by_filler:  # the plan predicts all its items
-                unpredicted[el.concept] = ()
-            else:
-                below = net.items_below[(source, el.concept)]
-                unpredicted[el.concept] = tuple(i for i in below if i not in items)
     order = net.sequence_order
     merged: dict[frozenset[str], tuple[tuple[str, int], ...]] = {}
     by_concept: dict[str, tuple[tuple[str, int], ...]] = {}
@@ -316,9 +297,12 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
         if starts:
             by_concept[concept] = starts
     # left corners: one graph node per distinct filler-ancestor mask of an
-    # owner, with an edge to the mask of every owner its start slots begin;
-    # unpredicted has a key for the filler of every source element
-    filler_bit = {filler: 1 << i for i, filler in enumerate(unpredicted)}
+    # owner, with an edge to the mask of every owner its start slots begin
+    fillers = dict.fromkeys(
+        el.concept for cs in net.sequences.values() if cs.language == source
+        for el in cs.elements if el.literal is None
+    )
+    filler_bit = {filler: 1 << i for i, filler in enumerate(fillers)}
     mask_of = {
         owner: sum(filler_bit[a] for a in net.ancestors[owner] if a in filler_bit)
         for owner in dict.fromkeys(owners)
@@ -336,7 +320,6 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
         left_corner=MappingProxyType({owner: closed[mask] for owner, mask in mask_of.items()}),
         predicted_slots=frozenset(predicted),
         predicted_items=frozenset(items),
-        unpredicted_below=MappingProxyType(unpredicted),
         target_heads=frozenset(heads),
     )
 
@@ -446,8 +429,9 @@ class MarkerState:
     memoizes each position's column of waiting elements.  The ``agenda``
     holds the fills still to match, each as ``(literal, fill)``: a token's
     lexical readings and literal, and the sub fill of each accepted
-    instance (``literal`` is None but for a literal word).  A token is dead
-    when the instance count has not grown since its :meth:`activate`.
+    instance (``literal`` is None but for a literal word).  Every instance a
+    token's fills make ends just after it, so the token is dead when no
+    instance ends there.
 
     A session made with ``record=True`` also records its trace.  Only the
     trace reads what that takes, so a session that does not record skips
@@ -456,8 +440,7 @@ class MarkerState:
     keeps the two kinds the trace reads back: ``predicted_items``, the
     lexical items it predicts beyond the plan (AP), and
     ``generated_items``, the ``(target item, token)`` pairs it activates
-    (GA); ``markers`` views them with the plan's.  ``target_cursors[i]`` is
-    where the mirror of instance ``i`` waits on the paired target sequence.
+    (GA); ``markers`` views them with the plan's.
 
     A session handles one sentence in one direction.  Sessions over the same
     network are independent; ``close`` empties the state so nothing leaks
@@ -483,14 +466,10 @@ class MarkerState:
         self.agenda: deque = deque()
         self.predicted = False  # set by initial_prediction
         self.events: list[tuple] | None = [] if record else None
-        self.target_cursors: list[int] | None = [] if record else None
         self.token_index = -1
         self._by_end: dict[int, list[int]] = {}
         self._keys: set[tuple] = set()  # chart keys, see _fill
         self._waiting: dict[int, tuple[list[tuple], int | None]] = {}  # see _waiting_at
-        # while recording: the instance count when the current token was
-        # activated, or None once that token has been checked for being dead
-        self._made_before: int | None = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -509,12 +488,12 @@ class MarkerState:
         self.markers = MarkerSet(self.plan, self.predicted_items, self.generated_items)
         self.predicted = True
 
-    def _predict_lexical(self, below):
-        """AP on the items of ``below`` (a filler's ``plan.unpredicted_below``,
-        none of them predicted by the plan) that the session has not."""
-        predicted = self.predicted_items
-        for item_id in below:
-            if item_id not in predicted:
+    def _predict_lexical(self, concept):
+        """AP on the lexical items below the filler ``concept`` that neither
+        the plan nor the session has predicted, in declaration order."""
+        predicted, planned = self.predicted_items, self.plan.predicted_items
+        for item_id in self.net.items_below[(self.source, concept)]:
+            if item_id not in predicted and item_id not in planned:
                 predicted.add(item_id)
                 self.events.append(("predict", AP, ("lex", item_id), None, self.token_index))
 
@@ -523,8 +502,6 @@ class MarkerState:
         not processed (see :meth:`step_collisions`)."""
         self.token_index = span
         events, agenda, lexicon = self.events, self.agenda, self.net.lexicon
-        if events is not None:
-            self._made_before = len(self.instances)
         for item_id in lexical_items:
             item = lexicon[item_id]
             assert item.language == self.source, f"{item_id} is not a {self.source} item"
@@ -552,9 +529,8 @@ class MarkerState:
             if events is not None and fill.kind == "lex":
                 self._record_lexical(fill)
             self._match_passive(literal, fill)
-        if self._made_before == len(self.instances):
+        if events is not None and self.token_index + 1 not in self._by_end:
             events.append(("dead", AA, f"tok:{self.token_index}", None, self.token_index))
-        self._made_before = None
 
     # -- collision handling --------------------------------------------------
 
@@ -676,43 +652,46 @@ class MarkerState:
         """The events of the fill of element ``idx`` that made instance
         ``new`` from a cursor at ``old_cursor``: its collision, the
         predictions it withdraws (a fixed fill that skips elements omits the
-        fixed ones predicted before it) and those it places, read from the
-        layout (``opens[idx]`` for a start, else the ``frontier`` at its
-        cursor) with the lexical ones below them, the target elements its
-        mirror passes and its acceptance."""
+        fixed ones predicted before it) and those it places with the lexical
+        ones below them, the target elements its mirror passes and its
+        acceptance.  Both are read from the layout's ``merged``: the fixed
+        elements waiting at the old cursor before ``idx`` are withdrawn, and
+        the fixed elements waiting at the new cursor are predicted, with
+        every free element but ``idx`` for a start (a free element stays
+        predicted until filled)."""
         events, tok = self.events, self.token_index
         events.append(("collide", AA, ("inst", new.id, cs.id, idx), new.fills[idx], tok))
-        if not layout.free_mask >> idx & 1:
-            for k in layout.frontier[old_cursor]:
-                if k < idx:
+        free, elements, start = layout.free_mask, cs.elements, new.parent is None
+        if not free >> idx & 1:
+            for k in layout.merged[old_cursor]:
+                if k < idx and not free >> k & 1:
                     events.append(("withdraw", AP, ("inst", new.id, cs.id, k), None, tok))
-        # a start also predicts the free elements, which stay predicted
-        # until filled
-        elements, unpredicted = cs.elements, self.plan.unpredicted_below
-        for nxt in layout.opens[idx] if new.parent is None else layout.frontier[new.cursor]:
-            events.append(("predict", AP, ("inst", new.id, cs.id, nxt), None, tok))
-            below = unpredicted.get(elements[nxt].concept)  # None for a literal
-            if below:
-                self._predict_lexical(below)
+        for nxt in layout.merged[new.cursor]:
+            if nxt != idx and (start or not free >> nxt & 1):
+                events.append(("predict", AP, ("inst", new.id, cs.id, nxt), None, tok))
+                if elements[nxt].literal is None:
+                    self._predict_lexical(elements[nxt].concept)
 
-        cursors = self.target_cursors
-        mirrored = 0 if new.parent is None else cursors[new.parent]
-        reach = self._mirror_reach(cs, new.filled, mirrored)
-        cursors.append(reach)
-        if reach != mirrored:
-            self._mirror(cs, new.fills, mirrored, reach)
+        before = 0 if start else self.mirrored(cs, self.instances[new.parent].filled)
+        reach = self.mirrored(cs, new.filled)
+        if reach != before:
+            self._mirror(cs, new.fills, before, reach)
         if accepted:
             events.append(("accept", AA, ("cn", cs.owner), ("inst", new.id), tok))
 
     # -- generation mirroring --------------------------------------------------
 
-    def _mirror_reach(self, cs, filled, cursor) -> int:
-        """How far the GP cursor on the paired sequence of ``cs`` advances
-        from ``cursor``: literals pass under a bare GP, a conceptual element
-        waits until the source element that supplies it
-        (``net.counterparts``) is filled."""
+    def mirrored(self, cs, filled) -> int:
+        """Where the GP cursor on the paired sequence of ``cs`` waits, from
+        0, once the source elements of ``filled`` are filled: literals pass
+        under a bare GP, a conceptual element waits until the source element
+        that supplies it (``net.counterparts``) is filled.  An instance's
+        ``filled`` holds that of the instance it extends, so its cursor is
+        at or past that one's, and the mirror of the fill passes the target
+        elements between the two."""
         elements = self.net.sequences[cs.paired].elements
         supply = self.net.counterparts[cs.id]
+        cursor = 0
         while cursor < len(elements):
             if elements[cursor].literal is None:
                 j = supply[cursor]
@@ -760,8 +739,6 @@ class MarkerState:
         self.generated_items.clear()
         self.markers = MarkerSet(None, self.predicted_items, self.generated_items)
         self.instances.clear()
-        if self.target_cursors is not None:
-            self.target_cursors.clear()
         self.agenda.clear()
         self._by_end.clear()
         self._keys.clear()

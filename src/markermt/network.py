@@ -90,25 +90,17 @@ class Layout:
     per signature (element types and twins) so that the engine reads each
     chart move instead of working it out per instance.
 
-    ``frontier[c]``: the fixed elements predicted while the cursor is at
-    ``c``, i.e. the run of omissible fixed elements from ``c`` plus the first
-    required one; ``required``: bit i set when element i is not omissible;
-    ``twins``: see :func:`_twins`.
+    ``merged[c]``: what an instance with its cursor at ``c`` may wait for, in
+    index order, before the free elements it filled and those whose twin is
+    still empty are skipped: the run of omissible fixed elements from ``c``
+    and the first required one after it, and every free element.  Left out
+    the free ones (``free_mask``), it is what the cursor at ``c`` predicts.
+    ``required``: bit i set when element i is not omissible; ``free_mask``:
+    bit i set when element i is free-order; ``twin_pairs``: the ``(i, j)``
+    pairs of free elements where j is the twin of i (see :func:`_twins`)."""
 
-    ``merged[c]``: ``frontier[c]`` and every free element, in index order:
-    what an instance with its cursor at ``c`` may wait for, before the free
-    elements it filled and those whose twin is still empty are skipped.
-    ``opens[i]``: what a new instance that starts by filling element ``i``
-    predicts, in index order: ``frontier`` at its cursor after the fill
-    (0 when ``i`` is free, else ``i + 1``) and the free elements but ``i``.
-    ``free_mask``: bit i set when element i is free-order; ``twin_pairs``:
-    the ``(i, twins[i])`` pairs whose twin is not None."""
-
-    frontier: tuple[tuple[int, ...], ...]
     required: int
-    twins: tuple[int | None, ...]
     merged: tuple[tuple[int, ...], ...]
-    opens: tuple[tuple[int, ...], ...]
     free_mask: int
     twin_pairs: tuple[tuple[int, int], ...]
 
@@ -336,25 +328,18 @@ def _counterparts(net, source, target) -> tuple[int | None, ...]:
 
 def _layout(etypes, twins) -> Layout:
     """The :class:`Layout` of a sequence with element types ``etypes``."""
-    frontier: list[tuple[int, ...]] = [()]  # from the end: frontier[len] first
+    fixed: list[tuple[int, ...]] = [()]  # from the end: the fixed run at len first
     for c in reversed(range(len(etypes))):
         if ElementType.free(etypes[c]):
-            frontier.append(frontier[-1])
+            fixed.append(fixed[-1])
         elif ElementType.omissible(etypes[c]):
-            frontier.append((c,) + frontier[-1])
+            fixed.append((c,) + fixed[-1])
         else:
-            frontier.append((c,))
-    frontier = tuple(reversed(frontier))
+            fixed.append((c,))
     free = tuple(i for i, t in enumerate(etypes) if ElementType.free(t))
     return Layout(
-        frontier=frontier,
         required=sum(1 << i for i, t in enumerate(etypes) if not ElementType.omissible(t)),
-        twins=twins,
-        merged=tuple(tuple(sorted(f + free)) for f in frontier),
-        opens=tuple(
-            tuple(sorted(frontier[0 if i in free else i + 1] + tuple(j for j in free if j != i)))
-            for i in range(len(etypes))
-        ),
+        merged=tuple(tuple(sorted(f + free)) for f in reversed(fixed)),
         free_mask=sum(1 << i for i in free),
         twin_pairs=tuple((i, twin) for i, twin in enumerate(twins) if twin is not None),
     )
@@ -415,8 +400,7 @@ def load_network(source: str) -> MemoryNetwork:
     mate of the first sequence of a pair, say) keeps its own string.
 
     Raises :class:`NetworkError` on syntax errors (with line/column), tokens
-    after a declaration's last field (``lex``, ``affix`` and ``morphrule``
-    lines once ignored them), dangling references, duplicate ids, and
+    after a declaration's last field, dangling references, duplicate ids, and
     degenerate files.  Semantic invariants beyond that are the business of
     :func:`validate_network`.
     """

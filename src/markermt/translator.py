@@ -329,7 +329,7 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
     extras: list[TreeFill] = []
     events, tok = state.events, state.token_index  # raw fields, see MarkerState
     # elements before the mirror's cursor have their generate event traced
-    mirrored = None if events is None else state.target_cursors[inst.id]
+    mirrored = None if events is None else state.mirrored(source_cs, inst.filled)
     for k, el in enumerate(target_cs.elements):
         if el.literal is not None:
             words.append(el.literal)

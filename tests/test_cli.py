@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import pytest
 
 from markermt.cli import main
 from markermt.network import load_network, validate_network
@@ -76,6 +77,32 @@ def test_translate_bad_network_error_in_process(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "network error: line 1, column 1: unknown declaration 'frobnicate'\n"
+
+
+@pytest.mark.parametrize("command", [["translate", str(TRAVEL_NET), "hello"], ["repl", str(TRAVEL_NET)]])
+@pytest.mark.parametrize("direction", ["ko-ko", "xx-yy", "en"])
+def test_bad_direction_is_a_usage_error(command, direction):
+    proc = run_cli([*command, "--dir", direction])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ")
+    assert "invalid choice" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_network_not_utf8_exit_3(tmp_path):
+    bad = tmp_path / "bad.net"
+    bad.write_bytes(b"concept a\xff\n")
+    for command in (["validate", str(bad)], ["translate", str(bad), "hello", "--dir", "en-ko"]):
+        proc = run_cli(command)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("cannot read network: ") and "Traceback" not in proc.stderr
+
+
+def test_corpus_not_utf8_exit_3(tmp_path):
+    corpus = tmp_path / "bad.corpus"
+    corpus.write_bytes(b"en-ko\thello\t*\xff\n")
+    proc = run_cli(["corpus", str(TRAVEL_NET), str(corpus)])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("cannot read corpus: ") and "Traceback" not in proc.stderr
 
 
 def test_translate_too_ambiguous_exit_4(tmp_path, capsys):

@@ -90,10 +90,12 @@ def test_initial_slots_transitive_omissible_run():
 
 
 def test_fixed_frontier_stops_at_required():
+    # no free element: what the cursor waits for is its fixed run
     net = mini_net("b(OX) a(CX) c(OX) d(CX)")
-    frontier = net.layouts["test"].frontier
-    assert frontier[0] == (0, 1)
-    assert frontier[2] == (2, 3)
+    layout = net.layouts["test"]
+    assert layout.free_mask == 0
+    assert layout.merged[0] == (0, 1)
+    assert layout.merged[2] == (2, 3)
 
 
 def test_single_element_accepts_in_one_step():
@@ -229,7 +231,7 @@ def test_layout_reads_the_element_types(elements):
     free = [ELEMENT_TYPES[t][1] for t in etypes]
     assert layout.free_mask == sum(2**i for i in range(n) if free[i])
     assert layout.required == sum(2**i for i in range(n) if not omissible[i])
-    assert len(layout.frontier) == len(layout.merged) == n + 1
+    assert len(layout.merged) == n + 1
     frontier = []
     for cursor in range(n + 1):
         expected = []
@@ -240,21 +242,23 @@ def test_layout_reads_the_element_types(elements):
             if not omissible[i]:
                 break
         frontier.append(expected)
-        assert layout.frontier[cursor] == tuple(expected), cursor
         # waiting at the cursor: its fixed frontier and every free element
         assert layout.merged[cursor] == tuple(i for i in range(n) if free[i] or i in expected), cursor
+        # the free elements left out: the fixed frontier
+        fixed = tuple(i for i in layout.merged[cursor] if not layout.free_mask >> i & 1)
+        assert fixed == tuple(expected), cursor
     # a start fills i first: the cursor stays at 0 for a free i, else moves
-    # past it; every other free element is predicted too
-    assert len(layout.opens) == n
+    # past it; it predicts what waits there but i, so every other free
+    # element too
     for i in range(n):
         after = frontier[0 if free[i] else i + 1]
-        assert layout.opens[i] == tuple(j for j in range(n) if j != i and (free[j] or j in after)), i
+        start = tuple(j for j in layout.merged[0 if free[i] else i + 1] if j != i)
+        assert start == tuple(j for j in range(n) if j != i and (free[j] or j in after)), i
     # a twin: the last earlier free element of the same type and filler
     twins = [
         max((j for j in range(i) if free[i] and (etypes[j], fillers[j]) == (etypes[i], fillers[i])), default=None)
         for i in range(n)
     ]
-    assert layout.twins == tuple(twins)
     assert layout.twin_pairs == tuple((i, j) for i, j in enumerate(twins) if j is not None)
 
 
@@ -289,9 +293,9 @@ def test_layouts_are_read_only_and_shared_per_signature():
     # equal element types and twins: one object; equal types but different
     # twins: two
     assert layouts["test"] is layouts["same"]
-    assert layouts["twin"].twins == (None, None, 1)
+    assert layouts["twin"].twin_pairs == ((2, 1),)
     assert layouts["twin"] is not layouts["other"]
-    assert layouts["twin"].frontier == layouts["other"].frontier
+    assert layouts["twin"].merged == layouts["other"].merged
 
 
 def _legal_site(kind, site) -> bool:
@@ -573,7 +577,7 @@ def test_identical_free_elements_fill_in_index_order(k):
 
 def test_twin_slots_are_predicted_but_start_no_instance():
     net = mini_net('a(CF) b(CX) a(CF) a(OF) "q0"(CF) "q0"(CF)')
-    assert net.layouts["test"].twins == (None, None, 0, None, None, 4)
+    assert net.layouts["test"].twin_pairs == ((2, 0), (5, 4))
     plan = net.plans[("ko", "en")]
     assert {("test", i) for i in range(6) if i != 1} <= plan.predicted_slots
     assert plan.starts_by_concept["a"] == (("test", 0), ("test", 3))
@@ -621,23 +625,27 @@ def test_start_slots_merge_every_parent_in_declaration_order():
 
 def test_lexical_prediction_table_is_items_below_minus_the_plan():
     net = load_network(synth_network(1000, 200, 42))
-    for (source, _), plan in net.plans.items():
-        fillers = {
+    for (source, target), plan in net.plans.items():
+        fillers = list(dict.fromkeys(
             el.concept
             for cs in net.sequences.values()
             if cs.language == source
             for el in cs.elements
             if not el.is_literal
-        }
-        assert set(plan.unpredicted_below) == fillers
-        assert any(plan.unpredicted_below.values())
+        ))
+        assert list(plan.filler_bit) == fillers
         items = [it for it in net.lexicon.values() if it.language == source]
+        added = 0
         for concept in fillers:
             below = [it.id for it in items if concept in net.ancestors[it.concept]]
             assert net.items_below[(source, concept)] == tuple(below)
-            assert plan.unpredicted_below[concept] == tuple(
-                item_id for item_id in below if item_id not in plan.predicted_items
-            )
+            # predicting the filler later adds the items the plan does not
+            state = MarkerState(net, source, target, record=True)
+            state._predict_lexical(concept)
+            predicted = [location[1] for _, _, location, _, _ in state.events]
+            assert predicted == [item_id for item_id in below if item_id not in plan.predicted_items]
+            added += len(predicted)
+        assert added
 
 
 def _instance_collides(result):
@@ -675,11 +683,7 @@ def _chart(net, words, source, target):
     """The keys of the instances anchored at token 0, in creation order,
     and the number of instances in all."""
     state = run_engine(net, words, source, target)
-    keys = [
-        (i.cs, i.end, i.cursor, i.filled, state.target_cursors[i.id])
-        for i in state.instances
-        if i.start == 0
-    ]
+    keys = [(i.cs, i.end, i.cursor, i.filled) for i in state.instances if i.start == 0]
     size = len(state.instances)
     state.close()
     return keys, size

@@ -524,12 +524,11 @@ def test_translate_session_records_nothing(net, direction, sentence, status, mon
     network = load_network(multi_parent_probe(13)) if status == "too-ambiguous" else net
     built = _count_trace_events(monkeypatch)
     closed = closed_sessions(
-        monkeypatch, lambda state: (state.events, state.target_cursors, set(state.predicted_items),
-                                    set(state.generated_items))
+        monkeypatch, lambda state: (state.events, set(state.predicted_items), set(state.generated_items))
     )
     assert translate(network, sentence, direction).status == status
     [(_, kept)] = closed
-    assert kept == (None, None, set(), set())
+    assert kept == (None, set(), set())
     assert built == []
 
 
