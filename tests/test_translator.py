@@ -1,5 +1,6 @@
 import argparse
 import collections
+import hashlib
 import re
 from pathlib import Path
 
@@ -402,6 +403,50 @@ def test_withdraw_traces_match_golden_file():
     assert len(got) == len(expected)
     assert sum(line.startswith("withdraw ") for line in got) == 9
     assert sum(line.startswith("dead ") for line in got) == 4
+
+
+GOLDEN_STATUS = Path(__file__).parent / "data" / "status.trace"
+
+# a ko word whose target sequence needs an en item for concept a, which has
+# none: the parse succeeds and realization ends in a generation note
+GAP_NET = "\n".join([
+    "concept top sentence-type statement",
+    "concept a",
+    "lex wa ko wa isa a",
+    'cs pa ko of a pair qa : "zz"(CX)',
+    'cs qa en of a pair pa : "yy"(CX)',
+    "cs s ko of top pair t : a(CX)",
+    "cs t en of top pair s : a(CX)",
+])
+
+
+def test_status_traces_match_golden_file(net):
+    """The traces of the statuses no other golden file covers, each after a
+    ``# direction | sentence | status`` line, must not drift.  The
+    too-ambiguous trace runs to thousands of lines, so its header line
+    pins its line count and sha256 instead."""
+    cases = [
+        (net, "en-ko", "the way xqz"),
+        (net, "en-ko", "way the you would"),
+        (load_network(GAP_NET), "ko-en", "wa"),
+    ]
+    got = []
+    for network, direction, sentence in cases:
+        result = translate(network, sentence, direction)
+        got.append(f"# {direction} | {sentence} | {result.status}")
+        got.extend(e.line() for e in result.trace)
+    sentence = " ".join(["wl"] * 13)
+    result = translate(load_network(multi_parent_probe(13)), sentence, "ko-en")
+    lines = [e.line() for e in result.trace]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    got.append(f"# ko-en | {sentence} | {result.status} | {len(lines)} lines sha256 {digest}")
+    expected = GOLDEN_STATUS.read_text(encoding="utf-8").splitlines()
+    for i, (a, b) in enumerate(zip(got, expected), start=1):
+        assert a == b, f"line {i}"
+    assert len(got) == len(expected)
+    statuses = [line.split(" | ")[2] for line in got if line.startswith("# ")]
+    assert statuses == ["unknown-word", "no-parse", "no-parse", "too-ambiguous"]
+    assert "note - generation concept 'a' has no en lexical item for t tok=0" in got
 
 
 PlainNode = collections.namedtuple("TreeNode", TreeNode._fields)
