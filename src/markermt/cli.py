@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from markermt.markers import MAX_INSTANCES
-from markermt.network import LANGUAGES, NetworkError, load_network, validate_network
+from markermt.network import DIRECTIONS, NetworkError, load_network, validate_network
 from markermt.synth import synth_network
 from markermt.translator import (
     NO_PARSE,
@@ -30,9 +30,6 @@ _STATUS_EXIT = {
     UNKNOWN_WORD: EXIT_UNKNOWN_WORD,
     TOO_AMBIGUOUS: EXIT_TOO_AMBIGUOUS,
 }
-
-DIRECTIONS = [f"{src}-{tgt}" for src in LANGUAGES for tgt in LANGUAGES if src != tgt]
-
 
 def _load(path: str):
     try:
@@ -190,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Yale romanization for Korean).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    directions = [f"{src}-{tgt}" for src, tgt in DIRECTIONS]
 
     p = sub.add_parser(
         "translate",
@@ -199,13 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("network", help="network file path")
     p.add_argument("sentence", help="source sentence")
-    p.add_argument("--dir", required=True, choices=DIRECTIONS, help="direction")
+    p.add_argument("--dir", required=True, choices=directions, help="direction")
     p.add_argument("--trace", action="store_true", help="print marker events to stderr")
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("repl", help="interactive translation loop")
     p.add_argument("network")
-    p.add_argument("--dir", default="en-ko", choices=DIRECTIONS)
+    p.add_argument("--dir", default="en-ko", choices=directions)
     p.set_defaults(func=cmd_repl)
 
     p = sub.add_parser("validate", help="load a network and report diagnostics")

@@ -1,91 +1,46 @@
-"""Four-marker passing engine over the bilingual memory network.
+"""Four-marker passing engine over the bilingual memory network: AP/AA
+markers parse the source, GP/GA markers mirror each step on the paired
+target sequence (README describes the markers and the element types).
+Which source element supplies each target element is decided once, when
+the network is built (``MemoryNetwork.counterparts``); the mirror here and
+the realizer in :mod:`markermt.translator` both read that table, through
+:meth:`MarkerState.mirror`, so the trace binds each target element to the
+fill the output uses.
 
-Analysis predicts with AP markers and activates with AA markers; AP-AA
-collisions consume input (the shift analogue) and sequence acceptance passes
-activation up the hierarchy (the reduce analogue).  Generation mirrors each
-analysis step on the paired target sequence with GP/GA markers, so the
-target sentence is assembled while the source sentence is parsed (a
-recording session traces the mirror, see below).  Which source element
-supplies each target element is decided once, when the network is built
-(``MemoryNetwork.counterparts``); the mirror here and the realizer in
-:mod:`markermt.translator` both read that table, so the trace binds each
-target element to the fill the output uses.
-
-Element types extend plain left-to-right prediction: free-order elements
-(CF, OF) stay predicted from the start until filled, and a run of omissible
-fixed elements (OX) is predicted together with the next required element so
-it can be skipped, its prediction withdrawn, when a later element is hit
-first.  Identical free elements (same type, same filler) fill in index
-order.  Prediction, omission and acceptance read what the types imply from
-the per-sequence table compiled at load (``MemoryNetwork.layouts``), down
-to what an instance waits for at its cursor (``Layout.merged``), so the
-engine sorts nothing per instance.
-
-The engine keeps every live alternative (it behaves like a chart
-recognizer): a fill never destroys the instance it extends, it derives a new
-one.  The chart is keyed by an instance's future state (an Earley item
-extended to unordered elements, as in Shieber's ID/LP parser, with Tomita's
-packing of equal states): its sequence, start, end, cursor and which
-elements are filled, not what filled them.  An omissible element is simply
-never filled.  A derivation whose key is already in the chart is dropped
-before its instance is built, so k distinct free elements that one word can
-fill make one instance per set of filled elements, not one per filling
-order.  The first instance of each key is
+The engine keeps every live alternative, as a chart recognizer: a fill
+never destroys the instance it extends, it derives a new one.  The chart is
+keyed by an instance's future state (an Earley item extended to unordered
+elements, as in Shieber's ID/LP parser, with Tomita's packing of equal
+states): its sequence, start, end, cursor and which elements are filled,
+not what filled them.  A derivation whose key is already in the chart is
+dropped before its instance is built, so the first instance of each key is
 kept; it is the one :meth:`MarkerState.best_result` would pick among them.
-Even packed, such elements make O(2^k) states, so a sentence that needs more
-than ``MAX_INSTANCES`` instances stops with :class:`TooAmbiguous`.  All
-scheduling is FIFO, so identical input yields an identical trace.  As the
-key does not say what filled an element, two accepted instances of one
-sequence over one span feed their parent one instance between them; each
-still has its own ``accept`` event in the trace.
+Even packed, k distinct free elements that one word fills make O(2^k)
+states, so a sentence that needs more than ``MAX_INSTANCES`` instances
+stops with :class:`TooAmbiguous`.  As the key does not say what filled an
+element, two accepted instances of one sequence over one span feed their
+parent one instance between them; each still has its own ``accept`` event.
 
-The chart has one column per position, as in Earley's recognizer: what
-the instances ending at a position wait for, every eligible element of each
-in creation and index order, read from the per-sequence table compiled at
-load.  It is worked out once, when the first passive that starts there
-reads it; by then no instance ending there is still to come, as every fill
-spans at least one token.  A passive extends instances by scanning its
-start's column and filters new starts by the column's filler mask.
-
-Prediction also filters where instances start (Earley's prediction step,
-compiled into a left-corner table as in Moore's left-corner chart parser).
-A result is taken only from instances anchored at the first token, so an
-instance that starts at a later token s matters only as the start of a
-constituent that some instance ending at s predicts, directly or through a
-chain of sequences each beginning with the one below.  The plan's
-``left_corner`` table says, per sequence owner, which predicted fillers
-such a chain can reach; a start after the first token is made only where
-the column there predicts one of them.  Where no instance ends, nothing is
-filtered, so the fragments after a dead token are still built.
-
-Initial prediction depends only on the network and the direction, so it is
-compiled once per ordered language pair when the network is built
-(:func:`compile_plan`): the table of initially predicted source slots, the
-predicted lexical items and the target sequences that carry an initial GP.
-A session attaches the shared plan instead of recomputing it, so a
-session's cost grows with its sentence, not with the network.
+The chart has one column per position, as in Earley's recognizer: what the
+instances ending there wait for.  It is worked out once, when the first
+passive that starts there reads it; by then no instance ending there is
+still to come, as every fill spans at least one token.  A start after the
+first token is made only where that column predicts a filler the plan's
+``left_corner`` table (as in Moore's left-corner chart parser) lets it
+begin: a result is taken only from instances
+anchored at the first token, so a later instance matters only as a
+constituent that some instance ending where it starts predicts.
 
 The chart carries the parse; the markers a session places itself, the
-generation mirror and the events explain it, and only the trace reads
-them.  So a session records them only when it is made to
-(``MarkerState(..., record=True)``); one that does not record skips every
-step that only the trace reads.  As scheduling is FIFO, a recording
-session over the same input makes the same chart, so
-:mod:`markermt.translator` translates without recording and builds a
-result's trace, when it is first read, by running the sentence again with
-a recording session.  A recording session keeps its events as tuples of
-raw fields and only the two kinds of marker that it reads back: ``AP`` on
-the lexical items it predicts and ``GA`` on the target items each token
-activates.  :func:`build_trace` formats the events into
-:class:`TraceEvent` objects after the ``predict`` events of the initial
-prediction, which it derives anew from the network
-(:func:`initial_predictions`, the same walk that :func:`compile_plan`
-reads).  So neither the load nor a translation builds an event that no one
-reads, and the loaded network holds no trace.
-
-The records :class:`CsInstance`, :class:`Fill` and :class:`TraceEvent` are
-named tuples: immutable and cheap to build, as a sentence derives one
-instance per collision.
+generation mirror and the trace events only explain it, so a session
+records them only when it is made with ``record=True``.  All scheduling is
+FIFO, so a recording session over the same input makes the same chart as
+one that does not record: :mod:`markermt.translator` translates without
+recording, and replays the sentence in a recording session when a result's
+trace is first read.  :func:`build_trace` derives the ``predict`` events of
+the initial prediction from the network then, so the loaded network holds
+no trace.  The records are named tuples, cheap to build, as a sentence
+derives one instance per collision.
 """
 
 from __future__ import annotations
@@ -142,31 +97,11 @@ def initial_predictions(net: MemoryNetwork, source: str, target: str):
             yield "tcse", cs.id
 
 
-def _text(field) -> str | None:
-    """The trace text of a raw event location or binding (see
-    :attr:`MarkerState.events`)."""
-    match field:
-        case None | str():
-            return field
-        case int():
-            return f"tok{field}"
-        case Fill():
-            return field.binding()
-        case ("inst", inst_id, cs_id, k):
-            return f"inst:{inst_id}@{cs_id}#{k}"
-        case ("cs", cs_id, k):
-            return f"cs:{cs_id}#{k}"
-        case (site, name):
-            return f"{site}:{name}"
-
-
 def build_trace(net: MemoryNetwork | None, source: str, target: str, events) -> tuple[TraceEvent, ...]:
     """The trace of a session: the ``predict`` events of the initial
     prediction of ``source`` to ``target``, made anew from
     :func:`initial_predictions` (none when ``net`` is None: the session
-    made no initial prediction), then the session's own ``(event, marker,
-    location, binding, token)`` tuples as :class:`TraceEvent` objects, their
-    raw locations and bindings formatted."""
+    made no initial prediction), then the session's own ``events``."""
     trace = []
     if net is not None:
         for site, what in initial_predictions(net, source, target):
@@ -176,8 +111,7 @@ def build_trace(net: MemoryNetwork | None, source: str, target: str, events) -> 
                 trace.append(TraceEvent("predict", AP, f"lex:{what}", None, -1))
             else:
                 trace.append(TraceEvent("predict", GP, f"cs:{what}#0", None, -1))
-    for event, marker, location, binding, token in events:
-        trace.append(TraceEvent(event, marker, _text(location), _text(binding), token))
+    trace += events
     return tuple(trace)
 
 
@@ -422,36 +356,23 @@ class MarkerSet:
 
 
 class MarkerState:
-    """All live markers, instances and pending collisions of one session.
+    """All live markers, instances and pending collisions of one session:
+    one sentence in one direction.
 
     The chart is ``instances``, indexed by end position (``_by_end``) and
     by future state (``_keys``, see :meth:`_fill`); :meth:`_waiting_at`
-    memoizes each position's column of waiting elements.  The ``agenda``
-    holds the fills still to match, each as ``(literal, fill)``: a token's
-    lexical readings and literal, and the sub fill of each accepted
-    instance (``literal`` is None but for a literal word).  Every instance a
-    token's fills make ends just after it, so the token is dead when no
-    instance ends there.
+    memoizes each position's column.  The ``agenda`` holds the fills still
+    to match, each as ``(literal, fill)`` (``literal`` is None but for a
+    literal word).
 
-    A session made with ``record=True`` also records its trace.  Only the
-    trace reads what that takes, so a session that does not record skips
-    it all: the events, the markers it places itself, the generation
-    mirror and the dead-token check.  Of those markers a recording session
-    keeps the two kinds the trace reads back: ``predicted_items``, the
-    lexical items it predicts beyond the plan (AP), and
-    ``generated_items``, the ``(target item, token)`` pairs it activates
-    (GA); ``markers`` views them with the plan's.
-
-    A session handles one sentence in one direction.  Sessions over the same
-    network are independent; ``close`` empties the state so nothing leaks
-    into the next sentence.  The trace outlives ``close``: ``events`` (None
-    when the session does not record) holds the session's own events as
-    ``(event, marker, location, binding, token)`` tuples of raw fields: a
-    location or binding is a string, ``("inst", id, cs, k)``, ``("cs", cs,
-    k)``, ``(site, name)``, a token number or the :class:`Fill` bound.
-    :attr:`trace` formats them into :class:`TraceEvent` objects, after those
-    of the ``predict`` events once :meth:`initial_prediction` has run, each
-    time it is read.
+    A session made with ``record=True`` also records its own
+    :class:`TraceEvent` objects in ``events`` (None when it does not
+    record), and of the markers it places itself the two kinds the trace
+    reads back: ``predicted_items``, the lexical items it predicts beyond
+    the plan (AP), and ``generated_items``, the ``(target item, token)``
+    pairs it activates (GA); ``markers`` views them with the plan's.
+    ``close`` empties the state so nothing leaks into the next sentence;
+    the events outlive it.
     """
 
     def __init__(self, net: MemoryNetwork, source: str, target: str, *, record: bool = False):
@@ -465,11 +386,12 @@ class MarkerState:
         self.instances: list[CsInstance] = []
         self.agenda: deque = deque()
         self.predicted = False  # set by initial_prediction
-        self.events: list[tuple] | None = [] if record else None
+        self.events: list[TraceEvent] | None = [] if record else None
         self.token_index = -1
         self._by_end: dict[int, list[int]] = {}
         self._keys: set[tuple] = set()  # chart keys, see _fill
         self._waiting: dict[int, tuple[list[tuple], int | None]] = {}  # see _waiting_at
+        self._walked: set[str] = set()  # fillers _predict_lexical has walked
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -490,12 +412,16 @@ class MarkerState:
 
     def _predict_lexical(self, concept):
         """AP on the lexical items below the filler ``concept`` that neither
-        the plan nor the session has predicted, in declaration order."""
-        predicted, planned = self.predicted_items, self.plan.predicted_items
+        the plan nor the session has predicted, in declaration order; once
+        a filler is walked, all its items are predicted."""
+        if concept in self._walked:
+            return
+        self._walked.add(concept)
+        predicted, planned, tok = self.predicted_items, self.plan.predicted_items, self.token_index
         for item_id in self.net.items_below[(self.source, concept)]:
             if item_id not in predicted and item_id not in planned:
                 predicted.add(item_id)
-                self.events.append(("predict", AP, ("lex", item_id), None, self.token_index))
+                self.events.append(TraceEvent("predict", AP, f"lex:{item_id}", None, tok))
 
     def activate(self, lexical_items, span: int, literal: str | None = None):
         """AA markers onto one input token's readings; collisions are queued,
@@ -506,11 +432,11 @@ class MarkerState:
             item = lexicon[item_id]
             assert item.language == self.source, f"{item_id} is not a {self.source} item"
             if events is not None:
-                events.append(("activate", AA, ("lex", item_id), span, span))
+                events.append(TraceEvent("activate", AA, f"lex:{item_id}", f"tok{span}", span))
             agenda.append((None, Fill("lex", span, span + 1, item_id, item.concept)))
         if literal is not None:
             if events is not None:
-                events.append(("activate", AA, ("lit", literal), span, span))
+                events.append(TraceEvent("activate", AA, f"lit:{literal}", f"tok{span}", span))
             agenda.append((literal, Fill("lit", span, span + 1)))
 
     def step_collisions(self):
@@ -522,7 +448,8 @@ class MarkerState:
         session also records a lexical fill's collision and the GA it puts
         on the paired target items, and a token whose readings produced no
         fill anywhere as a dead activation (unusable at this position); the
-        sentence simply continues."""
+        sentence simply continues.  Every instance a token's fills make ends
+        just after it, so the token is dead when no instance ends there."""
         agenda, events = self.agenda, self.events
         while agenda:
             literal, fill = agenda.popleft()
@@ -530,7 +457,7 @@ class MarkerState:
                 self._record_lexical(fill)
             self._match_passive(literal, fill)
         if events is not None and self.token_index + 1 not in self._by_end:
-            events.append(("dead", AA, f"tok:{self.token_index}", None, self.token_index))
+            events.append(TraceEvent("dead", AA, f"tok:{self.token_index}", None, self.token_index))
 
     # -- collision handling --------------------------------------------------
 
@@ -539,12 +466,12 @@ class MarkerState:
         GA on the paired target items."""
         item_id, span, events = fill.item, fill.start, self.events
         if self.predicted and item_id in self.plan.predicted_items or item_id in self.predicted_items:
-            events.append(("collide", AA, ("lex", item_id), span, span))
+            events.append(TraceEvent("collide", AA, f"lex:{item_id}", f"tok{span}", span))
         generated = self.generated_items
         for tgt_item in self.net.items_of_concept(self.target, fill.concept):
             if (tgt_item, span) not in generated:
                 generated.add((tgt_item, span))
-                events.append(("activate", GA, ("lex", tgt_item), span, span))
+                events.append(TraceEvent("activate", GA, f"lex:{tgt_item}", f"tok{span}", span))
 
     def _match_passive(self, literal, fill):
         # extend the instances waiting at the fill's start
@@ -659,39 +586,37 @@ class MarkerState:
         the fixed elements waiting at the new cursor are predicted, with
         every free element but ``idx`` for a start (a free element stays
         predicted until filled)."""
-        events, tok = self.events, self.token_index
-        events.append(("collide", AA, ("inst", new.id, cs.id, idx), new.fills[idx], tok))
+        events, tok, at = self.events, self.token_index, f"inst:{new.id}@{cs.id}#"
+        events.append(TraceEvent("collide", AA, f"{at}{idx}", new.fills[idx].binding(), tok))
         free, elements, start = layout.free_mask, cs.elements, new.parent is None
         if not free >> idx & 1:
             for k in layout.merged[old_cursor]:
                 if k < idx and not free >> k & 1:
-                    events.append(("withdraw", AP, ("inst", new.id, cs.id, k), None, tok))
+                    events.append(TraceEvent("withdraw", AP, f"{at}{k}", None, tok))
         for nxt in layout.merged[new.cursor]:
             if nxt != idx and (start or not free >> nxt & 1):
-                events.append(("predict", AP, ("inst", new.id, cs.id, nxt), None, tok))
+                events.append(TraceEvent("predict", AP, f"{at}{nxt}", None, tok))
                 if elements[nxt].literal is None:
                     self._predict_lexical(elements[nxt].concept)
 
         before = 0 if start else self.mirrored(cs, self.instances[new.parent].filled)
-        reach = self.mirrored(cs, new.filled)
-        if reach != before:
-            self._mirror(cs, new.fills, before, reach)
+        self.mirror(cs, new.fills, before, self.mirrored(cs, new.filled, before))
         if accepted:
-            events.append(("accept", AA, ("cn", cs.owner), ("inst", new.id), tok))
+            events.append(TraceEvent("accept", AA, f"cn:{cs.owner}", f"inst:{new.id}", tok))
 
     # -- generation mirroring --------------------------------------------------
 
-    def mirrored(self, cs, filled) -> int:
+    def mirrored(self, cs, filled, start: int = 0) -> int:
         """Where the GP cursor on the paired sequence of ``cs`` waits, from
-        0, once the source elements of ``filled`` are filled: literals pass
-        under a bare GP, a conceptual element waits until the source element
-        that supplies it (``net.counterparts``) is filled.  An instance's
-        ``filled`` holds that of the instance it extends, so its cursor is
-        at or past that one's, and the mirror of the fill passes the target
-        elements between the two."""
+        ``start``, once the source elements of ``filled`` are filled:
+        literals pass under a bare GP, a conceptual element waits until the
+        source element that supplies it (``net.counterparts``) is filled.
+        An instance's ``filled`` holds that of the instance it extends, so
+        its cursor is at or past that one's, and the count may resume there;
+        the mirror of the fill passes the target elements between the two."""
         elements = self.net.sequences[cs.paired].elements
         supply = self.net.counterparts[cs.id]
-        cursor = 0
+        cursor = start
         while cursor < len(elements):
             if elements[cursor].literal is None:
                 j = supply[cursor]
@@ -700,18 +625,20 @@ class MarkerState:
             cursor += 1
         return cursor
 
-    def _mirror(self, cs, fills, begin, end):
-        """Generation events of the paired target elements ``begin`` to
-        ``end``: GP for literals, GA bound to the supplying fill otherwise."""
+    def mirror(self, cs, fills, begin, end):
+        """The ``generate`` events of the elements ``begin`` to ``end`` of
+        the sequence paired with ``cs``, given the fills of ``cs``: GA bound
+        to the fill that supplies an element, GP where none does."""
         tcs_id = cs.paired
-        elements = self.net.sequences[tcs_id].elements
         supply = self.net.counterparts[cs.id]
         events, tok = self.events, self.token_index
         for k in range(begin, end):
-            if elements[k].literal is not None:
-                events.append(("generate", GP, ("cs", tcs_id, k), None, tok))
+            j = supply[k]
+            fill = None if j is None else fills[j]
+            if fill is None:
+                events.append(TraceEvent("generate", GP, f"cs:{tcs_id}#{k}", None, tok))
             else:
-                events.append(("generate", GA, ("cs", tcs_id, k), fills[supply[k]], tok))
+                events.append(TraceEvent("generate", GA, f"cs:{tcs_id}#{k}", fill.binding(), tok))
 
     # -- results and teardown ---------------------------------------------------
 
@@ -743,6 +670,7 @@ class MarkerState:
         self._by_end.clear()
         self._keys.clear()
         self._waiting.clear()
+        self._walked.clear()
 
     def is_empty(self) -> bool:
         return not self.markers and not self.instances and not self.agenda

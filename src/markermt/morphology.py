@@ -17,9 +17,9 @@ Irregular rules replace the boundary outright, so ``kop + un`` can surface
 as ``kowun`` while ``pha-il + tul + ul`` stays ``pha-il-tul-ul``.
 
 A segmentation is a :class:`MorphemeSequence` of :class:`MorphUnit`
-records, both named tuples.  Generating a lexical item's word
-(:meth:`Morphology.word_for_morphemes`) reads its stored morpheme tuple
-directly and builds neither.  Loading rejects an item whose affixes the
+records, both named tuples.  A word is generated from a morpheme tuple
+(:meth:`Morphology.word_for_morphemes`), as a lexical item stores it or a
+segmentation's ``forms`` gives it.  Loading rejects an item whose affixes the
 adjacency table does not allow, so every item's word can be generated.
 """
 
@@ -55,15 +55,11 @@ class MorphUnit(NamedTuple):
 class MorphemeSequence(NamedTuple):
     """One word's segmentation: a single root followed by affixes."""
 
-    language: str
     units: tuple[MorphUnit, ...]
 
     @property
     def forms(self) -> tuple[str, ...]:
         return tuple(u.form for u in self.units)
-
-    def __str__(self):
-        return "+".join(f"{u.form}({u.role})" for u in self.units)
 
 
 def tokenize(sentence: str) -> tuple[str, ...]:
@@ -218,37 +214,10 @@ class Morphology:
         plain = PROFILES[language].joiner + affix
         return _join(stem, rules, plain) if rules else stem + plain
 
-    def generate_word(self, language: str, seq: MorphemeSequence) -> str:
-        units = seq.units
-        if not units or units[0].role != "root":
-            raise MorphologyError(f"sequence must start with a root: {seq}")
-        if units[0].form.casefold() not in self.roots[language]:
-            raise MorphologyError(f"unknown morpheme '{units[0].form}'")
-        surface = units[0].form
-        prev_role = "root"
-        for unit in units[1:]:
-            role = self.affixes[language].get(unit.form)
-            if role is None:
-                raise MorphologyError(f"unknown morpheme '{unit.form}'")
-            if role != unit.role:
-                raise MorphologyError(
-                    f"morpheme '{unit.form}' is declared {role}, not {unit.role}"
-                )
-            if (prev_role, role) not in self.adjacency[language]:
-                raise MorphologyError(
-                    f"affix '{unit.form}' ({role}) cannot follow {prev_role}"
-                )
-            surface = self.attach(language, surface, unit.form)
-            prev_role = role
-        return surface
-
     def word_for_morphemes(self, language: str, morphemes) -> str:
-        """Generate the surface for a lexical item's stored morpheme tuple.
-
-        The same checks as ``generate_word(language, sequence(language,
-        morphemes))``, with the same messages in the same order (every
-        affix is declared, then the root is known, then each affix may
-        follow the role before it), without building either record."""
+        """Generate the surface for a lexical item's stored morpheme tuple,
+        checked in this order: every affix is declared, the root is known,
+        and each affix may follow the role before it."""
         affixes = self.affixes[language]
         for m in morphemes[1:]:
             if m not in affixes:
@@ -265,15 +234,6 @@ class Morphology:
             surface = self.attach(language, surface, m)
             prev_role = role
         return surface
-
-    def sequence(self, language: str, morphemes) -> MorphemeSequence:
-        units = [MorphUnit(morphemes[0], "root")]
-        for m in morphemes[1:]:
-            role = self.affixes[language].get(m)
-            if role is None:
-                raise MorphologyError(f"unknown morpheme '{m}'")
-            units.append(MorphUnit(m, role))
-        return MorphemeSequence(language=language, units=tuple(units))
 
     # -- analysis ----------------------------------------------------------
 
@@ -315,7 +275,7 @@ class Morphology:
             for root in by_stable.get(target[:end], ()):
                 units = (MorphUnit(root, "root"),)
                 if root.casefold() == target:
-                    results.append(MorphemeSequence(language, units))
+                    results.append(MorphemeSequence(units))
                 stack.append((units, root))
         while stack:
             units, formed = stack.pop()
@@ -327,7 +287,7 @@ class Morphology:
                     continue
                 folded = surface.casefold()
                 if folded == target:
-                    results.append(MorphemeSequence(language, units + (unit,)))
+                    results.append(MorphemeSequence(units + (unit,)))
                 if terminal or not grows:
                     continue
                 if stable <= 0 or target.startswith(folded[:stable]):

@@ -22,6 +22,7 @@ from typing import NamedTuple
 KO = "ko"
 EN = "en"
 LANGUAGES = (KO, EN)
+DIRECTIONS = ((KO, EN), (EN, KO))  # (source, target)
 
 SENTENCE_TYPES = ("question", "statement")
 
@@ -120,12 +121,8 @@ class SequenceElement(NamedTuple):
     literal: str | None = None
     default_item: str | None = None
 
-    @property
-    def is_literal(self) -> bool:
-        return self.literal is not None
-
     def label(self) -> str:
-        body = f'"{self.literal}"' if self.is_literal else str(self.concept)
+        body = f'"{self.literal}"' if self.literal is not None else str(self.concept)
         return f"{body}({self.etype})"
 
 
@@ -250,8 +247,7 @@ class MemoryNetwork:
         from markermt.morphology import Morphology
 
         self.morphology = Morphology.from_network(self)
-        directions = [(src, tgt) for src in LANGUAGES for tgt in LANGUAGES if src != tgt]
-        self.plans = MappingProxyType({d: compile_plan(self, *d) for d in directions})
+        self.plans = MappingProxyType({d: compile_plan(self, *d) for d in DIRECTIONS})
 
     def items_of_concept(self, language: str, concept_id: str) -> tuple[str, ...]:
         """Lexical items attached to exactly this concept, declaration order."""

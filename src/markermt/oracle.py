@@ -80,7 +80,7 @@ def _covers(net, language, elements, tokens, visiting) -> bool:
     if not tokens:
         return False
     el, rest = elements[0], elements[1:]
-    if el.is_literal:
+    if el.literal is not None:
         return tokens[0] == el.literal and _covers(net, language, rest, tokens[1:], visiting)
     if _token_below(net, language, tokens[0], el.concept) and _covers(
         net, language, rest, tokens[1:], visiting

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from markermt.markers import GA, GP, CsInstance, MarkerState, TooAmbiguous, TraceEvent, build_trace
+from markermt.markers import CsInstance, MarkerState, TooAmbiguous, TraceEvent, build_trace
 from markermt.morphology import PROFILES, MorphologyError, tokenize
-from markermt.network import ElementType, LANGUAGES, MemoryNetwork, lookup_lexical
+from markermt.network import DIRECTIONS, ElementType, MemoryNetwork, lookup_lexical
 
 SUCCESS = "success"
 NO_PARSE = "no-parse"
@@ -28,10 +28,10 @@ TOO_AMBIGUOUS = "too-ambiguous"  # the chart outgrew markers.MAX_INSTANCES
 
 
 def parse_direction(direction: str) -> tuple[str, str]:
-    src, sep, tgt = direction.partition("-")
-    if not sep or src not in LANGUAGES or tgt not in LANGUAGES or src == tgt:
+    src, _, tgt = direction.partition("-")
+    if (src, tgt) not in DIRECTIONS:
         raise ValueError(f"bad direction '{direction}', expected one of "
-                         + ", ".join(f"{a}-{b}" for a in LANGUAGES for b in LANGUAGES if a != b))
+                         + ", ".join(f"{a}-{b}" for a, b in DIRECTIONS))
     return src, tgt
 
 
@@ -204,7 +204,7 @@ def _translate(net: MemoryNetwork, sentence: str, direction: str, record: bool):
                 text, tree = _realize(net, state, winner, tgt)
             except GenerationGap as gap:
                 if state.events is not None:
-                    state.events.append(("note", None, "generation", str(gap), state.token_index))
+                    state.events.append(TraceEvent("note", None, "generation", str(gap), state.token_index))
             else:
                 result.status = SUCCESS
                 result.target_sentence = text
@@ -327,29 +327,22 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
 
     children: dict[int, TreeNode] = {}  # source element -> realized sub-instance
     extras: list[TreeFill] = []
-    events, tok = state.events, state.token_index  # raw fields, see MarkerState
-    # elements before the mirror's cursor have their generate event traced
-    mirrored = None if events is None else state.mirrored(source_cs, inst.filled)
+    # a recording session traced the generate events before the mirror's
+    # cursor, which stops at or before any element without a source fill
+    mirrored = len(target_cs.elements) if state.events is None else state.mirrored(source_cs, inst.filled)
     for k, el in enumerate(target_cs.elements):
-        if el.literal is not None:
-            words.append(el.literal)
-            if events is not None and k >= mirrored:
-                events.append(("generate", GP, ("cs", target_cs.id, k), None, tok))
-            continue
         j = supply[k]
         fill = None if j is None else inst.fills[j]
-        if fill is not None:
+        if el.literal is not None:
+            words.append(el.literal)
+        elif fill is not None:
             if fill.kind == "sub":
                 children[j] = yield state.instances[fill.sub]
             else:
                 words.append(_emit_item(net, morph, target_lang, fill.concept, el, target_cs))
-            if events is not None and k >= mirrored:
-                events.append(("generate", GA, ("cs", target_cs.id, k), fill, tok))
         elif el.default_item is not None:
             item = net.lexicon[el.default_item]
             words.append(morph.word_for_morphemes(target_lang, item.morphemes))
-            if events is not None:  # no source counterpart: GP only
-                events.append(("generate", GP, ("cs", target_cs.id, k), None, tok))
             extras.append(
                 TreeFill(
                     filler=el.concept,
@@ -366,6 +359,8 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
             raise GenerationGap(
                 f"required element {target_cs.id}#{k} ({el.concept}) has no source fill"
             )
+        if k >= mirrored:
+            state.mirror(source_cs, inst.fills, k, k + 1)
 
     fills = []  # positional: keywords would double the cost of each record
     for j, (el, fill) in enumerate(zip(source_cs.elements, inst.fills)):

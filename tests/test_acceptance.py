@@ -110,8 +110,8 @@ def test_criterion_4_morphology(net):
 
         for language in ("ko", "en"):
             for units in grammatical_chains(m, language):
-                seq = MorphemeSequence(language, units)
-                surface = m.generate_word(language, seq)
+                seq = MorphemeSequence(units)
+                surface = m.word_for_morphemes(language, seq.forms)
                 assert seq.forms in {s.forms for s in m.segment(language, surface)}
 
 

@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 
@@ -211,6 +212,19 @@ def test_repl_session():
     assert ENGLISH in proc.stdout
     assert KOREAN in proc.stdout
     assert "1. [ko-en]" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [(":dir xx-yy", "bad direction 'xx-yy', expected one of ko-en, en-ko"),
+     (":dir", "usage: :dir ko-en|en-ko"),
+     (":dir ko", "usage: :dir ko-en|en-ko")],
+)
+def test_repl_bad_dir_keeps_the_direction(command, message, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{command}\n{KOREAN}\n:quit\n"))
+    assert main(["repl", str(TRAVEL_NET), "--dir", "ko-en"]) == 0
+    # one reply per prompt: the message, then the ko-en translation
+    assert capsys.readouterr().out.split("> ")[1:] == [f"{message}\n", f"{ENGLISH}\n", ""]
 
 
 def test_repl_survives_failures_and_reports_status():

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import time
@@ -631,7 +632,7 @@ def test_lexical_prediction_table_is_items_below_minus_the_plan():
             for cs in net.sequences.values()
             if cs.language == source
             for el in cs.elements
-            if not el.is_literal
+            if el.literal is None
         ))
         assert list(plan.filler_bit) == fillers
         items = [it for it in net.lexicon.values() if it.language == source]
@@ -642,10 +643,44 @@ def test_lexical_prediction_table_is_items_below_minus_the_plan():
             # predicting the filler later adds the items the plan does not
             state = MarkerState(net, source, target, record=True)
             state._predict_lexical(concept)
-            predicted = [location[1] for _, _, location, _, _ in state.events]
-            assert predicted == [item_id for item_id in below if item_id not in plan.predicted_items]
+            predicted = [e.location for e in state.events]
+            assert predicted == [f"lex:{item_id}" for item_id in below if item_id not in plan.predicted_items]
             added += len(predicted)
         assert added
+
+
+def test_recording_session_walks_each_filler_once(monkeypatch):
+    """A recording session predicts a filler's lexical items each time an
+    instance predicts the filler, but walks its ``items_below`` once."""
+    text = synth_network(1000, 200, 1)
+    net = load_network(text)
+    walks = collections.Counter()
+
+    class CountingBelow(dict):
+        def __getitem__(self, key):
+            walks[key] += 1
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(net, "items_below", CountingBelow(net.items_below))
+    calls = 0
+    real = MarkerState._predict_lexical
+
+    def counting(state, concept):
+        nonlocal calls
+        calls += 1
+        real(state, concept)
+
+    monkeypatch.setattr(MarkerState, "_predict_lexical", counting)
+    walked = 0
+    for direction, sentence in parse_samples(text):
+        walks.clear()
+        source, target = direction.split("-")
+        state = run_engine(net, tokenize(sentence), source, target)
+        assert state.best_result(len(tokenize(sentence))) is not None, sentence
+        assert max(walks.values(), default=0) <= 1, sentence
+        walked += sum(walks.values())
+        state.close()
+    assert 0 < walked < calls
 
 
 def _instance_collides(result):

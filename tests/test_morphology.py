@@ -55,10 +55,10 @@ def test_generate_regular_and_irregular(net):
 def test_generate_unknown_morpheme_names_unit(net):
     m = net.morphology
     with pytest.raises(MorphologyError, match="unknown morpheme 'zzz'"):
-        m.generate_word("en", MorphemeSequence("en", (MorphUnit("zzz", "root"),)))
+        m.word_for_morphemes("en", MorphemeSequence((MorphUnit("zzz", "root"),)).forms)
     with pytest.raises(MorphologyError, match="unknown morpheme 'qq'"):
-        m.generate_word(
-            "en", MorphemeSequence("en", (MorphUnit("file", "root"), MorphUnit("qq", "suffix")))
+        m.word_for_morphemes(
+            "en", MorphemeSequence((MorphUnit("file", "root"), MorphUnit("qq", "suffix"))).forms
         )
 
 
@@ -66,36 +66,28 @@ def test_generate_rejects_bad_adjacency(net):
     m = net.morphology
     # plural cannot follow a case-marker in the fixture tables
     seq = MorphemeSequence(
-        "ko",
         (MorphUnit("pha-il", "root"), MorphUnit("ul", "case-marker"), MorphUnit("tul", "plural")),
     )
     with pytest.raises(MorphologyError, match="cannot follow"):
-        m.generate_word("ko", seq)
+        m.word_for_morphemes("ko", seq.forms)
 
 
-def generate_both_ways(m, language, morphemes):
-    """``word_for_morphemes`` and ``generate_word(sequence(...))`` on one
-    morpheme tuple: each its surface or its error message."""
-    outcomes = []
-    for generate in (
-        lambda: m.word_for_morphemes(language, morphemes),
-        lambda: m.generate_word(language, m.sequence(language, morphemes)),
-    ):
-        try:
-            outcomes.append(("surface", generate()))
-        except MorphologyError as exc:
-            outcomes.append(("error", str(exc)))
-    return outcomes
+def generate(m, language, morphemes):
+    """``word_for_morphemes`` on one morpheme tuple: its surface or its
+    error message."""
+    try:
+        return ("surface", m.word_for_morphemes(language, morphemes))
+    except MorphologyError as exc:
+        return ("error", str(exc))
 
 
-def test_word_for_morphemes_matches_generate_word(net):
-    """Generating straight from the stored tuple gives what the records
-    give: the same surface, or the same error first."""
+def test_word_for_morphemes_generates_items_and_names_the_first_error(net):
+    """Every stored item generates; a malformed tuple fails on its first
+    undeclared affix, then an unknown root, then a bad adjacency."""
     nets = [net, load_network(synth_network(1000, 200, 1))]
     for each in nets:
         for item in each.lexicon.values():
-            direct, staged = generate_both_ways(each.morphology, item.language, item.morphemes)
-            assert direct == staged and direct[0] == "surface", item.id
+            assert generate(each.morphology, item.language, item.morphemes)[0] == "surface", item.id
     malformed = [
         ("ko", ("zzz-zzz", "ul")),  # unknown root
         ("ko", ("pha-il", "qq")),  # undeclared affix
@@ -104,11 +96,7 @@ def test_word_for_morphemes_matches_generate_word(net):
         ("en", ("zzz", "qq")),  # unknown root and undeclared affix
         ("en", ("edit", "ed", "s")),  # suffix cannot follow suffix
     ]
-    messages = []
-    for language, morphemes in malformed:
-        direct, staged = generate_both_ways(net.morphology, language, morphemes)
-        assert direct == staged, morphemes
-        messages.append(direct)
+    messages = [generate(net.morphology, language, morphemes) for language, morphemes in malformed]
     assert messages == [
         ("error", "unknown morpheme 'zzz-zzz'"),
         ("error", "unknown morpheme 'qq'"),
@@ -169,8 +157,8 @@ def test_round_trip_exhaustive(net, language):
     m = net.morphology
     checked = 0
     for units in grammatical_chains(m, language):
-        seq = MorphemeSequence(language, units)
-        surface = m.generate_word(language, seq)
+        seq = MorphemeSequence(units)
+        surface = m.word_for_morphemes(language, seq.forms)
         analyses = {s.forms for s in m.segment(language, surface)}
         assert seq.forms in analyses, f"{seq} -> {surface} -> {analyses}"
         checked += 1
@@ -187,7 +175,7 @@ def test_analysis_soundness(net, language):
             surfaces.add(m.word_for_morphemes(language, item.morphemes))
     for word in sorted(surfaces):
         for seq in m.segment(language, word):
-            assert m.generate_word(language, seq).casefold() == word.casefold()
+            assert m.word_for_morphemes(language, seq.forms).casefold() == word.casefold()
 
 
 def test_lexicon_item_round_trip(net):
@@ -241,7 +229,7 @@ def segment_by_scan(net, language, word):
             key = tuple(u.form for u in units)
             if key not in seen:
                 seen.add(key)
-                results.append(MorphemeSequence(language, tuple(units)))
+                results.append(MorphemeSequence(tuple(units)))
         if len(units) > len(target) + 1:
             return
         for affix, role in m.affixes[language].items():
@@ -276,7 +264,7 @@ def assert_segment_matches_scan(net, language, words):
 def test_segment_matches_root_scan_on_travel_surfaces(net, language):
     m = net.morphology
     surfaces = [
-        m.generate_word(language, MorphemeSequence(language, units))
+        m.word_for_morphemes(language, MorphemeSequence(units).forms)
         for units in grammatical_chains(m, language)
     ]
     words = near_surfaces(surfaces + [w.upper() for w in surfaces[:20]])
