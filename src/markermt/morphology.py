@@ -20,12 +20,14 @@ A segmentation is a :class:`MorphemeSequence` of :class:`MorphUnit`
 records, both named tuples.  A word is generated from a morpheme tuple
 (:meth:`Morphology.word_for_morphemes`), as a lexical item stores it or a
 segmentation's ``forms`` gives it.  Loading rejects an item whose affixes the
-adjacency table does not allow, so every item's word can be generated.
+adjacency table does not allow, so every item's word can be generated, and
+generates each once (:attr:`Morphology.word_of`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 from markermt.network import EN, KO, MemoryNetwork, _grouped
@@ -105,30 +107,36 @@ def _folded(root: str) -> str:
 
 
 class Morphology:
-    """Segmentation and word generation over one network's tables."""
+    """Segmentation and word generation over one network's tables, all
+    built once, at load, from its declarations.
 
-    def __init__(self, roots, affixes, adjacency, rules):
+    ``word_of[item id]`` is each lexical item's word: a root with no affixes
+    is its own word, and :meth:`word_for_morphemes` generates the rest.
+    Realization reads it.  ``words[language]`` is the frozenset of those
+    words casefolded: a word outside it has no lexical item, so analysis
+    need not search it.  Both tables are read-only.
+    """
+
+    def __init__(self, net: MemoryNetwork):
         # roots: {lang: {folded: stored}}, affixes: {lang: {form: role}}
         # adjacency: {lang: {(prev_role, role)}}, rules: {lang: {(class, affix): surface}}
-        self.roots = roots
-        self.affixes = affixes
-        self.adjacency = adjacency
+        roots = self.roots = {lang: {} for lang in PROFILES}
+        affixes = self.affixes = {lang: {} for lang in PROFILES}
+        adjacency = self.adjacency = {lang: set() for lang in PROFILES}
+        rules = {lang: {} for lang in PROFILES}
+        for decl in net.affixes:
+            if decl.role == "root":
+                roots[decl.language].setdefault(_folded(decl.morpheme), decl.morpheme)
+            else:
+                affixes[decl.language][decl.morpheme] = decl.role
+                for prev in decl.after:
+                    adjacency[decl.language].add((prev, decl.role))
+        for rule in net.morph_rules:
+            rules[rule.language][(rule.root_class, rule.affix)] = rule.surface
         self.max_class = {
             lang: max((len(c) for c, _ in table), default=0)
             for lang, table in rules.items()
         }
-        # {lang: {stable prefix: stored roots}}: a root keyed by the part no
-        # boundary rule can rewrite, cut as segment cuts it, can start a
-        # reading of a word only if its key is a prefix of the word
-        self._roots_by_stable: dict = {}
-        # {lang: the lengths of its stable-prefix keys, shortest first}: the
-        # only prefixes of a word worth a lookup
-        self._key_lengths: dict[str, tuple[int, ...]] = {}
-        for lang, table in roots.items():
-            cut = self.max_class.get(lang, 0)
-            stable = (key[: len(root) - cut] if len(root) > cut else "" for key, root in table.items())
-            index = self._roots_by_stable[lang] = _grouped(zip(stable, table.values()), {})
-            self._key_lengths[lang] = tuple(sorted({len(key) for key in index}))
         # {lang: {affix: (class lengths, {class: surface})}}: the distinct
         # lengths of the affix's rule classes, longest first, as _join
         # probes them
@@ -141,6 +149,58 @@ class Morphology:
                 affix: (tuple(sorted({len(c) for c in surfaces}, reverse=True)), surfaces)
                 for affix, surfaces in by_affix.items()
             }
+
+        # an item whose affixes adjacency does not allow could never be
+        # generated; the first such item is reported after the loop, so an
+        # undeclared affix anywhere keeps its own message, and no word is
+        # generated once one is found
+        broken = None
+        word_of: dict[str, str] = {}
+        words: dict[str, set[str]] = {lang: set() for lang in PROFILES}
+        for item_id, lang, morphemes, _ in net.lexicon.values():
+            root = morphemes[0]
+            folded = _folded(root)
+            roots[lang].setdefault(folded, root)
+            if len(morphemes) == 1:
+                word_of[item_id] = root
+                words[lang].add(folded)
+                continue
+            table, allowed = affixes[lang], adjacency[lang]
+            prev_role = "root"
+            for m in morphemes[1:]:
+                role = table.get(m)
+                if role is None:
+                    raise MorphologyError(
+                        f"lexical item '{item_id}' uses undeclared affix '{m}'"
+                    )
+                if broken is None and (prev_role, role) not in allowed:
+                    broken = f"lexical item '{item_id}': affix '{m}' ({role}) cannot follow {prev_role}"
+                prev_role = role
+            if broken is None:
+                word = word_of[item_id] = self.word_for_morphemes(lang, morphemes)
+                words[lang].add(_folded(word))
+        if broken is not None:
+            raise MorphologyError(broken)
+        self.word_of = MappingProxyType(word_of)
+        self.words = MappingProxyType({lang: frozenset(found) for lang, found in words.items()})
+        # literal elements are standalone function words; register them as
+        # roots so generated sentences re-segment cleanly
+        for lang in PROFILES:
+            for lit in sorted(net.literals[lang]):
+                roots[lang].setdefault(_folded(lit), lit)
+
+        # {lang: {stable prefix: stored roots}}: a root keyed by the part no
+        # boundary rule can rewrite, cut as segment cuts it, can start a
+        # reading of a word only if its key is a prefix of the word
+        self._roots_by_stable: dict = {}
+        # {lang: the lengths of its stable-prefix keys, shortest first}: the
+        # only prefixes of a word worth a lookup
+        self._key_lengths: dict[str, tuple[int, ...]] = {}
+        for lang, table in roots.items():
+            cut = self.max_class.get(lang, 0)
+            stable = (key[: len(root) - cut] if len(root) > cut else "" for key, root in table.items())
+            index = self._roots_by_stable[lang] = _grouped(zip(stable, table.values()), {})
+            self._key_lengths[lang] = tuple(sorted({len(key) for key in index}))
         # {lang: {role: ((unit, rules, plain, terminal), ...)}}: the affixes
         # adjacency allows after ``role``, in declaration order, each with
         # its unit, its rules (None if it has none), its plain joiner + affix
@@ -159,52 +219,6 @@ class Morphology:
                     if prev in steps:
                         steps[prev].append(step)
             self._next[lang] = {prev: tuple(found) for prev, found in steps.items()}
-
-    @classmethod
-    def from_network(cls, net: MemoryNetwork) -> "Morphology":
-        roots = {lang: {} for lang in PROFILES}
-        affixes = {lang: {} for lang in PROFILES}
-        adjacency = {lang: set() for lang in PROFILES}
-        rules = {lang: {} for lang in PROFILES}
-
-        for decl in net.affixes:
-            if decl.role == "root":
-                roots[decl.language].setdefault(_folded(decl.morpheme), decl.morpheme)
-            else:
-                affixes[decl.language][decl.morpheme] = decl.role
-                for prev in decl.after:
-                    adjacency[decl.language].add((prev, decl.role))
-        for rule in net.morph_rules:
-            rules[rule.language][(rule.root_class, rule.affix)] = rule.surface
-
-        # an item whose affixes adjacency does not allow could never be
-        # generated; the first such item is reported after the loop, so an
-        # undeclared affix anywhere keeps its own message
-        broken = None
-        for item in net.lexicon.values():
-            roots[item.language].setdefault(_folded(item.morphemes[0]), item.morphemes[0])
-            if len(item.morphemes) == 1:
-                continue
-            table, allowed = affixes[item.language], adjacency[item.language]
-            prev_role = "root"
-            for m in item.morphemes[1:]:
-                role = table.get(m)
-                if role is None:
-                    raise MorphologyError(
-                        f"lexical item '{item.id}' uses undeclared affix '{m}'"
-                    )
-                if broken is None and (prev_role, role) not in allowed:
-                    broken = f"lexical item '{item.id}': affix '{m}' ({role}) cannot follow {prev_role}"
-                prev_role = role
-        if broken is not None:
-            raise MorphologyError(broken)
-        # literal elements are standalone function words; register them as
-        # roots so generated sentences re-segment cleanly
-        for lang in PROFILES:
-            for lit in sorted(net.literals[lang]):
-                roots[lang].setdefault(_folded(lit), lit)
-
-        return cls(roots, affixes, adjacency, rules)
 
     # -- generation --------------------------------------------------------
 

@@ -170,7 +170,8 @@ class MemoryNetwork:
     token, shared by every use, and one string per name.  The tables are
     read-only mappings of tuples and frozensets:
 
-    - ``morpheme_index[(language, morphemes)]``: items, declaration order;
+    - ``morpheme_index[language][morphemes]``: items, declaration order,
+      keyed by the first such item's own ``morphemes`` tuple;
     - ``ancestors[concept]``: the reflexive IS-A closure upward, for item
       concepts, sequence owners and element fillers only;
     - ``items_below[(language, filler)]`` and ``sequences_below``: items and
@@ -181,7 +182,10 @@ class MemoryNetwork:
     - ``literals[language]``, ``sequence_order`` and ``counterparts``.
 
     ``morphology`` and the read-only compiled ``plans`` are built with them;
-    nothing writes to either afterwards.
+    nothing writes to either afterwards.  The morphology makes each lexical
+    item's word once, for realization to read, and keeps the set of those
+    words per language, so analysis does not search a word no item
+    generates.
     """
 
     concepts: dict[str, ConceptNode] = field(default_factory=dict)
@@ -201,8 +205,12 @@ class MemoryNetwork:
         changing a hand-built network.  Raises ``MorphologyError`` when a
         lexical item uses an undeclared affix."""
         lexicon, sequences = self.lexicon.values(), self.sequences.values()
-        by_morphemes = (((it.language, it.morphemes), it.id) for it in lexicon)
-        self.morpheme_index = MappingProxyType(_grouped(by_morphemes, {}))
+        self.morpheme_index = MappingProxyType({
+            lang: MappingProxyType(
+                _grouped(((it.morphemes, it.id) for it in lexicon if it.language == lang), {})
+            )
+            for lang in LANGUAGES
+        })
         by_concept = (((it.language, it.concept), it.id) for it in lexicon)
         self._items_of = MappingProxyType(_grouped(by_concept, {}))
         fillers = dict.fromkeys(
@@ -246,7 +254,7 @@ class MemoryNetwork:
         from markermt.markers import compile_plan
         from markermt.morphology import Morphology
 
-        self.morphology = Morphology.from_network(self)
+        self.morphology = Morphology(self)
         self.plans = MappingProxyType({d: compile_plan(self, *d) for d in DIRECTIONS})
 
     def items_of_concept(self, language: str, concept_id: str) -> tuple[str, ...]:
@@ -365,7 +373,7 @@ def _twins(cs) -> tuple[int | None, ...]:
 def lookup_lexical(net: MemoryNetwork, language: str, morphemes) -> tuple[str, ...]:
     """Exact-match lexical lookup by segmented morpheme tuple: the items,
     in declaration order."""
-    return net.morpheme_index.get((language, tuple(morphemes)), ())
+    return net.morpheme_index[language].get(tuple(morphemes), ())
 
 
 _ID = r"[A-Za-z][A-Za-z0-9_.-]*"

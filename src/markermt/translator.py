@@ -216,13 +216,22 @@ def _translate(net: MemoryNetwork, sentence: str, direction: str, record: bool):
 
 
 def word_items(net: MemoryNetwork, language: str, word: str) -> list[str]:
-    """The lexical items of one case-folded word: those of each of its
-    segmentations in turn, each item once, in the order first found.
+    """The lexical items of one word: those of each of its segmentations in
+    turn, each item once, in the order first found.
+
+    Each item's word was made once, at load, and a word that no item's word
+    folds to has no items: ``segment`` returns only readings that regenerate
+    the word, and ``lookup_lexical`` matches their morphemes exactly.  So
+    such a word (an unknown word, most literals) costs one set lookup and
+    is not searched.
 
     ``lookup_lexical`` is read from this module, where the benchmark's
     per-layer spans (bench/spans.py) replace it."""
+    morph = net.morphology
+    if word.casefold() not in morph.words[language]:
+        return []
     items: list[str] = []
-    for seq in net.morphology.segment(language, word):
+    for seq in morph.segment(language, word):
         for item_id in lookup_lexical(net, language, seq.forms):
             if item_id not in items:
                 items.append(item_id)
@@ -320,7 +329,6 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
     target's declared element order, each element from the source fill that
     ``net.counterparts`` assigns it, else from its default; yields each
     sub-instance to realize in place and returns the instance's node."""
-    morph = net.morphology
     source_cs = net.sequences[inst.cs]
     target_cs = net.sequences[source_cs.paired]
     supply = net.counterparts[source_cs.id]
@@ -339,10 +347,10 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
             if fill.kind == "sub":
                 children[j] = yield state.instances[fill.sub]
             else:
-                words.append(_emit_item(net, morph, target_lang, fill.concept, el, target_cs))
+                words.append(_emit_item(net, target_lang, fill.concept, target_cs))
         elif el.default_item is not None:
             item = net.lexicon[el.default_item]
-            words.append(morph.word_for_morphemes(target_lang, item.morphemes))
+            words.append(net.morphology.word_of[item.id])
             extras.append(
                 TreeFill(
                     filler=el.concept,
@@ -381,11 +389,12 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
     return TreeNode(source_cs.owner, source_cs.id, target_cs.id, tuple(fills) + tuple(extras))
 
 
-def _emit_item(net, morph, target_lang, concept, element, target_cs) -> str:
+def _emit_item(net, target_lang, concept, target_cs) -> str:
+    """The word of the first ``target_lang`` item of ``concept``, as load
+    made it."""
     items = net.items_of_concept(target_lang, concept)
     if not items:
         raise GenerationGap(
             f"concept '{concept}' has no {target_lang} lexical item for {target_cs.id}"
         )
-    item = net.lexicon[items[0]]
-    return morph.word_for_morphemes(target_lang, item.morphemes)
+    return net.morphology.word_of[items[0]]

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markermt.morphology import PROFILES, MorphemeSequence, MorphologyError, MorphUnit, tokenize
-from markermt.network import load_network
+from markermt.morphology import PROFILES, Morphology, MorphemeSequence, MorphologyError, MorphUnit, tokenize
+from markermt.network import load_network, serialize_network
 from markermt.synth import parse_samples, synth_network
-from markermt.translator import translate
+from markermt.translator import translate, word_items
 
 from conftest import TRAVEL_CORPUS
 
@@ -82,12 +82,19 @@ def generate(m, language, morphemes):
 
 
 def test_word_for_morphemes_generates_items_and_names_the_first_error(net):
-    """Every stored item generates; a malformed tuple fails on its first
-    undeclared affix, then an unknown root, then a bad adjacency."""
-    nets = [net, load_network(synth_network(1000, 200, 1))]
+    """Every stored item generates the word load made for it (``word_of``),
+    and ``words`` holds those words casefolded, per language; a malformed
+    tuple fails on its first undeclared affix, then an unknown root, then a
+    bad adjacency."""
+    nets = [net] + [load_network(synth_network(1000, 200, seed)) for seed in (1, 2)]
     for each in nets:
+        m = each.morphology
+        assert set(m.word_of) == set(each.lexicon)
         for item in each.lexicon.values():
-            assert generate(each.morphology, item.language, item.morphemes)[0] == "surface", item.id
+            assert generate(m, item.language, item.morphemes) == ("surface", m.word_of[item.id]), item.id
+        for language in PROFILES:
+            folded = {m.word_of[it.id].casefold() for it in each.lexicon.values() if it.language == language}
+            assert m.words[language] == folded
     malformed = [
         ("ko", ("zzz-zzz", "ul")),  # unknown root
         ("ko", ("pha-il", "qq")),  # undeclared affix
@@ -529,3 +536,109 @@ def test_segment_orders_readings_by_root_length_then_forms(travel_text):
             assert list(readings) == sorted(readings, key=lambda s: (-len(s.forms[0]), s.forms)), word
             several += len(readings) > 1
     assert several > 1
+
+
+# -- each item's word, made once at load ----------------------------------
+
+
+class Counting:
+    """Wraps a method of :class:`Morphology` and records the arguments of
+    each call."""
+
+    def __init__(self, monkeypatch, name):
+        self.calls = []
+        original = getattr(Morphology, name)
+
+        def wrapper(morph, *args):
+            self.calls.append(args)
+            return original(morph, *args)
+
+        monkeypatch.setattr(Morphology, name, wrapper)
+
+
+def test_translation_generates_no_word(net, monkeypatch):
+    """Realization reads each item's word: no ``translate`` of the travel
+    corpus or of synth samples (default items and traces included) calls
+    ``word_for_morphemes``."""
+    synth = synth_network(1000, 200, 4, samples=40)
+    nets = [(net, [row[:2] for row in corpus_rows()]), (load_network(synth), parse_samples(synth))]
+    generate = Counting(monkeypatch, "word_for_morphemes")
+    successes = 0
+    for each, rows in nets:
+        for direction, sentence in rows:
+            result = translate(each, sentence, direction)
+            assert result.trace
+            successes += result.ok
+    assert successes > 40
+    assert generate.calls == []
+
+
+def test_item_words_are_segmented_once_and_other_words_never(net, monkeypatch):
+    """Over the travel corpus, each token that is some item's word takes one
+    ``segment`` call, and a literal or other word (would, the, kanun,
+    issnunci) takes none."""
+    segment = Counting(monkeypatch, "segment")
+    seen = set()
+    for direction, sentence, _ in corpus_rows():
+        source = direction.split("-")[0]
+        words = tokenize(sentence)
+        segment.calls.clear()
+        assert translate(net, sentence, direction).ok
+        assert segment.calls == [(source, w) for w in words if w in net.morphology.words[source]]
+        seen.update(words)
+    skipped = {"would", "the", "kanun", "issnunci"}
+    assert skipped <= seen
+    assert not skipped & (net.morphology.words["ko"] | net.morphology.words["en"])
+
+
+def reference_word_items(net, language, word):
+    """``word_items`` from the frozen scans, with no word filter: the items
+    whose morphemes are those of a reading of ``segment_by_scan``, each
+    once, in the order first found."""
+    items = []
+    for reading in segment_by_scan(net, language, word):
+        for item in net.lexicon.values():
+            if item.language == language and item.morphemes == reading.forms and item.id not in items:
+                items.append(item.id)
+    return items
+
+
+@st.composite
+def random_lexicons(draw):
+    """``(network, language, words)``: a random morphology (see
+    :func:`random_morphologies`) with lexical items on root and affix chains
+    that adjacency allows (some repeated, some with a root in other case)
+    and a literal.  The words are the items' words in both cases, the
+    literal, and the random morphology's words and random strings."""
+    base, language, words, _ = draw(random_morphologies())
+    m = base.morphology
+    roots = sorted(m.roots[language].values())
+    lines = [serialize_network(base)]
+    for i in range(draw(st.integers(1, 8))):
+        root = draw(st.sampled_from(roots))
+        morphemes, role = [draw(st.sampled_from([root, root.upper()]))], "root"
+        for _ in range(draw(st.integers(0, 3))):
+            allowed = sorted(a for a, r in m.affixes[language].items() if (role, r) in m.adjacency[language])
+            if not allowed:
+                break
+            morphemes.append(draw(st.sampled_from(allowed)))
+            role = m.affixes[language][morphemes[-1]]
+        lines.append(f"lex i{i} {language} {'+'.join(morphemes)} isa c")
+    literal = draw(st.text(MORPH_PIECES, min_size=1, max_size=4))
+    other = "en" if language == "ko" else "ko"
+    lines += [f'cs s {language} of c pair t : "{literal}"(CX) c(CX)', f"cs t {other} of c pair s : c(CX)"]
+    net = load_network("\n".join(lines))
+    items = list(net.morphology.word_of.values())
+    words = items + [w.upper() for w in items] + [literal] + words
+    words += draw(st.lists(st.text(MORPH_PIECES + "-", max_size=6), max_size=3))
+    return net, language, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=random_lexicons())
+def test_word_items_skips_only_words_without_items(case):
+    """The word filter is exact: ``word_items`` gives what the unfiltered
+    scans give, on item words, literals and random strings."""
+    net, language, words = case
+    for word in words:
+        assert word_items(net, language, word) == reference_word_items(net, language, word), word

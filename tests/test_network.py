@@ -39,7 +39,7 @@ def test_fixture_loads_fully_indexed(net):
     assert net.sequences["kcs1"].paired == "ecs1"
     assert net.sequences["kcs1"].elements[0].etype == "OF"
     assert net.sequences["kcs1"].elements[2].literal == "kanun"
-    assert net.morpheme_index[("ko", ("pha-il", "tul", "ul"))] == ("files-ko",)
+    assert net.morpheme_index["ko"][("pha-il", "tul", "ul")] == ("files-ko",)
 
 
 def test_fixture_validates_clean(net):
@@ -301,7 +301,7 @@ def test_long_groups_load_in_linear_time():
     started = time.perf_counter()
     net = load_network("\n".join(lines))
     elapsed = time.perf_counter() - started
-    assert len(net.morpheme_index[("ko", ("w",))]) == n
+    assert len(net.morpheme_index["ko"][("w",)]) == n
     assert len(net.items_of_concept("ko", "a")) == len(net.items_below[("ko", "a")]) == 2 * n
     assert len(net.morphology._roots_by_stable["ko"][""]) == n + 1
     assert elapsed < 3.0, f"load took {elapsed:.2f}s"
@@ -639,7 +639,26 @@ def test_network_tables_are_read_only(net, name):
     key = next(iter(table))
     with pytest.raises(TypeError):
         table[key] = table[key]
-    assert all(isinstance(value, (tuple, frozenset, DirectionPlan)) for value in table.values())
+    values = list(table.values())
+    if name == "morpheme_index":  # one read-only table per language
+        assert set(table) == {KO, EN}
+        for inner in table.values():
+            key = next(iter(inner))
+            with pytest.raises(TypeError):
+                inner[key] = inner[key]
+        values = [group for inner in table.values() for group in inner.values()]
+    assert all(isinstance(value, (tuple, frozenset, DirectionPlan)) for value in values)
+
+
+@pytest.mark.parametrize("name, kind", [("word_of", str), ("words", frozenset)])
+def test_morphology_word_tables_are_read_only(net, name, kind):
+    table = getattr(net.morphology, name)
+    key = next(iter(table))
+    with pytest.raises(TypeError):
+        table[key] = table[key]
+    with pytest.raises(TypeError):
+        del table[key]
+    assert all(isinstance(value, kind) for value in table.values())
 
 
 @pytest.mark.parametrize("name", ["slots_by_literal", "starts_by_concept", "filler_bit", "left_corner"])
