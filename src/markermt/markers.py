@@ -2,10 +2,10 @@
 markers parse the source, GP/GA markers mirror each step on the paired
 target sequence (README describes the markers and the element types).
 Which source element supplies each target element is decided once, when
-the network is built (``MemoryNetwork.counterparts``); the mirror here and
-the realizer in :mod:`markermt.translator` both read that table, through
-:meth:`MarkerState.mirror`, so the trace binds each target element to the
-fill the output uses.
+the network is built (``MemoryNetwork.counterparts``); the mirror here
+(:func:`mirror`) and the realizer in :mod:`markermt.translator` both read
+that table, so the trace binds each target element to the fill the output
+uses.
 
 The engine keeps every live alternative, as a chart recognizer: a fill
 never destroys the instance it extends, it derives a new one.  The chart is
@@ -31,16 +31,15 @@ begin: a result is taken only from instances
 anchored at the first token, so a later instance matters only as a
 constituent that some instance ending where it starts predicts.
 
-The chart carries the parse; the markers a session places itself, the
-generation mirror and the trace events only explain it, so a session
-records them only when it is made with ``record=True``.  All scheduling is
-FIFO, so a recording session over the same input makes the same chart as
-one that does not record: :mod:`markermt.translator` translates without
-recording, and replays the sentence in a recording session when a result's
-trace is first read.  :func:`build_trace` derives the ``predict`` events of
-the initial prediction from the network then, so the loaded network holds
-no trace.  The records are named tuples, cheap to build, as a sentence
-derives one instance per collision.
+The chart carries the parse, and it is also the parse's record, as an
+Earley or Tomita chart is: a session places no marker beyond its plan's and
+records no event, and a trace is a view of what it keeps, its instances and
+each token's readings.  :func:`build_trace` derives the ``predict`` events
+of the initial prediction from the network, so the loaded network holds no
+trace, and the events that explain the chart from the chart, so a trace
+never tells of another parse than the one the translation read.  The
+records are named tuples, cheap to build, as a sentence derives one
+instance per collision.
 """
 
 from __future__ import annotations
@@ -97,22 +96,140 @@ def initial_predictions(net: MemoryNetwork, source: str, target: str):
             yield "tcse", cs.id
 
 
-def build_trace(net: MemoryNetwork | None, source: str, target: str, events) -> tuple[TraceEvent, ...]:
-    """The trace of a session: the ``predict`` events of the initial
-    prediction of ``source`` to ``target``, made anew from
-    :func:`initial_predictions` (none when ``net`` is None: the session
-    made no initial prediction), then the session's own ``events``."""
-    trace = []
-    if net is not None:
-        for site, what in initial_predictions(net, source, target):
-            if site == "cse":
-                trace.append(TraceEvent("predict", AP, f"cs:{what[0]}#{what[1]}", None, -1))
-            elif site == "lex":
-                trace.append(TraceEvent("predict", AP, f"lex:{what}", None, -1))
-            else:
-                trace.append(TraceEvent("predict", GP, f"cs:{what}#0", None, -1))
-    trace += events
-    return tuple(trace)
+def build_trace(net: MemoryNetwork, source: str, target: str, instances, readings, stop=None) -> list[TraceEvent]:
+    """The trace of a session of ``source`` to ``target``, derived from
+    what it kept: the ``predict`` events of the initial prediction, made
+    anew from :func:`initial_predictions`, then the events that explain
+    its chart, the ``instances`` it made from the tokens of ``readings``
+    (one ``(item ids, literal)`` pair per token) until it stopped, too
+    ambiguous, while it matched the passive ``stop``, if given.
+
+    Each token's readings are activated (AA), and its passives are matched
+    in agenda order: its lexical readings, its literal, then the sub fill of
+    each accepted instance it made, in id order.  A lexical passive
+    collides with its AP, if predicted, and puts GA on the paired target
+    items.  The instances a passive made follow, contiguous in id order,
+    each known by the fill of the element it newly filled: its collision,
+    the predictions it withdraws (a fixed fill that skips elements omits the
+    fixed ones before it) and those it places, with the lexical items below
+    them that nothing predicted yet, the target elements its mirror passes
+    and its acceptance.  The fixed elements of the layout's ``merged`` at
+    the old cursor before the filled one are withdrawn; those at the new
+    cursor are predicted, with every free element but the filled one for a
+    start (a free element stays predicted until filled).  A token that made
+    no instance is dead (unusable at this position); the sentence simply
+    continues, as every instance a token's fills make ends just after it."""
+    event = TraceEvent  # read now: a caller may count the events built
+    events: list[TraceEvent] = []
+    for site, what in initial_predictions(net, source, target):
+        if site == "cse":
+            events.append(event("predict", AP, f"cs:{what[0]}#{what[1]}", None, -1))
+        elif site == "lex":
+            events.append(event("predict", AP, f"lex:{what}", None, -1))
+        else:
+            events.append(event("predict", GP, f"cs:{what}#0", None, -1))
+    plan = net.plans[(source, target)]
+    planned, sequences, layouts = plan.predicted_items, net.sequences, net.layouts
+    # the plan predicted every item below the fillers of its slots
+    walked = {sequences[cs_id].elements[idx].concept for cs_id, idx in plan.predicted_slots}
+    predicted: set[str] = set()
+
+    def predict_lexical(concept, tok):
+        walked.add(concept)
+        for item_id in net.items_below[(source, concept)]:
+            if item_id not in predicted and item_id not in planned:
+                predicted.add(item_id)
+                events.append(event("predict", AP, f"lex:{item_id}", None, tok))
+
+    def record_fill(new, parent, idx, tok):
+        cs, layout = sequences[new.cs], layouts[new.cs]
+        at = f"inst:{new.id}@{cs.id}#"
+        events.append(event("collide", AA, f"{at}{idx}", new.fills[idx].binding(), tok))
+        free, elements, start = layout.free_mask, cs.elements, parent is None
+        if not free >> idx & 1:
+            for k in layout.merged[0 if start else parent.cursor]:
+                if k < idx and not free >> k & 1:
+                    events.append(event("withdraw", AP, f"{at}{k}", None, tok))
+        for nxt in layout.merged[new.cursor]:
+            if nxt != idx and (start or not free >> nxt & 1):
+                events.append(event("predict", AP, f"{at}{nxt}", None, tok))
+                if elements[nxt].literal is None and elements[nxt].concept not in walked:
+                    predict_lexical(elements[nxt].concept, tok)
+        before = 0 if start else mirrored(net, cs, parent.filled)
+        events.extend(mirror(net, cs, new.fills, before, mirrored(net, cs, new.filled, before), tok))
+        if new.filled & layout.required == layout.required:
+            events.append(event("accept", AA, f"cn:{cs.owner}", f"inst:{new.id}", tok))
+            return Fill("sub", new.start, new.end, None, cs.owner, new.id)
+        return None
+
+    i = 0
+    for tok, (items, literal) in enumerate(readings):
+        bound, passives = f"tok{tok}", []
+        for item_id in items:
+            events.append(event("activate", AA, f"lex:{item_id}", bound, tok))
+            passives.append(Fill("lex", tok, tok + 1, item_id, net.lexicon[item_id].concept))
+        if literal is not None:
+            events.append(event("activate", AA, f"lit:{literal}", bound, tok))
+            passives.append(Fill("lit", tok, tok + 1))
+        first, generated = i, set()
+        for passive in passives:  # grows by the sub fill of each acceptance
+            if passive.kind == "lex":
+                if passive.item in planned or passive.item in predicted:
+                    events.append(event("collide", AA, f"lex:{passive.item}", bound, tok))
+                for tgt_item in net.items_of_concept(target, passive.concept):
+                    if tgt_item not in generated:
+                        generated.add(tgt_item)
+                        events.append(event("activate", GA, f"lex:{tgt_item}", bound, tok))
+            while i < len(instances):
+                new = instances[i]
+                parent = None if new.parent is None else instances[new.parent]
+                idx = (new.filled ^ (0 if parent is None else parent.filled)).bit_length() - 1
+                if new.fills[idx] != passive:
+                    break
+                i += 1
+                sub = record_fill(new, parent, idx, tok)
+                if sub is not None:
+                    passives.append(sub)
+            if passive == stop:
+                return events
+        if i == first:
+            events.append(event("dead", AA, f"tok:{tok}", None, tok))
+    return events
+
+
+def mirrored(net: MemoryNetwork, cs, filled: int, start: int = 0) -> int:
+    """Where the GP cursor on the paired sequence of ``cs`` waits, from
+    ``start``, once the source elements of ``filled`` are filled: literals
+    pass under a bare GP, a conceptual element waits until the source
+    element that supplies it (``net.counterparts``) is filled.  An
+    instance's ``filled`` holds that of the instance it extends, so its
+    cursor is at or past that one's, and the count may resume there; the
+    mirror of the fill passes the target elements between the two."""
+    elements = net.sequences[cs.paired].elements
+    supply = net.counterparts[cs.id]
+    cursor = start
+    while cursor < len(elements):
+        if elements[cursor].literal is None:
+            j = supply[cursor]
+            if j is None or not filled >> j & 1:
+                break
+        cursor += 1
+    return cursor
+
+
+def mirror(net: MemoryNetwork, cs, fills, begin: int, end: int, tok: int) -> list[TraceEvent]:
+    """The ``generate`` events of the elements ``begin`` to ``end`` of the
+    sequence paired with ``cs``, given the fills of ``cs``: GA bound to the
+    fill that supplies an element, GP where none does."""
+    tcs_id, supply, events = cs.paired, net.counterparts[cs.id], []
+    for k in range(begin, end):
+        j = supply[k]
+        fill = None if j is None else fills[j]
+        if fill is None:
+            events.append(TraceEvent("generate", GP, f"cs:{tcs_id}#{k}", None, tok))
+        else:
+            events.append(TraceEvent("generate", GA, f"cs:{tcs_id}#{k}", fill.binding(), tok))
+    return events
 
 
 class Fill(NamedTuple):
@@ -137,7 +254,12 @@ class Fill(NamedTuple):
 
 
 class TooAmbiguous(Exception):
-    """The sentence needs more than ``MAX_INSTANCES`` chart instances."""
+    """The sentence needs more than ``MAX_INSTANCES`` chart instances;
+    ``fill`` is the passive whose match asked for one more."""
+
+    def __init__(self, fill: Fill):
+        super().__init__(f"more than {MAX_INSTANCES} instances")
+        self.fill = fill
 
 
 class CsInstance(NamedTuple):
@@ -303,42 +425,32 @@ def _reach_or(edges: dict[int, set[int]]) -> dict[int, int]:
 
 
 class MarkerSet:
-    """A read-only view of one session's markers as ``(kind, location,
-    binding)`` keys: those of the attached :class:`DirectionPlan` (None:
-    none), ``AP`` on the lexical items of ``items`` and ``GA`` bound to a
-    token on the ``(target item, token)`` pairs of ``generated``.  The
-    parts never overlap, so the length is the sum of theirs."""
+    """A read-only view of the markers of the attached
+    :class:`DirectionPlan` (None: none) as ``(kind, location, binding)``
+    keys: AP on its ``cse`` slots and lexical items, GP on element 0 of its
+    target sequences."""
 
-    __slots__ = ("_plan", "_items", "_generated")
+    __slots__ = ("_plan",)
 
-    def __init__(self, plan: DirectionPlan | None, items: set[str], generated: set[tuple[str, int]]):
+    def __init__(self, plan: DirectionPlan | None):
         self._plan = plan
-        self._items = items
-        self._generated = generated
 
     def __contains__(self, key) -> bool:
         kind, location, binding = key
         plan, site = self._plan, location[0]
-        if kind == GA:
-            return site == "lex" and any(
-                item == location[1] and binding == f"tok{tok}" for item, tok in self._generated
-            )
-        if binding is not None:
+        if plan is None or binding is not None:
             return False
         if kind == AP and site == "lex":
-            return location[1] in self._items or plan is not None and location[1] in plan.predicted_items
-        if plan is None:
-            return False
+            return location[1] in plan.predicted_items
         if kind == AP and site == "cse":
             return location[1:] in plan.predicted_slots
         return kind == GP and site == "tcse" and location[2] == 0 and location[1] in plan.target_heads
 
     def __len__(self) -> int:
         plan = self._plan
-        own = len(self._items) + len(self._generated)
         if plan is None:
-            return own
-        return own + len(plan.predicted_slots) + len(plan.predicted_items) + len(plan.target_heads)
+            return 0
+        return len(plan.predicted_slots) + len(plan.predicted_items) + len(plan.target_heads)
 
     def __iter__(self):
         plan = self._plan
@@ -349,10 +461,6 @@ class MarkerSet:
                 yield (AP, ("lex", item_id), None)
             for cs_id in plan.target_heads:
                 yield (GP, ("tcse", cs_id, 0), None)
-        for item_id in self._items:
-            yield (AP, ("lex", item_id), None)
-        for item_id, tok in self._generated:
-            yield (GA, ("lex", item_id), f"tok{tok}")
 
 
 class MarkerState:
@@ -363,80 +471,51 @@ class MarkerState:
     by future state (``_keys``, see :meth:`_fill`); :meth:`_waiting_at`
     memoizes each position's column.  The ``agenda`` holds the fills still
     to match, each as ``(literal, fill)`` (``literal`` is None but for a
-    literal word).
-
-    A session made with ``record=True`` also records its own
-    :class:`TraceEvent` objects in ``events`` (None when it does not
-    record), and of the markers it places itself the two kinds the trace
-    reads back: ``predicted_items``, the lexical items it predicts beyond
-    the plan (AP), and ``generated_items``, the ``(target item, token)``
-    pairs it activates (GA); ``markers`` views them with the plan's.
-    ``close`` empties the state so nothing leaks into the next sentence;
-    the events outlive it.
+    literal word).  ``readings`` keeps each activated token's ``(item ids,
+    literal)``, in token order.  The chart and the readings are the whole
+    record of the parse: :attr:`trace` derives its events from them
+    (:func:`build_trace`), and the session places no marker of its own;
+    ``markers`` views the plan's.  ``close`` empties the state so nothing
+    leaks into the next sentence; it rebinds ``instances`` and ``readings``
+    to new lists, so a caller may keep the old ones.
     """
 
-    def __init__(self, net: MemoryNetwork, source: str, target: str, *, record: bool = False):
+    def __init__(self, net: MemoryNetwork, source: str, target: str):
         self.net = net
         self.source = source
         self.target = target
         self.plan = net.plans[(source, target)]
-        self.predicted_items: set[str] = set()
-        self.generated_items: set[tuple[str, int]] = set()
-        self.markers = MarkerSet(None, self.predicted_items, self.generated_items)
+        self.markers = MarkerSet(None)
         self.instances: list[CsInstance] = []
+        self.readings: list[tuple[list[str], str | None]] = []
         self.agenda: deque = deque()
-        self.predicted = False  # set by initial_prediction
-        self.events: list[TraceEvent] | None = [] if record else None
-        self.token_index = -1
         self._by_end: dict[int, list[int]] = {}
         self._keys: set[tuple] = set()  # chart keys, see _fill
         self._waiting: dict[int, tuple[list[tuple], int | None]] = {}  # see _waiting_at
-        self._walked: set[str] = set()  # fillers _predict_lexical has walked
-
-    # -- bookkeeping -------------------------------------------------------
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
-        if self.events is None:
-            raise ValueError("the session does not record its trace")
-        return build_trace(self.net if self.predicted else None, self.source, self.target, self.events)
+        return tuple(build_trace(self.net, self.source, self.target, self.instances, self.readings))
 
     # -- the three phases ----------------------------------------------------
 
     def initial_prediction(self):
         """Attach the direction's compiled plan (see :func:`compile_plan`):
-        its markers join this session's, not copied, and their ``predict``
-        events will open the trace."""
-        self.markers = MarkerSet(self.plan, self.predicted_items, self.generated_items)
-        self.predicted = True
-
-    def _predict_lexical(self, concept):
-        """AP on the lexical items below the filler ``concept`` that neither
-        the plan nor the session has predicted, in declaration order; once
-        a filler is walked, all its items are predicted."""
-        if concept in self._walked:
-            return
-        self._walked.add(concept)
-        predicted, planned, tok = self.predicted_items, self.plan.predicted_items, self.token_index
-        for item_id in self.net.items_below[(self.source, concept)]:
-            if item_id not in predicted and item_id not in planned:
-                predicted.add(item_id)
-                self.events.append(TraceEvent("predict", AP, f"lex:{item_id}", None, tok))
+        its markers become this session's, not copied, and their ``predict``
+        events open the trace."""
+        self.markers = MarkerSet(self.plan)
 
     def activate(self, lexical_items, span: int, literal: str | None = None):
-        """AA markers onto one input token's readings; collisions are queued,
-        not processed (see :meth:`step_collisions`)."""
-        self.token_index = span
-        events, agenda, lexicon = self.events, self.agenda, self.net.lexicon
+        """AA markers onto the readings of input token ``span``, the next
+        one; collisions are queued, not processed (see
+        :meth:`step_collisions`)."""
+        self.readings.append((lexical_items, literal))
+        agenda, lexicon = self.agenda, self.net.lexicon
         for item_id in lexical_items:
             item = lexicon[item_id]
             assert item.language == self.source, f"{item_id} is not a {self.source} item"
-            if events is not None:
-                events.append(TraceEvent("activate", AA, f"lex:{item_id}", f"tok{span}", span))
             agenda.append((None, Fill("lex", span, span + 1, item_id, item.concept)))
         if literal is not None:
-            if events is not None:
-                events.append(TraceEvent("activate", AA, f"lit:{literal}", f"tok{span}", span))
             agenda.append((literal, Fill("lit", span, span + 1)))
 
     def step_collisions(self):
@@ -444,34 +523,15 @@ class MarkerState:
 
         Each fill extends the instances waiting where it starts and starts
         new ones (:meth:`_match_passive`); each acceptance queues its sub
-        fill, which passes activation up the hierarchy.  A recording
-        session also records a lexical fill's collision and the GA it puts
-        on the paired target items, and a token whose readings produced no
-        fill anywhere as a dead activation (unusable at this position); the
-        sentence simply continues.  Every instance a token's fills make ends
-        just after it, so the token is dead when no instance ends there."""
-        agenda, events = self.agenda, self.events
+        fill, which passes activation up the hierarchy.  A token whose
+        readings extend or start nothing leaves no instance ending after it;
+        the sentence simply continues."""
+        agenda = self.agenda
         while agenda:
             literal, fill = agenda.popleft()
-            if events is not None and fill.kind == "lex":
-                self._record_lexical(fill)
             self._match_passive(literal, fill)
-        if events is not None and self.token_index + 1 not in self._by_end:
-            events.append(TraceEvent("dead", AA, f"tok:{self.token_index}", None, self.token_index))
 
     # -- collision handling --------------------------------------------------
-
-    def _record_lexical(self, fill):
-        """The collision of a lexical reading with its AP, if predicted, and
-        GA on the paired target items."""
-        item_id, span, events = fill.item, fill.start, self.events
-        if self.predicted and item_id in self.plan.predicted_items or item_id in self.predicted_items:
-            events.append(TraceEvent("collide", AA, f"lex:{item_id}", f"tok{span}", span))
-        generated = self.generated_items
-        for tgt_item in self.net.items_of_concept(self.target, fill.concept):
-            if (tgt_item, span) not in generated:
-                generated.add((tgt_item, span))
-                events.append(TraceEvent("activate", GA, f"lex:{tgt_item}", f"tok{span}", span))
 
     def _match_passive(self, literal, fill):
         # extend the instances waiting at the fill's start
@@ -540,21 +600,20 @@ class MarkerState:
 
         The key ``(cs, start, end, cursor, filled)`` names that state: fixed
         elements below the cursor that are not filled are omitted, all other
-        elements not filled are open; either way their fill is None.  A
-        recording session then records the fill (:meth:`_record_fill`).  An
+        elements not filled are open; either way their fill is None.  An
         accepted instance queues its sub fill on the agenda."""
         if inst is None:
-            begin, old_cursor, filled = start, 0, 0
+            begin, cursor, filled = start, 0, 0
         else:
-            begin, old_cursor, filled = inst.start, inst.cursor, inst.filled
-        free = layout.free_mask >> idx & 1
-        cursor = old_cursor if free else idx + 1
+            begin, cursor, filled = inst.start, inst.cursor, inst.filled
+        if not layout.free_mask >> idx & 1:
+            cursor = idx + 1
         filled |= 1 << idx
         key = (cs.id, begin, end, cursor, filled)
         if key in self._keys:
             return
         if len(self.instances) >= MAX_INSTANCES:
-            raise TooAmbiguous(f"more than {MAX_INSTANCES} instances")
+            raise TooAmbiguous(fill)
         self._keys.add(key)
 
         if inst is None:
@@ -569,76 +628,8 @@ class MarkerState:
         new = CsInstance(new_id, cs.id, begin, end, tuple(fills), cursor, filled, parent)
         self.instances.append(new)
         self._by_end.setdefault(end, []).append(new_id)
-        accepted = filled & layout.required == layout.required
-        if self.events is not None:
-            self._record_fill(new, cs, layout, idx, old_cursor, accepted)
-        if accepted:
+        if filled & layout.required == layout.required:
             self.agenda.append((None, Fill("sub", begin, end, None, cs.owner, new_id)))
-
-    def _record_fill(self, new, cs, layout, idx, old_cursor, accepted):
-        """The events of the fill of element ``idx`` that made instance
-        ``new`` from a cursor at ``old_cursor``: its collision, the
-        predictions it withdraws (a fixed fill that skips elements omits the
-        fixed ones predicted before it) and those it places with the lexical
-        ones below them, the target elements its mirror passes and its
-        acceptance.  Both are read from the layout's ``merged``: the fixed
-        elements waiting at the old cursor before ``idx`` are withdrawn, and
-        the fixed elements waiting at the new cursor are predicted, with
-        every free element but ``idx`` for a start (a free element stays
-        predicted until filled)."""
-        events, tok, at = self.events, self.token_index, f"inst:{new.id}@{cs.id}#"
-        events.append(TraceEvent("collide", AA, f"{at}{idx}", new.fills[idx].binding(), tok))
-        free, elements, start = layout.free_mask, cs.elements, new.parent is None
-        if not free >> idx & 1:
-            for k in layout.merged[old_cursor]:
-                if k < idx and not free >> k & 1:
-                    events.append(TraceEvent("withdraw", AP, f"{at}{k}", None, tok))
-        for nxt in layout.merged[new.cursor]:
-            if nxt != idx and (start or not free >> nxt & 1):
-                events.append(TraceEvent("predict", AP, f"{at}{nxt}", None, tok))
-                if elements[nxt].literal is None:
-                    self._predict_lexical(elements[nxt].concept)
-
-        before = 0 if start else self.mirrored(cs, self.instances[new.parent].filled)
-        self.mirror(cs, new.fills, before, self.mirrored(cs, new.filled, before))
-        if accepted:
-            events.append(TraceEvent("accept", AA, f"cn:{cs.owner}", f"inst:{new.id}", tok))
-
-    # -- generation mirroring --------------------------------------------------
-
-    def mirrored(self, cs, filled, start: int = 0) -> int:
-        """Where the GP cursor on the paired sequence of ``cs`` waits, from
-        ``start``, once the source elements of ``filled`` are filled:
-        literals pass under a bare GP, a conceptual element waits until the
-        source element that supplies it (``net.counterparts``) is filled.
-        An instance's ``filled`` holds that of the instance it extends, so
-        its cursor is at or past that one's, and the count may resume there;
-        the mirror of the fill passes the target elements between the two."""
-        elements = self.net.sequences[cs.paired].elements
-        supply = self.net.counterparts[cs.id]
-        cursor = start
-        while cursor < len(elements):
-            if elements[cursor].literal is None:
-                j = supply[cursor]
-                if j is None or not filled >> j & 1:
-                    break
-            cursor += 1
-        return cursor
-
-    def mirror(self, cs, fills, begin, end):
-        """The ``generate`` events of the elements ``begin`` to ``end`` of
-        the sequence paired with ``cs``, given the fills of ``cs``: GA bound
-        to the fill that supplies an element, GP where none does."""
-        tcs_id = cs.paired
-        supply = self.net.counterparts[cs.id]
-        events, tok = self.events, self.token_index
-        for k in range(begin, end):
-            j = supply[k]
-            fill = None if j is None else fills[j]
-            if fill is None:
-                events.append(TraceEvent("generate", GP, f"cs:{tcs_id}#{k}", None, tok))
-            else:
-                events.append(TraceEvent("generate", GA, f"cs:{tcs_id}#{k}", fill.binding(), tok))
 
     # -- results and teardown ---------------------------------------------------
 
@@ -661,16 +652,15 @@ class MarkerState:
 
     def close(self):
         """End the session: no markers, instances or pending work may leak.
-        The shared plan is only detached, never modified."""
-        self.predicted_items.clear()
-        self.generated_items.clear()
-        self.markers = MarkerSet(None, self.predicted_items, self.generated_items)
-        self.instances.clear()
+        The shared plan is only detached, never modified; ``instances`` and
+        ``readings`` are rebound, not cleared, so a result keeps its chart."""
+        self.markers = MarkerSet(None)
+        self.instances = []
+        self.readings = []
         self.agenda.clear()
         self._by_end.clear()
         self._keys.clear()
         self._waiting.clear()
-        self._walked.clear()
 
     def is_empty(self) -> bool:
         return not self.markers and not self.instances and not self.agenda

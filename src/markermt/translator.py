@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from markermt.markers import CsInstance, MarkerState, TooAmbiguous, TraceEvent, build_trace
+from markermt.markers import CsInstance, MarkerState, TooAmbiguous, TraceEvent, build_trace, mirror, mirrored
 from markermt.morphology import PROFILES, MorphologyError, tokenize
 from markermt.network import DIRECTIONS, ElementType, MemoryNetwork, lookup_lexical
 
@@ -102,18 +102,19 @@ class TranslationResult:
 
     ``trace`` is the event stream of the sentence's session: the
     ``predict`` events of the direction's initial prediction, derived from
-    the network (``_net``), then the session's own events.  A translation
-    records none of it: when the trace is first read, the sentence is
-    translated again with a recording session
-    (:class:`~markermt.markers.MarkerState`), and its :class:`TraceEvent`
-    objects are built then and kept, so a caller that never reads the trace
-    pays nothing for it.  The read raises ``RuntimeError`` if that second
-    run's status, error position, output or concept tree differs from the
-    result's, so a trace never contradicts its output.  The first read
-    costs one more translation plus about 2 µs per ``predict`` event (one
-    per initially predicted slot, item and target head), some 40 ms at
-    16000/3200 lexical/sequence pairs.  A sentence that does not tokenize
-    has no session (``_net`` is None) and an empty trace.
+    the network, then the events that explain the session's chart, derived
+    from the chart the result keeps (:func:`~markermt.markers.build_trace`),
+    then, for a sentence that parsed, the ``generate`` events of one more
+    pass of the realizer over the winner's tree, which ends in a ``note``
+    where generation failed.  A translation records none of it: the
+    :class:`TraceEvent` objects are built when the trace is first read, and
+    kept, so a caller that never reads the trace pays nothing for it.  A
+    read translates nothing again and opens no session, so it cannot
+    explain another parse than the result's.  The first read costs about
+    2 µs per event, most of them the ``predict`` events (one per initially
+    predicted slot, item and target head): a median of 33–38 ms at
+    16000/3200 lexical/sequence pairs (see README).  A sentence that does not tokenize
+    has no session and an empty trace.
     """
 
     status: str
@@ -122,7 +123,9 @@ class TranslationResult:
     target_sentence: str = ""
     concept_tree: TreeNode | None = None
     error_position: int | None = None  # 1-based token index for unknown-word
-    _net: MemoryNetwork | None = field(default=None, repr=False, compare=False)
+    # what the session left for the trace: (network, instances, readings,
+    # the passive it stopped at, winner); None when there was no session
+    _session: tuple | None = field(default=None, repr=False, compare=False)
     _trace: tuple[TraceEvent, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -132,20 +135,18 @@ class TranslationResult:
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
         if self._trace is None:
-            src, tgt = parse_direction(self.direction)
-            events = ()
-            if self._net is not None:
-                replay, events = _translate(self._net, self.source_sentence, self.direction, True)
-                if _outcome(replay) != _outcome(self):
-                    raise RuntimeError(f"the traced run of {self.source_sentence!r} disagrees with its result")
-            self._trace = build_trace(self._net, src, tgt, events)
+            trace = []
+            if self._session is not None:
+                net, instances, readings, stop, winner = self._session
+                src, tgt = parse_direction(self.direction)
+                trace = build_trace(net, src, tgt, instances, readings, stop)
+                if winner is not None:
+                    try:
+                        _realize(net, instances, winner, tgt, trace)
+                    except GenerationGap as gap:
+                        trace.append(TraceEvent("note", None, "generation", str(gap), winner.end - 1))
+            self._trace = tuple(trace)
         return self._trace
-
-
-def _outcome(result: TranslationResult) -> tuple:
-    """What a result says about its sentence; the tree by its ``repr``, which
-    compares a deep tree without recursion."""
-    return (result.status, result.error_position, result.target_sentence, repr(result.concept_tree))
 
 
 class GenerationGap(Exception):
@@ -163,24 +164,18 @@ def translate(net: MemoryNetwork, sentence: str, direction: str) -> TranslationR
     there and ends ``too-ambiguous``.  Nothing is traced until
     :attr:`TranslationResult.trace` is read.
     """
-    return _translate(net, sentence, direction, False)[0]
-
-
-def _translate(net: MemoryNetwork, sentence: str, direction: str, record: bool):
-    """The steps of :func:`translate`, in a session that records its trace
-    when ``record`` is true; returns the result and the session's events
-    (None when it does not record or the sentence made no session)."""
     src, tgt = parse_direction(direction)
     result = TranslationResult(status=NO_PARSE, direction=direction, source_sentence=sentence)
 
     try:
         words = tokenize(sentence)
     except MorphologyError:
-        return result, None
+        return result
 
-    state = MarkerState(net, src, tgt, record=record)
+    state = MarkerState(net, src, tgt)
     state.initial_prediction()
     literals = net.literals[src]
+    stop = winner = None
 
     try:
         for i, word in enumerate(words):
@@ -189,30 +184,27 @@ def _translate(net: MemoryNetwork, sentence: str, direction: str, record: bool):
             if not item_ids and literal is None:
                 result.status = UNKNOWN_WORD
                 result.error_position = i + 1
-                return result, state.events
+                return result
             state.activate(item_ids, i, literal=literal)
             try:
                 state.step_collisions()
-            except TooAmbiguous:
+            except TooAmbiguous as too_many:
                 result.status = TOO_AMBIGUOUS
-                return result, state.events
+                stop = too_many.fill
+                return result
             assert not state.agenda, "agenda must be quiescent between tokens"
 
         winner = state.best_result(len(words))
         if winner is not None:
             try:
-                text, tree = _realize(net, state, winner, tgt)
-            except GenerationGap as gap:
-                if state.events is not None:
-                    state.events.append(TraceEvent("note", None, "generation", str(gap), state.token_index))
-            else:
+                result.target_sentence, result.concept_tree = _realize(net, state.instances, winner, tgt)
                 result.status = SUCCESS
-                result.target_sentence = text
-                result.concept_tree = tree
+            except GenerationGap:  # no-parse; the trace's note says why
+                pass
     finally:
-        result._net = net
+        result._session = (net, state.instances, state.readings, stop, winner)
         state.close()
-    return result, state.events
+    return result
 
 
 def word_items(net: MemoryNetwork, language: str, word: str) -> list[str]:
@@ -289,9 +281,17 @@ def _node_sig(root: TreeNode, classes: dict[tuple, int]) -> int:
     return number[id(root)]
 
 
-def _realize(net, state: MarkerState, winner: CsInstance, target_lang: str):
+def _realize(net, chart, winner: CsInstance, target_lang: str, events=None):
+    """The text and concept tree of ``winner``, an instance of ``chart``,
+    in ``target_lang``; with ``events``, a trace being built, it also
+    appends there the ``generate`` events of the target elements the
+    mirror never passed, which the chart alone does not tell."""
+    generate = None
+    if events is not None:  # after the sentence's last token, the winner's last
+        def generate(cs, fills, k):
+            events.extend(mirror(net, cs, fills, k, k + 1, winner.end - 1))
     words: list[str] = []
-    tree = _walk(net, state, winner, target_lang, words)
+    tree = _walk(net, chart, winner, target_lang, words, generate)
     source_cs = net.sequences[winner.cs]
     owner = net.concepts[source_cs.owner]
     text = " ".join(words)
@@ -305,11 +305,11 @@ def _realize(net, state: MarkerState, winner: CsInstance, target_lang: str):
     return text, tree
 
 
-def _walk(net, state, root: CsInstance, target_lang, words) -> TreeNode:
+def _walk(net, chart, root: CsInstance, target_lang, words, generate) -> TreeNode:
     """Realize the tree of ``root`` depth first from an explicit stack of
     :func:`_walk_instance` generators, so nesting depth costs no recursion:
     each generator yields the sub-instance it needs and is sent its node."""
-    stack = [_walk_instance(net, state, root, target_lang, words)]
+    stack = [_walk_instance(net, chart, root, target_lang, words, generate)]
     node = None
     while True:
         try:
@@ -320,11 +320,11 @@ def _walk(net, state, root: CsInstance, target_lang, words) -> TreeNode:
             if not stack:
                 return node
         else:
-            stack.append(_walk_instance(net, state, sub, target_lang, words))
+            stack.append(_walk_instance(net, chart, sub, target_lang, words, generate))
             node = None
 
 
-def _walk_instance(net, state, inst: CsInstance, target_lang, words):
+def _walk_instance(net, chart, inst: CsInstance, target_lang, words, generate):
     """Emit the paired target sequence of one accepted instance, in the
     target's declared element order, each element from the source fill that
     ``net.counterparts`` assigns it, else from its default; yields each
@@ -335,9 +335,9 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
 
     children: dict[int, TreeNode] = {}  # source element -> realized sub-instance
     extras: list[TreeFill] = []
-    # a recording session traced the generate events before the mirror's
+    # the chart's events hold the generate events before the mirror's
     # cursor, which stops at or before any element without a source fill
-    mirrored = len(target_cs.elements) if state.events is None else state.mirrored(source_cs, inst.filled)
+    passed = len(target_cs.elements) if generate is None else mirrored(net, source_cs, inst.filled)
     for k, el in enumerate(target_cs.elements):
         j = supply[k]
         fill = None if j is None else inst.fills[j]
@@ -345,7 +345,7 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
             words.append(el.literal)
         elif fill is not None:
             if fill.kind == "sub":
-                children[j] = yield state.instances[fill.sub]
+                children[j] = yield chart[fill.sub]
             else:
                 words.append(_emit_item(net, target_lang, fill.concept, target_cs))
         elif el.default_item is not None:
@@ -367,8 +367,8 @@ def _walk_instance(net, state, inst: CsInstance, target_lang, words):
             raise GenerationGap(
                 f"required element {target_cs.id}#{k} ({el.concept}) has no source fill"
             )
-        if k >= mirrored:
-            state.mirror(source_cs, inst.fills, k, k + 1)
+        if k >= passed:
+            generate(source_cs, inst.fills, k)
 
     fills = []  # positional: keywords would double the cost of each record
     for j, (el, fill) in enumerate(zip(source_cs.elements, inst.fills)):

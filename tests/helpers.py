@@ -15,10 +15,9 @@ from markermt.network import ElementType, load_network
 from markermt.translator import word_items
 
 
-def run_engine(net, tokens, source="ko", target="en", record=True) -> MarkerState:
-    """Feed surface tokens through a session, recording unless ``record``
-    is false, and return it unclosed."""
-    state = MarkerState(net, source, target, record=record)
+def run_engine(net, tokens, source="ko", target="en") -> MarkerState:
+    """Feed surface tokens through a session and return it unclosed."""
+    state = MarkerState(net, source, target)
     state.initial_prediction()
     literals = net.literals[source]
     for i, word in enumerate(tokens):

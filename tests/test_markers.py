@@ -325,38 +325,56 @@ def test_markers_sit_on_legal_sites(net):
         state.close()
 
 
-def test_recording_does_not_change_the_chart(net):
-    """A recording session makes the same chart as one that does not, so
-    the trace, replayed with a recording session, explains the chart the
-    translation read: the travel corpus both ways, the free-order inputs
-    of seed 801, and, as neither withdraws a prediction, the synth samples
-    of seed 1 and two inputs that do."""
+def _corpus_runs(net):
+    """``(network, direction, sentence)`` of the travel corpus and of the
+    samples of ``synth_network(1000, 200, 1)``."""
     lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
     rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
     runs = [(net, direction, sentence) for direction, sentence, _ in rows]
-    runs += [(net, reverse_direction(d), out) for d, _, out in rows if out != "*"]
-    networks = {}
-    for text, sentence in free_order_sentences(801):
-        runs.append((networks.setdefault(text, load_network(text)), "ko-en", sentence))
     synth = synth_network(1000, 200, 1)
     network = load_network(synth)
-    runs += [(network, d, text) for d, text in parse_samples(synth)]
-    runs += [(mini_net(elements), "ko-en", "wa") for elements in ("c(OX) a(CX)", "c(OX) e(OF) a(CX)")]
+    return runs + [(network, d, text) for d, text in parse_samples(synth)]
+
+
+def _own_markers(trace, target_language):
+    """The lexical items a trace predicts after the initial prediction and
+    the ``(target item, token)`` pairs of its GA activations, in order."""
+    predicted, generated = [], []
+    for e in trace:
+        if e.event == "predict" and e.location.startswith("lex:") and e.token >= 0:
+            predicted.append(e.location[4:])
+        elif (e.event, e.marker) == ("activate", GA):
+            assert e.binding == f"tok{e.token}" and target_language(e.location[4:]), e
+            generated.append((e.location[4:], e.token))
+    return predicted, generated
+
+
+def test_trace_agrees_with_the_chart(net, monkeypatch):
+    """The trace tells of the chart the translation read: its instance
+    collisions name each instance once, in id order, and its ``accept``
+    events exactly the accepted ones; also where the chart outgrew its
+    budget, over the travel corpus, the synth samples and the
+    too-ambiguous probe."""
+    runs = _corpus_runs(net)
+    runs.append((load_network(multi_parent_probe(13)), "ko-en", " ".join(["wl"] * 13)))
+    closed = closed_sessions(monkeypatch, lambda state: list(state.instances))
     for network, direction, sentence in runs:
-        source, target = direction.split("-")
-        quiet, recording = (
-            run_engine(network, tokenize(sentence), source, target, record=record) for record in (False, True)
-        )
-        assert quiet.events is None and recording.events
-        assert quiet.instances == recording.instances, sentence
-        quiet.close()
-        recording.close()
+        result = translate(network, sentence, direction)
+        [(_, chart)] = closed
+        closed.clear()
+        made = [e.location[5:].partition("#")[0] for e in result.trace
+                if e.event == "collide" and e.location.startswith("inst:")]
+        assert made == [f"{inst.id}@{inst.cs}" for inst in chart], sentence
+        accepted = [e.binding for e in result.trace if e.event == "accept"]
+        assert accepted == [f"inst:{inst.id}" for inst in chart if is_accepted(network, inst)], sentence
+    assert result.status == TOO_AMBIGUOUS and made[-1] == f"{MAX_INSTANCES - 1}@s"
 
 
 def test_session_markers_never_overlap_the_plan(net):
-    """The session predicts only items the plan does not, and its GA
-    markers sit on target items, which the plan holds none of, so the
-    markers view yields every key once, as many as its length says."""
+    """A session's trace predicts only items the plan does not, each once,
+    and puts GA only on target items, each once per token; the session's
+    markers are the plan's, so the view yields every key once, as many as
+    its length says."""
     lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
     rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
     runs = [(net, direction.split("-"), sentence) for direction, sentence, _ in rows]
@@ -364,73 +382,52 @@ def test_session_markers_never_overlap_the_plan(net):
     for network, (source, target), sentence in runs:
         words = tokenize(sentence)
         state = run_engine(network, words, source, target)
-        assert not state.predicted_items & state.plan.predicted_items, words
-        assert state.generated_items
-        assert {network.lexicon[item].language for item, _ in state.generated_items} == {target}
+        predicted, generated = _own_markers(state.trace, lambda item: network.lexicon[item].language == target)
+        assert not set(predicted) & state.plan.predicted_items, words
+        assert len(predicted) == len(set(predicted)) and len(generated) == len(set(generated))
+        assert generated
         keys = list(state.markers)
         assert len(keys) == len(set(keys)) == len(state.markers)
         assert all(key in state.markers for key in keys)
         state.close()
 
 
-def test_translated_sessions_never_record_a_plan_key(net, monkeypatch):
+def test_translated_sessions_never_record_a_plan_key(net):
     """Whole translations, realization included, over the travel corpus
-    and the synth samples, each traced: just before the recording session
-    that the trace read runs closes, none of the lexical items it
-    predicted is one the plan predicts."""
-    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
-    rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
-    runs = [(net, direction, sentence) for direction, sentence, _ in rows]
-    synth = synth_network(1000, 200, 1)
-    network = load_network(synth)
-    runs += [(network, d, text) for d, text in parse_samples(synth)]
-    closed = closed_sessions(monkeypatch, lambda state: set(state.predicted_items))
+    and the synth samples: none of the lexical items a trace predicts after
+    the initial prediction is one the plan predicts."""
     predicted_any = False
-    for network, direction, sentence in runs:
+    for network, direction, sentence in _corpus_runs(net):
         result = translate(network, sentence, direction)
         assert result.ok and result.trace, sentence
-        (session, _), (replay, predicted) = closed  # translate's, then the trace read's
-        assert session.events is None and replay.events is not None
-        overlap = predicted & replay.plan.predicted_items
+        predicted, _ = _own_markers(result.trace, lambda item: True)
+        overlap = set(predicted) & network.plans[tuple(direction.split("-"))].predicted_items
         assert not overlap, (sentence, sorted(overlap)[:3])
         predicted_any |= bool(predicted)
-        closed.clear()
     assert predicted_any
 
 
 def test_session_marker_sets_agree_with_the_trace(net, monkeypatch):
-    """Each sentence's trace is read, and just before the one recording
-    session that the read runs closes, its AP items are the ``lex:`` items
-    of its own ``predict`` events and its GA pairs those of its ``activate
-    GA`` events; it keeps no marker of an instance element or a concept
-    and no bound ``AA``, which nothing reads."""
-    lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
-    rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
-    runs = [(net, direction, sentence) for direction, sentence, _ in rows]
-    synth = synth_network(1000, 200, 1)
-    network = load_network(synth)
-    runs += [(network, d, text) for d, text in parse_samples(synth)]
+    """Just before ``translate`` closes its session, the session's markers
+    are the plan's and no more: no marker of an instance element or a
+    concept and no bound ``AA``, which nothing reads.  Its trace names each
+    lexical prediction beyond the plan once and each GA pair once, on
+    items of the target language."""
+    runs = _corpus_runs(net)
     runs.append((load_network(multi_parent_probe(5)), "ko-en", "wl wl wl wl wl"))
-
-    def check(state):
-        if state.events is None:  # translate's session, which records nothing
-            return None
-        predicted, generated = set(), set()
-        for e in state.trace:
-            if e.event == "predict" and e.location.startswith("lex:") and e.token >= 0:
-                predicted.add(e.location[4:])
-            elif (e.event, e.marker) == ("activate", GA):
-                assert e.binding == f"tok{e.token}"
-                generated.add((e.location[4:], e.token))
-        stray = [k for k in state.markers if k[1][0] in ("icse", "cn") or k[0] == AA and k[2] is not None]
-        return state.predicted_items == predicted, state.generated_items == generated, stray
-
-    closed = closed_sessions(monkeypatch, check)
+    closed = closed_sessions(monkeypatch, lambda state: (set(state.markers), len(state.markers)))
     for network, direction, sentence in runs:
+        source, target = direction.split("-")
         result = translate(network, sentence, direction)
-        assert result.ok and result.trace, sentence
-        assert [checked for _, checked in closed] == [None, (True, True, [])], sentence
+        assert result.ok, sentence
+        [(session, (markers, count))] = closed
         closed.clear()
+        plan = session.plan
+        assert count == len(markers) == len(plan.predicted_slots) + len(plan.predicted_items) + len(plan.target_heads)
+        assert not [k for k in markers if k[1][0] in ("icse", "cn") or k[0] == AA and k[2] is not None]
+        predicted, generated = _own_markers(result.trace, lambda item: network.lexicon[item].language == target)
+        assert len(predicted) == len(set(predicted)) and len(generated) == len(set(generated)), sentence
+        assert generated, sentence
 
 
 def test_chart_records_are_immutable_and_keep_their_formats():
@@ -625,7 +622,8 @@ def test_start_slots_merge_every_parent_in_declaration_order():
 
 
 def test_lexical_prediction_table_is_items_below_minus_the_plan():
-    net = load_network(synth_network(1000, 200, 42))
+    text = synth_network(1000, 200, 42)
+    net = load_network(text)
     for (source, target), plan in net.plans.items():
         fillers = list(dict.fromkeys(
             el.concept
@@ -636,22 +634,34 @@ def test_lexical_prediction_table_is_items_below_minus_the_plan():
         ))
         assert list(plan.filler_bit) == fillers
         items = [it for it in net.lexicon.values() if it.language == source]
-        added = 0
         for concept in fillers:
             below = [it.id for it in items if concept in net.ancestors[it.concept]]
             assert net.items_below[(source, concept)] == tuple(below)
-            # predicting the filler later adds the items the plan does not
-            state = MarkerState(net, source, target, record=True)
-            state._predict_lexical(concept)
-            predicted = [e.location for e in state.events]
-            assert predicted == [f"lex:{item_id}" for item_id in below if item_id not in plan.predicted_items]
-            added += len(predicted)
-        assert added
+    # after the initial prediction, a trace predicts the items below each
+    # filler its instance predictions name, in that order, that the plan
+    # does not, each once
+    added = 0
+    for direction, sentence in parse_samples(text):
+        source, target = direction.split("-")
+        planned = net.plans[(source, target)].predicted_items
+        trace = translate(net, sentence, direction).trace
+        expected = []
+        for e in trace:
+            if e.event == "predict" and e.location.startswith("inst:"):
+                cs_id, _, idx = e.location.partition("@")[2].rpartition("#")
+                el = net.sequences[cs_id].elements[int(idx)]
+                if el.literal is None:
+                    expected += [i for i in net.items_below[(source, el.concept)] if i not in planned]
+        predicted, _ = _own_markers(trace, lambda item: True)
+        assert predicted == list(dict.fromkeys(expected)), sentence
+        added += len(predicted)
+    assert added
 
 
-def test_recording_session_walks_each_filler_once(monkeypatch):
-    """A recording session predicts a filler's lexical items each time an
-    instance predicts the filler, but walks its ``items_below`` once."""
+def test_trace_walks_each_filler_once(monkeypatch):
+    """A trace predicts a filler's lexical items each time an instance
+    predicts the filler, but reads its ``items_below`` once, and the plan's
+    fillers, whose items the initial prediction placed, only there."""
     text = synth_network(1000, 200, 1)
     net = load_network(text)
     walks = collections.Counter()
@@ -662,25 +672,23 @@ def test_recording_session_walks_each_filler_once(monkeypatch):
             return super().__getitem__(key)
 
     monkeypatch.setattr(net, "items_below", CountingBelow(net.items_below))
-    calls = 0
-    real = MarkerState._predict_lexical
-
-    def counting(state, concept):
-        nonlocal calls
-        calls += 1
-        real(state, concept)
-
-    monkeypatch.setattr(MarkerState, "_predict_lexical", counting)
-    walked = 0
+    walked = named = 0
     for direction, sentence in parse_samples(text):
-        walks.clear()
         source, target = direction.split("-")
+        plan = net.plans[(source, target)]
+        fillers = {net.sequences[cs_id].elements[idx].concept for cs_id, idx in plan.predicted_slots} - {None}
         state = run_engine(net, tokenize(sentence), source, target)
         assert state.best_result(len(tokenize(sentence))) is not None, sentence
+        walks.clear()
+        trace = state.trace
         assert max(walks.values(), default=0) <= 1, sentence
-        walked += sum(walks.values())
+        walked += sum(walks.values()) - len(fillers)
+        for e in trace:
+            if e.event == "predict" and e.location.startswith("inst:"):
+                cs_id, _, idx = e.location.partition("@")[2].rpartition("#")
+                named += net.sequences[cs_id].elements[int(idx)].literal is None
         state.close()
-    assert 0 < walked < calls
+    assert 0 < walked < named
 
 
 def _instance_collides(result):

@@ -506,13 +506,9 @@ def test_trace_is_built_when_first_read(monkeypatch):
     assert built == []
     trace = result.trace
     assert len(built) == len(trace)
-    [_, (replay, _)] = closed  # translate's session, then the trace read's
-    events = replay.events
-    assert events
-    prefix = trace[: len(trace) - len(events)]
-    assert [(e.event, e.marker, e.token) for e in trace[len(prefix):]] == [
-        (event, marker, token) for event, marker, _, _, token in events
-    ]
+    assert len(closed) == 1  # translate's session: the read opens none
+    prefix = [e for e in trace if e.token < 0]
+    assert trace[: len(prefix)] == tuple(prefix) and len(prefix) < len(trace)
     assert result.trace is trace
     # the predict prefix places each of the plan's markers once
     assert {(e.event, e.binding, e.token) for e in prefix} == {("predict", None, -1)}
@@ -548,56 +544,64 @@ def test_load_builds_no_trace_events(monkeypatch):
     ids=["success", "unknown-word", "no-parse"],
 )
 def test_closed_session_keeps_the_result_trace(net, sentence, monkeypatch):
+    """``close`` empties the session, and the result still reads its whole
+    trace, up to the sentence's last activated token, from the chart it
+    kept."""
+    closed = closed_sessions(monkeypatch, lambda state: len(state.readings))
     result = translate(net, sentence, "en-ko")
-    closed = closed_sessions(monkeypatch)
+    [(session, tokens)] = closed
+    assert session.is_empty()
     trace = result.trace
-    [(replay, _)] = closed  # the recording session the read ran
-    assert replay.is_empty()
-    assert replay.events
-    assert trace == replay.trace
+    assert len(closed) == 1
+    assert trace[-1].token == tokens - 1 >= 0
+    assert {e.token for e in trace} == set(range(-1, tokens))
 
 
-@pytest.mark.parametrize(
-    "direction, sentence, status",
-    [("en-ko", ENGLISH, "success"), ("en-ko", "the way xqz", "unknown-word"),
-     ("en-ko", "way the you would", "no-parse"), ("ko-en", " ".join(["wl"] * 13), "too-ambiguous")],
-    ids=["success", "unknown-word", "no-parse", "too-ambiguous"],
-)
+STATUS_CASES = [  # direction, sentence, status; the last on multi_parent_probe(13)
+    ("en-ko", ENGLISH, "success"),
+    ("en-ko", "the way xqz", "unknown-word"),
+    ("en-ko", "way the you would", "no-parse"),
+    ("ko-en", " ".join(["wl"] * 13), "too-ambiguous"),
+]
+
+
+@pytest.mark.parametrize("direction, sentence, status", STATUS_CASES, ids=[case[2] for case in STATUS_CASES])
 def test_translate_session_records_nothing(net, direction, sentence, status, monkeypatch):
-    """The session ``translate`` closes holds no event and places no marker
-    of its own, and no trace event is built, whatever the status."""
+    """The session ``translate`` closes places no marker of its own, and no
+    trace event is built, whatever the status."""
     network = load_network(multi_parent_probe(13)) if status == "too-ambiguous" else net
     built = _count_trace_events(monkeypatch)
-    closed = closed_sessions(
-        monkeypatch, lambda state: (state.events, set(state.predicted_items), set(state.generated_items))
-    )
+    closed = closed_sessions(monkeypatch, lambda state: (len(state.markers), state.plan))
     assert translate(network, sentence, direction).status == status
-    [(_, kept)] = closed
-    assert kept == (None, set(), set())
+    [(_, (count, plan))] = closed
+    assert count == len(plan.predicted_slots) + len(plan.predicted_items) + len(plan.target_heads)
     assert built == []
 
 
-def test_trace_is_read_by_one_replay_and_kept(net, monkeypatch):
-    result = translate(net, ENGLISH, "en-ko")
+def test_trace_read_opens_no_session(net, monkeypatch):
+    """A trace is read from the chart the result kept: reading the traces
+    of the synth samples and of the status cases, the golden file's
+    sentences among them, makes and closes no session."""
+    synth = synth_network(1000, 200, 1)
+    network = load_network(synth)
+    runs = [(network, d, text) for d, text in parse_samples(synth)]
+    runs += [(net, direction, sentence) for direction, sentence, _ in STATUS_CASES[1:3]]
+    runs += [(load_network(GAP_NET), "ko-en", "wa"), (load_network(multi_parent_probe(13)), *STATUS_CASES[3][:2])]
+    results = [translate(network, sentence, direction) for network, direction, sentence in runs]
+    made = []
+    real_init = markermt.markers.MarkerState.__init__
+
+    def counting_init(state, *args):
+        made.append(state)
+        real_init(state, *args)
+
+    monkeypatch.setattr(markermt.markers.MarkerState, "__init__", counting_init)
     closed = closed_sessions(monkeypatch)
-    trace = result.trace
-    assert result.trace is trace
-    [(replay, _)] = closed
-    assert replay.events is not None
-
-
-def test_trace_read_raises_when_the_replay_disagrees(net, monkeypatch):
-    result = translate(net, ENGLISH, "en-ko")
-    real = markermt.translator._translate
-
-    def disagreeing(*args):
-        replay, events = real(*args)
-        replay.target_sentence += "!"
-        return replay, events
-
-    monkeypatch.setattr(markermt.translator, "_translate", disagreeing)
-    with pytest.raises(RuntimeError, match="disagrees with its result"):
-        result.trace
+    traces = [result.trace for result in results]
+    assert made == [] and closed == []
+    assert all(trace for trace in traces)
+    assert all(result.trace is trace for result, trace in zip(results, traces))
+    assert {r.status for r in results} == {"success", "unknown-word", "no-parse", "too-ambiguous"}
 
 
 def test_corpus_builds_no_trace_events(net, monkeypatch, capsys):
