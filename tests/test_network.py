@@ -1,9 +1,12 @@
 import copy
 import dataclasses
 import functools
+import random
+import re
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -16,6 +19,7 @@ from markermt.network import (
     ConceptNode,
     ConceptSequence,
     Diagnostic,
+    ElementType,
     LexicalItem,
     MemoryNetwork,
     NetworkError,
@@ -409,43 +413,58 @@ def _codes(diags):
     return {d.code for d in diags}
 
 
-def test_isa_self_loop_diagnosed(travel_text):
-    net = load_network(travel_text + "\nconcept zz isa zz\n")
-    assert "isa-cycle" in _codes(validate_network(net))
+def _handbuilt(*records):
+    """A network of ``records`` built by hand, so without the loader's
+    reference and pairing checks."""
+    net = MemoryNetwork()
+    tables = {ConceptNode: net.concepts, LexicalItem: net.lexicon, ConceptSequence: net.sequences}
+    for record in records:
+        tables[type(record)][record.id] = record
+    net.build_indexes()
+    return net
 
 
-def test_isa_two_cycle_diagnosed(travel_text):
-    net = load_network(travel_text + "\nconcept z1 isa z2\nconcept z2 isa z1\n")
-    assert "isa-cycle" in _codes(validate_network(net))
+def _a_pair(ko_paired="t", en_paired="s", en_language=EN, parents=()):
+    """Concept ``a`` (with ``parents``) and its items, and a ko and an en
+    sequence of ``top`` with the one element ``a(CX)``, paired as given."""
+    element = (SequenceElement(etype="CX", concept="a"),)
+    return _handbuilt(
+        ConceptNode(id="a", parents=parents),
+        ConceptNode(id="top"),
+        LexicalItem(id="ka", language=KO, morphemes=("wa",), concept="a"),
+        LexicalItem(id="ea", language=EN, morphemes=("va",), concept="a"),
+        ConceptSequence(id="s", language=KO, owner="top", elements=element, paired=ko_paired),
+        ConceptSequence(id="t", language=en_language, owner="top", elements=element, paired=en_paired),
+    )
 
 
-def test_asymmetric_pairing_diagnosed(travel_text):
-    mutated = travel_text.replace("cs kcs-loc ko of kennedy-park pair ecs-loc",
-                                  "cs kcs-loc ko of kennedy-park pair ecs1")
-    net = load_network(mutated)
-    assert "asymmetric-pairing" in _codes(validate_network(net))
+def _isa_self_loop(travel):
+    return load_network(travel + "\nconcept zz isa zz\n")
 
 
-def test_english_free_element_diagnosed(travel_text):
-    mutated = travel_text.replace('"you"(CX) edit(CX) "the"(CX) files(CX)',
-                                  '"you"(CX) edit(CX) "the"(CX) files(OF)')
-    net = load_network(mutated)
-    diags = validate_network(net)
-    assert "english-cse-type" in _codes(diags)
-    assert any("must be CX" in d.message for d in diags)
+def _isa_two_cycle(travel):
+    return load_network(travel + "\nconcept z1 isa z2\nconcept z2 isa z1\n")
 
 
-def test_unreachable_filler_diagnosed(travel_text):
-    mutated = travel_text + (
+def _asymmetric_pairing(travel):
+    return load_network(travel.replace("cs kcs-loc ko of kennedy-park pair ecs-loc",
+                                       "cs kcs-loc ko of kennedy-park pair ecs1"))
+
+
+def _english_free_element(travel):
+    return load_network(travel.replace('"you"(CX) edit(CX) "the"(CX) files(CX)',
+                                       '"you"(CX) edit(CX) "the"(CX) files(OF)'))
+
+
+def _unreachable_filler(travel):
+    return load_network(travel + (
         "\nconcept ghost\nconcept ghostx\n"
         "cs kcs9 ko of ghost pair ecs9 : ghostx(CX)\n"
         "cs ecs9 en of ghost pair kcs9 : ghostx(CX)\n"
-    )
-    net = load_network(mutated)
-    assert "unreachable-filler" in _codes(validate_network(net))
+    ))
 
 
-def test_all_omissible_diagnosed_on_handbuilt_network():
+def _all_omissible_handbuilt():
     net = MemoryNetwork()
     net.concepts["a"] = ConceptNode(id="a")
     net.sequences["s1"] = ConceptSequence(
@@ -457,51 +476,81 @@ def test_all_omissible_diagnosed_on_handbuilt_network():
         elements=(SequenceElement(etype="CX", concept="a"),), paired="s1",
     )
     net.build_indexes()
-    assert "all-omissible" in _codes(validate_network(net))
+    return net
+
+
+# target requires concept b but the source side can never supply it
+UNGENERATABLE = (
+    "concept a\nconcept b\n"
+    "lex ka ko wa isa a\nlex ea en va isa a\n"
+    "lex kb ko wb isa b\nlex eb en vb isa b\n"
+    "concept top\n"
+    "cs s1 ko of top pair s2 : a(CX)\n"
+    "cs s2 en of top pair s1 : a(CX) b(CX)\n"
+)
+
+OMISSIBLE_CYCLE = (
+    "concept a\nlex ka ko wa isa a\nlex ea en va isa a\n"
+    "concept n1\nconcept n2\n"
+    "cs c1 ko of n1 pair m1 : a(CX) n2(OF)\n"
+    "cs m1 en of n1 pair c1 : a(CX)\n"
+    "cs c2 ko of n2 pair m2 : a(CX) n1(OF)\n"
+    "cs m2 en of n2 pair c2 : a(CX)\n"
+)
+
+
+def test_isa_self_loop_diagnosed(travel_text):
+    assert "isa-cycle" in _codes(validate_network(_isa_self_loop(travel_text)))
+
+
+def test_isa_two_cycle_diagnosed(travel_text):
+    assert "isa-cycle" in _codes(validate_network(_isa_two_cycle(travel_text)))
+
+
+def test_asymmetric_pairing_diagnosed(travel_text):
+    assert "asymmetric-pairing" in _codes(validate_network(_asymmetric_pairing(travel_text)))
+
+
+def test_english_free_element_diagnosed(travel_text):
+    diags = validate_network(_english_free_element(travel_text))
+    assert "english-cse-type" in _codes(diags)
+    assert any("must be CX" in d.message for d in diags)
+
+
+def test_unreachable_filler_diagnosed(travel_text):
+    assert "unreachable-filler" in _codes(validate_network(_unreachable_filler(travel_text)))
+
+
+def test_all_omissible_diagnosed_on_handbuilt_network():
+    assert "all-omissible" in _codes(validate_network(_all_omissible_handbuilt()))
 
 
 def test_ungeneratable_target_diagnosed():
-    # target requires concept b but the source side can never supply it
-    text = (
-        "concept a\nconcept b\n"
-        "lex ka ko wa isa a\nlex ea en va isa a\n"
-        "lex kb ko wb isa b\nlex eb en vb isa b\n"
-        "concept top\n"
-        "cs s1 ko of top pair s2 : a(CX)\n"
-        "cs s2 en of top pair s1 : a(CX) b(CX)\n"
-    )
-    net = load_network(text)
-    assert "ungeneratable-element" in _codes(validate_network(net))
+    assert "ungeneratable-element" in _codes(validate_network(load_network(UNGENERATABLE)))
 
 
 def test_omissible_reference_cycle_diagnosed():
-    text = (
-        "concept a\nlex ka ko wa isa a\nlex ea en va isa a\n"
-        "concept n1\nconcept n2\n"
-        "cs c1 ko of n1 pair m1 : a(CX) n2(OF)\n"
-        "cs m1 en of n1 pair c1 : a(CX)\n"
-        "cs c2 ko of n2 pair m2 : a(CX) n1(OF)\n"
-        "cs m2 en of n2 pair c2 : a(CX)\n"
-    )
-    net = load_network(text)
-    assert "omissible-cycle" in _codes(validate_network(net))
+    assert "omissible-cycle" in _codes(validate_network(load_network(OMISSIBLE_CYCLE)))
 
 
 DEEP = 3000
 
 
-@pytest.mark.parametrize("closed", [False, True])
-def test_deep_isa_chain_validates(closed):
+def _deep_isa_chain(closed):
     # declared child-first, so one walk from c0 descends the whole chain
     lines = [f"concept c{i} isa c{i + 1}" for i in range(DEEP)]
     lines.append(f"concept c{DEEP}" + (" isa c0" if closed else ""))
-    cycle = " -> ".join(f"c{i}" for i in [*range(DEEP + 1), 0])
-    expected = [Diagnostic("isa-cycle", f"IS-A cycle: {cycle}")] if closed else []
-    assert validate_network(load_network("\n".join(lines))) == expected
+    return "\n".join(lines)
 
 
 @pytest.mark.parametrize("closed", [False, True])
-def test_deep_omissible_reference_chain_validates(closed):
+def test_deep_isa_chain_validates(closed):
+    cycle = " -> ".join(f"c{i}" for i in [*range(DEEP + 1), 0])
+    expected = [Diagnostic("isa-cycle", f"IS-A cycle: {cycle}")] if closed else []
+    assert validate_network(load_network(_deep_isa_chain(closed))) == expected
+
+
+def _deep_omissible_reference_chain(closed):
     lines = ["concept a", "lex ka ko wa isa a", "lex ea en va isa a"]
     for i in range(DEEP + 1):
         nxt = f" n{i + 1}(OX)" if i < DEEP else (" n0(OX)" if closed else "")
@@ -510,9 +559,14 @@ def test_deep_omissible_reference_chain_validates(closed):
             f"cs c{i} ko of n{i} pair m{i} : a(CX){nxt}",
             f"cs m{i} en of n{i} pair c{i} : a(CX)",
         ]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_deep_omissible_reference_chain_validates(closed):
     cycle = Diagnostic("omissible-cycle", "all-omissible sequence reference cycle through 'c0'")
     expected = [cycle] if closed else []
-    assert validate_network(load_network("\n".join(lines))) == expected
+    assert validate_network(load_network(_deep_omissible_reference_chain(closed))) == expected
 
 
 def _supply_net(source: str, target: str):
@@ -539,13 +593,17 @@ def test_target_element_supplied_only_by_an_omissible_counterpart_diagnosed():
     assert validate_network(_supply_net('"x"(CX) a(OX)', '"y"(CX) a(CX)=ea')) == []
 
 
-def test_morphrule_of_no_declared_affix_diagnosed(travel_text):
+def _dead_morphrules(travel):
     # zq is no affix, tul is a ko affix only, and zr is declared as a root
-    net = load_network(
-        travel_text
+    return load_network(
+        travel
         + "morphrule ko p+zq -> x\nmorphrule en y+tul -> x\n"
         + "affix ko zr role root\nmorphrule ko p+zr -> x\n"
     )
+
+
+def test_morphrule_of_no_declared_affix_diagnosed(travel_text):
+    net = _dead_morphrules(travel_text)
     dead = [("p+zq", "ko", "zq"), ("y+tul", "en", "tul"), ("p+zr", "ko", "zr")]
     assert validate_network(net) == [
         Diagnostic(
@@ -557,20 +615,153 @@ def test_morphrule_of_no_declared_affix_diagnosed(travel_text):
     assert net.morphology.segment("ko", "kox") == ()
 
 
+# a lexical fill of a is realized by an en item of a; the en sequence a
+# owns does not supply one, so translating "wa" could only end no-parse
+ONLY_A_TARGET_SEQUENCE = (
+    "concept a\nconcept top\n"
+    "lex wa ko wa isa a\n"
+    'cs pa ko of a pair qa : "x"(CX)\n'
+    'cs qa en of a pair pa : "y"(CX)\n'
+    "cs s ko of top pair t : a(CX)\n"
+    "cs t en of top pair s : a(CX)\n"
+)
+
+
 def test_concept_with_only_a_target_sequence_is_unpaired():
-    # a lexical fill of a is realized by an en item of a; the en sequence a
-    # owns does not supply one, so translating "wa" could only end no-parse
-    net = load_network(
-        "concept a\nconcept top\n"
-        "lex wa ko wa isa a\n"
-        'cs pa ko of a pair qa : "x"(CX)\n'
-        'cs qa en of a pair pa : "y"(CX)\n'
-        "cs s ko of top pair t : a(CX)\n"
-        "cs t en of top pair s : a(CX)\n"
-    )
-    assert validate_network(net) == [
+    assert validate_network(load_network(ONLY_A_TARGET_SEQUENCE)) == [
         Diagnostic("unpaired-concept", "concept 'a' has ko item 'wa' but no en realization")
     ]
+
+
+def test_handbuilt_references_the_loader_rejects_are_diagnosed():
+    assert validate_network(_a_pair(parents=("ghost",))) == [
+        Diagnostic("dangling-parent", "concept 'a' isa unknown 'ghost'")
+    ]
+    assert validate_network(_a_pair(ko_paired="nowhere")) == [
+        Diagnostic("dangling-pair", "'s' paired with unknown 'nowhere'"),
+        Diagnostic("asymmetric-pairing", "'t' pairs 's' but 's' pairs 'nowhere'"),
+    ]
+    assert _codes(validate_network(_a_pair(en_language=KO))) == {"pairing-language"}
+
+
+# -- validate's golden file -------------------------------------------------
+
+GOLDEN_VALIDATE = Path(__file__).parent / "data" / "validate.golden"
+
+VALIDATE_CODES = {
+    "dangling-parent", "isa-cycle", "dangling-pair", "asymmetric-pairing", "pairing-language",
+    "english-cse-type", "all-omissible", "unreachable-filler", "unpaired-concept",
+    "ungeneratable-element", "omissible-cycle", "dead-morphrule",
+}
+
+MUTATION_SEEDS = 300
+
+
+def _validator_networks(travel):
+    """Each invalid network of the validator tests above, by name."""
+    return [
+        ("isa self loop", _isa_self_loop(travel)),
+        ("isa two-cycle", _isa_two_cycle(travel)),
+        ("asymmetric pairing", _asymmetric_pairing(travel)),
+        ("English free element", _english_free_element(travel)),
+        ("unreachable filler", _unreachable_filler(travel)),
+        ("all-omissible, hand-built", _all_omissible_handbuilt()),
+        ("ungeneratable target", load_network(UNGENERATABLE)),
+        ("omissible reference cycle", load_network(OMISSIBLE_CYCLE)),
+        ("deep IS-A chain, closed", load_network(_deep_isa_chain(True))),
+        ("deep omissible reference chain, closed", load_network(_deep_omissible_reference_chain(True))),
+        ("target a(CX) a(CX) from a(CX)", _supply_net("a(CX)", "a(CX) a(CX)")),
+        ("target a(CX) from a(OX)", _supply_net('"x"(CX) a(OX)', '"y"(CX) a(CX)')),
+        ("dead morphrules", _dead_morphrules(travel)),
+        ("concept with only a target sequence", load_network(ONLY_A_TARGET_SEQUENCE)),
+        ("dangling parent, hand-built", _a_pair(parents=("ghost",))),
+        ("dangling pair, hand-built", _a_pair(ko_paired="nowhere")),
+        ("pairing within a language, hand-built", _a_pair(en_language=KO)),
+    ]
+
+
+def _edit_for_validate(rng, lines):
+    """One to three edits of ``lines`` aimed at validate, drawn from
+    ``rng``: flip an element type, drop a ``lex`` line, retarget a ``pair``
+    or add an IS-A edge.  Returns the lines and a note of each edit."""
+    def pick(kind):
+        return rng.choice([i for i, line in enumerate(lines) if line.startswith(kind + " ")])
+
+    notes = []
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(["flip", "drop", "retarget", "isa"])
+        if op == "drop":
+            i = pick("lex")
+            notes.append(f"drop lex {lines[i].split()[1]}")
+            del lines[i]
+            continue
+        i = pick("concept" if op == "isa" else "cs")
+        tokens = lines[i].split()
+        if op == "flip":
+            k = rng.randrange(8, len(tokens))
+            etype = rng.choice(ElementType.ALL)
+            tokens[k] = re.sub(r"\((CX|CF|OX|OF)\)", f"({etype})", tokens[k])
+            notes.append(f"{tokens[1]} element {k - 8} to {etype}")
+        elif op == "retarget":
+            tokens[6] = lines[pick("cs")].split()[1]
+            notes.append(f"{tokens[1]} pairs {tokens[6]}")
+        else:
+            parent = lines[pick("concept")].split()[1]
+            if "isa" in tokens:
+                tokens[tokens.index("isa") + 1] += "," + parent
+            else:
+                tokens[2:2] = ["isa", parent]
+            notes.append(f"{tokens[1]} isa {parent}")
+        lines[i] = " ".join(tokens)
+    return lines, notes
+
+
+def _mutated_networks(travel):
+    """The networks ``_edit_for_validate`` makes of travel.net (even seeds)
+    and of ``synth_network(200, 40, s)`` (odd seeds) that load, by name."""
+    sources = {"travel.net": travel}
+    for seed in range(MUTATION_SEEDS):
+        rng = random.Random(seed)
+        name = "travel.net" if seed % 2 == 0 else f"synth_network(200, 40, {seed % 3 + 1})"
+        if name not in sources:
+            sources[name] = synth_network(200, 40, seed % 3 + 1)
+        lines, notes = _edit_for_validate(rng, sources[name].splitlines())
+        try:
+            net = load_network("\n".join(lines))
+        except NetworkError:
+            continue
+        yield f"{name} seed {seed}: {'; '.join(notes)}", net
+
+
+def _validate_golden_lines(travel):
+    """Validate's diagnostics as ``validate.golden`` holds them, each case a
+    ``# <case>`` line and then its ``code: message`` lines or ``network
+    ok``: two clean networks, each invalid network of the tests above, and
+    each seeded mutation that loads and draws a diagnostic."""
+    clean = [
+        ("travel.net", load_network(travel)),
+        ("synth_network(1000, 200, 1)", load_network(synth_network(1000, 200, 1))),
+    ]
+    lines = []
+    for name, network in clean + _validator_networks(travel) + list(_mutated_networks(travel)):
+        diags = validate_network(network)
+        if " seed " in name and not diags:
+            continue
+        lines.append(f"# {name}")
+        lines.extend(str(d) for d in diags)
+        if not diags:
+            lines.append("network ok")
+    return lines
+
+
+def test_validate_matches_golden_file(travel_text):
+    got = _validate_golden_lines(travel_text)
+    expected = GOLDEN_VALIDATE.read_text(encoding="utf-8").splitlines()
+    for i, (a, b) in enumerate(zip(got, expected), start=1):
+        assert a == b, f"line {i}"
+    assert len(got) == len(expected)
+    assert sum(" seed " in line for line in got if line.startswith("# ")) >= 100
+    assert {line.split(":")[0] for line in got if not line.startswith("# ")} == VALIDATE_CODES | {"network ok"}
 
 
 # -- the frozen network ---------------------------------------------------
