@@ -633,7 +633,13 @@ def validate_network(net: MemoryNetwork) -> list[Diagnostic]:
     """Structural diagnostics over a loaded (or hand-built) network.
 
     Empty result means every invariant holds.  Each violation yields one
-    diagnostic; the network is not modified.
+    diagnostic; the network is not modified.  The checks read the tables
+    :meth:`MemoryNetwork.build_indexes` compiled: the element discipline
+    from ``layouts``, each target element's supply from ``counterparts``,
+    and reachability from ``items_below``, ``sequences_below`` and
+    ``ancestors``.  Each fact is decided once per distinct key, and the
+    declarations are walked, in order, only where a diagnostic is due.  So
+    a hand-built network must call ``build_indexes`` after its last change.
     """
     diags: list[Diagnostic] = []
 
@@ -710,9 +716,13 @@ def _check_pairing(net, diags):
 
 
 def _check_english_fixed(net, diags):
+    layouts = net.layouts
     for cs in net.sequences.values():
         if cs.language != EN:
             continue
+        layout = layouts[cs.id]
+        if not layout.free_mask and layout.required == (1 << len(cs.elements)) - 1:
+            continue  # every element CX
         for i, el in enumerate(cs.elements):
             if el.etype != ElementType.REQUIRED_FIXED:
                 diags.append(
@@ -724,67 +734,78 @@ def _check_english_fixed(net, diags):
 
 
 def _check_compulsory(net, diags):
-    for cs in net.sequences.values():
-        if all(ElementType.omissible(e.etype) for e in cs.elements):
-            diags.append(
-                Diagnostic("all-omissible", f"'{cs.id}' accepts the empty string")
-            )
-
-
-def _realizable(net, language, concept_id) -> bool:
-    key = (language, concept_id)
-    return bool(net.items_below[key]) or bool(net.sequences_below[key])
+    for cs_id, layout in net.layouts.items():
+        if not layout.required:
+            diags.append(Diagnostic("all-omissible", f"'{cs_id}' accepts the empty string"))
 
 
 def _check_reachability(net, diags):
-    for cs in net.sequences.values():
-        for i, el in enumerate(cs.elements):
-            if el.literal is not None:
-                continue
-            if el.concept not in net.concepts:
-                continue  # reported as dangling at load
-            if not _realizable(net, cs.language, el.concept) and not el.default_item:
-                diags.append(
-                    Diagnostic(
-                        "unreachable-filler",
-                        f"'{cs.id}' element {i} ({el.concept}) reaches no {cs.language} "
-                        "lexical item or sequence and has no default",
+    # items_below has a key for each (language, concept) an element names;
+    # an undeclared concept is reported as dangling at load
+    below = net.sequences_below
+    unreachable = {
+        key for key, items in net.items_below.items()
+        if not items and not below[key] and key[1] in net.concepts
+    }
+    if unreachable:
+        for cs in net.sequences.values():
+            for i, el in enumerate(cs.elements):
+                if el.literal is None and not el.default_item and (cs.language, el.concept) in unreachable:
+                    diags.append(
+                        Diagnostic(
+                            "unreachable-filler",
+                            f"'{cs.id}' element {i} ({el.concept}) reaches no {cs.language} "
+                            "lexical item or sequence and has no default",
+                        )
                     )
-                )
     # a lexical fill is realized by a target item of its own concept (a
     # sequence of that concept does not supply one), otherwise analysis can
     # succeed where generation cannot
-    fillers = {el.concept for cs in net.sequences.values() for el in cs.elements if el.concept}
-    for item in net.lexicon.values():
-        other = EN if item.language == KO else KO
-        if net.items_of_concept(other, item.concept):
-            continue
-        if not fillers.isdisjoint(net.ancestors[item.concept]):
-            diags.append(
-                Diagnostic(
-                    "unpaired-concept",
-                    f"concept '{item.concept}' has {item.language} item '{item.id}' "
-                    f"but no {other} realization",
+    items_of = net._items_of
+    fillers = {concept for _, concept in net.items_below}
+    unpaired = {
+        (language, concept) for language, concept in items_of
+        if ((EN if language == KO else KO), concept) not in items_of
+        and not fillers.isdisjoint(net.ancestors[concept])
+    }
+    if unpaired:
+        for item in net.lexicon.values():
+            if (item.language, item.concept) in unpaired:
+                other = EN if item.language == KO else KO
+                diags.append(
+                    Diagnostic(
+                        "unpaired-concept",
+                        f"concept '{item.concept}' has {item.language} item '{item.id}' "
+                        f"but no {other} realization",
+                    )
                 )
-            )
 
 
 def _check_generation_supply(net, diags):
     # every compulsory conceptual element of a target sequence needs either a
-    # default item or a counterpart that every parse of the source fills
-    for cs in net.sequences.values():
-        target = net.sequences.get(cs.paired)
-        if target is None:
-            continue
-        for k, (el, j) in enumerate(zip(target.elements, net.counterparts[cs.id])):
-            if el.literal is not None or ElementType.omissible(el.etype) or el.default_item:
+    # default item or a counterpart that every parse of the source fills;
+    # the elements that may lack one depend only on the supply and on both
+    # sequences' required masks, so they are worked out once per such key
+    layouts, sequences = net.layouts, net.sequences
+    due: dict[tuple, list[tuple[int, int | None]]] = {}
+    for cs_id, supply in net.counterparts.items():
+        target = sequences[sequences[cs_id].paired]
+        key = (supply, layouts[cs_id].required, layouts[target.id].required)
+        open_ = due.get(key)
+        if open_ is None:
+            _, filled, needed = key
+            open_ = due[key] = [
+                (k, j) for k, j in enumerate(supply)
+                if needed >> k & 1 and (j is None or not filled >> j & 1)
+            ]
+        for k, j in open_:
+            el = target.elements[k]
+            if el.literal is not None or el.default_item:
                 continue
             if j is None:
-                why = f"has no source counterpart in '{cs.id}'"
-            elif ElementType.omissible(cs.elements[j].etype):
-                why = f"has only the omissible counterpart '{cs.id}' element {j}"
+                why = f"has no source counterpart in '{cs_id}'"
             else:
-                continue
+                why = f"has only the omissible counterpart '{cs_id}' element {j}"
             diags.append(
                 Diagnostic(
                     "ungeneratable-element",
@@ -798,14 +819,15 @@ def _check_omissible_cycles(net, diags):
     # a sequence with none has no edge out, so it is on no cycle and gets no
     # node (a set per sequence would be objects enough to set off a garbage
     # collection inside validate)
+    layouts, below = net.layouts, net.sequences_below
     edges: dict[str, set[str]] = {}
     for cs in net.sequences.values():
-        for el in cs.elements:
-            if el.literal is not None or not ElementType.omissible(el.etype):
-                continue
-            if el.concept not in net.concepts:
-                continue
-            edges.setdefault(cs.id, set()).update(net.sequences_below[(cs.language, el.concept)])
+        required, every = layouts[cs.id].required, (1 << len(cs.elements)) - 1
+        if required == every:
+            continue
+        for i, el in enumerate(cs.elements):
+            if not required >> i & 1 and el.literal is None and el.concept in net.concepts:
+                edges.setdefault(cs.id, set()).update(below[(cs.language, el.concept)])
 
     for cycle in _back_edges(edges, lambda cid: sorted(edges.get(cid, ()))):
         diags.append(
