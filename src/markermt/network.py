@@ -645,6 +645,7 @@ def validate_network(net: MemoryNetwork) -> list[Diagnostic]:
 
     _check_isa_acyclic(net, diags)
     _check_pairing(net, diags)
+    _check_references(net, diags)
     _check_english_fixed(net, diags)
     _check_compulsory(net, diags)
     _check_reachability(net, diags)
@@ -715,6 +716,31 @@ def _check_pairing(net, diags):
             )
 
 
+def _check_references(net, diags):
+    # the references the loader rejects as dangling, in a hand-built
+    # network: ancestors holds the closure of each sequence owner, element
+    # concept and item concept, empty only for an undeclared one, and each
+    # default item is looked up once per distinct name
+    concepts, lexicon = net.concepts, net.lexicon
+    defaults = {el.default_item for cs in net.sequences.values() for el in cs.elements}
+    defaults.discard(None)
+    if all(net.ancestors.values()) and defaults <= lexicon.keys():
+        return
+    dangling = []
+    for cs in net.sequences.values():
+        if cs.owner not in concepts:
+            dangling.append(f"'{cs.id}' is owned by unknown concept '{cs.owner}'")
+        for i, el in enumerate(cs.elements):
+            if el.concept is not None and el.concept not in concepts:
+                dangling.append(f"'{cs.id}' element {i} names unknown concept '{el.concept}'")
+            if el.default_item is not None and el.default_item not in lexicon:
+                dangling.append(f"'{cs.id}' element {i} has unknown default item '{el.default_item}'")
+    for item in net.lexicon.values():
+        if item.concept not in concepts:
+            dangling.append(f"lexical item '{item.id}' isa unknown concept '{item.concept}'")
+    diags.extend(Diagnostic("dangling-reference", message) for message in dangling)
+
+
 def _check_english_fixed(net, diags):
     layouts = net.layouts
     for cs in net.sequences.values():
@@ -741,7 +767,7 @@ def _check_compulsory(net, diags):
 
 def _check_reachability(net, diags):
     # items_below has a key for each (language, concept) an element names;
-    # an undeclared concept is reported as dangling at load
+    # an undeclared concept is reported as a dangling reference instead
     below = net.sequences_below
     unreachable = {
         key for key, items in net.items_below.items()

@@ -424,17 +424,22 @@ def _handbuilt(*records):
     return net
 
 
-def _a_pair(ko_paired="t", en_paired="s", en_language=EN, parents=()):
-    """Concept ``a`` (with ``parents``) and its items, and a ko and an en
-    sequence of ``top`` with the one element ``a(CX)``, paired as given."""
-    element = (SequenceElement(etype="CX", concept="a"),)
+A_CX = SequenceElement(etype="CX", concept="a")
+
+
+def _a_pair(ko_paired="t", en_paired="s", en_language=EN, parents=(), owner="top",
+            item_concept="a", en_elements=(A_CX,), extra=()):
+    """Concept ``a`` (with ``parents``) and its items, the ko one isa
+    ``item_concept``, and a ko sequence ``a(CX)`` and an en sequence
+    ``en_elements`` of ``owner``, paired as given; ``extra`` records too."""
     return _handbuilt(
         ConceptNode(id="a", parents=parents),
         ConceptNode(id="top"),
-        LexicalItem(id="ka", language=KO, morphemes=("wa",), concept="a"),
+        LexicalItem(id="ka", language=KO, morphemes=("wa",), concept=item_concept),
         LexicalItem(id="ea", language=EN, morphemes=("va",), concept="a"),
-        ConceptSequence(id="s", language=KO, owner="top", elements=element, paired=ko_paired),
-        ConceptSequence(id="t", language=en_language, owner="top", elements=element, paired=en_paired),
+        ConceptSequence(id="s", language=KO, owner=owner, elements=(A_CX,), paired=ko_paired),
+        ConceptSequence(id="t", language=en_language, owner=owner, elements=en_elements, paired=en_paired),
+        *extra,
     )
 
 
@@ -644,6 +649,47 @@ def test_handbuilt_references_the_loader_rejects_are_diagnosed():
     assert _codes(validate_network(_a_pair(en_language=KO))) == {"pairing-language"}
 
 
+def _dangling_networks():
+    """Hand-built networks with a reference the loader rejects as dangling
+    that ``validate_network`` alone must catch, by name."""
+    nope = SequenceElement(etype="CX", concept="b", default_item="nope")
+    return [
+        ("undeclared owner, hand-built", _a_pair(owner="ghost")),
+        ("undeclared default item, hand-built",
+         _a_pair(en_elements=(A_CX, nope), extra=(ConceptNode(id="b"),))),
+        ("undeclared element concept, hand-built",
+         _a_pair(en_elements=(A_CX, SequenceElement(etype="CX", concept="ghost")))),
+        ("undeclared item concept, hand-built", _a_pair(item_concept="ghost")),
+    ]
+
+
+def test_undeclared_references_are_diagnosed():
+    # each validated clean, and the first two then crashed translate with a
+    # KeyError (the owner's sentence type, the default item's word)
+    assert validate_network(_a_pair()) == []
+    found = {name: validate_network(net) for name, net in _dangling_networks()}
+    assert found == {
+        "undeclared owner, hand-built": [
+            Diagnostic("dangling-reference", "'s' is owned by unknown concept 'ghost'"),
+            Diagnostic("dangling-reference", "'t' is owned by unknown concept 'ghost'"),
+        ],
+        "undeclared default item, hand-built": [
+            Diagnostic("dangling-reference", "'t' element 1 has unknown default item 'nope'"),
+        ],
+        "undeclared element concept, hand-built": [
+            Diagnostic("dangling-reference", "'t' element 1 names unknown concept 'ghost'"),
+            Diagnostic("ungeneratable-element",
+                       "'t' element 1 (ghost) has no source counterpart in 's' and no default"),
+        ],
+        "undeclared item concept, hand-built": [
+            Diagnostic("dangling-reference", "lexical item 'ka' isa unknown concept 'ghost'"),
+            Diagnostic("unreachable-filler",
+                       "'s' element 0 (a) reaches no ko lexical item or sequence and has no default"),
+            Diagnostic("unpaired-concept", "concept 'a' has en item 'ea' but no ko realization"),
+        ],
+    }
+
+
 # -- validate's golden file -------------------------------------------------
 
 GOLDEN_VALIDATE = Path(__file__).parent / "data" / "validate.golden"
@@ -651,7 +697,7 @@ GOLDEN_VALIDATE = Path(__file__).parent / "data" / "validate.golden"
 VALIDATE_CODES = {
     "dangling-parent", "isa-cycle", "dangling-pair", "asymmetric-pairing", "pairing-language",
     "english-cse-type", "all-omissible", "unreachable-filler", "unpaired-concept",
-    "ungeneratable-element", "omissible-cycle", "dead-morphrule",
+    "ungeneratable-element", "omissible-cycle", "dead-morphrule", "dangling-reference",
 }
 
 MUTATION_SEEDS = 300
@@ -737,13 +783,15 @@ def _validate_golden_lines(travel):
     """Validate's diagnostics as ``validate.golden`` holds them, each case a
     ``# <case>`` line and then its ``code: message`` lines or ``network
     ok``: two clean networks, each invalid network of the tests above, and
-    each seeded mutation that loads and draws a diagnostic."""
+    each seeded mutation that loads and draws a diagnostic, then the
+    hand-built networks with a dangling reference."""
     clean = [
         ("travel.net", load_network(travel)),
         ("synth_network(1000, 200, 1)", load_network(synth_network(1000, 200, 1))),
     ]
     lines = []
-    for name, network in clean + _validator_networks(travel) + list(_mutated_networks(travel)):
+    cases = clean + _validator_networks(travel) + list(_mutated_networks(travel)) + _dangling_networks()
+    for name, network in cases:
         diags = validate_network(network)
         if " seed " in name and not diags:
             continue
