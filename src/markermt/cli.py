@@ -123,6 +123,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# each REPL command, matched on its whole first word, and its usage
+REPL_USAGE = {":dir": ":dir ko-en|en-ko", ":trace": ":trace on|off", ":history": ":history", ":quit": ":quit"}
+
+
 def cmd_repl(args) -> int:
     net = _load(args.network)
     if net is None:
@@ -139,31 +143,28 @@ def cmd_repl(args) -> int:
             break
         if not line:
             continue
-        if line == ":quit":
-            break
-        if line.startswith(":dir"):
-            parts = line.split()
-            if len(parts) == 2 and "-" in parts[1]:
+        if line.startswith(":"):
+            command, *rest = line.split()
+            if command not in REPL_USAGE:
+                print(f"unknown command {command}")
+            elif command == ":quit" and not rest:
+                break
+            elif command == ":history" and not rest:
+                for i, (d, src, out) in enumerate(history, start=1):
+                    print(f"{i}. [{d}] {src} => {out}")
+            elif command == ":trace" and rest in (["on"], ["off"]):
+                show_trace = rest == ["on"]
+                print(f"trace {rest[0]}")
+            elif command == ":dir" and len(rest) == 1 and "-" in rest[0]:
                 try:
-                    reverse_direction(parts[1])
+                    reverse_direction(rest[0])
                 except ValueError as exc:
                     print(exc)
-                    continue
-                direction = parts[1]
-                print(f"direction {direction}")
-            else:
-                print("usage: :dir ko-en|en-ko")
-            continue
-        if line.startswith(":trace"):
-            show_trace = line.split()[-1] == "on"
-            print(f"trace {'on' if show_trace else 'off'}")
-            continue
-        if line == ":history":
-            for i, (d, src, out) in enumerate(history, start=1):
-                print(f"{i}. [{d}] {src} => {out}")
-            continue
-        if line.startswith(":"):
-            print(f"unknown command {line.split()[0]}")
+                else:
+                    direction = rest[0]
+                    print(f"direction {direction}")
+            else:  # a known command with the wrong arguments changes nothing
+                print(f"usage: {REPL_USAGE[command]}")
             continue
 
         result = translate(net, line, direction)

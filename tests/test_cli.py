@@ -7,6 +7,7 @@ import pytest
 from markermt.cli import main
 from markermt.network import load_network, validate_network
 from markermt.synth import parse_samples
+from markermt.translator import translate
 
 from conftest import TRAVEL_CORPUS, TRAVEL_NET
 from helpers import cli_env, multi_parent_probe
@@ -190,8 +191,6 @@ def test_synth_validates_and_samples_translate(capsys):
     text = capsys.readouterr().out
     net = load_network(text)
     assert validate_network(net) == []
-    from markermt.translator import translate
-
     samples = parse_samples(text)
     assert len(samples) == 6
     for direction, sentence in samples:
@@ -227,6 +226,34 @@ def test_repl_bad_dir_keeps_the_direction(command, message, monkeypatch, capsys)
     assert capsys.readouterr().out.split("> ")[1:] == [f"{message}\n", f"{ENGLISH}\n", ""]
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [(":trace", "usage: :trace on|off"),
+     (":trace maybe", "usage: :trace on|off"),
+     (":trace on off", "usage: :trace on|off"),
+     (":tracex on", "unknown command :tracex"),
+     (":dirx en-ko", "unknown command :dirx"),
+     (":history x", "usage: :history"),
+     (":quit now", "usage: :quit"),
+     (":", "unknown command :")],
+)
+def test_repl_bad_command_changes_nothing(command, message, monkeypatch, capsys):
+    # each command is matched on its whole first word: a near miss is
+    # unknown, and a known one with the wrong arguments prints its usage
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{command}\n{KOREAN}\n:quit\n"))
+    assert main(["repl", str(TRAVEL_NET), "--dir", "ko-en"]) == 0
+    # one reply per prompt: the message, then the untraced ko-en translation
+    assert capsys.readouterr().out.split("> ")[1:] == [f"{message}\n", f"{ENGLISH}\n", ""]
+
+
+def test_repl_bare_trace_keeps_tracing_on(net, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f":trace on\n:trace\n{KOREAN}\n:quit\n"))
+    assert main(["repl", str(TRAVEL_NET), "--dir", "ko-en"]) == 0
+    traced = [e.line() for e in translate(net, KOREAN, "ko-en").trace]
+    replies = ["trace on\n", "usage: :trace on|off\n", "\n".join([*traced, ENGLISH, ""]), ""]
+    assert capsys.readouterr().out.split("> ")[1:] == replies
+
+
 def test_repl_survives_failures_and_reports_status():
     script = "xqz zzz\nway the you would\n:quit\n"
     proc = run_cli(["repl", str(TRAVEL_NET), "--dir", "en-ko"], stdin=script)
@@ -236,8 +263,6 @@ def test_repl_survives_failures_and_reports_status():
 
 
 def test_repl_trace_matches_translator_trace(net):
-    from markermt.translator import translate
-
     script = f":trace on\n{ENGLISH}\n:quit\n"
     proc = run_cli(["repl", str(TRAVEL_NET), "--dir", "en-ko"], stdin=script)
     expected = [e.line() for e in translate(net, ENGLISH, "en-ko").trace]
