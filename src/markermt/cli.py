@@ -207,11 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", default="en-ko", choices=directions)
     p.set_defaults(func=cmd_repl)
 
-    p = sub.add_parser("validate", help="load a network and report diagnostics")
+    p = sub.add_parser(
+        "validate",
+        help="load a network and report diagnostics",
+        epilog="exit codes: 0 network ok, 1 one or more diagnostics, 3 network unreadable "
+        "or unloadable",
+    )
     p.add_argument("network")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("corpus", help="run a tab-separated test corpus")
+    p = sub.add_parser(
+        "corpus",
+        help="run a tab-separated test corpus",
+        epilog="exit codes: 0 every line passed, 1 any line failed, 3 network or corpus "
+        "file unreadable (or network unloadable)",
+    )
     p.add_argument("network")
     p.add_argument("corpus", help="lines of: direction<TAB>source<TAB>expected-or-*")
     p.set_defaults(func=cmd_corpus)
