@@ -972,3 +972,11 @@ def test_mutated_network_files_load_validate_and_translate(data):
     start = data.draw(st.integers(0, max(0, len(rows) - 8)), label="first sentence")
     for direction, sentence in rows[start : start + 8]:
         assert translate(net, sentence, direction).status in STATUSES
+    # token strings of the network's words and literals, and junk
+    vocabulary = sorted({*net.morphology.word_of.values(), *net.literals[KO], *net.literals[EN]})
+    junk = st.text(alphabet='abkw-+#"?.!,', min_size=1, max_size=6)
+    token = st.one_of(st.sampled_from(vocabulary), junk) if vocabulary else junk
+    for _ in range(data.draw(st.integers(1, 4), label="token strings")):
+        direction = data.draw(st.sampled_from(["ko-en", "en-ko"]), label="direction")
+        tokens = data.draw(st.lists(token, min_size=1, max_size=12), label="tokens")
+        assert translate(net, " ".join(tokens), direction).status in STATUSES
