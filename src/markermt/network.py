@@ -817,14 +817,14 @@ def _check_generation_supply(net, diags):
     for cs_id, supply in net.counterparts.items():
         target = sequences[sequences[cs_id].paired]
         key = (supply, layouts[cs_id].required, layouts[target.id].required)
-        open_ = due.get(key)
-        if open_ is None:
+        gaps = due.get(key)
+        if gaps is None:
             _, filled, needed = key
-            open_ = due[key] = [
+            gaps = due[key] = [
                 (k, j) for k, j in enumerate(supply)
                 if needed >> k & 1 and (j is None or not filled >> j & 1)
             ]
-        for k, j in open_:
+        for k, j in gaps:
             el = target.elements[k]
             if el.literal is not None or el.default_item:
                 continue
@@ -848,9 +848,9 @@ def _check_omissible_cycles(net, diags):
     layouts, below = net.layouts, net.sequences_below
     edges: dict[str, set[str]] = {}
     for cs in net.sequences.values():
-        required, every = layouts[cs.id].required, (1 << len(cs.elements)) - 1
-        if required == every:
-            continue
+        required = layouts[cs.id].required
+        if required == (1 << len(cs.elements)) - 1:
+            continue  # no omissible element
         for i, el in enumerate(cs.elements):
             if not required >> i & 1 and el.literal is None and el.concept in net.concepts:
                 edges.setdefault(cs.id, set()).update(below[(cs.language, el.concept)])
