@@ -119,11 +119,10 @@ class Morphology:
 
     def __init__(self, net: MemoryNetwork):
         # roots: {lang: {folded: stored}}, affixes: {lang: {form: role}}
-        # adjacency: {lang: {(prev_role, role)}}, rules: {lang: {(class, affix): surface}}
+        # adjacency: {lang: {(prev_role, role)}}
         roots = self.roots = {lang: {} for lang in PROFILES}
         affixes = self.affixes = {lang: {} for lang in PROFILES}
         adjacency = self.adjacency = {lang: set() for lang in PROFILES}
-        rules = {lang: {} for lang in PROFILES}
         for decl in net.affixes:
             if decl.role == "root":
                 roots[decl.language].setdefault(_folded(decl.morpheme), decl.morpheme)
@@ -131,33 +130,26 @@ class Morphology:
                 affixes[decl.language][decl.morpheme] = decl.role
                 for prev in decl.after:
                     adjacency[decl.language].add((prev, decl.role))
-        for rule in net.morph_rules:
-            rules[rule.language][(rule.root_class, rule.affix)] = rule.surface
-        self.max_class = {
-            lang: max((len(c) for c, _ in table), default=0)
-            for lang, table in rules.items()
-        }
         # {lang: {affix: (class lengths, {class: surface})}}: the distinct
         # lengths of the affix's rule classes, longest first, as _join
         # probes them
-        self._rules_by_affix: dict[str, dict[str, tuple[tuple[int, ...], dict[str, str]]]] = {}
-        for lang, table in rules.items():
-            by_affix: dict[str, dict[str, str]] = {}
-            for (cls_, affix), surface in table.items():
-                by_affix.setdefault(affix, {})[cls_] = surface
-            self._rules_by_affix[lang] = {
-                affix: (tuple(sorted({len(c) for c in surfaces}, reverse=True)), surfaces)
-                for affix, surfaces in by_affix.items()
-            }
+        by_affix: dict[str, dict[str, dict[str, str]]] = {lang: {} for lang in PROFILES}
+        for rule in net.morph_rules:
+            by_affix[rule.language].setdefault(rule.affix, {})[rule.root_class] = rule.surface
+        self._rules_by_affix = {
+            lang: {affix: (tuple(sorted({len(c) for c in s}, reverse=True)), s) for affix, s in table.items()}
+            for lang, table in by_affix.items()
+        }
+        self.max_class = {
+            lang: max((lengths[0] for lengths, _ in table.values()), default=0)
+            for lang, table in self._rules_by_affix.items()
+        }
 
-        # an item whose affixes adjacency does not allow could never be
-        # generated; the first such item is reported after the loop, so an
-        # undeclared affix anywhere keeps its own message, and no word is
-        # generated once one is found
-        broken = None
         word_of: dict[str, str] = {}
         words: dict[str, set[str]] = {lang: set() for lang in PROFILES}
-        for item_id, lang, morphemes, _ in net.lexicon.values():
+        affixed = []
+        for item in net.lexicon.values():
+            item_id, lang, morphemes, _ = item
             root = morphemes[0]
             folded = _folded(root)
             roots[lang].setdefault(folded, root)
@@ -165,22 +157,18 @@ class Morphology:
                 word_of[item_id] = root
                 words[lang].add(folded)
                 continue
-            table, allowed = affixes[lang], adjacency[lang]
-            prev_role = "root"
             for m in morphemes[1:]:
-                role = table.get(m)
-                if role is None:
-                    raise MorphologyError(
-                        f"lexical item '{item_id}' uses undeclared affix '{m}'"
-                    )
-                if broken is None and (prev_role, role) not in allowed:
-                    broken = f"lexical item '{item_id}': affix '{m}' ({role}) cannot follow {prev_role}"
-                prev_role = role
-            if broken is None:
+                if m not in affixes[lang]:
+                    raise MorphologyError(f"lexical item '{item_id}' uses undeclared affix '{m}'")
+            affixed.append(item)
+        # generated once every affix is known declared, so an undeclared
+        # affix anywhere keeps its own message
+        for item_id, lang, morphemes, _ in affixed:
+            try:
                 word = word_of[item_id] = self.word_for_morphemes(lang, morphemes)
-                words[lang].add(_folded(word))
-        if broken is not None:
-            raise MorphologyError(broken)
+            except MorphologyError as exc:
+                raise MorphologyError(f"lexical item '{item_id}': {exc}") from None
+            words[lang].add(_folded(word))
         self.word_of = MappingProxyType(word_of)
         self.words = MappingProxyType({lang: frozenset(found) for lang, found in words.items()})
         # literal elements are standalone function words; register them as

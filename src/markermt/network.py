@@ -15,7 +15,7 @@ may read one network concurrently.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
@@ -186,6 +186,10 @@ class MemoryNetwork:
     item's word once, for realization to read, and keeps the set of those
     words per language, so analysis does not search a word no item
     generates.
+
+    Building checks the declarations first (:func:`_check_declarations`),
+    loaded or made in code, so every name they reference is declared;
+    ``pending`` hands it the loader's forward references with their lines.
     """
 
     concepts: dict[str, ConceptNode] = field(default_factory=dict)
@@ -193,17 +197,21 @@ class MemoryNetwork:
     sequences: dict[str, ConceptSequence] = field(default_factory=dict)
     affixes: list[AffixDecl] = field(default_factory=list)
     morph_rules: list[MorphRuleDecl] = field(default_factory=list)
+    pending: InitVar[list | None] = None
 
-    def __post_init__(self):
-        self.build_indexes()
+    def __post_init__(self, pending):
+        self.build_indexes(pending)
 
     # -- derived indexes -------------------------------------------------
 
-    def build_indexes(self):
-        """Derive every lookup table from the declarations, including the
-        compiled initial prediction of each direction.  Call it again after
-        changing a hand-built network.  Raises ``MorphologyError`` when a
-        lexical item uses an undeclared affix."""
+    def build_indexes(self, pending=None):
+        """Check the declarations (:func:`_check_declarations`), then derive
+        every lookup table from them, including the compiled initial
+        prediction of each direction.  Call it again after changing a
+        network built in code.  Raises :class:`NetworkError` for a rejected
+        declaration and ``MorphologyError`` for a lexical item whose affixes
+        are undeclared or cannot follow one another."""
+        _check_declarations(self, pending)
         lexicon, sequences = self.lexicon.values(), self.sequences.values()
         self.morpheme_index = MappingProxyType({
             lang: MappingProxyType(
@@ -236,11 +244,7 @@ class MemoryNetwork:
         # counterparts[cs_id][k]: the cs_id element that supplies element k of
         # the sequence paired with cs_id, or None (see _counterparts)
         self.counterparts = MappingProxyType(
-            {
-                cs.id: _counterparts(self, cs, self.sequences[cs.paired])
-                for cs in sequences
-                if cs.paired in self.sequences
-            }
+            {cs.id: _counterparts(self, cs, self.sequences[cs.paired]) for cs in sequences}
         )
         shared: dict[tuple, Layout] = {}  # one layout per distinct signature
         layouts = {}
@@ -263,13 +267,12 @@ class MemoryNetwork:
 
 
 def _closure(concepts, concept_id) -> frozenset[str]:
-    """Reflexive-transitive IS-A closure of a declared concept upward,
-    through declared parents only; empty for an undeclared one."""
+    """Reflexive-transitive IS-A closure of a concept upward."""
     seen: set[str] = set()
     stack = [concept_id]
     while stack:
         cid = stack.pop()
-        if cid in seen or cid not in concepts:
+        if cid in seen:
             continue
         seen.add(cid)
         stack.extend(concepts[cid].parents)
@@ -404,15 +407,16 @@ def load_network(source: str) -> MemoryNetwork:
     mate of the first sequence of a pair, say) keeps its own string.
 
     Raises :class:`NetworkError` on syntax errors (with line/column), tokens
-    after a declaration's last field, dangling references, duplicate ids, and
-    degenerate files.  Semantic invariants beyond that are the business of
-    :func:`validate_network`.
+    after a declaration's last field, duplicate ids, degenerate files and
+    any declaration :func:`_check_declarations` rejects (a dangling
+    reference names its line).  Semantic invariants beyond that are the
+    business of :func:`validate_network`.
     """
     # affixes and morphrules keyed by what makes one a duplicate, elements by token
     decls = SimpleNamespace(concepts={}, lexicon={}, sequences={}, affixes={}, morph_rules={}, elements={})
-    # (table, kind, id, line) of each reference to an id not declared when
-    # read (a declared id stays declared, so only these need checking at the end)
-    pending_refs: list[tuple[dict, str, str, int]] = []
+    # (kind, id, "line N") of each reference to an id not declared when read
+    # (a declared id stays declared, so only these need checking at the end)
+    pending_refs: list[tuple[str, str, str]] = []
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
         tokens = (raw[: raw.index("#")] if "#" in raw else raw).split()
@@ -429,9 +433,8 @@ def load_network(source: str) -> MemoryNetwork:
     if not decls.concepts:
         raise NetworkError("no concepts declared")
 
-    _resolve_references(decls, pending_refs)
-    # building the morphology tables also validates that every non-initial
-    # morpheme of a lexical item is a declared affix
+    # building the network checks the references and, in the morphology
+    # tables, that every non-initial morpheme of an item is a declared affix
     from markermt.morphology import MorphologyError
 
     try:
@@ -441,6 +444,7 @@ def load_network(source: str) -> MemoryNetwork:
             sequences=decls.sequences,
             affixes=list(decls.affixes.values()),
             morph_rules=list(decls.morph_rules.values()),
+            pending=pending_refs,
         )
     except MorphologyError as exc:
         raise NetworkError(str(exc)) from None
@@ -450,7 +454,7 @@ def _declared(table, name, kind, lineno, pending):
     """The id string ``table`` declares as ``name``; else ``name``, queued as a ``kind``."""
     record = table.get(name)
     if record is None:
-        pending.append((table, kind, name, lineno))
+        pending.append((kind, name, f"line {lineno}"))
         return name
     return record.id
 
@@ -582,23 +586,47 @@ _PARSERS = {"lex": _parse_lex, "concept": _parse_concept, "cs": _parse_cs,
             "affix": _parse_affix, "morphrule": _parse_morphrule}
 
 
-def _resolve_references(decls, pending):
-    """Check the queued references; a forward one keeps its own string."""
-    for table, kind, rid, lineno in pending:
-        if rid not in table:
-            raise NetworkError(f"dangling {kind} reference '{rid}' (line {lineno})")
-    for cs in decls.sequences.values():
-        mate = decls.sequences[cs.paired]
-        if mate.id == cs.id or mate.language == cs.language:
-            raise NetworkError(
-                f"pairing must cross languages: '{cs.id}' is paired with '{mate.id}'"
-            )
+def _references(net):
+    """Each reference of ``net``'s declarations, in declaration order, as
+    ``(kind, name, where)``: ``where`` names the declaration."""
+    for cn in net.concepts.values():
+        for parent in cn.parents:
+            yield "concept", parent, f"concept '{cn.id}'"
+    for it in net.lexicon.values():
+        yield "concept", it.concept, f"lexical item '{it.id}'"
+    for cs in net.sequences.values():
+        where = f"sequence '{cs.id}'"
         for el in cs.elements:
-            if el.default_item and decls.lexicon[el.default_item].language != cs.language:
-                raise NetworkError(
-                    f"default item '{el.default_item}' of '{cs.id}' must be a "
-                    f"{cs.language} item"
-                )
+            if el.concept is not None:
+                yield "concept", el.concept, where
+            if el.default_item is not None:
+                yield "lexical", el.default_item, where
+        yield "concept", cs.owner, where
+        yield "sequence", cs.paired, where
+
+
+def _check_declarations(net, pending=None):
+    """Raise :class:`NetworkError` for the first declaration of ``net`` that
+    no network may hold: a reference to an undeclared name (checked among
+    ``pending``, the loader's forward references, else among all of
+    :func:`_references`), a sequence paired within its language, an element
+    whose type is not CX, CF, OX or OF or that names not exactly one of a
+    concept and a literal, or a default item of the other language."""
+    tables = {"concept": net.concepts, "lexical": net.lexicon, "sequence": net.sequences}
+    for kind, name, where in _references(net) if pending is None else pending:
+        if name not in tables[kind]:
+            raise NetworkError(f"dangling {kind} reference '{name}' ({where})")
+    sequences, lexicon, etypes = net.sequences, net.lexicon, ElementType.ALL
+    for cs in sequences.values():
+        mate = sequences[cs.paired]
+        if mate.language == cs.language:
+            raise NetworkError(f"pairing must cross languages: '{cs.id}' is paired with '{mate.id}'")
+        for el in cs.elements:
+            if el.etype not in etypes or (el.concept is None) == (el.literal is None):
+                raise NetworkError(f"bad element {el!r} in sequence '{cs.id}'")
+            default = el.default_item
+            if default is not None and lexicon[default].language != cs.language:
+                raise NetworkError(f"default item '{default}' of '{cs.id}' must be a {cs.language} item")
 
 
 def serialize_network(net: MemoryNetwork) -> str:
@@ -630,22 +658,24 @@ def serialize_network(net: MemoryNetwork) -> str:
 
 
 def validate_network(net: MemoryNetwork) -> list[Diagnostic]:
-    """Structural diagnostics over a loaded (or hand-built) network.
+    """Structural diagnostics over a built network, loaded or made in code.
 
     Empty result means every invariant holds.  Each violation yields one
-    diagnostic; the network is not modified.  The checks read the tables
-    :meth:`MemoryNetwork.build_indexes` compiled: the element discipline
-    from ``layouts``, each target element's supply from ``counterparts``,
-    and reachability from ``items_below``, ``sequences_below`` and
-    ``ancestors``.  Each fact is decided once per distinct key, and the
-    declarations are walked, in order, only where a diagnostic is due.  So
-    a hand-built network must call ``build_indexes`` after its last change.
+    diagnostic; the network is not modified.  The declaration rules of
+    :func:`_check_declarations` are not diagnosed here: building a network
+    rejects a declaration that breaks one, so every name is declared.  The
+    checks read the tables :meth:`MemoryNetwork.build_indexes` compiled:
+    the element discipline from ``layouts``, each target element's supply
+    from ``counterparts``, and reachability from ``items_below``,
+    ``sequences_below`` and ``ancestors``.  Each fact is decided once per
+    distinct key, and the declarations are walked, in order, only where a
+    diagnostic is due.  So a network built in code must call
+    ``build_indexes`` after its last change.
     """
     diags: list[Diagnostic] = []
 
     _check_isa_acyclic(net, diags)
     _check_pairing(net, diags)
-    _check_references(net, diags)
     _check_english_fixed(net, diags)
     _check_compulsory(net, diags)
     _check_reachability(net, diags)
@@ -656,16 +686,8 @@ def validate_network(net: MemoryNetwork) -> list[Diagnostic]:
 
 
 def _check_isa_acyclic(net, diags):
-    def known_parents(cid):
-        # dangling parents are reported as the walk meets them, so they
-        # interleave with the cycle reports in walk order
-        for p in net.concepts[cid].parents:
-            if p in net.concepts:
-                yield p
-            else:
-                diags.append(Diagnostic("dangling-parent", f"concept '{cid}' isa unknown '{p}'"))
-
-    for cycle in _back_edges(net.concepts, known_parents):
+    concepts = net.concepts
+    for cycle in _back_edges(concepts, lambda cid: concepts[cid].parents):
         diags.append(Diagnostic("isa-cycle", f"IS-A cycle: {' -> '.join(cycle)}"))
 
 
@@ -699,10 +721,7 @@ def _back_edges(nodes, successors):
 
 def _check_pairing(net, diags):
     for cs in net.sequences.values():
-        mate = net.sequences.get(cs.paired)
-        if mate is None:
-            diags.append(Diagnostic("dangling-pair", f"'{cs.id}' paired with unknown '{cs.paired}'"))
-            continue
+        mate = net.sequences[cs.paired]
         if mate.paired != cs.id:
             diags.append(
                 Diagnostic(
@@ -710,35 +729,6 @@ def _check_pairing(net, diags):
                     f"'{cs.id}' pairs '{mate.id}' but '{mate.id}' pairs '{mate.paired}'",
                 )
             )
-        if mate.language == cs.language:
-            diags.append(
-                Diagnostic("pairing-language", f"'{cs.id}' and '{mate.id}' share a language")
-            )
-
-
-def _check_references(net, diags):
-    # the references the loader rejects as dangling, in a hand-built
-    # network: ancestors holds the closure of each sequence owner, element
-    # concept and item concept, empty only for an undeclared one, and each
-    # default item is looked up once per distinct name
-    concepts, lexicon = net.concepts, net.lexicon
-    defaults = {el.default_item for cs in net.sequences.values() for el in cs.elements}
-    defaults.discard(None)
-    if all(net.ancestors.values()) and defaults <= lexicon.keys():
-        return
-    dangling = []
-    for cs in net.sequences.values():
-        if cs.owner not in concepts:
-            dangling.append(f"'{cs.id}' is owned by unknown concept '{cs.owner}'")
-        for i, el in enumerate(cs.elements):
-            if el.concept is not None and el.concept not in concepts:
-                dangling.append(f"'{cs.id}' element {i} names unknown concept '{el.concept}'")
-            if el.default_item is not None and el.default_item not in lexicon:
-                dangling.append(f"'{cs.id}' element {i} has unknown default item '{el.default_item}'")
-    for item in net.lexicon.values():
-        if item.concept not in concepts:
-            dangling.append(f"lexical item '{item.id}' isa unknown concept '{item.concept}'")
-    diags.extend(Diagnostic("dangling-reference", message) for message in dangling)
 
 
 def _check_english_fixed(net, diags):
@@ -766,13 +756,9 @@ def _check_compulsory(net, diags):
 
 
 def _check_reachability(net, diags):
-    # items_below has a key for each (language, concept) an element names;
-    # an undeclared concept is reported as a dangling reference instead
+    # items_below has a key for each (language, concept) an element names
     below = net.sequences_below
-    unreachable = {
-        key for key, items in net.items_below.items()
-        if not items and not below[key] and key[1] in net.concepts
-    }
+    unreachable = {key for key, items in net.items_below.items() if not items and not below[key]}
     if unreachable:
         for cs in net.sequences.values():
             for i, el in enumerate(cs.elements):
@@ -852,7 +838,7 @@ def _check_omissible_cycles(net, diags):
         if required == (1 << len(cs.elements)) - 1:
             continue  # no omissible element
         for i, el in enumerate(cs.elements):
-            if not required >> i & 1 and el.literal is None and el.concept in net.concepts:
+            if not required >> i & 1 and el.literal is None:
                 edges.setdefault(cs.id, set()).update(below[(cs.language, el.concept)])
 
     for cycle in _back_edges(edges, lambda cid: sorted(edges.get(cid, ()))):

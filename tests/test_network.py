@@ -414,8 +414,8 @@ def _codes(diags):
 
 
 def _handbuilt(*records):
-    """A network of ``records`` built by hand, so without the loader's
-    reference and pairing checks."""
+    """A network of ``records`` built in code: ``build_indexes`` checks
+    their references and pairing languages, with no line to name."""
     net = MemoryNetwork()
     tables = {ConceptNode: net.concepts, LexicalItem: net.lexicon, ConceptSequence: net.sequences}
     for record in records:
@@ -534,6 +534,12 @@ def test_ungeneratable_target_diagnosed():
     assert "ungeneratable-element" in _codes(validate_network(load_network(UNGENERATABLE)))
 
 
+def test_ungeneratable_target_translates_to_a_generation_note():
+    result = translate(load_network(UNGENERATABLE), "wa", "ko-en")
+    assert result.status == NO_PARSE
+    assert result.trace[-1].line() == "note - generation required element s2#1 (b) has no source fill tok=0"
+
+
 def test_omissible_reference_cycle_diagnosed():
     assert "omissible-cycle" in _codes(validate_network(load_network(OMISSIBLE_CYCLE)))
 
@@ -638,45 +644,47 @@ def test_concept_with_only_a_target_sequence_is_unpaired():
     ]
 
 
-def _dangling_networks():
-    """Hand-built networks with a reference the loader rejects as dangling
-    that ``validate_network`` alone must catch, by name."""
-    nope = SequenceElement(etype="CX", concept="b", default_item="nope")
-    return [
-        ("undeclared owner, hand-built", _a_pair(owner="ghost")),
-        ("undeclared default item, hand-built",
-         _a_pair(en_elements=(A_CX, nope), extra=(ConceptNode(id="b"),))),
-        ("undeclared element concept, hand-built",
-         _a_pair(en_elements=(A_CX, SequenceElement(etype="CX", concept="ghost")))),
-        ("undeclared item concept, hand-built", _a_pair(item_concept="ghost")),
-    ]
+# each declaration that building a network rejects, wherever it was made:
+# the message names the declaration where the loader's names the line.  The
+# first seven were validate diagnostics of a network built in code; only the
+# loader checked the last four, so a Korean default item of an English
+# sequence, or an element of type ZZ (read as CX), validated clean
+REJECTED_DECLARATIONS = [
+    pytest.param(dict(owner="ghost"), "dangling concept reference 'ghost' (sequence 's')",
+                 id="undeclared owner"),
+    pytest.param(dict(en_elements=(A_CX, SequenceElement(etype="CX", concept="b", default_item="nope")),
+                      extra=(ConceptNode(id="b"),)),
+                 "dangling lexical reference 'nope' (sequence 't')", id="undeclared default item"),
+    pytest.param(dict(en_elements=(A_CX, SequenceElement(etype="CX", concept="ghost"))),
+                 "dangling concept reference 'ghost' (sequence 't')", id="undeclared element concept"),
+    pytest.param(dict(item_concept="ghost"), "dangling concept reference 'ghost' (lexical item 'ka')",
+                 id="undeclared item concept"),
+    pytest.param(dict(parents=("ghost",)), "dangling concept reference 'ghost' (concept 'a')",
+                 id="dangling parent"),
+    pytest.param(dict(ko_paired="nowhere"), "dangling sequence reference 'nowhere' (sequence 's')",
+                 id="dangling pair"),
+    pytest.param(dict(en_language=KO), "pairing must cross languages: 's' is paired with 't'",
+                 id="pairing within a language"),
+    pytest.param(dict(en_elements=(SequenceElement(etype="CX", concept="a", default_item="ka"),)),
+                 "default item 'ka' of 't' must be a en item", id="default item of the other language"),
+    pytest.param(dict(en_elements=(SequenceElement("ZZ", "a"),)),
+                 "bad element SequenceElement(etype='ZZ', concept='a', literal=None, default_item=None)"
+                 " in sequence 't'", id="element type ZZ"),
+    pytest.param(dict(en_elements=(A_CX, SequenceElement("CX"))),
+                 "bad element SequenceElement(etype='CX', concept=None, literal=None, default_item=None)"
+                 " in sequence 't'", id="element with neither concept nor literal"),
+    pytest.param(dict(en_elements=(SequenceElement("CX", "a", "x"),)),
+                 "bad element SequenceElement(etype='CX', concept='a', literal='x', default_item=None)"
+                 " in sequence 't'", id="element with both concept and literal"),
+]
 
 
-def test_undeclared_references_are_diagnosed():
-    # each validated clean, and the first two then crashed translate with a
-    # KeyError (the owner's sentence type, the default item's word)
+@pytest.mark.parametrize("changes, message", REJECTED_DECLARATIONS)
+def test_build_rejects_declaration(changes, message):
     assert validate_network(_a_pair()) == []
-    found = {name: validate_network(net) for name, net in _dangling_networks()}
-    assert found == {
-        "undeclared owner, hand-built": [
-            Diagnostic("dangling-reference", "'s' is owned by unknown concept 'ghost'"),
-            Diagnostic("dangling-reference", "'t' is owned by unknown concept 'ghost'"),
-        ],
-        "undeclared default item, hand-built": [
-            Diagnostic("dangling-reference", "'t' element 1 has unknown default item 'nope'"),
-        ],
-        "undeclared element concept, hand-built": [
-            Diagnostic("dangling-reference", "'t' element 1 names unknown concept 'ghost'"),
-            Diagnostic("ungeneratable-element",
-                       "'t' element 1 (ghost) has no source counterpart in 's' and no default"),
-        ],
-        "undeclared item concept, hand-built": [
-            Diagnostic("dangling-reference", "lexical item 'ka' isa unknown concept 'ghost'"),
-            Diagnostic("unreachable-filler",
-                       "'s' element 0 (a) reaches no ko lexical item or sequence and has no default"),
-            Diagnostic("unpaired-concept", "concept 'a' has en item 'ea' but no ko realization"),
-        ],
-    }
+    with pytest.raises(NetworkError) as err:
+        _a_pair(**changes)
+    assert str(err.value) == message
 
 
 # -- validate's golden file -------------------------------------------------
@@ -684,9 +692,8 @@ def test_undeclared_references_are_diagnosed():
 GOLDEN_VALIDATE = Path(__file__).parent / "data" / "validate.golden"
 
 VALIDATE_CODES = {
-    "dangling-parent", "isa-cycle", "dangling-pair", "asymmetric-pairing", "pairing-language",
-    "english-cse-type", "all-omissible", "unreachable-filler", "unpaired-concept",
-    "ungeneratable-element", "omissible-cycle", "dead-morphrule", "dangling-reference",
+    "isa-cycle", "asymmetric-pairing", "english-cse-type", "all-omissible", "unreachable-filler",
+    "unpaired-concept", "ungeneratable-element", "omissible-cycle", "dead-morphrule",
 }
 
 MUTATION_SEEDS = 300
@@ -709,9 +716,6 @@ def _validator_networks(travel):
         ("target a(CX) from a(OX)", _supply_net('"x"(CX) a(OX)', '"y"(CX) a(CX)')),
         ("dead morphrules", _dead_morphrules(travel)),
         ("concept with only a target sequence", load_network(ONLY_A_TARGET_SEQUENCE)),
-        ("dangling parent, hand-built", _a_pair(parents=("ghost",))),
-        ("dangling pair, hand-built", _a_pair(ko_paired="nowhere")),
-        ("pairing within a language, hand-built", _a_pair(en_language=KO)),
     ]
 
 
@@ -774,14 +778,13 @@ def _validate_golden_lines(travel):
     """Validate's diagnostics as ``validate.golden`` holds them, each case a
     ``# <case>`` line and then its ``code: message`` lines or ``network
     ok``: two clean networks, each invalid network of the tests above, and
-    each seeded mutation that loads and draws a diagnostic, then the
-    hand-built networks with a dangling reference."""
+    each seeded mutation that loads and draws a diagnostic."""
     clean = [
         ("travel.net", load_network(travel)),
         ("synth_network(1000, 200, 1)", load_network(synth_network(1000, 200, 1))),
     ]
     lines = []
-    cases = clean + _validator_networks(travel) + list(_mutated_networks(travel)) + _dangling_networks()
+    cases = clean + _validator_networks(travel) + list(_mutated_networks(travel))
     for name, network in cases:
         diags = validate_network(network)
         lines.append(f"# {name}")
@@ -958,9 +961,16 @@ def test_mutated_network_files_load_validate_and_translate(data):
         event("diagnosed")
         return
     event("translated")
+
+    def check(sentence, direction):
+        # a validate-clean network has no generation gap: no trace ends in a note
+        result = translate(net, sentence, direction)
+        assert result.status in STATUSES
+        assert all(e.event != "note" for e in result.trace), sentence
+
     start = data.draw(st.integers(0, max(0, len(rows) - 8)), label="first sentence")
     for direction, sentence in rows[start : start + 8]:
-        assert translate(net, sentence, direction).status in STATUSES
+        check(sentence, direction)
     # token strings of the network's words and literals, and junk
     vocabulary = sorted({*net.morphology.word_of.values(), *net.literals[KO], *net.literals[EN]})
     junk = st.text(alphabet='abkw-+#"?.!,', min_size=1, max_size=6)
@@ -968,4 +978,4 @@ def test_mutated_network_files_load_validate_and_translate(data):
     for _ in range(data.draw(st.integers(1, 4), label="token strings")):
         direction = data.draw(st.sampled_from(["ko-en", "en-ko"]), label="direction")
         tokens = data.draw(st.lists(token, min_size=1, max_size=12), label="tokens")
-        assert translate(net, " ".join(tokens), direction).status in STATUSES
+        check(" ".join(tokens), direction)

@@ -264,6 +264,29 @@ def test_synth_sample_with_both_omissible_elements_omitted_translates():
     assert result.ok, [e.line() for e in result.trace if e.event == "note"]
 
 
+def test_omissible_target_element_without_a_source_fill_is_dropped():
+    # en t has no counterpart for ko s's omissible b, so realization leaves it out
+    net = load_network(
+        "\n".join(
+            [
+                "concept a",
+                "concept b",
+                "concept top sentence-type statement",
+                "lex ka ko wa isa a",
+                "lex ea en va isa a",
+                "lex kb ko wb isa b",
+                "lex eb en vb isa b",
+                "cs s ko of top pair t : a(CX) b(OX)",
+                "cs t en of top pair s : a(CX)",
+            ]
+        )
+    )
+    assert validate_network(net) == []
+    result = translate(net, "va", "en-ko")
+    assert result.target_sentence == "wa."
+    assert [fill.filler for fill in result.concept_tree.fills] == ["a"]
+
+
 # a and b are both under x, and ko fills them in either order
 PROBE_NETWORK = """
 concept x
