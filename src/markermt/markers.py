@@ -32,10 +32,11 @@ anchored at the first token, so a later instance matters only as a
 constituent that some instance ending where it starts predicts.
 
 The chart carries the parse, and it is also the parse's record, as an
-Earley or Tomita chart is: a session places no marker beyond its plan's and
-records no event, and a trace is a view of what it keeps, its instances and
-each token's readings.  :func:`build_trace` derives the ``predict`` events
-of the initial prediction from the network, so the loaded network holds no
+Earley or Tomita chart is: a session's markers are its direction's plan,
+which keeps only what the engine reads, it records no event, and a trace is
+a view of what it keeps, its instances and each token's readings.
+:func:`build_trace` derives the ``predict`` events of the initial
+prediction from the network, so neither the network nor its plans hold a
 trace, and the events that explain the chart from the chart, so a trace
 never tells of another parse than the one the translation read.  The
 records are named tuples, cheap to build, as a sentence derives one
@@ -121,17 +122,18 @@ def build_trace(net: MemoryNetwork, source: str, target: str, instances, reading
     continues, as every instance a token's fills make ends just after it."""
     event = TraceEvent  # read now: a caller may count the events built
     events: list[TraceEvent] = []
+    sequences, layouts = net.sequences, net.layouts
+    # the initial prediction placed every item below the fillers of its slots
+    planned, walked = set(), set()
     for site, what in initial_predictions(net, source, target):
         if site == "cse":
+            walked.add(sequences[what[0]].elements[what[1]].concept)
             events.append(event("predict", AP, f"cs:{what[0]}#{what[1]}", None, -1))
         elif site == "lex":
+            planned.add(what)
             events.append(event("predict", AP, f"lex:{what}", None, -1))
         else:
             events.append(event("predict", GP, f"cs:{what}#0", None, -1))
-    plan = net.plans[(source, target)]
-    planned, sequences, layouts = plan.predicted_items, net.sequences, net.layouts
-    # the plan predicted every item below the fillers of its slots
-    walked = {sequences[cs_id].elements[idx].concept for cs_id, idx in plan.predicted_slots}
     predicted: set[str] = set()
 
     def predict_lexical(concept, tok):
@@ -288,11 +290,11 @@ class DirectionPlan:
     element index)`` slots that its passive can start an instance from, in
     declaration order; a concept's slots are those of all its ancestors
     (none: no entry), one tuple per set of fillers above.  A twin slot
-    (``Layout.twin_pairs``) is predicted but starts none.  The initial
-    markers are kept as sets of ids (AP on ``cse`` slots and on lexical
-    items, GP on element 0 of target sequences), read from
-    :func:`initial_predictions`; the plan keeps no trace of their
-    placement, which :func:`build_trace` derives when a trace is read.
+    (``Layout.twin_pairs``) is predicted but starts none.  Of the initial
+    markers (AP on ``cse`` slots and on lexical items, GP on element 0 of
+    target sequences) the plan keeps only their number, ``placed``, its
+    ``len``: one per entry of :func:`initial_predictions`, whose sites
+    :func:`build_trace` derives again when a trace is read.
 
     The left-corner table filters instance starts after the first token.
     ``filler_bit`` gives the filler concept of every source element one
@@ -308,23 +310,22 @@ class DirectionPlan:
     starts_by_concept: MappingProxyType[str, tuple[tuple[str, int], ...]]
     filler_bit: MappingProxyType[str, int]
     left_corner: MappingProxyType[str, int]
-    predicted_slots: frozenset[tuple[str, int]]
-    predicted_items: frozenset[str]
-    target_heads: frozenset[str]
+    placed: int
+
+    def __len__(self) -> int:
+        return self.placed
 
 
 def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
-    """AP on every initially predicted source element (and down the
-    hierarchy to lexical items), GP on the first element of every target
-    sequence, in network declaration order."""
+    """The :class:`DirectionPlan` of ``source`` to ``target``: the start
+    tables of the slots :func:`initial_predictions` yields, the left-corner
+    table, and how many markers the initial prediction places."""
     by_literal: dict[str, list[tuple[str, int]]] = {}
     by_filler: dict[str, list[tuple[str, int]]] = {}
-    items: set[str] = set()
-    predicted: list[tuple[str, int]] = []
-    heads: list[str] = []
+    placed = 0
     for site, what in initial_predictions(net, source, target):
+        placed += 1
         if site == "cse":
-            predicted.append(what)
             cs_id, idx = what
             el = net.sequences[cs_id].elements[idx]
             if el.literal is not None:
@@ -333,10 +334,6 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
                 starts = by_filler.setdefault(el.concept, [])
             if all(i != idx for i, _ in net.layouts[cs_id].twin_pairs):
                 starts.append(what)
-        elif site == "lex":
-            items.add(what)
-        else:
-            heads.append(what)
     order = net.sequence_order
     merged: dict[frozenset[str], tuple[tuple[str, int], ...]] = {}
     by_concept: dict[str, tuple[tuple[str, int], ...]] = {}
@@ -353,11 +350,9 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
         if starts:
             by_concept[concept] = starts
     # left corners: one graph node per distinct filler-ancestor mask of an
-    # owner, with an edge to the mask of every owner its start slots begin
-    fillers = dict.fromkeys(
-        el.concept for cs in net.sequences.values() if cs.language == source
-        for el in cs.elements if el.literal is None
-    )
+    # owner, with an edge to the mask of every owner its start slots begin;
+    # the keys of items_below are the element fillers, in declaration order
+    fillers = [concept for language, concept in net.items_below if language == source]
     filler_bit = {filler: 1 << i for i, filler in enumerate(fillers)}
     mask_of = {
         owner: sum(filler_bit[a] for a in net.ancestors[owner] if a in filler_bit)
@@ -374,9 +369,7 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
         starts_by_concept=MappingProxyType(by_concept),
         filler_bit=MappingProxyType(filler_bit),
         left_corner=MappingProxyType({owner: closed[mask] for owner, mask in mask_of.items()}),
-        predicted_slots=frozenset(predicted),
-        predicted_items=frozenset(items),
-        target_heads=frozenset(heads),
+        placed=placed,
     )
 
 
@@ -424,45 +417,6 @@ def _reach_or(edges: dict[int, set[int]]) -> dict[int, int]:
     return value
 
 
-class MarkerSet:
-    """A read-only view of the markers of the attached
-    :class:`DirectionPlan` (None: none) as ``(kind, location, binding)``
-    keys: AP on its ``cse`` slots and lexical items, GP on element 0 of its
-    target sequences."""
-
-    __slots__ = ("_plan",)
-
-    def __init__(self, plan: DirectionPlan | None):
-        self._plan = plan
-
-    def __contains__(self, key) -> bool:
-        kind, location, binding = key
-        plan, site = self._plan, location[0]
-        if plan is None or binding is not None:
-            return False
-        if kind == AP and site == "lex":
-            return location[1] in plan.predicted_items
-        if kind == AP and site == "cse":
-            return location[1:] in plan.predicted_slots
-        return kind == GP and site == "tcse" and location[2] == 0 and location[1] in plan.target_heads
-
-    def __len__(self) -> int:
-        plan = self._plan
-        if plan is None:
-            return 0
-        return len(plan.predicted_slots) + len(plan.predicted_items) + len(plan.target_heads)
-
-    def __iter__(self):
-        plan = self._plan
-        if plan is not None:
-            for slot in plan.predicted_slots:
-                yield (AP, ("cse",) + slot, None)
-            for item_id in plan.predicted_items:
-                yield (AP, ("lex", item_id), None)
-            for cs_id in plan.target_heads:
-                yield (GP, ("tcse", cs_id, 0), None)
-
-
 class MarkerState:
     """All live markers, instances and pending collisions of one session:
     one sentence in one direction.
@@ -474,10 +428,11 @@ class MarkerState:
     literal word).  ``readings`` keeps each activated token's ``(item ids,
     literal)``, in token order.  The chart and the readings are the whole
     record of the parse: :attr:`trace` derives its events from them
-    (:func:`build_trace`), and the session places no marker of its own;
-    ``markers`` views the plan's.  ``close`` empties the state so nothing
-    leaks into the next sentence; it rebinds ``instances`` and ``readings``
-    to new lists, so a caller may keep the old ones.
+    (:func:`build_trace`), and the session places no marker of its own:
+    ``markers`` is its plan from :meth:`initial_prediction` on, else
+    ``()``, so ``len(markers)`` counts the plan's.  ``close`` empties the
+    state so nothing leaks into the next sentence; it rebinds ``instances``
+    and ``readings`` to new lists, so a caller may keep the old ones.
     """
 
     def __init__(self, net: MemoryNetwork, source: str, target: str):
@@ -485,7 +440,7 @@ class MarkerState:
         self.source = source
         self.target = target
         self.plan = net.plans[(source, target)]
-        self.markers = MarkerSet(None)
+        self.markers: DirectionPlan | tuple[()] = ()
         self.instances: list[CsInstance] = []
         self.readings: list[tuple[list[str], str | None]] = []
         self.agenda: deque = deque()
@@ -501,9 +456,9 @@ class MarkerState:
 
     def initial_prediction(self):
         """Attach the direction's compiled plan (see :func:`compile_plan`):
-        its markers become this session's, not copied, and their ``predict``
-        events open the trace."""
-        self.markers = MarkerSet(self.plan)
+        it becomes this session's ``markers``, not copied, and the
+        ``predict`` events of its markers open the trace."""
+        self.markers = self.plan
 
     def activate(self, lexical_items, span: int, literal: str | None = None):
         """AA markers onto the readings of input token ``span``, the next
@@ -652,15 +607,13 @@ class MarkerState:
 
     def close(self):
         """End the session: no markers, instances or pending work may leak.
-        The shared plan is only detached, never modified; ``instances`` and
-        ``readings`` are rebound, not cleared, so a result keeps its chart."""
-        self.markers = MarkerSet(None)
+        ``markers`` goes back to ``()``: the shared plan is only detached,
+        never modified.  ``instances`` and ``readings`` are rebound, not
+        cleared, so a result keeps its chart."""
+        self.markers = ()
         self.instances = []
         self.readings = []
         self.agenda.clear()
         self._by_end.clear()
         self._keys.clear()
         self._waiting.clear()
-
-    def is_empty(self) -> bool:
-        return not self.markers and not self.instances and not self.agenda

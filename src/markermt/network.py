@@ -592,10 +592,14 @@ def _references(net):
     for cn in net.concepts.values():
         for parent in cn.parents:
             yield "concept", parent, f"concept '{cn.id}'"
+        if cn.sentence_type is not None:
+            yield "sentence-type", cn.sentence_type, f"concept '{cn.id}'"
     for it in net.lexicon.values():
+        yield "language", it.language, f"lexical item '{it.id}'"
         yield "concept", it.concept, f"lexical item '{it.id}'"
     for cs in net.sequences.values():
         where = f"sequence '{cs.id}'"
+        yield "language", cs.language, where
         for el in cs.elements:
             if el.concept is not None:
                 yield "concept", el.concept, where
@@ -603,20 +607,32 @@ def _references(net):
                 yield "lexical", el.default_item, where
         yield "concept", cs.owner, where
         yield "sequence", cs.paired, where
+    for a in net.affixes:
+        for kind, name in (("language", a.language), ("role", a.role), *(("role", r) for r in a.after)):
+            yield kind, name, f"affix '{a.morpheme}'"
+    for r in net.morph_rules:
+        yield "language", r.language, f"morphrule '{r.root_class}+{r.affix}'"
 
 
 def _check_declarations(net, pending=None):
     """Raise :class:`NetworkError` for the first declaration of ``net`` that
-    no network may hold: a reference to an undeclared name (checked among
-    ``pending``, the loader's forward references, else among all of
-    :func:`_references`), a sequence paired within its language, an element
-    whose type is not CX, CF, OX or OF or that names not exactly one of a
-    concept and a literal, or a default item of the other language."""
-    tables = {"concept": net.concepts, "lexical": net.lexicon, "sequence": net.sequences}
+    no network may hold: a reference to an undeclared name, or to a
+    language, role or sentence type the file format does not allow (checked
+    among ``pending``, the loader's forward references, else among all of
+    :func:`_references`), a lexical item with no morpheme or an empty one,
+    a sequence paired within its language, an element whose type is not
+    CX, CF, OX or OF or that names not exactly one of a concept and a
+    literal, or a default item of the other language."""
+    tables = {"concept": net.concepts, "lexical": net.lexicon, "sequence": net.sequences,
+              "language": LANGUAGES, "role": ROLES, "sentence-type": SENTENCE_TYPES}
     for kind, name, where in _references(net) if pending is None else pending:
         if name not in tables[kind]:
-            raise NetworkError(f"dangling {kind} reference '{name}' ({where})")
+            what = f"bad {kind}" if type(tables[kind]) is tuple else f"dangling {kind} reference"
+            raise NetworkError(f"{what} '{name}' ({where})")
     sequences, lexicon, etypes = net.sequences, net.lexicon, ElementType.ALL
+    for it in lexicon.values():
+        if not it.morphemes or not all(it.morphemes):
+            raise NetworkError(f"empty morpheme (lexical item '{it.id}')")
     for cs in sequences.values():
         mate = sequences[cs.paired]
         if mate.language == cs.language:

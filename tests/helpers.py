@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 from types import MappingProxyType
 
-from markermt.markers import DirectionPlan, MarkerState
+from markermt.markers import DirectionPlan, MarkerState, initial_predictions
 from markermt.network import ElementType, load_network
 from markermt.translator import word_items
 
@@ -25,6 +25,17 @@ def run_engine(net, tokens, source="ko", target="en") -> MarkerState:
         state.activate(word_items(net, source, word), i, literal=literal)
         state.step_collisions()
     return state
+
+
+def planned_markers(net, source, target) -> tuple[list, list, list]:
+    """The markers of the initial prediction of ``source`` to ``target``,
+    in the order :func:`~markermt.markers.initial_predictions` yields them:
+    the ``(cs id, index)`` slots and the lexical item ids under AP, and the
+    target sequence ids whose element 0 holds GP."""
+    sites: dict[str, list] = {"cse": [], "lex": [], "tcse": []}
+    for site, what in initial_predictions(net, source, target):
+        sites[site].append(what)
+    return sites["cse"], sites["lex"], sites["tcse"]
 
 
 def closed_sessions(monkeypatch, check=lambda state: None) -> list:

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from markermt.markers import (
     AA,
-    AP,
     GA,
-    GP,
     MAX_INSTANCES,
     CsInstance,
     Fill,
@@ -19,6 +17,7 @@ from markermt.markers import (
     TraceEvent,
 )
 from markermt.network import (
+    DIRECTIONS,
     ConceptNode,
     ConceptSequence,
     ElementType,
@@ -40,54 +39,43 @@ from helpers import (
     mini_net,
     multi_parent_probe,
     plain,
+    planned_markers,
     run_engine,
 )
 
 
-def predicted_elements(state, cs_id):
-    return {
-        key[1][2]
-        for key in state.markers
-        if key[0] == AP and key[1][0] == "cse" and key[1][1] == cs_id
-    }
+def predicted_elements(net, cs_id):
+    """The elements of ``cs_id`` the ko-en initial prediction puts AP on."""
+    slots, _, _ = planned_markers(net, "ko", "en")
+    return {idx for slot_cs, idx in slots if slot_cs == cs_id}
 
 
 def test_initial_prediction_free_and_first_fixed(net):
-    state = MarkerState(net, "ko", "en")
-    state.initial_prediction()
     # me(OF) is predicted alongside the first fixed element location(CX)
-    assert predicted_elements(state, "kcs1") == {0, 1}
-    assert predicted_elements(state, "kcs2") == {0, 1, 2}
+    assert predicted_elements(net, "kcs1") == {0, 1}
+    assert predicted_elements(net, "kcs2") == {0, 1, 2}
+    _, items, heads = planned_markers(net, "ko", "en")
     # prediction reaches the lexical items below the predicted fillers
-    assert (AP, ("lex", "me-ko"), None) in state.markers
-    assert (AP, ("lex", "park-ko"), None) in state.markers
+    assert {"me-ko", "park-ko"} <= set(items)
     # GP sits on the first element of every target sequence
-    assert (GP, ("tcse", "ecs1", 0), None) in state.markers
-    state.close()
+    assert "ecs1" in heads
 
 
 def test_initial_prediction_fixed_only():
     net = mini_net("a(CX) b(CX)")
-    state = MarkerState(net, "ko", "en")
-    state.initial_prediction()
-    assert predicted_elements(state, "test") == {0}
-    assert (AP, ("lex", "k-a"), None) in state.markers
-    assert (AP, ("lex", "k-b"), None) not in state.markers
-    state.close()
+    assert predicted_elements(net, "test") == {0}
+    _, items, _ = planned_markers(net, "ko", "en")
+    assert "k-a" in items and "k-b" not in items
 
 
 def test_initial_prediction_omissible_lookahead():
     net = mini_net("c(OX) a(CX)")
-    state = MarkerState(net, "ko", "en")
-    state.initial_prediction()
-    assert predicted_elements(state, "test") == {0, 1}
-    state.close()
+    assert predicted_elements(net, "test") == {0, 1}
 
 
 def test_initial_slots_transitive_omissible_run():
     net = mini_net("b(OX) c(OX) a(CX) d(CX)")
-    plan = net.plans[("ko", "en")]
-    assert sorted(i for cs_id, i in plan.predicted_slots if cs_id == "test") == [0, 1, 2]
+    assert sorted(predicted_elements(net, "test")) == [0, 1, 2]
 
 
 def test_fixed_frontier_stops_at_required():
@@ -299,16 +287,9 @@ def test_layouts_are_read_only_and_shared_per_signature():
     assert layouts["twin"].merged == layouts["other"].merged
 
 
-def _legal_site(kind, site) -> bool:
-    """Analysis markers sit on lexical items and source sequence elements,
-    generation markers on lexical items and target sequence elements; only
-    activations (AA, GA) climb onto concept nodes."""
-    if kind in (AP, AA):
-        return site in ("lex", "cse", "icse") or (kind == AA and site == "cn")
-    return site in ("lex", "tcse") or (kind == GA and site == "cn")
-
-
 def test_markers_sit_on_legal_sites(net):
+    """A session's markers are its plan's: AP on slots of source sequences
+    and on source items, GP only on element 0 of target sequences."""
     lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
     rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
     runs = [(direction, sentence) for direction, sentence, _ in rows]
@@ -319,10 +300,13 @@ def test_markers_sit_on_legal_sites(net):
         words = tokenize(sentence)
         state = run_engine(net, words, source, target)
         assert state.best_result(len(words)) is not None, sentence
-        illegal = [key for key in state.markers if not _legal_site(key[0], key[1][0])]
-        assert not illegal, (sentence, illegal[:3])
-        assert any(key[0] == GP and key[1][0] == "tcse" for key in state.markers)
+        assert state.markers is net.plans[(source, target)]
         state.close()
+    for source, target in DIRECTIONS:
+        slots, items, heads = planned_markers(net, source, target)
+        assert {net.sequences[cs_id].language for cs_id, _ in slots} == {source}
+        assert {net.lexicon[item_id].language for item_id in items} == {source}
+        assert {net.sequences[cs_id].language for cs_id in heads} == {target}
 
 
 def _corpus_runs(net):
@@ -373,8 +357,7 @@ def test_trace_agrees_with_the_chart(net, monkeypatch):
 def test_session_markers_never_overlap_the_plan(net):
     """A session's trace predicts only items the plan does not, each once,
     and puts GA only on target items, each once per token; the session's
-    markers are the plan's, so the view yields every key once, as many as
-    its length says."""
+    markers are its plan."""
     lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
     rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
     runs = [(net, direction.split("-"), sentence) for direction, sentence, _ in rows]
@@ -383,12 +366,11 @@ def test_session_markers_never_overlap_the_plan(net):
         words = tokenize(sentence)
         state = run_engine(network, words, source, target)
         predicted, generated = _own_markers(state.trace, lambda item: network.lexicon[item].language == target)
-        assert not set(predicted) & state.plan.predicted_items, words
+        _, planned, _ = planned_markers(network, source, target)
+        assert not set(predicted) & set(planned), words
         assert len(predicted) == len(set(predicted)) and len(generated) == len(set(generated))
         assert generated
-        keys = list(state.markers)
-        assert len(keys) == len(set(keys)) == len(state.markers)
-        assert all(key in state.markers for key in keys)
+        assert state.markers is state.plan
         state.close()
 
 
@@ -401,7 +383,8 @@ def test_translated_sessions_never_record_a_plan_key(net):
         result = translate(network, sentence, direction)
         assert result.ok and result.trace, sentence
         predicted, _ = _own_markers(result.trace, lambda item: True)
-        overlap = set(predicted) & network.plans[tuple(direction.split("-"))].predicted_items
+        _, planned, _ = planned_markers(network, *direction.split("-"))
+        overlap = set(predicted) & set(planned)
         assert not overlap, (sentence, sorted(overlap)[:3])
         predicted_any |= bool(predicted)
     assert predicted_any
@@ -409,22 +392,20 @@ def test_translated_sessions_never_record_a_plan_key(net):
 
 def test_session_marker_sets_agree_with_the_trace(net, monkeypatch):
     """Just before ``translate`` closes its session, the session's markers
-    are the plan's and no more: no marker of an instance element or a
-    concept and no bound ``AA``, which nothing reads.  Its trace names each
-    lexical prediction beyond the plan once and each GA pair once, on
-    items of the target language."""
+    are its plan and no more, and count the initial prediction's markers.
+    Its trace names each lexical prediction beyond the plan once and each
+    GA pair once, on items of the target language."""
     runs = _corpus_runs(net)
     runs.append((load_network(multi_parent_probe(5)), "ko-en", "wl wl wl wl wl"))
-    closed = closed_sessions(monkeypatch, lambda state: (set(state.markers), len(state.markers)))
+    closed = closed_sessions(monkeypatch, lambda state: (state.markers, len(state.markers)))
     for network, direction, sentence in runs:
         source, target = direction.split("-")
         result = translate(network, sentence, direction)
         assert result.ok, sentence
         [(session, (markers, count))] = closed
         closed.clear()
-        plan = session.plan
-        assert count == len(markers) == len(plan.predicted_slots) + len(plan.predicted_items) + len(plan.target_heads)
-        assert not [k for k in markers if k[1][0] in ("icse", "cn") or k[0] == AA and k[2] is not None]
+        assert markers is session.plan
+        assert count == sum(map(len, planned_markers(network, source, target)))
         predicted, generated = _own_markers(result.trace, lambda item: network.lexicon[item].language == target)
         assert len(predicted) == len(set(predicted)) and len(generated) == len(set(generated)), sentence
         assert generated, sentence
@@ -468,7 +449,6 @@ def test_close_empties_state(net):
     state = run_engine(net, ["ken-ney-ti", "kong-wen"])
     assert state.instances and state.markers
     state.close()
-    assert state.is_empty()
     assert not state.instances and not state.markers and not state.agenda
 
 
@@ -498,7 +478,8 @@ def test_shared_plan_does_not_leak_between_sessions(travel_text):
     tokens = ["ce-eykey", "ken-ney-ti", "kong-wen", "eti", "issnunci", "allyecwu-si-keyssupnikka"]
     reused = run_engine(net, tokens)
     fresh = run_engine(load_network(travel_text), tokens)
-    assert set(reused.markers) == set(fresh.markers)
+    assert reused.markers is net.plans[("ko", "en")]
+    assert plain(reused.markers) == plain(fresh.markers)
     assert len(reused.markers) == len(fresh.markers)
     assert [e.line() for e in reused.trace] == [e.line() for e in fresh.trace]
     reused.close()
@@ -517,17 +498,34 @@ def test_plan_unchanged_by_translation(travel_text):
 
 
 def test_plan_markers_count_and_iterate_as_placed(net):
+    """A session's markers count as the initial prediction places them,
+    and its trace's ``predict`` prefix lists each of them once."""
     state = MarkerState(net, "ko", "en")
     assert len(state.markers) == 0
     state.initial_prediction()
-    keys = list(state.markers)
-    assert len(keys) == len(set(keys)) == len(state.markers)
-    assert all(key in state.markers for key in keys)
-    assert sum(1 for kind, loc, _ in keys if kind == GP) == sum(
-        1 for cs in net.sequences.values() if cs.language == "en"
-    )
+    slots, items, heads = planned_markers(net, "ko", "en")
+    assert len(state.markers) == len(slots) + len(items) + len(heads)
+    prefix = [e for e in state.trace if e.token < 0]
+    assert len(prefix) == len(set(prefix)) == len(state.markers)
+    assert len(heads) == sum(1 for cs in net.sequences.values() if cs.language == "en")
     state.close()
-    assert len(state.markers) == 0 and list(state.markers) == []
+    assert len(state.markers) == 0 and state.markers == ()
+
+
+def test_plan_length_counts_the_trace_prefix(net):
+    """``len`` of a plan, which the benchmark reads as a session's marker
+    count, is the number of ``tok=-1`` events of a trace of its direction,
+    on the travel network and on ``synth_network(1000, 200, 1)``."""
+    checked = set()
+    for network, direction, sentence in _corpus_runs(net):
+        key = (id(network), direction)
+        if key in checked:
+            continue
+        checked.add(key)
+        trace = translate(network, sentence, direction).trace
+        assert len(network.plans[tuple(direction.split("-"))]) == sum(e.token == -1 for e in trace), direction
+        assert any(e.token >= 0 for e in trace)
+    assert len(checked) == 2 * len(DIRECTIONS)
 
 
 def test_handbuilt_network_translates():
@@ -577,7 +575,7 @@ def test_twin_slots_are_predicted_but_start_no_instance():
     net = mini_net('a(CF) b(CX) a(CF) a(OF) "q0"(CF) "q0"(CF)')
     assert net.layouts["test"].twin_pairs == ((2, 0), (5, 4))
     plan = net.plans[("ko", "en")]
-    assert {("test", i) for i in range(6) if i != 1} <= plan.predicted_slots
+    assert {("test", i) for i in range(6) if i != 1} <= set(planned_markers(net, "ko", "en")[0])
     assert plan.starts_by_concept["a"] == (("test", 0), ("test", 3))
     assert plan.slots_by_literal["q0"] == (("test", 4),)
     state = run_engine(net, ["wa", "q0"])
@@ -643,7 +641,7 @@ def test_lexical_prediction_table_is_items_below_minus_the_plan():
     added = 0
     for direction, sentence in parse_samples(text):
         source, target = direction.split("-")
-        planned = net.plans[(source, target)].predicted_items
+        planned = set(planned_markers(net, source, target)[1])
         trace = translate(net, sentence, direction).trace
         expected = []
         for e in trace:
@@ -675,8 +673,8 @@ def test_trace_walks_each_filler_once(monkeypatch):
     walked = named = 0
     for direction, sentence in parse_samples(text):
         source, target = direction.split("-")
-        plan = net.plans[(source, target)]
-        fillers = {net.sequences[cs_id].elements[idx].concept for cs_id, idx in plan.predicted_slots} - {None}
+        slots, _, _ = planned_markers(net, source, target)
+        fillers = {net.sequences[cs_id].elements[idx].concept for cs_id, idx in slots} - {None}
         state = run_engine(net, tokenize(sentence), source, target)
         assert state.best_result(len(tokenize(sentence))) is not None, sentence
         walks.clear()

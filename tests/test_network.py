@@ -16,12 +16,14 @@ from markermt.markers import DirectionPlan
 from markermt.network import (
     EN,
     KO,
+    AffixDecl,
     ConceptNode,
     ConceptSequence,
     Diagnostic,
     ElementType,
     LexicalItem,
     MemoryNetwork,
+    MorphRuleDecl,
     NetworkError,
     NetworkSyntaxError,
     SequenceElement,
@@ -415,11 +417,15 @@ def _codes(diags):
 
 def _handbuilt(*records):
     """A network of ``records`` built in code: ``build_indexes`` checks
-    their references and pairing languages, with no line to name."""
+    their references and pairing languages, with no line to name.  A
+    record with the id of an earlier one takes its place."""
     net = MemoryNetwork()
     tables = {ConceptNode: net.concepts, LexicalItem: net.lexicon, ConceptSequence: net.sequences}
     for record in records:
-        tables[type(record)][record.id] = record
+        if isinstance(record, (AffixDecl, MorphRuleDecl)):
+            (net.affixes if isinstance(record, AffixDecl) else net.morph_rules).append(record)
+        else:
+            tables[type(record)][record.id] = record
     net.build_indexes()
     return net
 
@@ -647,8 +653,11 @@ def test_concept_with_only_a_target_sequence_is_unpaired():
 # each declaration that building a network rejects, wherever it was made:
 # the message names the declaration where the loader's names the line.  The
 # first seven were validate diagnostics of a network built in code; only the
-# loader checked the last four, so a Korean default item of an English
-# sequence, or an element of type ZZ (read as CX), validated clean
+# loader checked the next four, so a Korean default item of an English
+# sequence, or an element of type ZZ (read as CX), validated clean.  The
+# loader alone checked the last nine values too: a record in jp or an item
+# with no morpheme crashed the build, and a sentence type 'maybe', an empty
+# morpheme or an affix role outside ROLES built and translated wrongly
 REJECTED_DECLARATIONS = [
     pytest.param(dict(owner="ghost"), "dangling concept reference 'ghost' (sequence 's')",
                  id="undeclared owner"),
@@ -676,6 +685,23 @@ REJECTED_DECLARATIONS = [
     pytest.param(dict(en_elements=(SequenceElement("CX", "a", "x"),)),
                  "bad element SequenceElement(etype='CX', concept='a', literal='x', default_item=None)"
                  " in sequence 't'", id="element with both concept and literal"),
+    pytest.param(dict(extra=(LexicalItem("ka", "jp", ("wa",), "a"),)),
+                 "bad language 'jp' (lexical item 'ka')", id="item language jp"),
+    pytest.param(dict(en_language="jp"), "bad language 'jp' (sequence 't')", id="sequence language jp"),
+    pytest.param(dict(extra=(AffixDecl("jp", "ul", "case-marker"),)),
+                 "bad language 'jp' (affix 'ul')", id="affix language jp"),
+    pytest.param(dict(extra=(MorphRuleDecl("jp", "p", "ul", "lul"),)),
+                 "bad language 'jp' (morphrule 'p+ul')", id="morphrule language jp"),
+    pytest.param(dict(extra=(ConceptNode("top", sentence_type="maybe"),)),
+                 "bad sentence-type 'maybe' (concept 'top')", id="sentence type maybe"),
+    pytest.param(dict(extra=(LexicalItem("ka", KO, (), "a"),)),
+                 "empty morpheme (lexical item 'ka')", id="item with no morpheme"),
+    pytest.param(dict(extra=(LexicalItem("ka", KO, ("",), "a"),)),
+                 "empty morpheme (lexical item 'ka')", id="item with an empty morpheme"),
+    pytest.param(dict(extra=(AffixDecl(KO, "ul", "object"),)),
+                 "bad role 'object' (affix 'ul')", id="affix role outside ROLES"),
+    pytest.param(dict(extra=(AffixDecl(KO, "ul", "case-marker", ("root", "object")),)),
+                 "bad role 'object' (affix 'ul')", id="after role outside ROLES"),
 ]
 
 

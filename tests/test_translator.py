@@ -24,7 +24,7 @@ from markermt.translator import (
 )
 
 from conftest import TRAVEL_CORPUS, TRAVEL_NET
-from helpers import closed_sessions, deep_chain, mini_net, multi_parent_probe, run_engine
+from helpers import closed_sessions, deep_chain, mini_net, multi_parent_probe, planned_markers, run_engine
 
 ENGLISH = "Would you tell me the way to Kennedy Park?"
 KOREAN = "ce-eykey ken-ney-ti kong-wen kanun kil-ul allyecwu-si-keyssupnikka?"
@@ -214,7 +214,7 @@ def test_session_state_is_emptied(net, sentence, monkeypatch):
     closed = closed_sessions(monkeypatch)
     translate(net, sentence, "en-ko")
     [(state, _)] = closed
-    assert state.is_empty()
+    assert not state.markers and not state.instances and not state.agenda
 
 
 def test_no_direction_conditionals_outside_profiles():
@@ -547,10 +547,7 @@ def test_trace_is_built_when_first_read(monkeypatch):
         else:
             assert idx == "0"
             heads.append(cs_id)
-    plan = net.plans[parse_direction(direction)]
-    assert set(slots) == plan.predicted_slots
-    assert set(items) == plan.predicted_items
-    assert set(heads) == plan.target_heads
+    assert (slots, items, heads) == planned_markers(net, *parse_direction(direction))
 
 
 def test_load_builds_no_trace_events(monkeypatch):
@@ -573,7 +570,7 @@ def test_closed_session_keeps_the_result_trace(net, sentence, monkeypatch):
     closed = closed_sessions(monkeypatch, lambda state: len(state.readings))
     result = translate(net, sentence, "en-ko")
     [(session, tokens)] = closed
-    assert session.is_empty()
+    assert not session.markers and not session.instances and not session.agenda
     trace = result.trace
     assert len(closed) == 1
     assert trace[-1].token == tokens - 1 >= 0
@@ -594,10 +591,10 @@ def test_translate_session_records_nothing(net, direction, sentence, status, mon
     trace event is built, whatever the status."""
     network = load_network(multi_parent_probe(13)) if status == "too-ambiguous" else net
     built = _count_trace_events(monkeypatch)
-    closed = closed_sessions(monkeypatch, lambda state: (len(state.markers), state.plan))
+    closed = closed_sessions(monkeypatch, lambda state: len(state.markers))
     assert translate(network, sentence, direction).status == status
-    [(_, (count, plan))] = closed
-    assert count == len(plan.predicted_slots) + len(plan.predicted_items) + len(plan.target_heads)
+    [(_, count)] = closed
+    assert count == sum(map(len, planned_markers(network, *parse_direction(direction))))
     assert built == []
 
 
