@@ -226,7 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="lines of: direction<TAB>source<TAB>expected-or-*")
     p.set_defaults(func=cmd_corpus)
 
-    p = sub.add_parser("synth", help="emit a deterministic synthetic network on stdout")
+    p = sub.add_parser(
+        "synth",
+        help="emit a deterministic synthetic network on stdout",
+        epilog="exit codes: 0 network written, 1 a count below 1 (nothing written)",
+    )
     p.add_argument("lexical_pairs", type=int)
     p.add_argument("cs_pairs", type=int)
     p.add_argument("seed", type=int)

@@ -73,14 +73,14 @@ class TraceEvent(NamedTuple):
         return f"{self.event} {self.marker or '-'} {self.location} {self.binding or '-'} tok={self.token}"
 
 
-def initial_predictions(net: MemoryNetwork, source: str, target: str):
+def initial_predictions(net: MemoryNetwork, source: str, target: str, fillers: set, items: set):
     """The initial predictions of one direction, in network declaration
     order: ``("cse", (cs id, index))`` for each initially predicted element
     of a source sequence, each followed by ``("lex", item id)`` for the
     lexical items below its filler that no earlier element predicted, and
-    ``("tcse", cs id)`` for element 0 of each target sequence (GP)."""
-    fillers: set[str] = set()
-    items: set[str] = set()
+    ``("tcse", cs id)`` for element 0 of each target sequence (GP).  The
+    caller's empty ``fillers`` and ``items`` sets receive the fillers walked
+    and the items predicted."""
     for cs in net.sequences.values():
         if cs.language == source:
             for idx in net.layouts[cs.id].merged[0]:
@@ -102,8 +102,9 @@ def build_trace(net: MemoryNetwork, source: str, target: str, instances, reading
     what it kept: the ``predict`` events of the initial prediction, made
     anew from :func:`initial_predictions`, then the events that explain
     its chart, the ``instances`` it made from the tokens of ``readings``
-    (one ``(item ids, literal)`` pair per token) until it stopped, too
-    ambiguous, while it matched the passive ``stop``, if given.
+    (per token, the ``(literal, fill)`` entries :meth:`MarkerState.activate`
+    queued) until it stopped, too ambiguous, while it matched the passive
+    ``stop``, if given.
 
     Each token's readings are activated (AA), and its passives are matched
     in agenda order: its lexical readings, its literal, then the sub fill of
@@ -122,24 +123,22 @@ def build_trace(net: MemoryNetwork, source: str, target: str, instances, reading
     continues, as every instance a token's fills make ends just after it."""
     event = TraceEvent  # read now: a caller may count the events built
     events: list[TraceEvent] = []
-    sequences, layouts = net.sequences, net.layouts
-    # the initial prediction placed every item below the fillers of its slots
-    planned, walked = set(), set()
-    for site, what in initial_predictions(net, source, target):
+    sequences, layouts, items_of = net.sequences, net.layouts, net.items_of
+    # the fillers whose items are predicted, and those items: the initial
+    # prediction's, then the session's
+    walked, predicted = set(), set()
+    for site, what in initial_predictions(net, source, target, walked, predicted):
         if site == "cse":
-            walked.add(sequences[what[0]].elements[what[1]].concept)
             events.append(event("predict", AP, f"cs:{what[0]}#{what[1]}", None, -1))
         elif site == "lex":
-            planned.add(what)
             events.append(event("predict", AP, f"lex:{what}", None, -1))
         else:
             events.append(event("predict", GP, f"cs:{what}#0", None, -1))
-    predicted: set[str] = set()
 
     def predict_lexical(concept, tok):
         walked.add(concept)
         for item_id in net.items_below[(source, concept)]:
-            if item_id not in predicted and item_id not in planned:
+            if item_id not in predicted:
                 predicted.add(item_id)
                 events.append(event("predict", AP, f"lex:{item_id}", None, tok))
 
@@ -165,20 +164,18 @@ def build_trace(net: MemoryNetwork, source: str, target: str, instances, reading
         return None
 
     i = 0
-    for tok, (items, literal) in enumerate(readings):
+    for tok, queued in enumerate(readings):
         bound, passives = f"tok{tok}", []
-        for item_id in items:
-            events.append(event("activate", AA, f"lex:{item_id}", bound, tok))
-            passives.append(Fill("lex", tok, tok + 1, item_id, net.lexicon[item_id].concept))
-        if literal is not None:
-            events.append(event("activate", AA, f"lit:{literal}", bound, tok))
-            passives.append(Fill("lit", tok, tok + 1))
+        for literal, fill in queued:
+            where = f"lex:{fill.item}" if literal is None else f"lit:{literal}"
+            events.append(event("activate", AA, where, bound, tok))
+            passives.append(fill)
         first, generated = i, set()
         for passive in passives:  # grows by the sub fill of each acceptance
             if passive.kind == "lex":
-                if passive.item in planned or passive.item in predicted:
+                if passive.item in predicted:
                     events.append(event("collide", AA, f"lex:{passive.item}", bound, tok))
-                for tgt_item in net.items_of_concept(target, passive.concept):
+                for tgt_item in items_of.get((target, passive.concept), ()):
                     if tgt_item not in generated:
                         generated.add(tgt_item)
                         events.append(event("activate", GA, f"lex:{tgt_item}", bound, tok))
@@ -269,7 +266,7 @@ class CsInstance(NamedTuple):
     when every required element is filled (``filled & Layout.required ==
     Layout.required``); a fixed element below the cursor that is not filled
     was omitted.  Where the generation mirror waits on the paired target
-    sequence follows from ``filled`` (:meth:`MarkerState.mirrored`)."""
+    sequence follows from ``filled`` (:func:`mirrored`)."""
 
     id: int
     cs: str
@@ -323,7 +320,7 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
     by_literal: dict[str, list[tuple[str, int]]] = {}
     by_filler: dict[str, list[tuple[str, int]]] = {}
     placed = 0
-    for site, what in initial_predictions(net, source, target):
+    for site, what in initial_predictions(net, source, target, set(), set()):
         placed += 1
         if site == "cse":
             cs_id, idx = what
@@ -338,7 +335,7 @@ def compile_plan(net: MemoryNetwork, source: str, target: str) -> DirectionPlan:
     merged: dict[frozenset[str], tuple[tuple[str, int], ...]] = {}
     by_concept: dict[str, tuple[tuple[str, int], ...]] = {}
     owners = [cs.owner for cs in net.sequences.values() if cs.language == source]
-    concepts = [it.concept for it in net.lexicon.values() if it.language == source]
+    concepts = [concept for language, concept in net.items_of if language == source]
     for concept in dict.fromkeys(concepts + owners):
         if by_filler.keys().isdisjoint(net.ancestors[concept]):
             continue
@@ -425,12 +422,13 @@ class MarkerState:
     by future state (``_keys``, see :meth:`_fill`); :meth:`_waiting_at`
     memoizes each position's column.  The ``agenda`` holds the fills still
     to match, each as ``(literal, fill)`` (``literal`` is None but for a
-    literal word).  ``readings`` keeps each activated token's ``(item ids,
-    literal)``, in token order.  The chart and the readings are the whole
-    record of the parse: :attr:`trace` derives its events from them
-    (:func:`build_trace`), and the session places no marker of its own:
-    ``markers`` is its plan from :meth:`initial_prediction` on, else
-    ``()``, so ``len(markers)`` counts the plan's.  ``close`` empties the
+    literal word).  ``readings`` keeps, per activated token in order, the
+    agenda entries :meth:`activate` queued for it.  The chart and the
+    readings are the whole record of the parse: :attr:`trace` derives its
+    events from them (:func:`build_trace`), and the session places no
+    marker of its own: ``markers`` is its plan from
+    :meth:`initial_prediction` on, else ``()``, so ``len(markers)`` counts
+    the plan's.  ``close`` empties the
     state so nothing leaks into the next sentence; it rebinds ``instances``
     and ``readings`` to new lists, so a caller may keep the old ones.
     """
@@ -442,7 +440,7 @@ class MarkerState:
         self.plan = net.plans[(source, target)]
         self.markers: DirectionPlan | tuple[()] = ()
         self.instances: list[CsInstance] = []
-        self.readings: list[tuple[list[str], str | None]] = []
+        self.readings: list[list[tuple[str | None, Fill]]] = []
         self.agenda: deque = deque()
         self._by_end: dict[int, list[int]] = {}
         self._keys: set[tuple] = set()  # chart keys, see _fill
@@ -463,15 +461,17 @@ class MarkerState:
     def activate(self, lexical_items, span: int, literal: str | None = None):
         """AA markers onto the readings of input token ``span``, the next
         one; collisions are queued, not processed (see
-        :meth:`step_collisions`)."""
-        self.readings.append((lexical_items, literal))
-        agenda, lexicon = self.agenda, self.net.lexicon
+        :meth:`step_collisions`).  The queued entries are the token's
+        ``readings``."""
+        lexicon, queued = self.net.lexicon, []
         for item_id in lexical_items:
             item = lexicon[item_id]
             assert item.language == self.source, f"{item_id} is not a {self.source} item"
-            agenda.append((None, Fill("lex", span, span + 1, item_id, item.concept)))
+            queued.append((None, Fill("lex", span, span + 1, item_id, item.concept)))
         if literal is not None:
-            agenda.append((literal, Fill("lit", span, span + 1)))
+            queued.append((literal, Fill("lit", span, span + 1)))
+        self.readings.append(queued)
+        self.agenda.extend(queued)
 
     def step_collisions(self):
         """Drain the agenda of fills to quiescence.

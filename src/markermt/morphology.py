@@ -6,10 +6,11 @@ role-adjacency relation, and boundary rewrite rules for irregular forms.
 Generation is deterministic; analysis inverts it by searching root and affix
 readings whose regenerated surface matches the input.  Both run from tables
 compiled when the network is built: the roots keyed by the prefix no rule
-can rewrite, with the lengths those keys have; the rules of each affix as a
-``{class: surface}`` dict with the affix's distinct class lengths, longest
-first; and for each role the affixes that may follow it, each marked
-terminal when no affix may follow its own role.
+can rewrite, with the lengths those keys have; and one successor table, for
+each role the affixes that may follow it, each with its rules as a
+``{class: surface}`` dict and the distinct class lengths, longest first,
+and marked terminal when no affix may follow its own role.  Generation
+takes one step of that table per affix, and analysis searches it.
 
 Word joining is a language-profile property: Korean (Yale romanization)
 joins morphemes inside an Eojeol with ``-``, English concatenates directly.
@@ -20,7 +21,7 @@ A segmentation is a :class:`MorphemeSequence` of :class:`MorphUnit`
 records, both named tuples.  A word is generated from a morpheme tuple
 (:meth:`Morphology.word_for_morphemes`), as a lexical item stores it or a
 segmentation's ``forms`` gives it.  Loading rejects an item whose affixes the
-adjacency table does not allow, so every item's word can be generated, and
+successor table does not allow, so every item's word can be generated, and
 generates each once (:attr:`Morphology.word_of`).
 """
 
@@ -118,32 +119,47 @@ class Morphology:
     """
 
     def __init__(self, net: MemoryNetwork):
-        # roots: {lang: {folded: stored}}, affixes: {lang: {form: role}}
-        # adjacency: {lang: {(prev_role, role)}}
+        # roots: {lang: {folded: stored}}, affixes: {lang: {form: role}},
+        # before: {lang: {role: the roles it may follow}}
         roots = self.roots = {lang: {} for lang in PROFILES}
         affixes = self.affixes = {lang: {} for lang in PROFILES}
-        adjacency = self.adjacency = {lang: set() for lang in PROFILES}
+        before: dict[str, dict[str, set[str]]] = {lang: {} for lang in PROFILES}
         for decl in net.affixes:
             if decl.role == "root":
                 roots[decl.language].setdefault(_folded(decl.morpheme), decl.morpheme)
             else:
                 affixes[decl.language][decl.morpheme] = decl.role
-                for prev in decl.after:
-                    adjacency[decl.language].add((prev, decl.role))
+                before[decl.language].setdefault(decl.role, set()).update(decl.after)
         # {lang: {affix: (class lengths, {class: surface})}}: the distinct
         # lengths of the affix's rule classes, longest first, as _join
         # probes them
         by_affix: dict[str, dict[str, dict[str, str]]] = {lang: {} for lang in PROFILES}
         for rule in net.morph_rules:
             by_affix[rule.language].setdefault(rule.affix, {})[rule.root_class] = rule.surface
-        self._rules_by_affix = {
+        rules_by_affix = {
             lang: {affix: (tuple(sorted({len(c) for c in s}, reverse=True)), s) for affix, s in table.items()}
             for lang, table in by_affix.items()
         }
         self.max_class = {
             lang: max((lengths[0] for lengths, _ in table.values()), default=0)
-            for lang, table in self._rules_by_affix.items()
+            for lang, table in rules_by_affix.items()
         }
+        # {lang: {role: ((unit, rules, plain, terminal), ...)}}: the affixes
+        # that may follow ``role``, in declaration order, each with its unit,
+        # its rules (None if it has none), its plain joiner + affix surface,
+        # and whether its role is terminal (no affix may follow it); both
+        # generation and analysis walk these steps
+        self._next: dict[str, dict[str, tuple]] = {}
+        for lang, table in affixes.items():
+            rules_of, joiner, follows = rules_by_affix[lang], PROFILES[lang].joiner, before[lang]
+            ahead = {prev for role in table.values() for prev in follows.get(role, ())}
+            steps: dict[str, list] = {prev: [] for prev in ("root", *table.values())}
+            for affix, role in table.items():
+                step = (MorphUnit(affix, role), rules_of.get(affix), joiner + affix, role not in ahead)
+                for prev in follows.get(role, ()):
+                    if prev in steps:
+                        steps[prev].append(step)
+            self._next[lang] = {prev: tuple(found) for prev, found in steps.items()}
 
         word_of: dict[str, str] = {}
         words: dict[str, set[str]] = {lang: set() for lang in PROFILES}
@@ -189,37 +205,14 @@ class Morphology:
             stable = (key[: len(root) - cut] if len(root) > cut else "" for key, root in table.items())
             index = self._roots_by_stable[lang] = _grouped(zip(stable, table.values()), {})
             self._key_lengths[lang] = tuple(sorted({len(key) for key in index}))
-        # {lang: {role: ((unit, rules, plain, terminal), ...)}}: the affixes
-        # adjacency allows after ``role``, in declaration order, each with
-        # its unit, its rules (None if it has none), its plain joiner + affix
-        # surface, and whether its role is terminal (no affix may follow it)
-        self._next: dict[str, dict[str, tuple]] = {}
-        for lang, table in affixes.items():
-            rules_of, joiner = self._rules_by_affix.get(lang, {}), PROFILES[lang].joiner
-            before: dict[str, list[str]] = {}
-            for prev, role in adjacency[lang]:
-                before.setdefault(role, []).append(prev)
-            ahead = {prev for role in table.values() for prev in before.get(role, ())}
-            steps: dict[str, list] = {prev: [] for prev in ("root", *table.values())}
-            for affix, role in table.items():
-                step = (MorphUnit(affix, role), rules_of.get(affix), joiner + affix, role not in ahead)
-                for prev in before.get(role, ()):
-                    if prev in steps:
-                        steps[prev].append(step)
-            self._next[lang] = {prev: tuple(found) for prev, found in steps.items()}
 
     # -- generation --------------------------------------------------------
-
-    def attach(self, language: str, stem: str, affix: str) -> str:
-        """Join one affix onto an accumulated stem surface."""
-        rules = self._rules_by_affix.get(language, {}).get(affix)
-        plain = PROFILES[language].joiner + affix
-        return _join(stem, rules, plain) if rules else stem + plain
 
     def word_for_morphemes(self, language: str, morphemes) -> str:
         """Generate the surface for a lexical item's stored morpheme tuple,
         checked in this order: every affix is declared, the root is known,
-        and each affix may follow the role before it."""
+        and each affix may follow the role before it.  Each affix is one
+        step of the successor table :meth:`segment` walks."""
         affixes = self.affixes[language]
         for m in morphemes[1:]:
             if m not in affixes:
@@ -227,14 +220,16 @@ class Morphology:
         surface = morphemes[0]
         if surface.casefold() not in self.roots[language]:
             raise MorphologyError(f"unknown morpheme '{surface}'")
-        adjacency = self.adjacency[language]
+        successors = self._next[language]
         prev_role = "root"
         for m in morphemes[1:]:
-            role = affixes[m]
-            if (prev_role, role) not in adjacency:
-                raise MorphologyError(f"affix '{m}' ({role}) cannot follow {prev_role}")
-            surface = self.attach(language, surface, m)
-            prev_role = role
+            for unit, rules, plain, _ in successors[prev_role]:
+                if unit.form == m:
+                    break
+            else:
+                raise MorphologyError(f"affix '{m}' ({affixes[m]}) cannot follow {prev_role}")
+            surface = _join(surface, rules, plain) if rules else surface + plain
+            prev_role = unit.role
         return surface
 
     # -- analysis ----------------------------------------------------------

@@ -172,6 +172,8 @@ class MemoryNetwork:
 
     - ``morpheme_index[language][morphemes]``: items, declaration order,
       keyed by the first such item's own ``morphemes`` tuple;
+    - ``items_of[(language, concept)]``: the items of exactly that concept,
+      declaration order, for the concepts that have one;
     - ``ancestors[concept]``: the reflexive IS-A closure upward, for item
       concepts, sequence owners and element fillers only;
     - ``items_below[(language, filler)]`` and ``sequences_below``: items and
@@ -220,13 +222,13 @@ class MemoryNetwork:
             for lang in LANGUAGES
         })
         by_concept = (((it.language, it.concept), it.id) for it in lexicon)
-        self._items_of = MappingProxyType(_grouped(by_concept, {}))
+        self.items_of = MappingProxyType(_grouped(by_concept, {}))
         fillers = dict.fromkeys(
             (cs.language, el.concept) for cs in sequences for el in cs.elements if el.literal is None
         )
         # closures only for the concepts readers ask about: one for every
         # concept would cost quadratic time on a deep IS-A chain
-        read = [it.concept for it in lexicon] + [cs.owner for cs in sequences]
+        read = [concept for _, concept in self.items_of] + [cs.owner for cs in sequences]
         read += [concept for _, concept in fillers]
         self.ancestors = MappingProxyType(
             {cid: _closure(self.concepts, cid) for cid in dict.fromkeys(read)}
@@ -260,10 +262,6 @@ class MemoryNetwork:
 
         self.morphology = Morphology(self)
         self.plans = MappingProxyType({d: compile_plan(self, *d) for d in DIRECTIONS})
-
-    def items_of_concept(self, language: str, concept_id: str) -> tuple[str, ...]:
-        """Lexical items attached to exactly this concept, declaration order."""
-        return self._items_of.get((language, concept_id), ())
 
 
 def _closure(concepts, concept_id) -> frozenset[str]:
@@ -620,8 +618,9 @@ def _check_declarations(net, pending=None):
     language, role or sentence type the file format does not allow (checked
     among ``pending``, the loader's forward references, else among all of
     :func:`_references`), a lexical item with no morpheme or an empty one,
-    a sequence paired within its language, an element whose type is not
-    CX, CF, OX or OF or that names not exactly one of a concept and a
+    a sequence paired within its language or, unless the loader checked it
+    at its line, whose every element is omissible, an element whose type is
+    not CX, CF, OX or OF or that names not exactly one of a concept and a
     literal, or a default item of the other language."""
     tables = {"concept": net.concepts, "lexical": net.lexicon, "sequence": net.sequences,
               "language": LANGUAGES, "role": ROLES, "sentence-type": SENTENCE_TYPES}
@@ -643,6 +642,8 @@ def _check_declarations(net, pending=None):
             default = el.default_item
             if default is not None and lexicon[default].language != cs.language:
                 raise NetworkError(f"default item '{default}' of '{cs.id}' must be a {cs.language} item")
+        if pending is None and all(ElementType.omissible(el.etype) for el in cs.elements):
+            raise NetworkError(f"sequence '{cs.id}' accepts the empty string: every element is omissible")
 
 
 def serialize_network(net: MemoryNetwork) -> str:
@@ -693,7 +694,6 @@ def validate_network(net: MemoryNetwork) -> list[Diagnostic]:
     _check_isa_acyclic(net, diags)
     _check_pairing(net, diags)
     _check_english_fixed(net, diags)
-    _check_compulsory(net, diags)
     _check_reachability(net, diags)
     _check_generation_supply(net, diags)
     _check_omissible_cycles(net, diags)
@@ -765,12 +765,6 @@ def _check_english_fixed(net, diags):
                 )
 
 
-def _check_compulsory(net, diags):
-    for cs_id, layout in net.layouts.items():
-        if not layout.required:
-            diags.append(Diagnostic("all-omissible", f"'{cs_id}' accepts the empty string"))
-
-
 def _check_reachability(net, diags):
     # items_below has a key for each (language, concept) an element names
     below = net.sequences_below
@@ -789,7 +783,7 @@ def _check_reachability(net, diags):
     # a lexical fill is realized by a target item of its own concept (a
     # sequence of that concept does not supply one), otherwise analysis can
     # succeed where generation cannot
-    items_of = net._items_of
+    items_of = net.items_of
     fillers = {concept for _, concept in net.items_below}
     unpaired = {
         (language, concept) for language, concept in items_of

@@ -392,7 +392,7 @@ def _walk_instance(net, chart, inst: CsInstance, target_lang, words, generate):
 def _emit_item(net, target_lang, concept, target_cs) -> str:
     """The word of the first ``target_lang`` item of ``concept``, as load
     made it."""
-    items = net.items_of_concept(target_lang, concept)
+    items = net.items_of.get((target_lang, concept))
     if not items:
         raise GenerationGap(
             f"concept '{concept}' has no {target_lang} lexical item for {target_cs.id}"

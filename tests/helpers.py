@@ -33,7 +33,7 @@ def planned_markers(net, source, target) -> tuple[list, list, list]:
     the ``(cs id, index)`` slots and the lexical item ids under AP, and the
     target sequence ids whose element 0 holds GP."""
     sites: dict[str, list] = {"cse": [], "lex": [], "tcse": []}
-    for site, what in initial_predictions(net, source, target):
+    for site, what in initial_predictions(net, source, target, set(), set()):
         sites[site].append(what)
     return sites["cse"], sites["lex"], sites["tcse"]
 

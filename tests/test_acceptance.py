@@ -109,7 +109,7 @@ def test_criterion_4_morphology(net):
         from markermt.morphology import MorphemeSequence
 
         for language in ("ko", "en"):
-            for units in grammatical_chains(m, language):
+            for units in grammatical_chains(net, language):
                 seq = MorphemeSequence(units)
                 surface = m.word_for_morphemes(language, seq.forms)
                 assert seq.forms in {s.forms for s in m.segment(language, surface)}

@@ -177,6 +177,18 @@ def test_synth_minimal(capsys):
     assert validate_network(net) == []
 
 
+def test_synth_count_below_one_exits_1(capsys):
+    assert main(["synth", "0", "1", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "counts must be >= 1\n")
+
+
+def test_synth_help_names_its_exit_codes(capsys):
+    with pytest.raises(SystemExit):
+        main(["synth", "--help"])
+    assert "exit codes: 0 network written, 1 a count below 1" in " ".join(capsys.readouterr().out.split())
+
+
 def test_synth_deterministic(capsys):
     main(["synth", "50", "10", "42"])
     first = capsys.readouterr().out

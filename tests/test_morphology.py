@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markermt.morphology import PROFILES, Morphology, MorphemeSequence, MorphologyError, MorphUnit, tokenize
+from markermt.morphology import PROFILES, Morphology, MorphemeSequence, MorphologyError, MorphUnit, _join, tokenize
 from markermt.network import load_network, serialize_network
 from markermt.synth import parse_samples, synth_network
 from markermt.translator import translate, word_items
@@ -140,17 +140,30 @@ def test_tokenize_empty_rejected():
         tokenize(" ? ")
 
 
-def grammatical_chains(m, language, max_affixes=2):
-    """Every root plus affix chain the adjacency table allows."""
-    roots = list(m.roots[language].values())
+def declared_affixes(net, language):
+    """``({affix: role}, {(previous role, role)})`` of the language's raw
+    affix declarations: its non-root affixes and the adjacency their
+    ``after`` clauses declare."""
+    roles, adjacency = {}, set()
+    for a in net.affixes:
+        if a.language == language and a.role != "root":
+            roles[a.morpheme] = a.role
+            adjacency.update((prev, a.role) for prev in a.after)
+    return roles, adjacency
+
+
+def grammatical_chains(net, language, max_affixes=2):
+    """Every root plus affix chain the declared adjacency allows."""
+    roots = list(net.morphology.roots[language].values())
+    roles, adjacency = declared_affixes(net, language)
     chains = []
 
     def extend(units, prev_role, depth):
         chains.append(tuple(units))
         if depth == max_affixes:
             return
-        for affix, role in m.affixes[language].items():
-            if (prev_role, role) in m.adjacency[language]:
+        for affix, role in roles.items():
+            if (prev_role, role) in adjacency:
                 extend(units + [MorphUnit(affix, role)], role, depth + 1)
 
     for root in roots:
@@ -163,7 +176,7 @@ def test_round_trip_exhaustive(net, language):
     """segment(generate(seq)) recovers seq for every grammatical combination."""
     m = net.morphology
     checked = 0
-    for units in grammatical_chains(m, language):
+    for units in grammatical_chains(net, language):
         seq = MorphemeSequence(units)
         surface = m.word_for_morphemes(language, seq.forms)
         analyses = {s.forms for s in m.segment(language, surface)}
@@ -194,6 +207,22 @@ def test_lexicon_item_round_trip(net):
         assert item.morphemes in analyses
 
 
+def steps_by_affix(m, language):
+    """``{affix: (rules, plain)}`` of each step of the successor table: the
+    affix's rules as :func:`~markermt.morphology._join` takes them (None if
+    it has none) and its joiner + affix surface.  An affix whose role may
+    follow only roles that no affix of the language has, and not the root,
+    has no step, and no word can carry it."""
+    return {unit.form: (rules, plain) for steps in m._next[language].values()
+            for unit, rules, plain, _ in steps}
+
+
+def attach_by_step(m, language, stem, affix):
+    """``stem`` with ``affix`` attached as the successor table's step does."""
+    rules, plain = steps_by_affix(m, language)[affix]
+    return _join(stem, rules, plain) if rules else stem + plain
+
+
 def language_rules(net, language):
     """``{(class, affix): surface}`` of the language's raw morphrules."""
     return {(r.root_class, r.affix): r.surface for r in net.morph_rules if r.language == language}
@@ -215,10 +244,11 @@ def attach_by_scan(rules, language, stem, affix):
 
 def segment_by_scan(net, language, word):
     """Reference segmentation, frozen: a recursive search started from every
-    root that, at each step, scans every affix for adjacency and every rule
-    of the language for the boundary rewrite."""
+    root that, at each step, scans every declared affix for adjacency and
+    every rule of the language for the boundary rewrite."""
     m = net.morphology
     rules = language_rules(net, language)
+    roles, adjacency = declared_affixes(net, language)
     max_class = max((len(c) for c, _ in rules), default=0)
     target = word.casefold()
     if not target:
@@ -239,8 +269,8 @@ def segment_by_scan(net, language, word):
                 results.append(MorphemeSequence(tuple(units)))
         if len(units) > len(target) + 1:
             return
-        for affix, role in m.affixes[language].items():
-            if (prev_role, role) in m.adjacency[language]:
+        for affix, role in roles.items():
+            if (prev_role, role) in adjacency:
                 surface = attach_by_scan(rules, language, formed, affix)
                 extend(units + [MorphUnit(affix, role)], surface, role)
 
@@ -272,7 +302,7 @@ def test_segment_matches_root_scan_on_travel_surfaces(net, language):
     m = net.morphology
     surfaces = [
         m.word_for_morphemes(language, MorphemeSequence(units).forms)
-        for units in grammatical_chains(m, language)
+        for units in grammatical_chains(net, language)
     ]
     words = near_surfaces(surfaces + [w.upper() for w in surfaces[:20]])
     assert len(words) > 500
@@ -449,12 +479,11 @@ def test_many_rules_on_one_affix_leave_translation_alone(net, travel_text):
         assert_segment_matches_scan(heavy, source, tokenize(sentence))
     rules = language_rules(heavy, "ko")
     lengths = {len(cls_) for cls_, affix in rules if affix == "ul"}
-    m = heavy.morphology
-    order, table = m._rules_by_affix["ko"]["ul"]
-    m._rules_by_affix["ko"]["ul"] = (order, counting := CountingRules(table))
+    (order, table), plain = steps_by_affix(heavy.morphology, "ko")["ul"]
+    counting = CountingRules(table)
     for stem in ("kil", "pha-il-tul", "zq7", "zq1999", "ezq1999", "zq"):
         counting.probes = 0
-        assert m.attach("ko", stem, "ul") == attach_by_scan(rules, "ko", stem, "ul"), stem
+        assert _join(stem, (order, counting), plain) == attach_by_scan(rules, "ko", stem, "ul"), stem
         assert counting.probes <= len(lengths) == 4, stem
 
 
@@ -506,9 +535,9 @@ def test_random_morphologies_segment_and_attach_as_the_scans_do(case):
     assert_segment_matches_scan(net, language, words)
     m, rules = net.morphology, language_rules(net, language)
     for stem in stems:
-        for affix in m.affixes[language]:
+        for affix in steps_by_affix(m, language):
             expected = attach_by_scan(rules, language, stem, affix)
-            assert m.attach(language, stem, affix) == expected, (stem, affix)
+            assert attach_by_step(m, language, stem, affix) == expected, (stem, affix)
 
 
 def test_segment_orders_readings_by_root_length_then_forms(travel_text):
@@ -611,18 +640,18 @@ def random_lexicons(draw):
     and a literal.  The words are the items' words in both cases, the
     literal, and the random morphology's words and random strings."""
     base, language, words, _ = draw(random_morphologies())
-    m = base.morphology
-    roots = sorted(m.roots[language].values())
+    roots = sorted(base.morphology.roots[language].values())
+    roles, adjacency = declared_affixes(base, language)
     lines = [serialize_network(base)]
     for i in range(draw(st.integers(1, 8))):
         root = draw(st.sampled_from(roots))
         morphemes, role = [draw(st.sampled_from([root, root.upper()]))], "root"
         for _ in range(draw(st.integers(0, 3))):
-            allowed = sorted(a for a, r in m.affixes[language].items() if (role, r) in m.adjacency[language])
+            allowed = sorted(a for a, r in roles.items() if (role, r) in adjacency)
             if not allowed:
                 break
             morphemes.append(draw(st.sampled_from(allowed)))
-            role = m.affixes[language][morphemes[-1]]
+            role = roles[morphemes[-1]]
         lines.append(f"lex i{i} {language} {'+'.join(morphemes)} isa c")
     literal = draw(st.text(MORPH_PIECES, min_size=1, max_size=4))
     other = "en" if language == "ko" else "ko"

@@ -181,7 +181,7 @@ def test_keyword_built_network_equals_loaded_one():
     )
     # the loaded network shares one string per name: no derived table may
     # depend on which string objects the records hold
-    tables = ["morpheme_index", "_items_of", "ancestors", "items_below", "sequences_below"]
+    tables = ["morpheme_index", "items_of", "ancestors", "items_below", "sequences_below"]
     tables += ["layouts", "literals", "sequence_order", "counterparts", "plans"]
     for name in tables:
         assert plain(getattr(net, name)) == plain(getattr(loaded, name)), name
@@ -308,7 +308,7 @@ def test_long_groups_load_in_linear_time():
     net = load_network("\n".join(lines))
     elapsed = time.perf_counter() - started
     assert len(net.morpheme_index["ko"][("w",)]) == n
-    assert len(net.items_of_concept("ko", "a")) == len(net.items_below[("ko", "a")]) == 2 * n
+    assert len(net.items_of[("ko", "a")]) == len(net.items_below[("ko", "a")]) == 2 * n
     assert len(net.morphology._roots_by_stable["ko"][""]) == n + 1
     assert elapsed < 3.0, f"load took {elapsed:.2f}s"
 
@@ -374,6 +374,7 @@ def test_loader_error_is_pinned(line, message, column):
         ("concept a\ncs s ko of a pair ghost : a(CX)\n", "dangling sequence reference 'ghost' (line 2)"),
         ("concept a isa b\n", "dangling concept reference 'b' (line 1)"),
         ("concept a\nlex l ko w isa a\nlex l ko v isa a\n", "duplicate lexical id 'l' (line 3)"),
+        ("concept a\ncs s ko of a pair t : a(CX)\ncs s en of a pair t : a(CX)\n", "duplicate sequence id 's' (line 3)"),
         ("# only a comment\n", "no concepts declared"),
     ],
 )
@@ -475,21 +476,6 @@ def _unreachable_filler(travel):
     ))
 
 
-def _all_omissible_handbuilt():
-    net = MemoryNetwork()
-    net.concepts["a"] = ConceptNode(id="a")
-    net.sequences["s1"] = ConceptSequence(
-        id="s1", language="ko", owner="a",
-        elements=(SequenceElement(etype="OF", concept="a"),), paired="s2",
-    )
-    net.sequences["s2"] = ConceptSequence(
-        id="s2", language="en", owner="a",
-        elements=(SequenceElement(etype="CX", concept="a"),), paired="s1",
-    )
-    net.build_indexes()
-    return net
-
-
 # target requires concept b but the source side can never supply it
 UNGENERATABLE = (
     "concept a\nconcept b\n"
@@ -530,10 +516,6 @@ def test_english_free_element_diagnosed(travel_text):
 
 def test_unreachable_filler_diagnosed(travel_text):
     assert "unreachable-filler" in _codes(validate_network(_unreachable_filler(travel_text)))
-
-
-def test_all_omissible_diagnosed_on_handbuilt_network():
-    assert "all-omissible" in _codes(validate_network(_all_omissible_handbuilt()))
 
 
 def test_ungeneratable_target_diagnosed():
@@ -652,7 +634,7 @@ def test_concept_with_only_a_target_sequence_is_unpaired():
 
 # each declaration that building a network rejects, wherever it was made:
 # the message names the declaration where the loader's names the line.  The
-# first seven were validate diagnostics of a network built in code; only the
+# first eight were validate diagnostics of a network built in code; only the
 # loader checked the next four, so a Korean default item of an English
 # sequence, or an element of type ZZ (read as CX), validated clean.  The
 # loader alone checked the last nine values too: a record in jp or an item
@@ -674,6 +656,9 @@ REJECTED_DECLARATIONS = [
                  id="dangling pair"),
     pytest.param(dict(en_language=KO), "pairing must cross languages: 's' is paired with 't'",
                  id="pairing within a language"),
+    pytest.param(dict(extra=(ConceptSequence("s", KO, "top", (SequenceElement("OF", "a"),), "t"),)),
+                 "sequence 's' accepts the empty string: every element is omissible",
+                 id="every element omissible"),
     pytest.param(dict(en_elements=(SequenceElement(etype="CX", concept="a", default_item="ka"),)),
                  "default item 'ka' of 't' must be a en item", id="default item of the other language"),
     pytest.param(dict(en_elements=(SequenceElement("ZZ", "a"),)),
@@ -718,7 +703,7 @@ def test_build_rejects_declaration(changes, message):
 GOLDEN_VALIDATE = Path(__file__).parent / "data" / "validate.golden"
 
 VALIDATE_CODES = {
-    "isa-cycle", "asymmetric-pairing", "english-cse-type", "all-omissible", "unreachable-filler",
+    "isa-cycle", "asymmetric-pairing", "english-cse-type", "unreachable-filler",
     "unpaired-concept", "ungeneratable-element", "omissible-cycle", "dead-morphrule",
 }
 
@@ -733,7 +718,6 @@ def _validator_networks(travel):
         ("asymmetric pairing", _asymmetric_pairing(travel)),
         ("English free element", _english_free_element(travel)),
         ("unreachable filler", _unreachable_filler(travel)),
-        ("all-omissible, hand-built", _all_omissible_handbuilt()),
         ("ungeneratable target", load_network(UNGENERATABLE)),
         ("omissible reference cycle", load_network(OMISSIBLE_CYCLE)),
         ("deep IS-A chain, closed", load_network(_deep_isa_chain(True))),
@@ -820,6 +804,15 @@ def _validate_golden_lines(travel):
     return lines
 
 
+def test_readme_lists_each_validate_code_once():
+    """The README's code table (the rows whose first cell is a code in
+    backquotes) has one row per code validate reports, and no other."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \|", readme, flags=re.MULTILINE)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == VALIDATE_CODES
+
+
 def test_validate_matches_golden_file(travel_text):
     got = _validate_golden_lines(travel_text)
     expected = GOLDEN_VALIDATE.read_text(encoding="utf-8").splitlines()
@@ -889,7 +882,7 @@ def test_translation_writes_no_network_table(travel_text):
 
 
 @pytest.mark.parametrize(
-    "name", ["morpheme_index", "ancestors", "items_below", "sequences_below", "literals", "plans"]
+    "name", ["morpheme_index", "items_of", "ancestors", "items_below", "sequences_below", "literals", "plans"]
 )
 def test_network_tables_are_read_only(net, name):
     table = getattr(net, name)

@@ -6,6 +6,22 @@ from markermt.oracle import MAX_DEPTH, recognize_oracle
 from helpers import deep_chain, mini_net
 
 
+# n1 and n2 each own a sequence whose one element is the other: a span read
+# as one is read as the other, and so on round the cycle
+UNARY_CYCLE = (
+    "concept a\nlex ka ko wa isa a\nlex ea en va isa a\nconcept n1\nconcept n2\n"
+    "cs c1 ko of n1 pair m1 : n2(CX)\ncs m1 en of n1 pair c1 : n2(CX)\n"
+    "cs c2 ko of n2 pair m2 : n1(CX)\ncs m2 en of n2 pair c2 : n1(CX)\n"
+)
+
+
+def test_a_span_is_not_derived_again_through_the_same_sequence():
+    """The cycle c1 -> c2 -> c1 over one span stops at its second visit of
+    c1: without that guard the search would nest until ``MAX_DEPTH``."""
+    net = load_network(UNARY_CYCLE)
+    assert recognize_oracle(net, net.sequences["c1"], ["wa"]) is False
+
+
 def test_omissible_free_may_be_dropped(net):
     kcs1 = net.sequences["kcs1"]
     # subject omitted, location realized by a bare lexical item

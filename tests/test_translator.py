@@ -84,6 +84,14 @@ def test_round_trip_isomorphic(net):
     assert trees_isomorphic(forward.concept_tree, back.concept_tree)
 
 
+def test_a_missing_tree_is_isomorphic_only_to_a_missing_tree(net):
+    tree = translate(net, ENGLISH, "en-ko").concept_tree
+    assert tree is not None
+    assert not trees_isomorphic(tree, None)
+    assert not trees_isomorphic(None, tree)
+    assert trees_isomorphic(None, None)
+
+
 def test_round_trip_requires_forward_success(net):
     with pytest.raises(ValueError, match="forward translation failed"):
         round_trip(net, "xqz zzz", "en-ko")
@@ -354,7 +362,7 @@ def test_free_order_target_element_takes_the_fill_of_its_own_concept():
     m0_fill = result.concept_tree.fills[1]
     assert m0_fill.filler == "m0"
     words = result.target_sentence.rstrip(".").lower().split()
-    assert words[2] == net.lexicon[net.items_of_concept("en", m0_fill.item_concept)[0]].morphemes[0]
+    assert words[2] == net.lexicon[net.items_of[("en", m0_fill.item_concept)][0]].morphemes[0]
 
 
 GOLDEN_TRACE = Path(__file__).parent / "data" / "travel.trace"
