@@ -22,19 +22,25 @@ element, two accepted instances of one sequence over one span feed their
 parent one instance between them; each still has its own ``accept`` event.
 
 The chart has one column per position, as in Earley's recognizer: what the
-instances ending there wait for.  It is worked out once, when the first
-passive that starts there reads it; by then no instance ending there is
-still to come, as every fill spans at least one token.  A start after the
-first token is made only where that column predicts a filler the plan's
+instances ending there wait for.  It is built once, when the token at that
+position is activated, from the instances the previous token made: every
+fill spans at least one token, so each instance a token's passives make
+ends just after that token, and no other does.  A start after the first
+token is made only where that column predicts a filler the plan's
 ``left_corner`` table (as in Moore's left-corner chart parser) lets it
 begin: a result is taken only from instances
 anchored at the first token, so a later instance matters only as a
-constituent that some instance ending where it starts predicts.
+constituent that some instance ending where it starts predicts.  An
+accepted instance whose owner has a ``left_corner`` of 0 (no filler sits
+at or above it) queues no sub fill, as it could neither fill a waiting
+element nor start an instance.  The winner is kept as the accepted
+instances anchored at the first token are made.
 
 The chart carries the parse, and it is also the parse's record, as an
 Earley or Tomita chart is: a session's markers are its direction's plan,
 which keeps only what the engine reads, it records no event, and a trace is
-a view of what it keeps, its instances and each token's readings.
+a view of what it keeps, its instances and each token's readings, as is
+the concept tree of :mod:`markermt.translator`.
 :func:`build_trace` derives the ``predict`` events of the initial
 prediction from the network, so neither the network nor its plans hold a
 trace, and the events that explain the chart from the chart, so a trace
@@ -418,9 +424,11 @@ class MarkerState:
     """All live markers, instances and pending collisions of one session:
     one sentence in one direction.
 
-    The chart is ``instances``, indexed by end position (``_by_end``) and
-    by future state (``_keys``, see :meth:`_fill`); :meth:`_waiting_at`
-    memoizes each position's column.  The ``agenda`` holds the fills still
+    The chart is ``instances``, with one column per activated token
+    (``_columns``, see :meth:`_column`) and a set of future states
+    (``_keys``, see :meth:`_fill`); ``_first`` is the id of the first
+    instance the current token made, and ``_best`` the winner so far (see
+    :meth:`best_result`).  The ``agenda`` holds the fills still
     to match, each as ``(literal, fill)`` (``literal`` is None but for a
     literal word).  ``readings`` keeps, per activated token in order, the
     agenda entries :meth:`activate` queued for it.  The chart and the
@@ -442,9 +450,10 @@ class MarkerState:
         self.instances: list[CsInstance] = []
         self.readings: list[list[tuple[str | None, Fill]]] = []
         self.agenda: deque = deque()
-        self._by_end: dict[int, list[int]] = {}
         self._keys: set[tuple] = set()  # chart keys, see _fill
-        self._waiting: dict[int, tuple[list[tuple], int | None]] = {}  # see _waiting_at
+        self._columns: list[tuple[list[tuple], int | None]] = []  # one per token, see _column
+        self._first = 0
+        self._best: CsInstance | None = None
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
@@ -462,7 +471,11 @@ class MarkerState:
         """AA markers onto the readings of input token ``span``, the next
         one; collisions are queued, not processed (see
         :meth:`step_collisions`).  The queued entries are the token's
-        ``readings``."""
+        ``readings``.  The chart column at ``span`` is built here, from the
+        instances the previous token made, which all end at ``span``."""
+        instances = self.instances
+        self._columns.append(self._column(instances[self._first:]))
+        self._first = len(instances)
         lexicon, queued = self.net.lexicon, []
         for item_id in lexical_items:
             item = lexicon[item_id]
@@ -492,7 +505,7 @@ class MarkerState:
         # extend the instances waiting at the fill's start
         concept, start, end = fill.concept, fill.start, fill.end
         above = self.net.ancestors[concept] if concept is not None else ()
-        waiting, pred = self._waiting_at(start)
+        waiting, pred = self._columns[start]
         for inst, cs, layout, idx, el in waiting:
             if el.literal == literal if el.literal is not None else el.concept in above:
                 self._fill(inst, cs, layout, idx, fill, end)
@@ -510,43 +523,33 @@ class MarkerState:
                 if pred is None or left_corner[cs.owner] & pred:
                     self._fill(None, cs, layouts[cs_id], idx, fill, end, start)
 
-    def _waiting_at(self, pos) -> tuple[list[tuple], int | None]:
-        """The chart column at ``pos``: ``(inst, cs, layout, idx, element)``
-        for each eligible element of the instances ending at ``pos``, in
-        creation and index order, and the ``plan.filler_bit`` mask of the
-        conceptual ones, None where no instance ends, as at the first token
-        (nothing is filtered there).  An instance's elements are read from
-        its layout's ``merged[cursor]``; a bit test skips the free ones it
-        filled and those whose twin is still empty (a twin waits for the one
-        before it).  Memoized: the first call comes from a passive that
-        starts at ``pos``, and by then no instance ending there is still to
-        come, as every fill spans at least one token."""
-        column = self._waiting.get(pos)
-        if column is None:
-            ends = self._by_end.get(pos)
-            if ends is None:
-                column = ([], None)
-            else:
-                slots, pred = [], 0
-                instances, sequences, layouts = self.instances, self.net.sequences, self.net.layouts
-                filler_bit = self.plan.filler_bit
-                for inst_id in ends:
-                    inst = instances[inst_id]
-                    cs, layout = sequences[inst.cs], layouts[inst.cs]
-                    elements = cs.elements
-                    skip = filled = inst.filled
-                    for i, twin in layout.twin_pairs:
-                        if not filled >> twin & 1:
-                            skip |= 1 << i
-                    for idx in layout.merged[inst.cursor]:
-                        if not skip >> idx & 1:
-                            el = elements[idx]
-                            slots.append((inst, cs, layout, idx, el))
-                            if el.literal is None:
-                                pred |= filler_bit[el.concept]
-                column = (slots, pred)
-            self._waiting[pos] = column
-        return column
+    def _column(self, ending) -> tuple[list[tuple], int | None]:
+        """The chart column of the instances ``ending`` at one position:
+        ``(inst, cs, layout, idx, element)`` for each of their eligible
+        elements, in creation and index order, and the ``plan.filler_bit``
+        mask of the conceptual ones, None where no instance ends, as at the
+        first token (nothing is filtered there).  An instance's elements are
+        read from its layout's ``merged[cursor]``; a bit test skips the free
+        ones it filled and those whose twin is still empty (a twin waits for
+        the one before it)."""
+        if not ending:
+            return [], None
+        slots, pred = [], 0
+        sequences, layouts, filler_bit = self.net.sequences, self.net.layouts, self.plan.filler_bit
+        for inst in ending:
+            cs, layout = sequences[inst.cs], layouts[inst.cs]
+            elements = cs.elements
+            skip = filled = inst.filled
+            for i, twin in layout.twin_pairs:
+                if not filled >> twin & 1:
+                    skip |= 1 << i
+            for idx in layout.merged[inst.cursor]:
+                if not skip >> idx & 1:
+                    el = elements[idx]
+                    slots.append((inst, cs, layout, idx, el))
+                    if el.literal is None:
+                        pred |= filler_bit[el.concept]
+        return slots, pred
 
     def _fill(self, inst, cs, layout, idx, fill, end, start=None):
         """Derive the instance that results from filling element ``idx`` of
@@ -556,7 +559,9 @@ class MarkerState:
         The key ``(cs, start, end, cursor, filled)`` names that state: fixed
         elements below the cursor that are not filled are omitted, all other
         elements not filled are open; either way their fill is None.  An
-        accepted instance queues its sub fill on the agenda."""
+        accepted instance queues its sub fill on the agenda, unless its
+        owner has a ``left_corner`` of 0, and one anchored at the sentence
+        start may become the winner (:meth:`best_result`)."""
         if inst is None:
             begin, cursor, filled = start, 0, 0
         else:
@@ -582,25 +587,23 @@ class MarkerState:
         new_id = len(self.instances)
         new = CsInstance(new_id, cs.id, begin, end, tuple(fills), cursor, filled, parent)
         self.instances.append(new)
-        self._by_end.setdefault(end, []).append(new_id)
         if filled & layout.required == layout.required:
-            self.agenda.append((None, Fill("sub", begin, end, None, cs.owner, new_id)))
+            if begin == 0:
+                best, order = self._best, self.net.sequence_order
+                if best is None or end > best.end or end == best.end and order[cs.id] < order[best.cs]:
+                    self._best = new
+            if self.plan.left_corner[cs.owner]:
+                self.agenda.append((None, Fill("sub", begin, end, None, cs.owner, new_id)))
 
     # -- results and teardown ---------------------------------------------------
 
     def best_result(self, n_tokens: int) -> CsInstance | None:
         """The best accepted instance anchored at the sentence start, if it
         covers the input: widest span, then network declaration order, then
-        creation order."""
-        order, layouts = self.net.sequence_order, self.net.layouts
-        best = min(
-            (
-                i for i in self.instances
-                if i.start == 0 and i.filled & layouts[i.cs].required == layouts[i.cs].required
-            ),
-            key=lambda i: (-i.end, order[i.cs], i.id),
-            default=None,
-        )
+        creation order.  :meth:`_fill` keeps it as such instances are made;
+        an instance ends after the token that made it, so a later one is
+        never narrower."""
+        best = self._best
         if best is not None and best.end == n_tokens:
             return best
         return None
@@ -614,6 +617,7 @@ class MarkerState:
         self.instances = []
         self.readings = []
         self.agenda.clear()
-        self._by_end.clear()
         self._keys.clear()
-        self._waiting.clear()
+        self._columns.clear()
+        self._first = 0
+        self._best = None

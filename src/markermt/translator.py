@@ -6,10 +6,10 @@ direction argument (language-specific behavior lives in the morphology
 profiles).
 
 The concept tree of a result is made of named tuples, :class:`TreeNode`
-and :class:`TreeFill`: immutable, cheap to build (realization makes one
-record per source element), and printed by ``repr`` field by field, as a
-named tuple prints, from an explicit stack (:func:`_tree_repr`), so a deep
-tree prints without recursion.
+and :class:`TreeFill`: immutable, cheap to build (a tree read makes one
+record per source element; :func:`translate` makes none), and printed by
+``repr`` field by field, as a named tuple prints, from an explicit stack
+(:func:`_tree_repr`), so a deep tree prints without recursion.
 """
 
 from __future__ import annotations
@@ -97,40 +97,51 @@ def _tree_repr(root: TreeNode | TreeFill) -> str:
 class TranslationResult:
     """What :func:`translate` returns.
 
+    ``concept_tree`` and ``trace`` are views of the chart the result keeps,
+    built when first read and then kept, so a caller that reads only the
+    text pays for neither.  A read translates nothing again and opens no
+    session, so it cannot tell of another parse than the result's.
+
     ``concept_tree`` is the realized tree of named tuples (:class:`TreeNode`
-    and :class:`TreeFill`), None unless the status is ``success``.
+    and :class:`TreeFill`), None unless the status is ``success``: the
+    realizer walks the winner once more, as :func:`translate` walked it
+    for the text, and makes the tree's records this time.
 
     ``trace`` is the event stream of the sentence's session: the
     ``predict`` events of the direction's initial prediction, derived from
-    the network, then the events that explain the session's chart, derived
-    from the chart the result keeps (:func:`~markermt.markers.build_trace`),
-    then, for a sentence that parsed, the ``generate`` events of one more
-    pass of the realizer over the winner's tree, which ends in a ``note``
-    where generation failed.  A translation records none of it: the
-    :class:`TraceEvent` objects are built when the trace is first read, and
-    kept, so a caller that never reads the trace pays nothing for it.  A
-    read translates nothing again and opens no session, so it cannot
-    explain another parse than the result's.  The first read costs about
-    2 µs per event, most of them the ``predict`` events (one per initially
-    predicted slot, item and target head): a median of 33–38 ms at
-    16000/3200 lexical/sequence pairs (see README).  A sentence that does not tokenize
-    has no session and an empty trace.
+    the network, then the events that explain the session's chart
+    (:func:`~markermt.markers.build_trace`), then, for a sentence that
+    parsed, the ``generate`` events of that same walk of the realizer, which
+    ends in a ``note`` where generation failed; a trace read keeps the tree
+    it walks.  The first read costs about 2 µs per event, most of them the
+    ``predict`` events (one per initially predicted slot, item and target
+    head): a median of 18–19 ms at 16000/3200 lexical/sequence pairs (see
+    README).  A sentence that does not tokenize has no session and an empty
+    trace.
     """
 
     status: str
     direction: str
     source_sentence: str
     target_sentence: str = ""
-    concept_tree: TreeNode | None = None
     error_position: int | None = None  # 1-based token index for unknown-word
-    # what the session left for the trace: (network, instances, readings,
-    # the passive it stopped at, winner); None when there was no session
+    # what the session left for the trace and the tree: (network,
+    # instances, readings, the passive it stopped at, winner); None when
+    # there was no session
     _session: tuple | None = field(default=None, repr=False, compare=False)
     _trace: tuple[TraceEvent, ...] | None = field(default=None, repr=False, compare=False)
+    _tree: TreeNode | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.status == SUCCESS
+
+    @property
+    def concept_tree(self) -> TreeNode | None:
+        if self._tree is None and self.status == SUCCESS:
+            net, instances, _, _, winner = self._session
+            self._tree = _realize(net, instances, winner, parse_direction(self.direction)[1], [])[1]
+        return self._tree
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
@@ -142,9 +153,12 @@ class TranslationResult:
                 trace = build_trace(net, src, tgt, instances, readings, stop)
                 if winner is not None:
                     try:
-                        _realize(net, instances, winner, tgt, trace)
+                        tree = _realize(net, instances, winner, tgt, trace)[1]
                     except GenerationGap as gap:
                         trace.append(TraceEvent("note", None, "generation", str(gap), winner.end - 1))
+                    else:
+                        if self._tree is None:
+                            self._tree = tree
             self._trace = tuple(trace)
         return self._trace
 
@@ -160,8 +174,10 @@ def translate(net: MemoryNetwork, sentence: str, direction: str) -> TranslationR
     the network was built, then per token segmentation + lexical lookup +
     activation + collision draining, then realization of the paired target
     sequence tree of the widest accepted instance anchored at the sentence
-    start.  A sentence whose chart outgrows ``markers.MAX_INSTANCES`` stops
-    there and ends ``too-ambiguous``.  Nothing is traced until
+    start, for its text only.  A sentence whose chart outgrows
+    ``markers.MAX_INSTANCES`` stops there and ends ``too-ambiguous``.  No
+    tree record and no trace event is built until
+    :attr:`TranslationResult.concept_tree` or
     :attr:`TranslationResult.trace` is read.
     """
     src, tgt = parse_direction(direction)
@@ -197,7 +213,7 @@ def translate(net: MemoryNetwork, sentence: str, direction: str) -> TranslationR
         winner = state.best_result(len(words))
         if winner is not None:
             try:
-                result.target_sentence, result.concept_tree = _realize(net, state.instances, winner, tgt)
+                result.target_sentence = _realize(net, state.instances, winner, tgt)[0]
                 result.status = SUCCESS
             except GenerationGap:  # no-parse; the trace's note says why
                 pass
@@ -282,10 +298,12 @@ def _node_sig(root: TreeNode, classes: dict[tuple, int]) -> int:
 
 
 def _realize(net, chart, winner: CsInstance, target_lang: str, events=None):
-    """The text and concept tree of ``winner``, an instance of ``chart``,
-    in ``target_lang``; with ``events``, a trace being built, it also
-    appends there the ``generate`` events of the target elements the
-    mirror never passed, which the chart alone does not tell."""
+    """The text of ``winner``, an instance of ``chart``, in
+    ``target_lang``, and its concept tree, None unless ``events`` is given.
+    ``events`` is a list, a trace being built or a list to drop: the walk
+    then makes the tree's records and appends there the ``generate`` events
+    of the target elements the mirror never passed, which the chart alone
+    does not tell."""
     generate = None
     if events is not None:  # after the sentence's last token, the winner's last
         def generate(cs, fills, k):
@@ -305,7 +323,7 @@ def _realize(net, chart, winner: CsInstance, target_lang: str, events=None):
     return text, tree
 
 
-def _walk(net, chart, root: CsInstance, target_lang, words, generate) -> TreeNode:
+def _walk(net, chart, root: CsInstance, target_lang, words, generate) -> TreeNode | None:
     """Realize the tree of ``root`` depth first from an explicit stack of
     :func:`_walk_instance` generators, so nesting depth costs no recursion:
     each generator yields the sub-instance it needs and is sent its node."""
@@ -328,7 +346,8 @@ def _walk_instance(net, chart, inst: CsInstance, target_lang, words, generate):
     """Emit the paired target sequence of one accepted instance, in the
     target's declared element order, each element from the source fill that
     ``net.counterparts`` assigns it, else from its default; yields each
-    sub-instance to realize in place and returns the instance's node."""
+    sub-instance to realize in place.  With ``generate``, the trace's
+    callback, it also returns the instance's node; without, None."""
     source_cs = net.sequences[inst.cs]
     target_cs = net.sequences[source_cs.paired]
     supply = net.counterparts[source_cs.id]
@@ -351,16 +370,8 @@ def _walk_instance(net, chart, inst: CsInstance, target_lang, words, generate):
         elif el.default_item is not None:
             item = net.lexicon[el.default_item]
             words.append(net.morphology.word_of[item.id])
-            extras.append(
-                TreeFill(
-                    filler=el.concept,
-                    literal=None,
-                    etype=el.etype,
-                    kind="default",
-                    item=item.id,
-                    item_concept=item.concept,
-                )
-            )
+            if generate is not None:
+                extras.append(TreeFill(el.concept, None, el.etype, "default", item.id, item.concept))
         elif ElementType.omissible(el.etype):
             continue
         else:
@@ -369,6 +380,8 @@ def _walk_instance(net, chart, inst: CsInstance, target_lang, words, generate):
             )
         if k >= passed:
             generate(source_cs, inst.fills, k)
+    if generate is None:
+        return None
 
     fills = []  # positional: keywords would double the cost of each record
     for j, (el, fill) in enumerate(zip(source_cs.elements, inst.fills)):

@@ -742,8 +742,8 @@ def test_filter_keeps_the_start0_chart(net, monkeypatch):
         runs += [(network, d, text) for d, text in parse_samples(synth)]
     runs = [(network, d.split("-"), tokenize(text)) for network, d, text in runs]
     filtered = [_chart(network, words, *pair) for network, pair, words in runs]
-    waiting_at = MarkerState._waiting_at
-    monkeypatch.setattr(MarkerState, "_waiting_at", lambda self, pos: (waiting_at(self, pos)[0], None))
+    column = MarkerState._column
+    monkeypatch.setattr(MarkerState, "_column", lambda self, ending: (column(self, ending)[0], None))
     unfiltered = [_chart(network, words, *pair) for network, pair, words in runs]
     for (keys, size), (all_keys, all_size), (_, _, words) in zip(filtered, unfiltered, runs):
         assert keys == all_keys and size <= all_size, words
@@ -858,10 +858,41 @@ def test_repeated_accepted_span_feeds_its_parent_once():
     assert result.ok and result.target_sentence == "Vka vmi vko vma vmu vmu."
 
 
-def test_waiting_list_is_final_when_first_read(net):
-    """The waiting list memoized at each position equals one computed
-    afresh once the sentence has ended: no instance ending at a position
-    is made after a passive starting there has read it."""
+# wmu fills either m2 or m2a of one sequence, so "wk wmu" has two accepted
+# full-span parses of it, tied on span and sequence; they realize in
+# different orders
+TIED_NETWORK = """
+concept thing
+concept s sentence-type statement
+concept m0 isa thing
+concept m2 isa thing
+concept m2a isa m2
+lex k-m0 ko wk isa m0
+lex k-m2a ko wmu isa m2a
+lex e-m0 en vk isa m0
+lex e-m2a en vmu isa m2a
+cs tied ko of s pair tiedm : m0(CF) m2(OF) m2a(OF)
+cs tiedm en of s pair tied : m2(OX) m0(CX) m2a(OX)
+"""
+
+
+def test_tied_full_span_parses_pick_the_first_created():
+    net = load_network(TIED_NETWORK)
+    state = run_engine(net, ["wk", "wmu"])
+    tied = [i for i in state.instances if (i.start, i.end) == (0, 2) and is_accepted(net, i)]
+    assert [i.cs for i in tied] == ["tied", "tied"] and tied[0].filled != tied[1].filled
+    assert state.best_result(2) is tied[0]
+    state.close()
+    result = translate(net, "wk wmu", "ko-en")
+    assert result.target_sentence == "Vmu vk."
+    assert [(f.filler, f.kind) for f in result.concept_tree.fills] == [("m0", "lex"), ("m2", "lex"), ("m2a", "omitted")]
+
+
+def test_column_is_final_when_built(net):
+    """The column built when each token is activated equals the one
+    computed afresh, from every instance that ends at its position, once
+    the sentence has ended: the instances the previous token made are all
+    that ever end there."""
     lines = TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines()
     runs = [(net, *line.split("\t")[:2]) for line in lines if line and not line.startswith("#")]
     free = free_order_sentences(1)
@@ -873,11 +904,12 @@ def test_waiting_list_is_final_when_first_read(net):
     checked = 0
     for network, direction, text in runs:
         source, target = direction.split("-")
-        state = run_engine(network, tokenize(text), source, target)
-        memo = dict(state._waiting)
-        state._waiting.clear()
-        for pos, column in memo.items():
-            assert state._waiting_at(pos) == column, (text, pos)
-        checked += len(memo)
+        words = tokenize(text)
+        state = run_engine(network, words, source, target)
+        assert len(state._columns) == len(words)
+        for pos, column in enumerate(state._columns):
+            ending = [inst for inst in state.instances if inst.end == pos]
+            assert state._column(ending) == column, (text, pos)
+        checked += len(state._columns)
         state.close()
     assert checked > len(runs)

@@ -614,6 +614,30 @@ def test_morphrule_of_no_declared_affix_diagnosed(travel_text):
     assert net.morphology.segment("ko", "kox") == ()
 
 
+def _dead_affixes(travel):
+    # no ko affix has role suffix, so zz can follow nothing a word carries;
+    # zy and zx follow only each other's roles, which no root reaches
+    return load_network(
+        travel
+        + "affix ko zz role tense after suffix\n"
+        + "affix en zy role tense after case-marker\naffix en zx role case-marker after tense\n"
+    )
+
+
+def test_affix_no_word_can_carry_diagnosed(travel_text):
+    net = _dead_affixes(travel_text)
+    dead = [("zz", "ko", "tense"), ("zy", "en", "tense"), ("zx", "en", "case-marker")]
+    assert validate_network(net) == [
+        Diagnostic(
+            "dead-affix",
+            f"affix '{affix}' ({lang}, {role}) is never attached: no word reaches a role that {role} may follow",
+        )
+        for affix, lang, role in dead
+    ]
+    assert net.morphology.segment("ko", "kil-zz") == ()
+    assert validate_network(load_network(travel_text + "affix ko zz role tense after plural\n")) == []
+
+
 # a lexical fill of a is realized by an en item of a; the en sequence a
 # owns does not supply one, so translating "wa" could only end no-parse
 ONLY_A_TARGET_SEQUENCE = (
@@ -704,7 +728,8 @@ GOLDEN_VALIDATE = Path(__file__).parent / "data" / "validate.golden"
 
 VALIDATE_CODES = {
     "isa-cycle", "asymmetric-pairing", "english-cse-type", "unreachable-filler",
-    "unpaired-concept", "ungeneratable-element", "omissible-cycle", "dead-morphrule",
+    "unpaired-concept", "ungeneratable-element", "omissible-cycle", "dead-affix",
+    "dead-morphrule",
 }
 
 MUTATION_SEEDS = 300
@@ -725,6 +750,7 @@ def _validator_networks(travel):
         ("target a(CX) a(CX) from a(CX)", _supply_net("a(CX)", "a(CX) a(CX)")),
         ("target a(CX) from a(OX)", _supply_net('"x"(CX) a(OX)', '"y"(CX) a(CX)')),
         ("dead morphrules", _dead_morphrules(travel)),
+        ("dead affixes", _dead_affixes(travel)),
         ("concept with only a target sequence", load_network(ONLY_A_TARGET_SEQUENCE)),
     ]
 

@@ -63,6 +63,16 @@ def test_readings_are_taken_in_declaration_order():
     state.close()
 
 
+def test_concept_generates_its_first_target_item():
+    # a has two en items and two ko items; the one declared later has the
+    # id that sorts first, so neither the last item nor the smallest id
+    # gives the declared first
+    net = mini_net("a(CX)", extra="lex d-a en vz isa a\nlex j-a ko wz isa a")
+    assert translate(net, "wa", "ko-en").target_sentence == "Va"
+    assert translate(net, "va", "en-ko").target_sentence == "wa"
+    assert translate(net, "vz", "en-ko").target_sentence == "wa"
+
+
 def test_forward_translation(net):
     result = translate(net, ENGLISH, "en-ko")
     assert result.ok
@@ -556,6 +566,71 @@ def test_trace_is_built_when_first_read(monkeypatch):
             assert idx == "0"
             heads.append(cs_id)
     assert (slots, items, heads) == planned_markers(net, *parse_direction(direction))
+
+
+def _count_tree_records(monkeypatch) -> list:
+    """Count the concept tree's records: the returned list grows by the
+    class name of each :class:`TreeNode` and :class:`TreeFill` built from
+    then on."""
+    built = []
+    for cls in (TreeNode, TreeFill):
+        def counting(record_cls, *fields, real=cls.__new__):
+            built.append(record_cls.__name__)
+            return real(record_cls, *fields)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting))
+    return built
+
+
+def _tree_records(tree) -> int:
+    nodes, count = [tree], 0
+    for node in nodes:
+        count += 1 + len(node.fills)
+        nodes += [f.child for f in node.fills if f.child is not None]
+    return count
+
+
+def test_tree_is_built_when_first_read(net, monkeypatch, capsys):
+    """``translate`` realizes only the text; the first ``concept_tree`` read
+    walks the kept chart once more and keeps the tree.  A result that did
+    not succeed reads None and builds nothing."""
+    text = synth_network(1000, 200, 1)
+    network = load_network(text)
+    direction, sentence = parse_samples(text)[0]
+    built = _count_tree_records(monkeypatch)
+    closed = closed_sessions(monkeypatch)
+    result = translate(network, sentence, direction)
+    assert result.ok and built == [] and len(closed) == 1
+    tree = result.concept_tree
+    assert "TreeNode" in built and len(built) == _tree_records(tree)
+    assert len(closed) == 1  # translate's session: the read opens none
+    assert result.concept_tree is tree and len(built) == _tree_records(tree)
+    # reading the trace first gives the same tree and trace as the reverse order
+    runs = [(network, direction, sentence), (net, "en-ko", ENGLISH), (net, "ko-en", KOREAN)]
+    for network, direction, sentence in runs:
+        tree_first, trace_first = translate(network, sentence, direction), translate(network, sentence, direction)
+        tree = tree_first.concept_tree
+        trace = trace_first.trace
+        del built[:]
+        assert repr(trace_first.concept_tree) == repr(tree) and built == []  # kept by the trace read
+        assert [e.line() for e in tree_first.trace] == [e.line() for e in trace]
+        assert tree_first.concept_tree is tree
+    # nothing but success has a tree
+    failed = [
+        translate(net, "the way xqz", "en-ko"),
+        translate(net, "way the you would", "en-ko"),
+        translate(load_network(GAP_NET), "wa", "ko-en"),
+        translate(load_network(multi_parent_probe(13)), " ".join(["wl"] * 13), "ko-en"),
+    ]
+    del built[:]
+    assert [r.status for r in failed] == ["unknown-word", "no-parse", "no-parse", "too-ambiguous"]
+    assert [r.concept_tree for r in failed] == [None] * 4 and built == []
+    # nor does a corpus run build one
+    monkeypatch.setattr(markermt.cli, "load_network", lambda text: net)
+    args = argparse.Namespace(network=str(TRAVEL_NET), corpus=str(TRAVEL_CORPUS))
+    assert markermt.cli.cmd_corpus(args) == 0
+    assert capsys.readouterr().out.endswith(" passed, 0 failed\n")
+    assert built == []
 
 
 def test_load_builds_no_trace_events(monkeypatch):
