@@ -148,7 +148,8 @@ class Morphology:
         # that may follow ``role``, in declaration order, each with its unit,
         # its rules (None if it has none), its plain joiner + affix surface,
         # and whether its role is terminal (no affix may follow it); both
-        # generation and analysis walk these steps
+        # generation and analysis walk these steps.  Only the roles a word
+        # can end in are keys: root, and the role of each step out of a key
         self._next: dict[str, dict[str, tuple]] = {}
         for lang, table in affixes.items():
             rules_of, joiner, follows = rules_by_affix[lang], PROFILES[lang].joiner, before[lang]
@@ -159,7 +160,12 @@ class Morphology:
                 for prev in follows.get(role, ()):
                     if prev in steps:
                         steps[prev].append(step)
-            self._next[lang] = {prev: tuple(found) for prev, found in steps.items()}
+            reached = ["root"]
+            for prev in reached:  # grows as it is read
+                for unit, _, _, _ in steps[prev]:
+                    if unit.role not in reached:
+                        reached.append(unit.role)
+            self._next[lang] = {prev: tuple(steps[prev]) for prev in reached}
 
         word_of: dict[str, str] = {}
         words: dict[str, set[str]] = {lang: set() for lang in PROFILES}

@@ -861,26 +861,19 @@ def _check_omissible_cycles(net, diags):
 
 
 def _check_morph_rules(net, diags):
-    # an affix is attached only where the successor table that segmentation
-    # and generation walk reaches its role from a root
-    affixes = net.morphology.affixes
-    for language, table in affixes.items():
-        successors = net.morphology._next[language]
-        reached, todo = {"root"}, ["root"]
-        while todo:
-            for unit, _, _, _ in successors.get(todo.pop(), ()):
-                if unit.role not in reached:
-                    reached.add(unit.role)
-                    todo.append(unit.role)
-        for affix, role in table.items():
-            if role not in reached:
-                diags.append(
-                    Diagnostic(
-                        "dead-affix",
-                        f"affix '{affix}' ({language}, {role}) is never attached: "
-                        f"no word reaches a role that {role} may follow",
-                    )
+    # an affix is attached only after a role some word can end in, and only
+    # those roles are keys of the successor table
+    successors = net.morphology._next
+    for decl in net.affixes:
+        if decl.role != "root" and decl.role not in successors[decl.language]:
+            diags.append(
+                Diagnostic(
+                    "dead-affix",
+                    f"affix '{decl.morpheme}' ({decl.language}, {decl.role}) is never attached: "
+                    f"no word reaches a role that {decl.role} may follow",
                 )
+            )
+    affixes = net.morphology.affixes
     # a rule applies only when its affix is attached, and only the declared
     # non-root affixes (the morphology's affix table) are
     for r in net.morph_rules:
