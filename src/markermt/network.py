@@ -873,9 +873,9 @@ def _check_morph_rules(net, diags):
                     f"no word reaches a role that {decl.role} may follow",
                 )
             )
-    affixes = net.morphology.affixes
     # a rule applies only when its affix is attached, and only the declared
     # non-root affixes (the morphology's affix table) are
+    affixes = net.morphology.affixes
     for r in net.morph_rules:
         if r.affix not in affixes[r.language]:
             diags.append(

@@ -15,6 +15,7 @@ def _tool():
 
 def test_every_catalogued_snippet_occurs_once():
     tool = _tool()
+    assert tool.OWN_CHECK.endswith("::" + test_every_catalogued_snippet_occurs_once.__name__)
     assert tool.MUTANTS and tool.check_catalogue() == []
     assert len({m.name for m in tool.MUTANTS}) == len(tool.MUTANTS)
     assert all(m.snippet != m.replacement and m.reason for m in tool.MUTANTS)

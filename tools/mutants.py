@@ -10,11 +10,13 @@ that occurs in it once, the replacement that makes the mutant, and why the
 mutant is worth catching.  The tool copies the checkout to a temporary
 directory for each mutant (the checkout itself is never written), applies
 the replacement there and runs tier-1 on the copy with ``-x``, as CI runs
-it but stopping at the first failure, with no tracer.  It prints one line
-per mutant, ``killed <name>: <first failing test>`` or ``survived <name>``,
-and exits 1 if any mutant survived, 2 if an entry's snippet does not occur
-exactly once (the catalogue has gone stale), else 0.  A killed mutant
-costs the run up to its first failure; a survivor costs a whole tier-1 run.
+it but stopping at the first failure, with no tracer, and without the
+catalogue's own check (``OWN_CHECK``), which no mutated copy can pass.  It
+prints one line per mutant, ``killed <name>: <first failing test>`` or
+``survived <name>: <reason>``, and exits 1 if any mutant survived, 2 if an
+entry's snippet does not occur exactly once (the catalogue has gone
+stale), else 0.  A killed mutant costs the run up to its first failure; a
+survivor costs a whole tier-1 run.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# the catalogue's own tier-1 check fails on every mutated copy, which no
+# longer holds its snippet, so it is left out of the mutant runs
+OWN_CHECK = "tests/test_mutants.py::test_every_catalogued_snippet_occurs_once"
 COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "build")
 
 
@@ -90,7 +95,8 @@ def run(mutant: Mutant) -> tuple[bool, str]:
         path_var = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + path_var if path_var else src)
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+             "--deselect", OWN_CHECK],
             cwd=copy, env=env, capture_output=True, text=True,
         )
     return done.returncode != 0, first_failure(done.stdout + done.stderr)
