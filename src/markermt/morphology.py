@@ -10,7 +10,10 @@ can rewrite, with the lengths those keys have; and one successor table, for
 each role the affixes that may follow it, each with its rules as a
 ``{class: surface}`` dict and the distinct class lengths, longest first,
 and marked terminal when no affix may follow its own role.  Generation
-takes one step of that table per affix, and analysis searches it.
+takes one step of that table per affix.  Analysis searches it through the
+same role's index: the affixes without rules keyed, as the roots are, by
+the part of the surface they add that no rule can rewrite, so a reading
+tries only the affixes the word continues with where the reading ends.
 
 Word joining is a language-profile property: Korean (Yale romanization)
 joins morphemes inside an Eojeol with ``-``, English concatenates directly.
@@ -101,6 +104,18 @@ def _join(stem: str, rules, plain: str) -> str:
     return stem + plain
 
 
+def _successors(steps, loose, keyed, growths) -> tuple:
+    """One role's entry of the successor table (see ``Morphology._next``)
+    from the lists its steps were filed in, in declaration order."""
+    return (
+        tuple(steps),
+        tuple(loose),
+        {key: tuple(found) for key, found in keyed.items()},
+        tuple(sorted(set(map(len, keyed)))),
+        min(growths, default=0),
+    )
+
+
 def _folded(root: str) -> str:
     """``root`` casefolded: ``root`` itself when folding changes nothing."""
     folded = root.casefold()
@@ -144,28 +159,48 @@ class Morphology:
             lang: max((lengths[0] for lengths, _ in table.values()), default=0)
             for lang, table in rules_by_affix.items()
         }
-        # {lang: {role: ((unit, rules, plain, terminal), ...)}}: the affixes
-        # that may follow ``role``, in declaration order, each with its unit,
-        # its rules (None if it has none), its plain joiner + affix surface,
-        # and whether its role is terminal (no affix may follow it); both
-        # generation and analysis walk these steps.  Only the roles a word
-        # can end in are keys: root, and the role of each step out of a key
+        # {lang: {role: (steps, loose, keyed, key lengths, least)}}: ``steps``
+        # are the affixes that may follow ``role``, in declaration order, each
+        # with its unit, its rules (None if it has none), its plain joiner +
+        # affix surface, and whether its role is terminal (no affix may follow
+        # it); generation walks them.  Analysis reads the same steps indexed:
+        # a step with no rules is keyed by the stable part of the folded
+        # surface it adds (all but the last ``max_class`` characters, as many
+        # as it adds), ``keyed[key]``, with the ``key lengths`` that occur,
+        # shortest first; ``loose`` are the rest, with rules or with no
+        # stable part; ``least`` is the fewest characters any step adds (a
+        # rule may shrink a surface).  Only the roles a word can end in are
+        # keys: root, and the role of each step out of a key
         self._next: dict[str, dict[str, tuple]] = {}
         for lang, table in affixes.items():
             rules_of, joiner, follows = rules_by_affix[lang], PROFILES[lang].joiner, before[lang]
+            cut = self.max_class[lang]
             ahead = {prev for role in table.values() for prev in follows.get(role, ())}
-            steps: dict[str, list] = {prev: [] for prev in ("root", *table.values())}
+            # {role: (steps, loose, keyed, growths)}, filled as the affixes are read
+            filed: dict[str, tuple] = {prev: ([], [], {}, []) for prev in ("root", *table.values())}
             for affix, role in table.items():
-                step = (MorphUnit(affix, role), rules_of.get(affix), joiner + affix, role not in ahead)
+                rules, plain = rules_of.get(affix), joiner + affix
+                step = (MorphUnit(affix, role), rules, plain, role not in ahead)
+                if rules is None:
+                    key = plain.casefold()[: len(plain) - cut] if len(plain) > cut else ""
+                    growth = len(plain)
+                else:
+                    key, growth = "", min(len(plain), *(len(s) - len(c) for c, s in rules[1].items()))
                 for prev in follows.get(role, ()):
-                    if prev in steps:
-                        steps[prev].append(step)
+                    if prev in filed:
+                        every, loose, keyed, growths = filed[prev]
+                        every.append(step)
+                        if key:
+                            keyed.setdefault(key, []).append(step)
+                        else:
+                            loose.append(step)
+                        growths.append(growth)
             reached = ["root"]
             for prev in reached:  # grows as it is read
-                for unit, _, _, _ in steps[prev]:
+                for unit, _, _, _ in filed[prev][0]:
                     if unit.role not in reached:
                         reached.append(unit.role)
-            self._next[lang] = {prev: tuple(steps[prev]) for prev in reached}
+            self._next[lang] = {prev: _successors(*filed[prev]) for prev in reached}
 
         word_of: dict[str, str] = {}
         words: dict[str, set[str]] = {lang: set() for lang in PROFILES}
@@ -229,7 +264,7 @@ class Morphology:
         successors = self._next[language]
         prev_role = "root"
         for m in morphemes[1:]:
-            for unit, rules, plain, _ in successors[prev_role]:
+            for unit, rules, plain, _ in successors[prev_role][0]:
                 if unit.form == m:
                     break
             else:
@@ -254,20 +289,28 @@ class Morphology:
         stable prefixes are prefixes of the word, cost one dict lookup per
         key length the root index holds, up to ``len(word)``.  Each reading
         is matched against the word when it is made.  A kept reading of at
-        most ``len(word) + 1`` units grows by every affix on its last role's
-        successor list, each attached with one probe per class length of
-        that affix's rules (a completed reading may still grow, since rules
-        can shrink surfaces); a reading whose last role is terminal is
-        matched and never kept.  So the cost grows with the word, the roots
-        sharing its prefixes and the affixes that fit, not with the size of
-        the lexicon, the number of rules on an affix or the rules of other
-        affixes.
+        most ``len(word) + 1`` units takes one successor-table lookup for
+        its last role, and grows by the affixes that can fit: none when even
+        the least growth of that role's steps overshoots the word; else the
+        steps with rules (a completed reading may still grow, since rules
+        can shrink surfaces) and those whose added surface is all within
+        the last ``max_class`` characters; and, when the word continues the
+        reading, the affixes whose stable part it continues with, one dict
+        lookup per key length that fits.  Each affix with rules is attached
+        with one probe per class length of its rules.  A reading that
+        casefolding lengthened tries every step of its role.  A reading
+        whose last role is terminal is matched and never kept.  So the cost
+        grows with the word, the roots sharing its prefixes and the affixes
+        that fit, not with the size of the lexicon, the number of affixes
+        that may follow a role, the number of rules on an affix or the
+        rules of other affixes.
         """
         target = word.casefold()
         if not target:
             return ()
         cut = self.max_class.get(language, 0)
         size = len(target)
+        room = size + cut  # a longer surface is neither kept nor matched
         successors = self._next.get(language)
         by_stable = self._roots_by_stable.get(language, {})
         results: list[MorphemeSequence] = []
@@ -277,24 +320,40 @@ class Morphology:
                 break
             for root in by_stable.get(target[:end], ()):
                 units = (MorphUnit(root, "root"),)
-                if root.casefold() == target:
+                folded = root.casefold()
+                if folded == target:
                     results.append(MorphemeSequence(units))
-                stack.append((units, root))
+                stack.append((units, root, folded))
         while stack:
-            units, formed = stack.pop()
+            units, formed, folded = stack.pop()
+            # tries: the loose steps, then those the word continues with
+            steps, tries, keyed, lengths, least = successors[units[-1].role]
+            at = len(formed)
+            if at + least > room:  # no step fits: casefolding never shortens
+                continue
+            if lengths:  # some step is keyed
+                if len(folded) > at:  # folding lengthened the reading: try every step
+                    tries = steps
+                elif target.startswith(folded):
+                    for length in lengths:
+                        if at + length > size:
+                            break
+                        found = keyed.get(target[at : at + length])
+                        if found is not None:
+                            tries += found
             grows = len(units) <= size  # a kept reading has len(word) + 1 units at most
-            for unit, rules, plain, terminal in successors[units[-1].role]:
+            for unit, rules, plain, terminal in tries:
                 surface = _join(formed, rules, plain) if rules else formed + plain
-                stable = len(surface) - cut
-                if stable > size:  # not kept, and no match: casefolding never shortens
+                if len(surface) > room:  # not kept, and no match: casefolding never shortens
                     continue
                 folded = surface.casefold()
                 if folded == target:
                     results.append(MorphemeSequence(units + (unit,)))
                 if terminal or not grows:
                     continue
+                stable = len(surface) - cut
                 if stable <= 0 or target.startswith(folded[:stable]):
-                    stack.append((units + (unit,), surface))
+                    stack.append((units + (unit,), surface, folded))
         if len(results) > 1:
             # units order as their forms do: unit 0 is the root and an
             # affix's role follows from its form, so equal forms mean equal

@@ -621,7 +621,9 @@ def _check_declarations(net, pending=None):
     a sequence paired within its language or, unless the loader checked it
     at its line, whose every element is omissible, an element whose type is
     not CX, CF, OX or OF or that names not exactly one of a concept and a
-    literal, or a default item of the other language."""
+    literal, a default item of the other language, or, unless the loader
+    checked it at its line, a second affix of one language and morpheme or
+    a second morphrule of one language, class and affix."""
     tables = {"concept": net.concepts, "lexical": net.lexicon, "sequence": net.sequences,
               "language": LANGUAGES, "role": ROLES, "sentence-type": SENTENCE_TYPES}
     for kind, name, where in _references(net) if pending is None else pending:
@@ -644,6 +646,16 @@ def _check_declarations(net, pending=None):
                 raise NetworkError(f"default item '{default}' of '{cs.id}' must be a {cs.language} item")
         if pending is None and all(ElementType.omissible(el.etype) for el in cs.elements):
             raise NetworkError(f"sequence '{cs.id}' accepts the empty string: every element is omissible")
+    if pending is None:  # the loader rejects these at their line
+        affixes, rules = set(), set()
+        for a in net.affixes:
+            if (a.language, a.morpheme) in affixes:
+                raise NetworkError(f"duplicate affix '{a.morpheme}' for {a.language}")
+            affixes.add((a.language, a.morpheme))
+        for r in net.morph_rules:
+            if (r.language, r.root_class, r.affix) in rules:
+                raise NetworkError(f"duplicate morphrule '{r.root_class}+{r.affix}' for {r.language}")
+            rules.add((r.language, r.root_class, r.affix))
 
 
 def serialize_network(net: MemoryNetwork) -> str:

@@ -213,8 +213,8 @@ def steps_by_affix(m, language):
     it has none) and its joiner + affix surface.  An affix whose role may
     follow only roles that no affix of the language has, and not the root,
     has no step, and no word can carry it."""
-    return {unit.form: (rules, plain) for steps in m._next[language].values()
-            for unit, rules, plain, _ in steps}
+    return {unit.form: (rules, plain) for entry in m._next[language].values()
+            for unit, rules, plain, _ in entry[0]}
 
 
 def attach_by_step(m, language, stem, affix):
@@ -485,6 +485,78 @@ def test_many_rules_on_one_affix_leave_translation_alone(net, travel_text):
         counting.probes = 0
         assert _join(stem, (order, counting), plain) == attach_by_scan(rules, "ko", stem, "ul"), stem
         assert counting.probes <= len(lengths) == 4, stem
+
+
+class CountingStep(tuple):
+    """A successor step that counts how often it is unpacked: once for each
+    reading that tries it."""
+
+    tried = 0
+
+    def __iter__(self):
+        CountingStep.tried += 1
+        return super().__iter__()
+
+
+def steps_tried(m, language, word):
+    """How many successor steps ``segment`` tries while it searches
+    ``word``, and its readings."""
+    saved = m._next[language]
+    made = {}
+
+    def counting(steps):
+        return tuple(made.setdefault(id(step), CountingStep(step)) for step in steps)
+
+    m._next[language] = {
+        role: (counting(steps), counting(loose), {key: counting(found) for key, found in keyed.items()}, *rest)
+        for role, (steps, loose, keyed, *rest) in saved.items()
+    }
+    CountingStep.tried = 0
+    try:
+        result = m.segment(language, word)
+    finally:
+        m._next[language] = saved
+    return CountingStep.tried, result
+
+
+# 2,000 case markers after the root and the plural that no travel word
+# continues with
+WIDE_AFFIXES = "".join(f"affix ko zq{i} role case-marker after root,plural\n" for i in range(2000))
+
+
+def test_affixes_a_word_does_not_continue_with_are_never_tried(net, travel_text):
+    """With 2,000 more case markers, each ko word of the travel corpus tries
+    as many successor steps as before, with the same readings, and every
+    sentence translates the same: a reading tries only the affixes whose
+    rule-proof part the word continues with where the reading ends."""
+    wide = load_network(travel_text + WIDE_AFFIXES)
+    assert len(wide.morphology._next["ko"]["root"][0]) > 2000
+    tried = 0
+    for direction, sentence, _ in corpus_rows():
+        plain, loaded = (translate(n, sentence, direction) for n in (net, wide))
+        assert plain.status == "success"
+        assert (loaded.status, loaded.target_sentence) == (plain.status, plain.target_sentence)
+        if direction.startswith("ko"):
+            for word in tokenize(sentence):
+                counts = [steps_tried(n.morphology, "ko", word) for n in (net, wide)]
+                assert counts[0] == counts[1], word
+                tried += counts[0][0]
+    assert tried > 0
+
+
+def test_a_root_that_casefolding_lengthens_segments_as_the_scans_do():
+    """``ß`` folds to ``ss``, so a reading of it ends later folded than
+    stored: ``-A`` must be found after ``ss``, not after ``s``.  Hypothesis
+    draws this case only now and then."""
+    net = load_network(
+        "concept c\naffix ko ß role root\naffix ko A role suffix\nlex i ko ß+A isa c\n"
+        "cs s ko of c pair t : c(CX)\ncs t en of c pair s : c(CX)\n"
+    )
+    for word in ("ß-A", "SS-A"):
+        readings = net.morphology.segment("ko", word)
+        assert [s.forms for s in readings] == [("ß", "A")]
+        assert readings == segment_by_scan(net, "ko", word)
+        assert word_items(net, "ko", word) == reference_word_items(net, "ko", word) == ["i"]
 
 
 # a few pieces for random morphologies: case pairs, and a letter whose

@@ -663,7 +663,9 @@ def test_concept_with_only_a_target_sequence_is_unpaired():
 # sequence, or an element of type ZZ (read as CX), validated clean.  The
 # loader alone checked the last nine values too: a record in jp or an item
 # with no morpheme crashed the build, and a sentence type 'maybe', an empty
-# morpheme or an affix role outside ROLES built and translated wrongly
+# morpheme or an affix role outside ROLES built and translated wrongly.  A
+# second affix or morphrule of one key built too, keeping the last role with
+# both after lists, or the last rule
 REJECTED_DECLARATIONS = [
     pytest.param(dict(owner="ghost"), "dangling concept reference 'ghost' (sequence 's')",
                  id="undeclared owner"),
@@ -711,6 +713,11 @@ REJECTED_DECLARATIONS = [
                  "bad role 'object' (affix 'ul')", id="affix role outside ROLES"),
     pytest.param(dict(extra=(AffixDecl(KO, "ul", "case-marker", ("root", "object")),)),
                  "bad role 'object' (affix 'ul')", id="after role outside ROLES"),
+    pytest.param(dict(extra=(AffixDecl(KO, "ul", "case-marker"), AffixDecl(KO, "ul", "plural", ("root", "plural")))),
+                 "duplicate affix 'ul' for ko", id="affix declared twice"),
+    pytest.param(dict(extra=(AffixDecl(KO, "ul", "case-marker"), MorphRuleDecl(KO, "p", "ul", "lul"),
+                             MorphRuleDecl(KO, "p", "ul", "pul"))),
+                 "duplicate morphrule 'p+ul' for ko", id="morphrule declared twice"),
 ]
 
 

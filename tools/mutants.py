@@ -59,6 +59,30 @@ MUTANTS = (
         "order[cs.id] <= order[best.cs]",
         "tied full-span parses of one sequence must pick the instance created first",
     ),
+    Mutant(
+        "rule-steps-keyed-as-plain",
+        "src/markermt/morphology.py",
+        "if rules is None:",
+        "if True:",
+        "a step with rules may rewrite the reading it follows, so segment must try it wherever the"
+        " reading ends: kop + un surfaces as kowun",
+    ),
+    Mutant(
+        "successor-lookup-at-the-stored-length",
+        "src/markermt/morphology.py",
+        "if len(folded) > at:",
+        "if False:",
+        "a reading that casefolding lengthens (ß folds to ss) must find its affixes where it ends"
+        " folded",
+    ),
+    Mutant(
+        "oracle-derives-a-span-again",
+        "src/markermt/oracle.py",
+        "if key in visiting:",
+        "if False:",
+        "the oracle must not derive one span through one sequence twice in one derivation: a unary"
+        " cycle would nest until MAX_DEPTH",
+    ),
 )
 
 
