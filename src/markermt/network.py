@@ -189,9 +189,10 @@ class MemoryNetwork:
     words per language, so analysis does not search a word no item
     generates.
 
-    Building checks the declarations first (:func:`_check_declarations`),
-    loaded or made in code, so every name they reference is declared;
-    ``pending`` hands it the loader's forward references with their lines.
+    Building checks the declarations first (:func:`_check_declarations`
+    holds every rule), whether :func:`load_network` or code made them, so
+    every name they reference is declared; ``lines``, given by the loader,
+    lets a rejection name the offending line.
     """
 
     concepts: dict[str, ConceptNode] = field(default_factory=dict)
@@ -199,21 +200,21 @@ class MemoryNetwork:
     sequences: dict[str, ConceptSequence] = field(default_factory=dict)
     affixes: list[AffixDecl] = field(default_factory=list)
     morph_rules: list[MorphRuleDecl] = field(default_factory=list)
-    pending: InitVar[list | None] = None
+    lines: InitVar[dict[str, list[int]] | None] = None
 
-    def __post_init__(self, pending):
-        self.build_indexes(pending)
+    def __post_init__(self, lines):
+        self.build_indexes(lines)
 
     # -- derived indexes -------------------------------------------------
 
-    def build_indexes(self, pending=None):
+    def build_indexes(self, lines=None):
         """Check the declarations (:func:`_check_declarations`), then derive
         every lookup table from them, including the compiled initial
         prediction of each direction.  Call it again after changing a
         network built in code.  Raises :class:`NetworkError` for a rejected
         declaration and ``MorphologyError`` for a lexical item whose affixes
         are undeclared or cannot follow one another."""
-        _check_declarations(self, pending)
+        _check_declarations(self, lines)
         lexicon, sequences = self.lexicon.values(), self.sequences.values()
         self.morpheme_index = MappingProxyType({
             lang: MappingProxyType(
@@ -404,17 +405,21 @@ def load_network(source: str) -> MemoryNetwork:
     string, and each language is ``KO`` or ``EN``; a forward reference (the
     mate of the first sequence of a pair, say) keeps its own string.
 
-    Raises :class:`NetworkError` on syntax errors (with line/column), tokens
-    after a declaration's last field, duplicate ids, degenerate files and
-    any declaration :func:`_check_declarations` rejects (a dangling
-    reference names its line).  Semantic invariants beyond that are the
-    business of :func:`validate_network`.
+    The loader reads shapes only.  It raises :class:`NetworkSyntaxError`
+    (with the line, and the column of an unknown keyword) for a truncated
+    declaration, a missing keyword, a repeated or unknown clause, a token
+    after a declaration's last field and a malformed element, and
+    :class:`NetworkError` for a second concept, lexical or sequence id and
+    a file that declares no concept.  Every other rule is the build's
+    (:func:`_check_declarations`): it names the offending declaration's
+    line, and of several faults reports the first in declaration kind
+    order (concepts, items, sequences, affixes, morphrules), not line
+    order.  Semantic invariants beyond those are the business of
+    :func:`validate_network`.
     """
-    # affixes and morphrules keyed by what makes one a duplicate, elements by token
-    decls = SimpleNamespace(concepts={}, lexicon={}, sequences={}, affixes={}, morph_rules={}, elements={})
-    # (kind, id, "line N") of each reference to an id not declared when read
-    # (a declared id stays declared, so only these need checking at the end)
-    pending_refs: list[tuple[str, str, str]] = []
+    # elements by token: one record per distinct token
+    decls = SimpleNamespace(concepts={}, lexicon={}, sequences={}, affixes=[], morph_rules=[], elements={})
+    lines: dict[str, list[int]] = {keyword: [] for keyword in _PARSERS}  # per keyword, declaration order
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
         tokens = (raw[: raw.index("#")] if "#" in raw else raw).split()
@@ -424,44 +429,35 @@ def load_network(source: str) -> MemoryNetwork:
         if parse is None:
             raise NetworkSyntaxError(f"unknown declaration '{tokens[0]}'", lineno, raw.find(tokens[0]) + 1)
         try:
-            parse(decls, tokens, lineno, pending_refs)
+            parse(decls, tokens, lineno)
         except IndexError:
             raise NetworkSyntaxError("truncated declaration", lineno) from None
+        lines[tokens[0]].append(lineno)
 
     if not decls.concepts:
         raise NetworkError("no concepts declared")
 
-    # building the network checks the references and, in the morphology
+    # building the network checks the declarations and, in the morphology
     # tables, that every non-initial morpheme of an item is a declared affix
     from markermt.morphology import MorphologyError
 
     try:
-        return MemoryNetwork(
-            concepts=decls.concepts,
-            lexicon=decls.lexicon,
-            sequences=decls.sequences,
-            affixes=list(decls.affixes.values()),
-            morph_rules=list(decls.morph_rules.values()),
-            pending=pending_refs,
-        )
+        return MemoryNetwork(decls.concepts, decls.lexicon, decls.sequences, decls.affixes, decls.morph_rules,
+                             lines=lines)
     except MorphologyError as exc:
         raise NetworkError(str(exc)) from None
 
 
-def _declared(table, name, kind, lineno, pending):
-    """The id string ``table`` declares as ``name``; else ``name``, queued as a ``kind``."""
+def _declared(table, name):
+    """The id string ``table`` declares as ``name``, else ``name`` itself."""
     record = table.get(name)
-    if record is None:
-        pending.append((kind, name, f"line {lineno}"))
-        return name
-    return record.id
+    return name if record is None else record.id
 
 
-def _language(token, lineno) -> str:
-    """The language constant ``token`` names: one string per language."""
-    if token not in LANGUAGES:
-        raise NetworkSyntaxError(f"bad language '{token}'", lineno)
-    return KO if token == KO else EN
+def _language(token) -> str:
+    """The language constant ``token`` names, one string per language; any
+    other token as it is, for the build to reject."""
+    return KO if token == KO else EN if token == EN else token
 
 
 def _no_more(tokens, count, lineno):
@@ -470,50 +466,35 @@ def _no_more(tokens, count, lineno):
         raise NetworkSyntaxError(f"unexpected token '{tokens[count]}'", lineno)
 
 
-def _parse_concept(decls, tokens, lineno, pending):
+def _parse_concept(decls, tokens, lineno):
     cid = tokens[1]
     if cid in decls.concepts:
         raise NetworkError(f"duplicate concept id '{cid}' (line {lineno})")
-    names: list[str] = []  # of the parents
-    sentence_type = None
-    i = 2
-    while i < len(tokens):
-        if tokens[i] == "isa":
-            names = tokens[i + 1].split(",")
-            i += 2
-        elif tokens[i] == "sentence-type":
-            sentence_type = tokens[i + 1]
-            if sentence_type not in SENTENCE_TYPES:
-                raise NetworkSyntaxError(
-                    f"bad sentence-type '{sentence_type}'", lineno
-                )
-            i += 2
-        else:
+    clauses: dict[str, str] = {}
+    for i in range(2, len(tokens), 2):
+        if tokens[i] not in ("isa", "sentence-type") or tokens[i] in clauses:
             raise NetworkSyntaxError(f"unexpected token '{tokens[i]}'", lineno)
-    parents = tuple(_declared(decls.concepts, p, "concept", lineno, pending) for p in names)
-    decls.concepts[cid] = ConceptNode(cid, parents, sentence_type)
+        clauses[tokens[i]] = tokens[i + 1]
+    names = clauses["isa"].split(",") if "isa" in clauses else ()
+    parents = tuple(_declared(decls.concepts, p) for p in names)
+    decls.concepts[cid] = ConceptNode(cid, parents, clauses.get("sentence-type"))
 
 
-def _parse_lex(decls, tokens, lineno, pending):
+def _parse_lex(decls, tokens, lineno):
     lid = tokens[1]
     if lid in decls.lexicon:
         raise NetworkError(f"duplicate lexical id '{lid}' (line {lineno})")
-    language = _language(tokens[2], lineno)
-    morphemes = tuple(tokens[3].split("+"))
-    if not all(morphemes):
-        raise NetworkSyntaxError("empty morpheme in lexical item", lineno)
     if tokens[4] != "isa":
         raise NetworkSyntaxError("expected 'isa' in lex declaration", lineno)
     _no_more(tokens, 6, lineno)
-    concept = _declared(decls.concepts, tokens[5], "concept", lineno, pending)
-    decls.lexicon[lid] = LexicalItem(lid, language, morphemes, concept)
+    concept = _declared(decls.concepts, tokens[5])
+    decls.lexicon[lid] = LexicalItem(lid, _language(tokens[2]), tuple(tokens[3].split("+")), concept)
 
 
-def _parse_cs(decls, tokens, lineno, pending):
+def _parse_cs(decls, tokens, lineno):
     csid = tokens[1]
     if csid in decls.sequences:
         raise NetworkError(f"duplicate sequence id '{csid}' (line {lineno})")
-    language = _language(tokens[2], lineno)
     if tokens[3] != "of" or tokens[5] != "pair":
         raise NetworkSyntaxError("expected 'cs <id> <lang> of <cn> pair <cs> : ...'", lineno)
     if tokens[7] != ":":
@@ -522,140 +503,135 @@ def _parse_cs(decls, tokens, lineno, pending):
     for tok in tokens[8:]:
         el = decls.elements.get(tok)
         if el is None:
-            # a token seen before had its references checked or queued at
-            # its first line, where a dangling one is reported first
             m = _ELEMENT_RE.match(tok)
             if not m:
                 raise NetworkSyntaxError(f"bad element '{tok}'", lineno)
             concept, default = m.group("con"), m.group("dflt")
             if concept is not None:
-                concept = _declared(decls.concepts, concept, "concept", lineno, pending)
+                concept = _declared(decls.concepts, concept)
             if default is not None:
-                default = _declared(decls.lexicon, default, "lexical", lineno, pending)
+                default = _declared(decls.lexicon, default)
             el = decls.elements[tok] = SequenceElement(m.group("type"), concept, m.group("lit"), default)
         elements.append(el)
     if not elements:
         raise NetworkSyntaxError("sequence with no elements", lineno)
-    if not any(not ElementType.omissible(e.etype) for e in elements):
-        raise NetworkError(
-            f"sequence '{csid}' accepts the empty string: every element is omissible (line {lineno})"
-        )
-    owner = _declared(decls.concepts, tokens[4], "concept", lineno, pending)
-    paired = _declared(decls.sequences, tokens[6], "sequence", lineno, pending)
-    decls.sequences[csid] = ConceptSequence(csid, language, owner, tuple(elements), paired)
+    owner = _declared(decls.concepts, tokens[4])
+    paired = _declared(decls.sequences, tokens[6])
+    decls.sequences[csid] = ConceptSequence(csid, _language(tokens[2]), owner, tuple(elements), paired)
 
 
-def _parse_affix(decls, tokens, lineno, pending):
-    language = _language(tokens[1], lineno)
-    morpheme = tokens[2]
+def _parse_affix(decls, tokens, lineno):
     if tokens[3] != "role":
         raise NetworkSyntaxError("expected 'role' in affix declaration", lineno)
-    role = tokens[4]
-    if role not in ROLES:
-        raise NetworkSyntaxError(f"unknown role '{role}'", lineno)
-    after: tuple[str, ...] = ("root",)
-    if tokens[5:6] == ["after"]:
-        after = tuple(tokens[6].split(","))
-        for r in after:
-            if r not in ROLES:
-                raise NetworkSyntaxError(f"unknown role '{r}' in after clause", lineno)
+    after = tuple(tokens[6].split(",")) if tokens[5:6] == ["after"] else ("root",)
     _no_more(tokens, 7 if tokens[5:6] == ["after"] else 5, lineno)
-    if (language, morpheme) in decls.affixes:
-        raise NetworkError(f"duplicate affix '{morpheme}' for {language} (line {lineno})")
-    decls.affixes[(language, morpheme)] = AffixDecl(language, morpheme, role, after)
+    decls.affixes.append(AffixDecl(_language(tokens[1]), tokens[2], tokens[4], after))
 
 
-def _parse_morphrule(decls, tokens, lineno, pending):
-    language = _language(tokens[1], lineno)
+def _parse_morphrule(decls, tokens, lineno):
     if "+" not in tokens[2] or tokens[3] != "->":
         raise NetworkSyntaxError("expected 'morphrule <lang> <class>+<affix> -> <surface>'", lineno)
     root_class, affix = tokens[2].split("+", 1)
-    surface = tokens[4]
     _no_more(tokens, 5, lineno)
-    key = (language, root_class, affix)
-    if key in decls.morph_rules:
-        raise NetworkError(
-            f"duplicate morphrule '{root_class}+{affix}' for {language} (line {lineno})"
-        )
-    decls.morph_rules[key] = MorphRuleDecl(language, root_class, affix, surface)
+    decls.morph_rules.append(MorphRuleDecl(_language(tokens[1]), root_class, affix, tokens[4]))
 
 
-_PARSERS = {"lex": _parse_lex, "concept": _parse_concept, "cs": _parse_cs,
+_PARSERS = {"concept": _parse_concept, "lex": _parse_lex, "cs": _parse_cs,
             "affix": _parse_affix, "morphrule": _parse_morphrule}
 
 
-def _references(net):
-    """Each reference of ``net``'s declarations, in declaration order, as
-    ``(kind, name, where)``: ``where`` names the declaration."""
-    for cn in net.concepts.values():
-        for parent in cn.parents:
-            yield "concept", parent, f"concept '{cn.id}'"
-        if cn.sentence_type is not None:
-            yield "sentence-type", cn.sentence_type, f"concept '{cn.id}'"
-    for it in net.lexicon.values():
-        yield "language", it.language, f"lexical item '{it.id}'"
-        yield "concept", it.concept, f"lexical item '{it.id}'"
-    for cs in net.sequences.values():
-        where = f"sequence '{cs.id}'"
-        yield "language", cs.language, where
-        for el in cs.elements:
-            if el.concept is not None:
-                yield "concept", el.concept, where
-            if el.default_item is not None:
-                yield "lexical", el.default_item, where
-        yield "concept", cs.owner, where
-        yield "sequence", cs.paired, where
-    for a in net.affixes:
-        for kind, name in (("language", a.language), ("role", a.role), *(("role", r) for r in a.after)):
-            yield kind, name, f"affix '{a.morpheme}'"
-    for r in net.morph_rules:
-        yield "language", r.language, f"morphrule '{r.root_class}+{r.affix}'"
-
-
-def _check_declarations(net, pending=None):
+def _check_declarations(net, lines=None):
     """Raise :class:`NetworkError` for the first declaration of ``net`` that
-    no network may hold: a reference to an undeclared name, or to a
-    language, role or sentence type the file format does not allow (checked
-    among ``pending``, the loader's forward references, else among all of
-    :func:`_references`), a lexical item with no morpheme or an empty one,
-    a sequence paired within its language or, unless the loader checked it
-    at its line, whose every element is omissible, an element whose type is
-    not CX, CF, OX or OF or that names not exactly one of a concept and a
-    literal, a default item of the other language, or, unless the loader
-    checked it at its line, a second affix of one language and morpheme or
-    a second morphrule of one language, class and affix."""
-    tables = {"concept": net.concepts, "lexical": net.lexicon, "sequence": net.sequences,
-              "language": LANGUAGES, "role": ROLES, "sentence-type": SENTENCE_TYPES}
-    for kind, name, where in _references(net) if pending is None else pending:
-        if name not in tables[kind]:
-            what = f"bad {kind}" if type(tables[kind]) is tuple else f"dangling {kind} reference"
-            raise NetworkError(f"{what} '{name}' ({where})")
-    sequences, lexicon, etypes = net.sequences, net.lexicon, ElementType.ALL
-    for it in lexicon.values():
-        if not it.morphemes or not all(it.morphemes):
-            raise NetworkError(f"empty morpheme (lexical item '{it.id}')")
-    for cs in sequences.values():
-        mate = sequences[cs.paired]
-        if mate.language == cs.language:
-            raise NetworkError(f"pairing must cross languages: '{cs.id}' is paired with '{mate.id}'")
+    no network may hold, walking the concepts, the lexical items, the
+    sequences, the affixes and the morphrules in turn, each table in
+    declaration order.  The rules:
+
+    - every concept, lexical item or sequence a declaration references is
+      declared (``dangling concept reference 'ghost'``);
+    - a language is ``ko`` or ``en``, a sentence type ``question`` or
+      ``statement``, and an affix's role and ``after`` roles are in
+      ``ROLES`` (``bad language 'jp'``, ``bad role 'object'``);
+    - a lexical item has a morpheme, and no empty one;
+    - a sequence is paired with one of the other language, its default
+      items are of its own language, not every element is omissible (it
+      would accept the empty string), and each element has a type in
+      ``ElementType.ALL`` and exactly one of a concept and a literal;
+    - no two affixes share a language and morpheme, and no two morphrules
+      a language, root class and affix.
+
+    ``lines``, given by :func:`load_network`, holds each declaration's line
+    per keyword in declaration order: a rejection then ends in ``(line N)``,
+    else it names the declaration.  Messages are formatted only on failure,
+    so a network that passes costs membership tests alone."""
+
+    def reject(keyword, index, message, name=None):
+        if lines is not None:
+            message += f" (line {lines[keyword][index]})"
+        elif name is not None:
+            message += f" ({_DECLARATION_KINDS[keyword]} '{name}')"
+        raise NetworkError(message)
+
+    concepts, lexicon, sequences = net.concepts, net.lexicon, net.sequences
+    for i, cn in enumerate(concepts.values()):
+        for parent in cn.parents:
+            if parent not in concepts:
+                reject("concept", i, f"dangling concept reference '{parent}'", cn.id)
+        if cn.sentence_type is not None and cn.sentence_type not in SENTENCE_TYPES:
+            reject("concept", i, f"bad sentence-type '{cn.sentence_type}'", cn.id)
+    for i, it in enumerate(lexicon.values()):
+        if it.language not in LANGUAGES:
+            reject("lex", i, f"bad language '{it.language}'", it.id)
+        if it.concept not in concepts:
+            reject("lex", i, f"dangling concept reference '{it.concept}'", it.id)
+        if not it.morphemes or "" in it.morphemes:
+            reject("lex", i, "empty morpheme", it.id)
+    etypes = ElementType.ALL
+    for i, cs in enumerate(sequences.values()):
+        if cs.language not in LANGUAGES:
+            reject("cs", i, f"bad language '{cs.language}'", cs.id)
         for el in cs.elements:
             if el.etype not in etypes or (el.concept is None) == (el.literal is None):
-                raise NetworkError(f"bad element {el!r} in sequence '{cs.id}'")
+                reject("cs", i, f"bad element {el!r} in sequence '{cs.id}'")
+            if el.concept is not None and el.concept not in concepts:
+                reject("cs", i, f"dangling concept reference '{el.concept}'", cs.id)
             default = el.default_item
-            if default is not None and lexicon[default].language != cs.language:
-                raise NetworkError(f"default item '{default}' of '{cs.id}' must be a {cs.language} item")
-        if pending is None and all(ElementType.omissible(el.etype) for el in cs.elements):
-            raise NetworkError(f"sequence '{cs.id}' accepts the empty string: every element is omissible")
-    if pending is None:  # the loader rejects these at their line
-        affixes, rules = set(), set()
-        for a in net.affixes:
-            if (a.language, a.morpheme) in affixes:
-                raise NetworkError(f"duplicate affix '{a.morpheme}' for {a.language}")
-            affixes.add((a.language, a.morpheme))
-        for r in net.morph_rules:
-            if (r.language, r.root_class, r.affix) in rules:
-                raise NetworkError(f"duplicate morphrule '{r.root_class}+{r.affix}' for {r.language}")
-            rules.add((r.language, r.root_class, r.affix))
+            if default is not None:
+                if default not in lexicon:
+                    reject("cs", i, f"dangling lexical reference '{default}'", cs.id)
+                if lexicon[default].language != cs.language:
+                    reject("cs", i, f"default item '{default}' of '{cs.id}' must be a {cs.language} item")
+        if cs.owner not in concepts:
+            reject("cs", i, f"dangling concept reference '{cs.owner}'", cs.id)
+        if cs.paired not in sequences:
+            reject("cs", i, f"dangling sequence reference '{cs.paired}'", cs.id)
+        mate = sequences[cs.paired]
+        if mate.language == cs.language:
+            reject("cs", i, f"pairing must cross languages: '{cs.id}' is paired with '{mate.id}'")
+        for el in cs.elements:
+            if not ElementType.omissible(el.etype):
+                break
+        else:
+            reject("cs", i, f"sequence '{cs.id}' accepts the empty string: every element is omissible")
+    affixes, rules = set(), set()
+    for i, a in enumerate(net.affixes):
+        if a.language not in LANGUAGES:
+            reject("affix", i, f"bad language '{a.language}'", a.morpheme)
+        for role in (a.role, *a.after):
+            if role not in ROLES:
+                reject("affix", i, f"bad role '{role}'", a.morpheme)
+        if (a.language, a.morpheme) in affixes:
+            reject("affix", i, f"duplicate affix '{a.morpheme}' for {a.language}")
+        affixes.add((a.language, a.morpheme))
+    for i, r in enumerate(net.morph_rules):
+        if r.language not in LANGUAGES:
+            reject("morphrule", i, f"bad language '{r.language}'", f"{r.root_class}+{r.affix}")
+        if (r.language, r.root_class, r.affix) in rules:
+            reject("morphrule", i, f"duplicate morphrule '{r.root_class}+{r.affix}' for {r.language}")
+        rules.add((r.language, r.root_class, r.affix))
+
+
+_DECLARATION_KINDS = {"concept": "concept", "lex": "lexical item", "cs": "sequence",
+                      "affix": "affix", "morphrule": "morphrule"}
 
 
 def serialize_network(net: MemoryNetwork) -> str:

@@ -334,24 +334,19 @@ LOAD_ERRORS = [
     ("cs s ko of a pair t", "line 2: truncated declaration", None),
     ("affix ko ul role", "line 2: truncated declaration", None),
     ("morphrule ko a+ul ->", "line 2: truncated declaration", None),
-    ("lex l jp w isa a", "line 2: bad language 'jp'", None),
-    ("cs s jp of a pair t : a(CX)", "line 2: bad language 'jp'", None),
-    ("affix jp ul role case-marker", "line 2: bad language 'jp'", None),
-    ("morphrule jp a+ul -> lul", "line 2: bad language 'jp'", None),
-    ("lex l ko w++x isa a", "line 2: empty morpheme in lexical item", None),
     ("lex l ko w iza a", "line 2: expected 'isa' in lex declaration", None),
     ("cs s ko of a pair t : a(ZZ)", "line 2: bad element 'a(ZZ)'", None),
     # '#' starts a comment even inside a literal
     ('cs s ko of a pair t : "a#b"(CX)', "line 2: bad element '\"a'", None),
     ("concept b junk", "line 2: unexpected token 'junk'", None),
+    # a clause given twice is rejected, not overwritten by the second
+    ("concept b isa a isa a", "line 2: unexpected token 'isa'", None),
+    ("concept b sentence-type question sentence-type statement", "line 2: unexpected token 'sentence-type'", None),
     ("lex l ko w isa a junk", "line 2: unexpected token 'junk'", None),
     ("affix ko ul role case-marker junk", "line 2: unexpected token 'junk'", None),
     ("affix ko ul role case-marker after root junk", "line 2: unexpected token 'junk'", None),
     ("morphrule ko a+ul -> b junk", "line 2: unexpected token 'junk'", None),
-    ("concept b sentence-type maybe", "line 2: bad sentence-type 'maybe'", None),
     ("affix ko ul rule case-marker", "line 2: expected 'role' in affix declaration", None),
-    ("affix ko ul role nonsense", "line 2: unknown role 'nonsense'", None),
-    ("affix ko ul role case-marker after x", "line 2: unknown role 'x' in after clause", None),
     ("morphrule ko aul -> lul", "line 2: expected 'morphrule <lang> <class>+<affix> -> <surface>'", None),
     ("cs s ko off a pair t : a(CX)", "line 2: expected 'cs <id> <lang> of <cn> pair <cs> : ...'", None),
     ("cs s ko of a pair t ; a(CX)", "line 2: expected ':' before element list", None),
@@ -376,6 +371,15 @@ def test_loader_error_is_pinned(line, message, column):
         ("concept a\nlex l ko w isa a\nlex l ko v isa a\n", "duplicate lexical id 'l' (line 3)"),
         ("concept a\ncs s ko of a pair t : a(CX)\ncs s en of a pair t : a(CX)\n", "duplicate sequence id 's' (line 3)"),
         ("# only a comment\n", "no concepts declared"),
+        # rules the build checks, for a loaded declaration naming its line
+        ("concept a\nlex l jp w isa a\n", "bad language 'jp' (line 2)"),
+        ("concept a\ncs s jp of a pair t : a(CX)\n", "bad language 'jp' (line 2)"),
+        ("concept a\naffix jp ul role case-marker\n", "bad language 'jp' (line 2)"),
+        ("concept a\nmorphrule jp a+ul -> lul\n", "bad language 'jp' (line 2)"),
+        ("concept a\nlex l ko w++x isa a\n", "empty morpheme (line 2)"),
+        ("concept a\nconcept b sentence-type maybe\n", "bad sentence-type 'maybe' (line 2)"),
+        ("concept a\naffix ko ul role nonsense\n", "bad role 'nonsense' (line 2)"),
+        ("concept a\naffix ko ul role case-marker after x\n", "bad role 'x' (line 2)"),
     ],
 )
 def test_loader_reference_error_is_pinned(text, message):
@@ -416,10 +420,10 @@ def _codes(diags):
     return {d.code for d in diags}
 
 
-def _handbuilt(*records):
+def _handbuilt(*records, build=True):
     """A network of ``records`` built in code: ``build_indexes`` checks
-    their references and pairing languages, with no line to name.  A
-    record with the id of an earlier one takes its place."""
+    their declarations, with no line to name, unless ``build`` is false.
+    A record with the id of an earlier one takes its place."""
     net = MemoryNetwork()
     tables = {ConceptNode: net.concepts, LexicalItem: net.lexicon, ConceptSequence: net.sequences}
     for record in records:
@@ -427,7 +431,8 @@ def _handbuilt(*records):
             (net.affixes if isinstance(record, AffixDecl) else net.morph_rules).append(record)
         else:
             tables[type(record)][record.id] = record
-    net.build_indexes()
+    if build:
+        net.build_indexes()
     return net
 
 
@@ -435,10 +440,11 @@ A_CX = SequenceElement(etype="CX", concept="a")
 
 
 def _a_pair(ko_paired="t", en_paired="s", en_language=EN, parents=(), owner="top",
-            item_concept="a", en_elements=(A_CX,), extra=()):
+            item_concept="a", en_elements=(A_CX,), extra=(), build=True):
     """Concept ``a`` (with ``parents``) and its items, the ko one isa
     ``item_concept``, and a ko sequence ``a(CX)`` and an en sequence
-    ``en_elements`` of ``owner``, paired as given; ``extra`` records too."""
+    ``en_elements`` of ``owner``, paired as given; ``extra`` records too.
+    ``build`` as for :func:`_handbuilt`."""
     return _handbuilt(
         ConceptNode(id="a", parents=parents),
         ConceptNode(id="top"),
@@ -447,6 +453,7 @@ def _a_pair(ko_paired="t", en_paired="s", en_language=EN, parents=(), owner="top
         ConceptSequence(id="s", language=KO, owner=owner, elements=(A_CX,), paired=ko_paired),
         ConceptSequence(id="t", language=en_language, owner=owner, elements=en_elements, paired=en_paired),
         *extra,
+        build=build,
     )
 
 
@@ -657,7 +664,8 @@ def test_concept_with_only_a_target_sequence_is_unpaired():
 
 
 # each declaration that building a network rejects, wherever it was made:
-# the message names the declaration where the loader's names the line.  The
+# the message names the declaration where a loaded one's names the line
+# (test_loaded_declaration_is_rejected_at_its_own_line).  The
 # first eight were validate diagnostics of a network built in code; only the
 # loader checked the next four, so a Korean default item of an English
 # sequence, or an element of type ZZ (read as CX), validated clean.  The
@@ -727,6 +735,60 @@ def test_build_rejects_declaration(changes, message):
     with pytest.raises(NetworkError) as err:
         _a_pair(**changes)
     assert str(err.value) == message
+
+
+# the REJECTED_DECLARATIONS cases that a network file can express, each
+# with the start of the line at fault (the last line that starts so)
+AT_FAULT = {
+    "undeclared owner": "cs s ",
+    "undeclared default item": "cs t ",
+    "undeclared element concept": "cs t ",
+    "undeclared item concept": "lex ka ",
+    "dangling parent": "concept a ",
+    "dangling pair": "cs s ",
+    "pairing within a language": "cs s ",
+    "every element omissible": "cs s ",
+    "default item of the other language": "cs t ",
+    "item language jp": "lex ka ",
+    "sequence language jp": "cs t ",
+    "affix language jp": "affix jp ul ",
+    "morphrule language jp": "morphrule jp p+ul ",
+    "sentence type maybe": "concept top ",
+    "affix role outside ROLES": "affix ko ul ",
+    "after role outside ROLES": "affix ko ul ",
+    "affix declared twice": "affix ko ul ",
+    "morphrule declared twice": "morphrule ko p+ul ",
+}
+EXPRESSIBLE = [pytest.param(*case.values, AT_FAULT[case.id], id=case.id)
+               for case in REJECTED_DECLARATIONS if case.id in AT_FAULT]
+
+
+@pytest.mark.parametrize("changes, message, at_fault", EXPRESSIBLE)
+def test_loaded_declaration_is_rejected_at_its_own_line(changes, message, at_fault):
+    # one rule, one message: the file's names the line where the one built
+    # in code names the declaration
+    assert len(EXPRESSIBLE) == len(AT_FAULT)
+    text = serialize_network(_a_pair(**changes, build=False))
+    line = max(n for n, decl in enumerate(text.splitlines(), start=1) if decl.startswith(at_fault))
+    rule = re.sub(r" \((concept|lexical item|sequence|affix|morphrule) '[^']*'\)$", "", message)
+    with pytest.raises(NetworkError) as err:
+        load_network(text)
+    assert str(err.value) == f"{rule} (line {line})"
+
+
+def test_each_rejection_names_its_own_line():
+    text = "concept a\naffix ko ul role object\naffix ko ul role case-marker\n"
+    cases = [
+        (text, "bad role 'object' (line 2)"),
+        (text.replace("role object", "role plural"), "duplicate affix 'ul' for ko (line 3)"),
+        # of several faults, the first in declaration kind order: items
+        # before affixes, whatever their lines
+        (text + "lex l ko w isa ghost\n", "dangling concept reference 'ghost' (line 4)"),
+    ]
+    for source, message in cases:
+        with pytest.raises(NetworkError) as err:
+            load_network(source)
+        assert str(err.value) == message
 
 
 # -- validate's golden file -------------------------------------------------

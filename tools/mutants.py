@@ -76,6 +76,22 @@ MUTANTS = (
         " folded",
     ),
     Mutant(
+        "build-keeps-a-second-affix",
+        "src/markermt/network.py",
+        "if (a.language, a.morpheme) in affixes:",
+        "if False:",
+        "two affixes of one language and morpheme must be rejected, loaded or built in code: the"
+        " morphology would keep the last role with both after lists",
+    ),
+    Mutant(
+        "build-keeps-an-all-omissible-sequence",
+        "src/markermt/network.py",
+        "if not ElementType.omissible(el.etype):\n                break",
+        "if True:\n                break",
+        "a sequence whose every element is omissible accepts the empty string and must be rejected,"
+        " loaded or built in code",
+    ),
+    Mutant(
         "oracle-derives-a-span-again",
         "src/markermt/oracle.py",
         "if key in visiting:",
