@@ -241,7 +241,9 @@ class Fill(NamedTuple):
     """What one sequence element consumed: a lexical reading, a literal
     word or an accepted sub-instance.  It is also what the agenda queues,
     as the passive that extends or starts instances.  An element that is
-    not filled, omitted or still open, has no fill (None)."""
+    not filled, omitted or still open, has no fill (None).  The session
+    builds fills with ``tuple.__new__``, every field given, without the
+    Python-level ``__new__`` of a named tuple."""
 
     kind: str  # lex | lit | sub
     start: int = -1
@@ -272,7 +274,9 @@ class CsInstance(NamedTuple):
     when every required element is filled (``filled & Layout.required ==
     Layout.required``); a fixed element below the cursor that is not filled
     was omitted.  Where the generation mirror waits on the paired target
-    sequence follows from ``filled`` (:func:`mirrored`)."""
+    sequence follows from ``filled`` (:func:`mirrored`).
+    :meth:`MarkerState._fill` builds it with ``tuple.__new__``, as it builds
+    fills."""
 
     id: int
     cs: str
@@ -480,9 +484,9 @@ class MarkerState:
         for item_id in lexical_items:
             item = lexicon[item_id]
             assert item.language == self.source, f"{item_id} is not a {self.source} item"
-            queued.append((None, Fill("lex", span, span + 1, item_id, item.concept)))
+            queued.append((None, tuple.__new__(Fill, ("lex", span, span + 1, item_id, item.concept, None))))
         if literal is not None:
-            queued.append((literal, Fill("lit", span, span + 1)))
+            queued.append((literal, tuple.__new__(Fill, ("lit", span, span + 1, None, None, None))))
         self.readings.append(queued)
         self.agenda.extend(queued)
 
@@ -585,7 +589,7 @@ class MarkerState:
         fills[idx] = fill
 
         new_id = len(self.instances)
-        new = CsInstance(new_id, cs.id, begin, end, tuple(fills), cursor, filled, parent)
+        new = tuple.__new__(CsInstance, (new_id, cs.id, begin, end, tuple(fills), cursor, filled, parent))
         self.instances.append(new)
         if filled & layout.required == layout.required:
             if begin == 0:
@@ -593,7 +597,7 @@ class MarkerState:
                 if best is None or end > best.end or end == best.end and order[cs.id] < order[best.cs]:
                     self._best = new
             if self.plan.left_corner[cs.owner]:
-                self.agenda.append((None, Fill("sub", begin, end, None, cs.owner, new_id)))
+                self.agenda.append((None, tuple.__new__(Fill, ("sub", begin, end, None, cs.owner, new_id))))
 
     # -- results and teardown ---------------------------------------------------
 

@@ -9,11 +9,12 @@ compiled when the network is built: the roots keyed by the prefix no rule
 can rewrite, with the lengths those keys have; and one successor table, for
 each role the affixes that may follow it, each with its rules as a
 ``{class: surface}`` dict and the distinct class lengths, longest first,
-and marked terminal when no affix may follow its own role.  Generation
+and the fewest characters an affix after its own role adds.  Generation
 takes one step of that table per affix.  Analysis searches it through the
-same role's index: the affixes without rules keyed, as the roots are, by
-the part of the surface they add that no rule can rewrite, so a reading
-tries only the affixes the word continues with where the reading ends.
+same role's index: the affixes keyed, as the roots are, by the part of
+the surface they add that no rule can rewrite, and those with rules also
+by each class they replace, so a reading tries only the affixes the word
+continues with where the reading ends and those whose rules rewrite it.
 
 Word joining is a language-profile property: Korean (Yale romanization)
 joins morphemes inside an Eojeol with ``-``, English concatenates directly.
@@ -21,9 +22,10 @@ Irregular rules replace the boundary outright, so ``kop + un`` can surface
 as ``kowun`` while ``pha-il + tul + ul`` stays ``pha-il-tul-ul``.
 
 A segmentation is a :class:`MorphemeSequence` of :class:`MorphUnit`
-records, both named tuples.  A word is generated from a morpheme tuple
-(:meth:`Morphology.word_for_morphemes`), as a lexical item stores it or a
-segmentation's ``forms`` gives it.  Loading rejects an item whose affixes the
+records, both named tuples, which :meth:`Morphology.segment` builds with
+``tuple.__new__``, without their Python-level ``__new__``.  A word is
+generated from a morpheme tuple (:meth:`Morphology.word_for_morphemes`), as
+a lexical item stores it or a segmentation's ``forms`` gives it.  Loading rejects an item whose affixes the
 successor table does not allow, so every item's word can be generated, and
 generates each once (:attr:`Morphology.word_of`).
 """
@@ -51,6 +53,9 @@ PROFILES = {
     KO: LanguageProfile(joiner="-", capitalize_sentences=False),
     EN: LanguageProfile(joiner="", capitalize_sentences=True),
 }
+
+# the growth of a role that no affix may follow: no reading ending in it grows
+NEVER = float("inf")
 
 
 class MorphUnit(NamedTuple):
@@ -104,7 +109,7 @@ def _join(stem: str, rules, plain: str) -> str:
     return stem + plain
 
 
-def _successors(steps, loose, keyed, growths) -> tuple:
+def _successors(steps, loose, keyed, ruled) -> tuple:
     """One role's entry of the successor table (see ``Morphology._next``)
     from the lists its steps were filed in, in declaration order."""
     return (
@@ -112,7 +117,8 @@ def _successors(steps, loose, keyed, growths) -> tuple:
         tuple(loose),
         {key: tuple(found) for key, found in keyed.items()},
         tuple(sorted(set(map(len, keyed)))),
-        min(growths, default=0),
+        {cls_: tuple(found) for cls_, found in ruled.items()} if ruled else None,
+        tuple(sorted(set(map(len, ruled)))),
     )
 
 
@@ -159,48 +165,57 @@ class Morphology:
             lang: max((lengths[0] for lengths, _ in table.values()), default=0)
             for lang, table in rules_by_affix.items()
         }
-        # {lang: {role: (steps, loose, keyed, key lengths, least)}}: ``steps``
-        # are the affixes that may follow ``role``, in declaration order, each
-        # with its unit, its rules (None if it has none), its plain joiner +
-        # affix surface, and whether its role is terminal (no affix may follow
-        # it); generation walks them.  Analysis reads the same steps indexed:
-        # a step with no rules is keyed by the stable part of the folded
-        # surface it adds (all but the last ``max_class`` characters, as many
-        # as it adds), ``keyed[key]``, with the ``key lengths`` that occur,
-        # shortest first; ``loose`` are the rest, with rules or with no
-        # stable part; ``least`` is the fewest characters any step adds (a
-        # rule may shrink a surface).  Only the roles a word can end in are
-        # keys: root, and the role of each step out of a key
+        # {lang: {role: (steps, loose, keyed, key lengths, ruled, class
+        # lengths)}}: ``steps`` are the affixes that may follow ``role``, in
+        # declaration order, each with its unit, its rules (None if it has
+        # none), its plain joiner + affix surface, and the fewest characters
+        # a step after its own role adds (a rule may shrink a surface;
+        # NEVER when no affix may follow that role); generation walks them.
+        # Analysis reads the same steps indexed: a step is keyed by the
+        # stable part of the folded surface it adds (all but the last
+        # ``max_class`` characters, as many as it adds), ``keyed[key]``,
+        # with the ``key lengths`` that occur, shortest first; a keyed step
+        # with rules is also filed under each of its classes,
+        # ``ruled[class]`` (None when no step has a class), with the ``class
+        # lengths`` that occur, shortest first; ``loose`` are the steps with
+        # no stable part.  Only the roles
+        # a word can end in are keys: root, and the role of each step out of
+        # a key
         self._next: dict[str, dict[str, tuple]] = {}
+        # {lang: the fewest characters a step after the root adds}
+        self._root_least: dict[str, float] = {}
         for lang, table in affixes.items():
             rules_of, joiner, follows = rules_by_affix[lang], PROFILES[lang].joiner, before[lang]
             cut = self.max_class[lang]
-            ahead = {prev for role in table.values() for prev in follows.get(role, ())}
-            # {role: (steps, loose, keyed, growths)}, filled as the affixes are read
-            filed: dict[str, tuple] = {prev: ([], [], {}, []) for prev in ("root", *table.values())}
+            least: dict[str, float] = {}  # {role: the fewest characters a step after it adds}
+            for affix, role in table.items():
+                plain, rules = joiner + affix, rules_of.get(affix)
+                growth = min(len(plain), *(len(s) - len(c) for c, s in rules[1].items())) if rules else len(plain)
+                for prev in follows.get(role, ()):
+                    least[prev] = min(least.get(prev, growth), growth)
+            # {role: (steps, loose, keyed, ruled)}, filled as the affixes are read
+            filed: dict[str, tuple] = {prev: ([], [], {}, {}) for prev in ("root", *table.values())}
             for affix, role in table.items():
                 rules, plain = rules_of.get(affix), joiner + affix
-                step = (MorphUnit(affix, role), rules, plain, role not in ahead)
-                if rules is None:
-                    key = plain.casefold()[: len(plain) - cut] if len(plain) > cut else ""
-                    growth = len(plain)
-                else:
-                    key, growth = "", min(len(plain), *(len(s) - len(c) for c, s in rules[1].items()))
+                step = (MorphUnit(affix, role), rules, plain, least.get(role, NEVER))
+                key = plain.casefold()[: len(plain) - cut] if len(plain) > cut else ""
                 for prev in follows.get(role, ()):
                     if prev in filed:
-                        every, loose, keyed, growths = filed[prev]
+                        every, loose, keyed, ruled = filed[prev]
                         every.append(step)
-                        if key:
-                            keyed.setdefault(key, []).append(step)
-                        else:
+                        if not key:
                             loose.append(step)
-                        growths.append(growth)
+                            continue
+                        keyed.setdefault(key, []).append(step)
+                        for cls_ in rules[1] if rules else ():
+                            ruled.setdefault(cls_, []).append(step)
             reached = ["root"]
             for prev in reached:  # grows as it is read
                 for unit, _, _, _ in filed[prev][0]:
                     if unit.role not in reached:
                         reached.append(unit.role)
             self._next[lang] = {prev: _successors(*filed[prev]) for prev in reached}
+            self._root_least[lang] = least.get("root", NEVER)
 
         word_of: dict[str, str] = {}
         words: dict[str, set[str]] = {lang: set() for lang in PROFILES}
@@ -288,68 +303,79 @@ class Morphology:
         is never kept, nor anything grown from it.  The candidate roots, whose
         stable prefixes are prefixes of the word, cost one dict lookup per
         key length the root index holds, up to ``len(word)``.  Each reading
-        is matched against the word when it is made.  A kept reading of at
-        most ``len(word) + 1`` units takes one successor-table lookup for
-        its last role, and grows by the affixes that can fit: none when even
-        the least growth of that role's steps overshoots the word; else the
-        steps with rules (a completed reading may still grow, since rules
-        can shrink surfaces) and those whose added surface is all within
-        the last ``max_class`` characters; and, when the word continues the
-        reading, the affixes whose stable part it continues with, one dict
-        lookup per key length that fits.  Each affix with rules is attached
-        with one probe per class length of its rules.  A reading that
-        casefolding lengthened tries every step of its role.  A reading
-        whose last role is terminal is matched and never kept.  So the cost
-        grows with the word, the roots sharing its prefixes and the affixes
-        that fit, not with the size of the lexicon, the number of affixes
-        that may follow a role, the number of rules on an affix or the
-        rules of other affixes.
+        is matched against the word when it is made, and kept for the search
+        only when it has at most ``len(word) + 1`` units and some step of
+        its last role can still fit: its length plus the fewest characters a
+        step after that role adds is at most ``len(word) + max_class``.  A
+        root alone in a language without affixes is never kept.  A kept
+        reading takes one successor-table lookup for its last role and
+        tries the steps that can fit: those whose added surface is all
+        within the last ``max_class`` characters; when the word continues
+        the reading, those whose stable part it continues with, one dict
+        lookup per key length that fits; and the steps with a rule class
+        that ends the reading's stored surface, one dict lookup per class
+        length that fits.  Each affix with rules is attached with one probe
+        per class length of its rules.  A reading that casefolding
+        lengthened tries every step of its role.  So the cost grows with the
+        word, the roots sharing its prefixes and the affixes that fit, not
+        with the size of the lexicon, the number of affixes that may follow
+        a role, with rules or without, the number of rules on an affix or
+        the rules of other affixes.
         """
         target = word.casefold()
-        if not target:
+        successors = self._next.get(language)
+        if not target or successors is None:
             return ()
-        cut = self.max_class.get(language, 0)
+        cut = self.max_class[language]
         size = len(target)
         room = size + cut  # a longer surface is neither kept nor matched
-        successors = self._next.get(language)
-        by_stable = self._roots_by_stable.get(language, {})
+        by_stable = self._roots_by_stable[language]
+        least = self._root_least[language]
+        new = tuple.__new__  # the records without their Python-level __new__
         results: list[MorphemeSequence] = []
         stack = []
-        for end in self._key_lengths.get(language, ()):
+        for end in self._key_lengths[language]:
             if end > size:
                 break
             for root in by_stable.get(target[:end], ()):
-                units = (MorphUnit(root, "root"),)
+                units = (new(MorphUnit, (root, "root")),)
                 folded = root.casefold()
                 if folded == target:
-                    results.append(MorphemeSequence(units))
-                stack.append((units, root, folded))
+                    results.append(new(MorphemeSequence, (units,)))
+                if len(root) + least <= room:  # some step fits: casefolding never shortens
+                    stack.append((units, root, folded))
         while stack:
             units, formed, folded = stack.pop()
-            # tries: the loose steps, then those the word continues with
-            steps, tries, keyed, lengths, least = successors[units[-1].role]
+            # tries: the loose steps, then those the word continues with,
+            # then those with a class that ends the reading
+            steps, tries, keyed, lengths, ruled, classes = successors[units[-1].role]
             at = len(formed)
-            if at + least > room:  # no step fits: casefolding never shortens
-                continue
             if lengths:  # some step is keyed
                 if len(folded) > at:  # folding lengthened the reading: try every step
                     tries = steps
-                elif target.startswith(folded):
-                    for length in lengths:
-                        if at + length > size:
+                else:
+                    if target.startswith(folded):
+                        for length in lengths:
+                            if at + length > size:
+                                break
+                            found = keyed.get(target[at : at + length])
+                            if found is not None:
+                                tries += found
+                    for length in classes:
+                        if length > at:
                             break
-                        found = keyed.get(target[at : at + length])
-                        if found is not None:
-                            tries += found
+                        for step in ruled.get(formed[at - length :], ()):
+                            if step not in tries:  # keyed too, or under a second class
+                                tries += (step,)
             grows = len(units) <= size  # a kept reading has len(word) + 1 units at most
-            for unit, rules, plain, terminal in tries:
+            for unit, rules, plain, least in tries:
                 surface = _join(formed, rules, plain) if rules else formed + plain
                 if len(surface) > room:  # not kept, and no match: casefolding never shortens
                     continue
                 folded = surface.casefold()
                 if folded == target:
-                    results.append(MorphemeSequence(units + (unit,)))
-                if terminal or not grows:
+                    results.append(new(MorphemeSequence, (units + (unit,),)))
+                if not grows or len(surface) + least > room:  # no step fits
                     continue
                 stable = len(surface) - cut
                 if stable <= 0 or target.startswith(folded[:stable]):

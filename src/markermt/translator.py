@@ -240,7 +240,7 @@ def word_items(net: MemoryNetwork, language: str, word: str) -> list[str]:
         return []
     items: list[str] = []
     for seq in morph.segment(language, word):
-        for item_id in lookup_lexical(net, language, seq.forms):
+        for item_id in lookup_lexical(net, language, [unit.form for unit in seq.units]):
             if item_id not in items:
                 items.append(item_id)
     return items

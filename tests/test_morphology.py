@@ -410,6 +410,9 @@ def candidate_readings(m, language, word):
 
 @pytest.mark.parametrize("language", ["ko", "en"])
 def test_segment_cost_does_not_grow_with_the_lexicon(language):
+    """A synthetic network declares no affix, so a word's one root is
+    matched and kept for no step: the search looks nothing up, whatever the
+    size of the lexicon."""
     small = synth_network(1000, 200, 3, samples=10)
     # the first lexical word of a sample; every word of the small network's
     # lexicon is also in the large one
@@ -422,8 +425,36 @@ def test_segment_cost_does_not_grow_with_the_lexicon(language):
         candidate_readings(load_network(text).morphology, language, word)
         for text in (small, synth_network(4000, 800, 3, samples=10))
     ]
-    assert counts[0][0] > 0 and counts[0][1]
+    assert counts[0][0] == 0 and counts[0][1]
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "language, word, kept",
+    [
+        # the shortest ko step adds 2 characters (p+un -> wun), and eti plus 2
+        # is longer than the word plus max_class
+        ("ko", "eti", 0),
+        # kil is kept; kil-ul ends in a case marker, which nothing follows
+        ("ko", "kil-ul", 1),
+        # pha-il and pha-il-tul are kept: -ul (3 characters) still fits
+        # after the plural
+        ("ko", "pha-il-tul-ul", 2),
+        # file is kept; files ends in a suffix, which nothing follows
+        ("en", "files", 1),
+    ],
+)
+def test_only_readings_that_a_step_still_fits_are_kept(net, language, word, kept):
+    """A reading goes on the search stack only when some step of its role
+    can still fit in the word: the lookups count the readings kept."""
+    lookups, readings = candidate_readings(net.morphology, language, word)
+    assert readings == segment_by_scan(net, language, word) != ()
+    assert lookups == kept
+
+
+def test_a_language_without_tables_has_no_segmentation(net):
+    assert net.morphology.segment("fr", "files") == ()
+    assert net.morphology.segment("fr", "") == ()
 
 
 def corpus_rows():
@@ -500,16 +531,19 @@ class CountingStep(tuple):
 
 def steps_tried(m, language, word):
     """How many successor steps ``segment`` tries while it searches
-    ``word``, and its readings."""
+    ``word``, found loose, by key or by class, and its readings."""
     saved = m._next[language]
     made = {}
 
     def counting(steps):
         return tuple(made.setdefault(id(step), CountingStep(step)) for step in steps)
 
+    def counting_each(index):
+        return {key: counting(found) for key, found in index.items()}
+
     m._next[language] = {
-        role: (counting(steps), counting(loose), {key: counting(found) for key, found in keyed.items()}, *rest)
-        for role, (steps, loose, keyed, *rest) in saved.items()
+        role: (counting(steps), counting(loose), counting_each(keyed), lengths, ruled and counting_each(ruled), classes)
+        for role, (steps, loose, keyed, lengths, ruled, classes) in saved.items()
     }
     CountingStep.tried = 0
     try:
@@ -517,6 +551,23 @@ def steps_tried(m, language, word):
     finally:
         m._next[language] = saved
     return CountingStep.tried, result
+
+
+def assert_tries_as_many_steps(net, wide, language):
+    """Every sentence translates the same on ``net`` and ``wide``, and each
+    ``language`` word of the travel corpus tries as many successor steps on
+    both, with the same readings."""
+    tried = 0
+    for direction, sentence, _ in corpus_rows():
+        plain, loaded = (translate(n, sentence, direction) for n in (net, wide))
+        assert plain.status == "success"
+        assert (loaded.status, loaded.target_sentence) == (plain.status, plain.target_sentence)
+        if direction.startswith(language):
+            for word in tokenize(sentence):
+                counts = [steps_tried(n.morphology, language, word) for n in (net, wide)]
+                assert counts[0] == counts[1], word
+                tried += counts[0][0]
+    assert tried > 0
 
 
 # 2,000 case markers after the root and the plural that no travel word
@@ -531,17 +582,36 @@ def test_affixes_a_word_does_not_continue_with_are_never_tried(net, travel_text)
     rule-proof part the word continues with where the reading ends."""
     wide = load_network(travel_text + WIDE_AFFIXES)
     assert len(wide.morphology._next["ko"]["root"][0]) > 2000
-    tried = 0
-    for direction, sentence, _ in corpus_rows():
-        plain, loaded = (translate(n, sentence, direction) for n in (net, wide))
-        assert plain.status == "success"
-        assert (loaded.status, loaded.target_sentence) == (plain.status, plain.target_sentence)
-        if direction.startswith("ko"):
-            for word in tokenize(sentence):
-                counts = [steps_tried(n.morphology, "ko", word) for n in (net, wide)]
-                assert counts[0] == counts[1], word
-                tried += counts[0][0]
-    assert tried > 0
+    assert_tries_as_many_steps(net, wide, "ko")
+
+
+# 2,000 suffixes, each with a rule: no travel word continues with one, and
+# none ends with the class of its rule
+WIDE_RULES = "".join(f"affix en zq{i} role suffix\nmorphrule en x+zq{i} -> zq{i}y\n" for i in range(2000))
+
+
+def test_affixes_with_rules_a_word_does_not_fit_are_never_tried(net, travel_text):
+    """With 2,000 more suffixes that carry rules, each en word of the travel
+    corpus tries as many successor steps as before, with the same readings:
+    a reading tries an affix with rules only where the word continues with
+    its plain surface or one of its classes ends the reading."""
+    wide = load_network(travel_text + WIDE_RULES)
+    assert len(wide.morphology._next["en"]["root"][0]) > 2000
+    assert_tries_as_many_steps(net, wide, "en")
+
+
+def test_a_rule_class_is_matched_on_the_stored_surface():
+    """A rule attaches by the stored spelling: ``boX + ab`` is ``boYab``, so
+    ``boyab`` segments through the rule, though the folded reading ``box``
+    ends with no class, and ``boxab`` does not segment."""
+    net = load_network(
+        "concept c\naffix en boX role root\naffix en ab role suffix\nmorphrule en X+ab -> Yab\n"
+        "lex i en boX+ab isa c\ncs s en of c pair t : c(CX)\ncs t ko of c pair s : c(CX)\n"
+    )
+    assert [s.forms for s in net.morphology.segment("en", "boyab")] == [("boX", "ab")]
+    for word in ("boyab", "BOYAB", "boxab"):
+        assert net.morphology.segment("en", word) == segment_by_scan(net, "en", word), word
+    assert word_items(net, "en", "boyab") == reference_word_items(net, "en", "boyab") == ["i"]
 
 
 def test_a_root_that_casefolding_lengthens_segments_as_the_scans_do():

@@ -9,7 +9,7 @@ import pytest
 import markermt.cli
 import markermt.markers
 import markermt.translator
-from markermt.morphology import tokenize
+from markermt.morphology import MorphemeSequence, MorphUnit, tokenize
 from markermt.network import load_network, lookup_lexical, validate_network
 from markermt.oracle import recognize_oracle
 from markermt.synth import parse_samples, synth_network
@@ -520,6 +520,32 @@ def test_tree_repr_is_the_default_named_tuple_repr(net):
     one = TreeNode("c", "s", "t", (TreeFill("a", None, "CX", "lex", "k-a", "a", (0, 1)),))
     assert repr(one) == repr(_plain_tree(one)) and repr(one).endswith("span=(0, 1), child=None),))")
     assert repr(TreeNode("c", "s", "t", ())) == "TreeNode(concept='c', source_cs='s', target_cs='t', fills=())"
+
+
+def test_records_are_their_own_classes_with_named_tuple_reprs(net):
+    """The engine builds its records with ``tuple.__new__``: each chart
+    instance, fill, reading and unit is still of its class, with the
+    field-named repr of a named tuple."""
+    kinds = set()
+    for line in TRAVEL_CORPUS.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            direction, sentence, _ = line.split("\t")
+            _, instances, readings, _, _ = translate(net, sentence, direction)._session
+            assert instances
+            fills = [fill for inst in instances for fill in inst.fills if fill is not None]
+            fills += [fill for queued in readings for _, fill in queued]
+            assert {type(inst) for inst in instances} == {markermt.markers.CsInstance}
+            assert {type(fill) for fill in fills} == {markermt.markers.Fill}
+            kinds.update(fill.kind for fill in fills)
+            assert repr(instances[0]).startswith(f"CsInstance(id=0, cs={instances[0].cs!r}, start=")
+            source = direction.split("-")[0]
+            for word in tokenize(sentence):
+                for seq in net.morphology.segment(source, word):
+                    assert type(seq) is MorphemeSequence
+                    assert {type(unit) for unit in seq.units} == {MorphUnit}
+                    assert repr(seq) == f"MorphemeSequence(units={seq.units!r})"
+                    assert repr(seq.units[0]) == f"MorphUnit(form={seq.forms[0]!r}, role='root')"
+    assert kinds == {"lex", "lit", "sub"}
 
 
 def _count_trace_events(monkeypatch) -> list:

@@ -62,10 +62,34 @@ MUTANTS = (
     Mutant(
         "rule-steps-keyed-as-plain",
         "src/markermt/morphology.py",
-        "if rules is None:",
-        "if True:",
-        "a step with rules may rewrite the reading it follows, so segment must try it wherever the"
-        " reading ends: kop + un surfaces as kowun",
+        "for cls_ in rules[1] if rules else ():",
+        "for cls_ in ():",
+        "a step with rules may rewrite the reading it follows, so segment must try it where one of"
+        " its classes ends the reading: kop + un surfaces as kowun",
+    ),
+    Mutant(
+        "rule-steps-not-keyed",
+        "src/markermt/morphology.py",
+        "keyed.setdefault(key, []).append(step)",
+        "rules or keyed.setdefault(key, []).append(step)",
+        "a step with rules attaches plainly where none of its classes ends the reading, so segment"
+        " must try it where the word continues with it: edit + ed surfaces as edited",
+    ),
+    Mutant(
+        "rule-class-of-the-folded-reading",
+        "src/markermt/morphology.py",
+        "ruled.get(formed[at - length :], ())",
+        "ruled.get(folded[at - length :], ())",
+        "a rule matches its class on the stored spelling, so segment must look the class up there:"
+        " boX + ab surfaces as boYab under X+ab -> Yab",
+    ),
+    Mutant(
+        "reading-kept-that-no-step-fits",
+        "src/markermt/morphology.py",
+        "if not grows or len(surface) + least > room:",
+        "if not grows:",
+        "a reading that no step of its role can still fit in the word must not be kept for the"
+        " search: it would cost a lookup and find nothing",
     ),
     Mutant(
         "successor-lookup-at-the-stored-length",
